@@ -368,9 +368,7 @@ func TestRunBTI(t *testing.T) {
 	if res.Total.Precision() < 99 {
 		t.Errorf("BTI precision = %.2f", res.Total.Precision())
 	}
-	if len(res.Render()) < 60 {
-		t.Error("render too short")
-	}
+	checkGolden(t, "bti", res.Render())
 }
 
 func TestRunSupersetAblation(t *testing.T) {

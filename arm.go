@@ -2,7 +2,6 @@ package funseeker
 
 import (
 	"github.com/funseeker/funseeker/internal/armsynth"
-	"github.com/funseeker/funseeker/internal/bticore"
 	"github.com/funseeker/funseeker/internal/synth"
 )
 
@@ -11,6 +10,10 @@ import (
 // ENDBR role on AArch64, with one improvement: the pad operand
 // self-describes its legal predecessors (BTI c for calls, BTI j for
 // jumps), so the FILTERENDBR analog needs no PLT or LSDA analysis.
+//
+// Identification needs no ARM-specific entry point: Identify,
+// IdentifyBytes and IdentifyBinary dispatch AArch64 images on their ELF
+// header, and the report's Arch field says "aarch64".
 
 // BTIBuildConfig is the ARM build configuration.
 type BTIBuildConfig = armsynth.Config
@@ -18,26 +21,12 @@ type BTIBuildConfig = armsynth.Config
 // BTIBuildResult is one compiled AArch64 binary with ground truth.
 type BTIBuildResult = armsynth.Result
 
-// BTIReport is the ARM identification result.
-type BTIReport = bticore.Report
-
 // CompileBTI builds a BTI-enabled AArch64 binary from a program spec.
 // The x86-specific spec features (PLT calls, indirect-return sites, C++
 // EH, cold splitting) are ignored; BTI placement, direct and tail calls,
 // switch tables, and data-referenced functions carry over.
 func CompileBTI(spec *ProgramSpec, cfg BTIBuildConfig) (*BTIBuildResult, error) {
 	return armsynth.Compile(spec, cfg)
-}
-
-// IdentifyBTI identifies function entries in an AArch64 BTI-enabled ELF
-// image.
-func IdentifyBTI(raw []byte) (*BTIReport, error) {
-	return bticore.IdentifyBytes(raw)
-}
-
-// IdentifyBTIText runs the BTI algorithm over a raw .text image.
-func IdentifyBTIText(text []byte, textAddr uint64) *BTIReport {
-	return bticore.Identify(text, textAddr)
 }
 
 // compile-time check that ProgramSpec stays shared between back-ends.

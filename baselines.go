@@ -3,7 +3,6 @@ package funseeker
 import (
 	"context"
 
-	"github.com/funseeker/funseeker/internal/analysis"
 	"github.com/funseeker/funseeker/internal/eval"
 	"github.com/funseeker/funseeker/internal/fetch"
 	"github.com/funseeker/funseeker/internal/ghidra"
@@ -14,11 +13,12 @@ import (
 // paper evaluates against, reimplemented at the fidelity needed for
 // comparative measurement, plus scoring utilities.
 //
-// Each baseline has a *Ctx form. Cancellation reaches the shared linear
-// sweep (the dominant cost for every tool) through the analysis context;
-// the tool-specific refinement passes check ctx between stages. As
-// everywhere in this package, ctx is a context.Context and actx a
-// *AnalysisContext.
+// Each baseline has two forms: RunX(bin) for a one-off run, and
+// RunXCtx(ctx, actx) over a shared analysis context under a cancelable
+// ctx. Cancellation reaches the shared linear sweep (the dominant cost
+// for every tool) through the analysis context; the tool-specific
+// refinement passes check ctx between stages. As everywhere in this
+// package, ctx is a context.Context and actx a *AnalysisContext.
 
 // primeCtx computes the shared sweep under ctx so a baseline run can be
 // canceled inside its dominant stage, then re-checks ctx before handing
@@ -42,27 +42,17 @@ func RunIDA(bin *Binary) ([]uint64, error) {
 	return r.Entries, nil
 }
 
-// RunIDACtx is RunIDA under a cancelable ctx.
-func RunIDACtx(ctx context.Context, bin *Binary) ([]uint64, error) {
-	return RunIDAWithContextCtx(ctx, analysis.NewContext(bin))
-}
-
-// RunIDAWithContext is RunIDA over a shared analysis context, reusing the
-// memoized landing-pad set and instruction index.
-func RunIDAWithContext(actx *AnalysisContext) ([]uint64, error) {
+// RunIDACtx is RunIDA over a shared analysis context, reusing the
+// memoized landing-pad set and instruction index, under a cancelable ctx.
+func RunIDACtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
+	if err := primeCtx(ctx, actx); err != nil {
+		return nil, err
+	}
 	r, err := idapro.IdentifyWithContext(actx)
 	if err != nil {
 		return nil, err
 	}
 	return r.Entries, nil
-}
-
-// RunIDAWithContextCtx is RunIDAWithContext under a cancelable ctx.
-func RunIDAWithContextCtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
-	if err := primeCtx(ctx, actx); err != nil {
-		return nil, err
-	}
-	return RunIDAWithContext(actx)
 }
 
 // RunGhidra identifies function entries with the Ghidra model:
@@ -75,27 +65,17 @@ func RunGhidra(bin *Binary) ([]uint64, error) {
 	return r.Entries, nil
 }
 
-// RunGhidraCtx is RunGhidra under a cancelable ctx.
-func RunGhidraCtx(ctx context.Context, bin *Binary) ([]uint64, error) {
-	return RunGhidraWithContextCtx(ctx, analysis.NewContext(bin))
-}
-
-// RunGhidraWithContext is RunGhidra over a shared analysis context,
-// reusing the memoized .eh_frame parse.
-func RunGhidraWithContext(actx *AnalysisContext) ([]uint64, error) {
+// RunGhidraCtx is RunGhidra over a shared analysis context, reusing the
+// memoized .eh_frame parse, under a cancelable ctx.
+func RunGhidraCtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
+	if err := primeCtx(ctx, actx); err != nil {
+		return nil, err
+	}
 	r, err := ghidra.IdentifyWithContext(actx)
 	if err != nil {
 		return nil, err
 	}
 	return r.Entries, nil
-}
-
-// RunGhidraWithContextCtx is RunGhidraWithContext under a cancelable ctx.
-func RunGhidraWithContextCtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
-	if err := primeCtx(ctx, actx); err != nil {
-		return nil, err
-	}
-	return RunGhidraWithContext(actx)
 }
 
 // RunFETCH identifies function entries with the FETCH model (Pang et
@@ -109,28 +89,19 @@ func RunFETCH(bin *Binary) ([]uint64, error) {
 	return r.Entries, nil
 }
 
-// RunFETCHCtx is RunFETCH under a cancelable ctx.
-func RunFETCHCtx(ctx context.Context, bin *Binary) ([]uint64, error) {
-	return RunFETCHWithContextCtx(ctx, analysis.NewContext(bin))
-}
-
-// RunFETCHWithContext is RunFETCH over a shared analysis context, reusing
-// the memoized .eh_frame parse and instruction index (the stack-height
-// verification — FETCH's real cost — still runs in full).
-func RunFETCHWithContext(actx *AnalysisContext) ([]uint64, error) {
+// RunFETCHCtx is RunFETCH over a shared analysis context, reusing the
+// memoized .eh_frame parse and instruction index (the stack-height
+// verification — FETCH's real cost — still runs in full), under a
+// cancelable ctx.
+func RunFETCHCtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
+	if err := primeCtx(ctx, actx); err != nil {
+		return nil, err
+	}
 	r, err := fetch.IdentifyWithContext(actx)
 	if err != nil {
 		return nil, err
 	}
 	return r.Entries, nil
-}
-
-// RunFETCHWithContextCtx is RunFETCHWithContext under a cancelable ctx.
-func RunFETCHWithContextCtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
-	if err := primeCtx(ctx, actx); err != nil {
-		return nil, err
-	}
-	return RunFETCHWithContext(actx)
 }
 
 // Metrics is a precision/recall accumulator.

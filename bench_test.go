@@ -19,6 +19,7 @@ package funseeker_test
 // cmd/evaltables.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -175,25 +176,25 @@ func BenchmarkTableIII_FETCH(b *testing.B) {
 // tools) the way eval.RunAll issues it, parameterized over how the
 // analyses obtain their inputs.
 func evalMatrixShared(b *testing.B, c benchCase) {
-	ctx := funseeker.NewContext(c.bin)
-	if _, err := funseeker.ClassifyEndbrsWithContext(ctx); err != nil {
+	actx := funseeker.NewContext(c.bin)
+	if _, err := funseeker.ClassifyEndbrsWithContext(actx); err != nil {
 		b.Fatal(err)
 	}
-	funseeker.AnalyzePropertiesWithContext(ctx, c.gt.SortedEntries())
+	funseeker.AnalyzePropertiesWithContext(actx, c.gt.SortedEntries())
 	for _, opts := range []funseeker.Options{
 		funseeker.Config1, funseeker.Config2, funseeker.Config3, funseeker.Config4,
 	} {
-		if _, err := funseeker.IdentifyWithContext(ctx, opts); err != nil {
+		if _, err := funseeker.IdentifyCtx(context.Background(), actx, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if _, err := funseeker.RunIDAWithContext(ctx); err != nil {
+	if _, err := funseeker.RunIDACtx(context.Background(), actx); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := funseeker.RunGhidraWithContext(ctx); err != nil {
+	if _, err := funseeker.RunGhidraCtx(context.Background(), actx); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := funseeker.RunFETCHWithContext(ctx); err != nil {
+	if _, err := funseeker.RunFETCHCtx(context.Background(), actx); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -302,8 +303,8 @@ func BenchmarkLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkBTIIdentify measures the ARM BTI port of the algorithm
-// (paper §VI extension).
+// BenchmarkBTIIdentify measures configuration ④ on an AArch64 BTI
+// binary (paper §VI extension).
 func BenchmarkBTIIdentify(b *testing.B) {
 	spec := funseeker.GenerateSuite(funseeker.SuiteBinutils,
 		funseeker.CorpusOptions{Scale: 0.5, Seed: 7, Programs: 1})[0]
@@ -314,7 +315,7 @@ func BenchmarkBTIIdentify(b *testing.B) {
 	b.SetBytes(int64(res.TextSize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := funseeker.IdentifyBTI(res.Image); err != nil {
+		if _, err := funseeker.IdentifyBytes(res.Image, funseeker.DefaultOptions); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -665,19 +665,19 @@ func series(set []benchCase, corpusBytes int) []benchmark {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, c := range set {
-					ctx := funseeker.NewContext(c.bin)
-					if _, err := funseeker.ClassifyEndbrsWithContext(ctx); err != nil {
+					actx := funseeker.NewContext(c.bin)
+					if _, err := funseeker.ClassifyEndbrsWithContext(actx); err != nil {
 						b.Fatal(err)
 					}
 					for _, opts := range []funseeker.Options{
 						funseeker.Config1, funseeker.Config2, funseeker.Config3,
 						funseeker.Config4, funseeker.Config5,
 					} {
-						if _, err := funseeker.IdentifyWithContext(ctx, opts); err != nil {
+						if _, err := funseeker.IdentifyCtx(context.Background(), actx, opts); err != nil {
 							b.Fatal(err)
 						}
 					}
-					if _, err := funseeker.RunFETCHWithContext(ctx); err != nil {
+					if _, err := funseeker.RunFETCHCtx(context.Background(), actx); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -27,9 +27,9 @@
 //	GET  /v1/healthz   liveness probe.
 //	GET  /v1/stats     versioned stats document ("v": 2): engine, cache,
 //	                   store (with compaction), shed, and server blocks.
-//	                   ?v=1 keeps the old flat shape for one release.
-//	                   Also published through expvar under "funseeker"
-//	                   at /debug/vars.
+//	                   Any ?v other than 2 is a 400. The flat engine
+//	                   counters (not this document) are published
+//	                   through expvar under "funseeker" at /debug/vars.
 //	GET  /v1/result    raw stored-result value by hex store key; with
 //	PUT  /v1/result    and GET /v1/keys this is the replica-transfer
 //	                   surface funseeker-lb uses to copy results between

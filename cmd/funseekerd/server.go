@@ -115,9 +115,8 @@ func newServer(eng *engine.Engine, cfg serverConfig) *server {
 //	                    /v1/analyze, applied to every member.
 //	GET  /v1/healthz  — liveness
 //	GET  /v1/stats    — versioned stats document ("v": 2) with
-//	                    engine/cache/store/shed/server blocks; ?v=1
-//	                    serves the deprecated flat shape for one more
-//	                    release
+//	                    engine/cache/store/shed/server blocks; any
+//	                    other ?v is a 400
 //	GET  /v1/result   — raw stored-result value by hex store key
 //	PUT  /v1/result   — install a stored result computed on another
 //	                    replica (validated against the key's hash)
@@ -420,24 +419,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// statsResponse is the legacy (v1) flat /v1/stats shape, kept behind
-// ?v=1 for one release; see docs/API.md for the deprecation note.
-type statsResponse struct {
-	engine.Stats
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Goroutines    int     `json:"goroutines"`
-}
-
-// statsSnapshot builds the legacy flat payload; the expvar publication
-// in main reuses it so ?v=1 and /debug/vars never disagree.
-func (s *server) statsSnapshot() statsResponse {
-	return statsResponse{
-		Stats:         s.eng.Stats(),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-	}
-}
-
 // statsDoc builds the versioned v2 stats document: the engine's
 // engine/cache/store blocks plus the server-owned shed and process
 // blocks. funseeker-lb relays this same document per node.
@@ -462,13 +443,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	switch v := r.URL.Query().Get("v"); v {
 	case "", "2":
 		writeJSON(w, http.StatusOK, s.statsDoc())
-	case "1":
-		// Deprecated compatibility shim, scheduled for removal one
-		// release after the v2 envelope shipped.
-		writeJSON(w, http.StatusOK, s.statsSnapshot())
 	default:
 		writeErrorKind(w, r, http.StatusBadRequest,
-			fmt.Errorf("unsupported stats version %q (want 1 or 2)", v), "bad_request")
+			fmt.Errorf("unsupported stats version %q (want 2)", v), "bad_request")
 	}
 }
 

@@ -150,29 +150,21 @@ func TestAnalyzeRoundTrip(t *testing.T) {
 		t.Fatalf("shed block = %+v, want present and disabled", st.Shed)
 	}
 
-	// The v1 shim still serves the legacy flat shape.
-	legacyResp, err := http.Get(ts.URL + "/v1/stats?v=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy statsResponse
-	if err := json.NewDecoder(legacyResp.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	legacyResp.Body.Close()
-	if legacy.CacheHits < 1 || legacy.UptimeSeconds <= 0 {
-		t.Fatalf("v1 shim = hits %d uptime %v", legacy.CacheHits, legacy.UptimeSeconds)
-	}
-
-	// Unknown versions are refused, not silently defaulted.
-	badResp, err := http.Get(ts.URL + "/v1/stats?v=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, badResp.Body)
-	badResp.Body.Close()
-	if badResp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("?v=3 status = %d, want 400", badResp.StatusCode)
+	// Unknown versions — including the retired flat v1 shape — are
+	// refused, not silently defaulted.
+	for _, v := range []string{"1", "3"} {
+		badResp, err := http.Get(ts.URL + "/v1/stats?v=" + v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Kind string `json:"kind"`
+		}
+		json.NewDecoder(badResp.Body).Decode(&env)
+		badResp.Body.Close()
+		if badResp.StatusCode != http.StatusBadRequest || env.Kind != "bad_request" {
+			t.Fatalf("?v=%s status = %d kind %q, want 400 bad_request", v, badResp.StatusCode, env.Kind)
+		}
 	}
 }
 

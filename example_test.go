@@ -81,8 +81,9 @@ func ExampleClassifyEndbrs() {
 	// entries=4 indirect-return=1 exception=1
 }
 
-// ExampleIdentifyBTI shows the ARM BTI port of the algorithm.
-func ExampleIdentifyBTI() {
+// ExampleCompileBTI shows the ARM BTI port of the algorithm: the same
+// IdentifyBytes call dispatches an AArch64 image on its ELF header.
+func ExampleCompileBTI() {
 	spec := &funseeker.ProgramSpec{
 		Name: "armdemo",
 		Lang: funseeker.LangC,
@@ -97,13 +98,13 @@ func ExampleIdentifyBTI() {
 		fmt.Println("compile:", err)
 		return
 	}
-	report, err := funseeker.IdentifyBTI(res.Image)
+	report, err := funseeker.IdentifyBytes(res.Image, funseeker.DefaultOptions)
 	if err != nil {
 		fmt.Println("identify:", err)
 		return
 	}
 	m := funseeker.Score(report.Entries, res.GT)
-	fmt.Printf("found %d entries, recall %.0f%%\n", len(report.Entries), m.Recall())
+	fmt.Printf("%s: found %d entries, recall %.0f%%\n", report.Arch, len(report.Entries), m.Recall())
 	// Output:
-	// found 3 entries, recall 100%
+	// aarch64: found 3 entries, recall 100%
 }

@@ -134,9 +134,10 @@ func ParseArch(s string) (Arch, bool) {
 // the same binary.
 //
 // Naming convention: an *AnalysisContext parameter is always called
-// actx, a context.Context always ctx. The two compose: the *Ctx entry
-// points take both ("run this analysis over the shared artifacts in
-// actx, abandoning it if ctx is canceled").
+// actx, a context.Context always ctx. The two compose: each operation's
+// one *Ctx form (IdentifyCtx, RunIDACtx, RunGhidraCtx, RunFETCHCtx) takes
+// both ("run this analysis over the shared artifacts in actx, abandoning
+// it if ctx is canceled").
 type AnalysisContext = analysis.Context
 
 // AnalysisStats is a snapshot of per-stage costs and memoization hit/miss
@@ -150,47 +151,20 @@ func NewContext(bin *Binary) *AnalysisContext {
 
 // Identify runs FunSeeker on the ELF binary at path.
 func Identify(path string, opts Options) (*Report, error) {
-	return core.IdentifyFile(path, opts)
-}
-
-// IdentifyCtx runs FunSeeker on the ELF binary at path under ctx.
-// Cancellation is cooperative and cheap: the linear sweep — the dominant
-// cost — checks ctx at parallel-shard and stride boundaries, so a
-// canceled or timed-out request stops burning CPU within tens of
-// microseconds and returns ErrCanceled (or context.DeadlineExceeded).
-func IdentifyCtx(ctx context.Context, path string, opts Options) (*Report, error) {
-	return core.IdentifyFileCtx(ctx, path, opts)
-}
-
-// IdentifyWithContext runs FunSeeker using the shared per-binary analysis
-// artifacts memoized in actx. Use this (rather than IdentifyBinary) when
-// the same binary is analyzed more than once — e.g. all four
-// configurations, or FunSeeker alongside the baseline tools — so the
-// sweep and exception-metadata parse are not repeated.
-func IdentifyWithContext(actx *AnalysisContext, opts Options) (*Report, error) {
-	return core.IdentifyWithContext(actx, opts)
-}
-
-// IdentifyWithContextCtx is IdentifyWithContext under a cancelable ctx
-// (see IdentifyCtx for the cancellation semantics). A canceled first
-// sweep is not memoized into actx; a later call recomputes it.
-func IdentifyWithContextCtx(ctx context.Context, actx *AnalysisContext, opts Options) (*Report, error) {
-	return core.IdentifyCtx(ctx, actx, opts)
+	bin, err := elfx.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return core.Identify(bin, opts)
 }
 
 // IdentifyBytes runs FunSeeker on an in-memory ELF image.
 func IdentifyBytes(raw []byte, opts Options) (*Report, error) {
-	return IdentifyBytesCtx(context.Background(), raw, opts)
-}
-
-// IdentifyBytesCtx runs FunSeeker on an in-memory ELF image under ctx
-// (see IdentifyCtx for the cancellation semantics).
-func IdentifyBytesCtx(ctx context.Context, raw []byte, opts Options) (*Report, error) {
 	bin, err := elfx.Load(raw)
 	if err != nil {
 		return nil, err
 	}
-	return core.IdentifyCtx(ctx, analysis.NewContext(bin), opts)
+	return core.Identify(bin, opts)
 }
 
 // IdentifyBinary runs FunSeeker on an already-loaded binary.
@@ -198,10 +172,21 @@ func IdentifyBinary(bin *Binary, opts Options) (*Report, error) {
 	return core.Identify(bin, opts)
 }
 
-// IdentifyBinaryCtx runs FunSeeker on an already-loaded binary under ctx
-// (see IdentifyCtx for the cancellation semantics).
-func IdentifyBinaryCtx(ctx context.Context, bin *Binary, opts Options) (*Report, error) {
-	return core.IdentifyCtx(ctx, analysis.NewContext(bin), opts)
+// IdentifyCtx is the general form of Identify: it runs FunSeeker over the
+// shared per-binary analysis artifacts memoized in actx, under ctx. Use it
+// when the same binary is analyzed more than once — e.g. all five
+// configurations, or FunSeeker alongside the baseline tools — so the
+// sweep and exception-metadata parse are not repeated, or when the run
+// must be cancelable.
+//
+// Cancellation is cooperative and cheap: the linear sweep — the dominant
+// cost — checks ctx at parallel-shard and stride boundaries, so a
+// canceled or timed-out request stops burning CPU within tens of
+// microseconds and returns ErrCanceled (or context.DeadlineExceeded). A
+// canceled first sweep is not memoized into actx; a later call
+// recomputes it.
+func IdentifyCtx(ctx context.Context, actx *AnalysisContext, opts Options) (*Report, error) {
+	return core.IdentifyCtx(ctx, actx, opts)
 }
 
 // Open loads the ELF binary at path for analysis.

@@ -2,9 +2,12 @@ package funseeker_test
 
 import (
 	"bytes"
+	"context"
 	"debug/elf"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/funseeker/funseeker"
@@ -64,7 +67,7 @@ func TestPublicIdentifyBytes(t *testing.T) {
 	}
 }
 
-func TestPublicIdentifyFile(t *testing.T) {
+func TestPublicIdentifyPath(t *testing.T) {
 	res := buildSample(t, funseeker.LangCPP, defaultBuild())
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sample")
@@ -263,11 +266,17 @@ func TestPublicARMTextIdentify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := funseeker.IdentifyBTI(res.Image)
+	report, err := funseeker.IdentifyBytes(res.Image, funseeker.DefaultOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The raw-text entry point must agree with the ELF path.
+	if report.Arch != "aarch64" {
+		t.Fatalf("report arch = %q, want aarch64", report.Arch)
+	}
+	if m := funseeker.Score(report.Entries, res.GT); m.Recall() < 100 || m.Precision() < 100 {
+		t.Errorf("aarch64 sample P=%.2f R=%.2f, want exact", m.Precision(), m.Recall())
+	}
+	// A bare .text image wrapped in a Binary must agree with the ELF path.
 	ef, err := elf.NewFile(bytes.NewReader(res.Image))
 	if err != nil {
 		t.Fatal(err)
@@ -277,14 +286,14 @@ func TestPublicARMTextIdentify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := funseeker.IdentifyBTIText(text, sec.Addr)
-	if len(raw.Entries) != len(bin.Entries) {
-		t.Fatalf("raw text path found %d entries, ELF path %d", len(raw.Entries), len(bin.Entries))
+	raw, err := funseeker.IdentifyBinary(&funseeker.Binary{
+		Arch: funseeker.ArchAArch64, Text: text, TextAddr: sec.Addr,
+	}, funseeker.DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range raw.Entries {
-		if raw.Entries[i] != bin.Entries[i] {
-			t.Fatalf("entry %d differs", i)
-		}
+	if !slices.Equal(raw.Entries, report.Entries) {
+		t.Fatalf("raw text path found %#x, ELF path %#x", raw.Entries, report.Entries)
 	}
 }
 
@@ -314,5 +323,39 @@ func TestSupersetOptionExposed(t *testing.T) {
 	m := funseeker.Score(report.Entries, res.GT)
 	if m.Recall() < 99.9 {
 		t.Errorf("superset option recall %.2f", m.Recall())
+	}
+}
+
+// TestPublicCtxFormsCanceled checks every exported ctx-taking form
+// returns ErrCanceled under an already-canceled context.
+func TestPublicCtxFormsCanceled(t *testing.T) {
+	res := buildSample(t, funseeker.LangC, defaultBuild())
+	bin, err := funseeker.Load(res.Stripped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func(context.Context, *funseeker.AnalysisContext) error{
+		"IdentifyCtx": func(ctx context.Context, actx *funseeker.AnalysisContext) error {
+			_, err := funseeker.IdentifyCtx(ctx, actx, funseeker.DefaultOptions)
+			return err
+		},
+		"RunIDACtx": func(ctx context.Context, actx *funseeker.AnalysisContext) error {
+			_, err := funseeker.RunIDACtx(ctx, actx)
+			return err
+		},
+		"RunGhidraCtx": func(ctx context.Context, actx *funseeker.AnalysisContext) error {
+			_, err := funseeker.RunGhidraCtx(ctx, actx)
+			return err
+		},
+		"RunFETCHCtx": func(ctx context.Context, actx *funseeker.AnalysisContext) error {
+			_, err := funseeker.RunFETCHCtx(ctx, actx)
+			return err
+		},
+	} {
+		if err := run(ctx, funseeker.NewContext(bin)); !errors.Is(err, funseeker.ErrCanceled) {
+			t.Errorf("%s under a canceled ctx: err = %v, want ErrCanceled", name, err)
+		}
 	}
 }

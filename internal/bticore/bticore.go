@@ -1,5 +1,6 @@
-// Package bticore ports the FunSeeker algorithm to ARMv8.5 BTI-enabled
-// AArch64 binaries, realizing the extension the paper's §VI sketches:
+// Package bticore is an independent reference implementation of the
+// FunSeeker algorithm on ARMv8.5 BTI-enabled AArch64 binaries, the
+// extension the paper's §VI sketches:
 //
 //	E  = BTI pads that accept indirect calls (BTI c / BTI jc / PACIASP)
 //	C  = direct BL targets
@@ -8,6 +9,12 @@
 // The FILTERENDBR analog is built into the ISA: `BTI j` pads mark
 // indirect-jump-only targets (switch-table case labels) and are excluded
 // from E by their own operand — no PLT-name or LSDA analysis is needed.
+//
+// Production code does not call this package: AArch64 identification
+// runs through elfx, analysis and core like every other architecture.
+// bticore is a standalone codepath (debug/elf plus the arm64 decoder)
+// that diffcheck's core-vs-bticore check and the engine's arch tests
+// compare the generic core against, set by set.
 package bticore
 
 import (

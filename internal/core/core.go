@@ -19,7 +19,7 @@
 // configurations (or several tools) analyze the same binary the sweep and
 // the .eh_frame parse happen once. Identify constructs a throwaway
 // context; batch callers should build one analysis.Context per binary and
-// use IdentifyWithContext.
+// use IdentifyCtx.
 package core
 
 import (
@@ -149,24 +149,19 @@ type Report struct {
 
 // Identify runs FunSeeker over a loaded binary with a private analysis
 // context. Batch callers analyzing one binary several times (or with
-// several tools) should build one analysis.Context and use
-// IdentifyWithContext so the sweep and exception parse are shared.
+// several tools) should build one analysis.Context and use IdentifyCtx
+// so the sweep and exception parse are shared.
 func Identify(bin *elfx.Binary, opts Options) (*Report, error) {
-	return IdentifyWithContext(analysis.NewContext(bin), opts)
+	return IdentifyCtx(context.Background(), analysis.NewContext(bin), opts)
 }
 
-// IdentifyWithContext runs FunSeeker using the shared per-binary analysis
-// artifacts memoized in actx.
-func IdentifyWithContext(actx *analysis.Context, opts Options) (*Report, error) {
-	return IdentifyCtx(context.Background(), actx, opts)
-}
-
-// IdentifyCtx is the cancellation-aware form of IdentifyWithContext: the
-// dominant cost — the linear sweep — checks ctx at parallel-shard and
-// stride boundaries, and the refinement stages check it at stage
-// boundaries, so a canceled request returns ctx.Err() quickly instead of
-// completing the analysis. (By convention throughout this module, ctx is
-// a context.Context and actx a *analysis.Context.)
+// IdentifyCtx runs FunSeeker using the shared per-binary analysis
+// artifacts memoized in actx, under ctx: the dominant cost — the linear
+// sweep — checks ctx at parallel-shard and stride boundaries, and the
+// refinement stages check it at stage boundaries, so a canceled request
+// returns ctx.Err() quickly instead of completing the analysis. (By
+// convention throughout this module, ctx is a context.Context and actx a
+// *analysis.Context.)
 func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Report, error) {
 	bin := actx.Binary()
 	sw, err := actx.SweepArchCtx(ctx, opts.Arch)
@@ -324,21 +319,6 @@ func fuseEH(actx *analysis.Context, bin *elfx.Binary, sw *analysis.Sweep, opts O
 			candidates[t] = true
 		}
 	}
-}
-
-// IdentifyFile loads the ELF at path and runs the full algorithm.
-func IdentifyFile(path string, opts Options) (*Report, error) {
-	return IdentifyFileCtx(context.Background(), path, opts)
-}
-
-// IdentifyFileCtx loads the ELF at path and runs the full algorithm
-// under ctx (see IdentifyCtx for the cancellation semantics).
-func IdentifyFileCtx(ctx context.Context, path string, opts Options) (*Report, error) {
-	bin, err := elfx.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return IdentifyCtx(ctx, analysis.NewContext(bin), opts)
 }
 
 // mergeSupersetEndbrs unions the byte-level end-branch scan into the

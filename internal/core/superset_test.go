@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -46,8 +47,7 @@ func TestSupersetFindsEndbr32(t *testing.T) {
 		0xC3, // ret
 	}
 	bin := &elfx.Binary{Mode: x86.Mode32, Text: text, TextAddr: 0x3000}
-	ctx := analysis.NewContext(bin)
-	report, err := IdentifyWithContext(ctx, Options{SupersetEndbrScan: true})
+	report, err := Identify(bin, Options{SupersetEndbrScan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestSupersetStraddlingEncoding(t *testing.T) {
 		0xF3, 0x0F, 0x1E, // truncated encoding straddling the end
 	}
 	bin := &elfx.Binary{Mode: x86.Mode64, Text: text, TextAddr: 0x4000}
-	ctx := analysis.NewContext(bin)
-	scanned := ctx.SupersetEndbrs()
+	actx := analysis.NewContext(bin)
+	scanned := actx.SupersetEndbrs()
 	if !slices.Equal(scanned, []uint64{0x4000}) {
 		t.Fatalf("scan = %#x, want only 0x4000", scanned)
 	}
-	report, err := IdentifyWithContext(ctx, Options{SupersetEndbrScan: true})
+	report, err := IdentifyCtx(context.Background(), actx, Options{SupersetEndbrScan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSupersetDedupAgainstSweep(t *testing.T) {
 		0xC3, // ret
 	}
 	bin := &elfx.Binary{Mode: x86.Mode64, Text: text, TextAddr: 0x5000}
-	report, err := IdentifyWithContext(analysis.NewContext(bin), Options{SupersetEndbrScan: true})
+	report, err := Identify(bin, Options{SupersetEndbrScan: true})
 	if err != nil {
 		t.Fatal(err)
 	}

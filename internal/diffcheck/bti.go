@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -129,11 +130,11 @@ func CheckBTISpec(spec *ProgSpec, cfg BTIConfig) (vs []Violation) {
 		c.addf("load", "CET flag set on an AArch64 binary")
 	}
 	gt := res.GT
-	ctx := analysis.NewContext(bin)
+	actx := analysis.NewContext(bin)
 
 	reports := make([]*core.Report, len(fourConfigs))
 	for i, opts := range fourConfigs {
-		rep, err := core.IdentifyWithContext(ctx, opts)
+		rep, err := core.IdentifyCtx(context.Background(), actx, opts)
 		if err != nil {
 			c.addf("identify", "config %d: %v", i+1, err)
 			return c.vs
@@ -148,18 +149,18 @@ func CheckBTISpec(spec *ProgSpec, cfg BTIConfig) (vs []Violation) {
 				i+1, rep.FilteredIndirectReturn, rep.FilteredLandingPads)
 		}
 	}
-	c.checkBTIDifferentials(bin, ctx, reports)
+	c.checkBTIDifferentials(bin, actx, reports)
 	c.checkNesting(reports)
 	if !slices.Equal(reports[0].Entries, reports[1].Entries) {
 		c.addf("filter-noop", "config 1 and 2 differ though FILTERENDBR has nothing to remove: %s",
 			diffSummary(reports[0].Entries, reports[1].Entries))
 	}
-	c.checkBTISuperset(ctx, reports[3])
+	c.checkBTISuperset(actx, reports[3])
 	c.checkBTICore(res.Image, reports[3])
-	c.checkBTIPadExactness(ctx, reports[0], gt)
+	c.checkBTIPadExactness(actx, reports[0], gt)
 	c.checkBTIEntrySets(reports, gt)
 
-	st := ctx.Stats()
+	st := actx.Stats()
 	if st.Sweep.Computes != 1 {
 		c.addf("stats", "linear sweep ran %d times on one context, want exactly 1", st.Sweep.Computes)
 	}
@@ -173,7 +174,7 @@ func CheckBTISpec(spec *ProgSpec, cfg BTIConfig) (vs []Violation) {
 // private-context identification and repeats are stable. (There is no
 // stripped-vs-unstripped leg: the ARM synthesizer always emits one
 // stripped image.)
-func (c *checker) checkBTIDifferentials(bin *elfx.Binary, ctx *analysis.Context, reports []*core.Report) {
+func (c *checker) checkBTIDifferentials(bin *elfx.Binary, actx *analysis.Context, reports []*core.Report) {
 	for i, opts := range fourConfigs {
 		private, err := core.Identify(bin, opts)
 		if err != nil {
@@ -186,7 +187,7 @@ func (c *checker) checkBTIDifferentials(bin *elfx.Binary, ctx *analysis.Context,
 				i+1, diffSummary(reports[i].Entries, private.Entries))
 		}
 	}
-	again, err := core.IdentifyWithContext(ctx, core.Config4)
+	again, err := core.IdentifyCtx(context.Background(), actx, core.Config4)
 	if err != nil {
 		c.addf("identify", "repeat config 4: %v", err)
 	} else if !slices.Equal(again.Entries, reports[3].Entries) {
@@ -196,10 +197,10 @@ func (c *checker) checkBTIDifferentials(bin *elfx.Binary, ctx *analysis.Context,
 
 // checkBTISuperset asserts the byte-level marker scan is an exact no-op
 // extension on a fixed-width ISA: same E, same entries.
-func (c *checker) checkBTISuperset(ctx *analysis.Context, rep4 *core.Report) {
+func (c *checker) checkBTISuperset(actx *analysis.Context, rep4 *core.Report) {
 	opts := core.Config4
 	opts.SupersetEndbrScan = true
-	sup, err := core.IdentifyWithContext(ctx, opts)
+	sup, err := core.IdentifyCtx(context.Background(), actx, opts)
 	if err != nil {
 		c.addf("identify", "superset scan: %v", err)
 		return
@@ -245,7 +246,7 @@ func (c *checker) checkBTICore(image []byte, rep4 *core.Report) {
 // checkBTIPadExactness asserts the sweep recovered exactly the pads the
 // synthesizer emitted: E is the call-accepting (func-entry role) sites,
 // and the excluded BTI j set is the jump-target-role sites.
-func (c *checker) checkBTIPadExactness(ctx *analysis.Context, rep1 *core.Report, gt *groundtruth.GT) {
+func (c *checker) checkBTIPadExactness(actx *analysis.Context, rep1 *core.Report, gt *groundtruth.GT) {
 	var wantE, wantJ []uint64
 	for _, e := range gt.Endbrs {
 		if e.Role == groundtruth.RoleJumpTarget {
@@ -259,7 +260,7 @@ func (c *checker) checkBTIPadExactness(ctx *analysis.Context, rep1 *core.Report,
 	if !slices.Equal(rep1.Endbrs, wantE) {
 		c.addf("endbr-exact", "swept E != ground-truth call pads: %s", diffSummary(wantE, rep1.Endbrs))
 	}
-	sw := ctx.Sweep()
+	sw := actx.Sweep()
 	if !slices.Equal(sw.JumpPads, wantJ) {
 		c.addf("jumppad-exact", "swept BTI j set != ground-truth jump-target sites: %s",
 			diffSummary(wantJ, sw.JumpPads))

@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -52,12 +53,12 @@ func CheckSpec(spec *ProgSpec, cfg Config) (vs []Violation) {
 	}
 	gt := res.GT
 	hasData := specHasTrailingData(spec)
-	ctx := analysis.NewContext(bin)
+	actx := analysis.NewContext(bin)
 
 	// The four configurations through the shared context.
 	reports := make([]*core.Report, len(fourConfigs))
 	for i, opts := range fourConfigs {
-		rep, err := core.IdentifyWithContext(ctx, opts)
+		rep, err := core.IdentifyCtx(context.Background(), actx, opts)
 		if err != nil {
 			c.addf("identify", "config %d: %v", i+1, err)
 			return c.vs
@@ -66,27 +67,27 @@ func CheckSpec(spec *ProgSpec, cfg Config) (vs []Violation) {
 		c.checkReportShape(fmt.Sprintf("config %d", i+1), rep, bin)
 	}
 	// Configuration ⑤ (EH fusion) through the same shared context.
-	rep5, err := core.IdentifyWithContext(ctx, core.Config5)
+	rep5, err := core.IdentifyCtx(context.Background(), actx, core.Config5)
 	if err != nil {
 		c.addf("identify", "config 5: %v", err)
 		return c.vs
 	}
 	c.checkReportShape("config 5", rep5, bin)
-	c.checkDifferentials(bin, full, ctx, reports)
+	c.checkDifferentials(bin, full, actx, reports)
 	c.checkNesting(reports)
-	c.checkConfig5(ctx, cfg, reports[3], rep5)
-	c.checkRequireCET(ctx, cfg, reports, rep5)
-	supEntries := c.checkSuperset(ctx, reports[3], hasData)
+	c.checkConfig5(actx, cfg, reports[3], rep5)
+	c.checkRequireCET(actx, cfg, reports, rep5)
+	supEntries := c.checkSuperset(actx, reports[3], hasData)
 	if !hasData {
 		c.checkEndbrExactness(reports[0], gt)
 		c.checkFilterCounts(reports, gt)
 		c.checkEntrySets(reports, rep5, supEntries, gt)
-		c.checkClassification(ctx, gt)
+		c.checkClassification(actx, gt)
 	}
-	c.checkBaselines(ctx, bin)
-	c.checkRecdesc(bin, ctx)
+	c.checkBaselines(actx, bin)
+	c.checkRecdesc(bin, actx)
 	c.checkParallelSweep(bin)
-	c.checkStats(ctx, bin)
+	c.checkStats(actx, bin)
 	return c.vs
 }
 
@@ -139,7 +140,7 @@ func (c *checker) checkReportShape(label string, rep *core.Report, bin *elfx.Bin
 // identification through the shared context equals identification through
 // a private context, repeated runs over the same context are stable, and
 // the unstripped image identifies identically to the stripped one.
-func (c *checker) checkDifferentials(bin, full *elfx.Binary, ctx *analysis.Context, reports []*core.Report) {
+func (c *checker) checkDifferentials(bin, full *elfx.Binary, actx *analysis.Context, reports []*core.Report) {
 	for i, opts := range fourConfigs {
 		private, err := core.Identify(bin, opts)
 		if err != nil {
@@ -152,7 +153,7 @@ func (c *checker) checkDifferentials(bin, full *elfx.Binary, ctx *analysis.Conte
 				i+1, diffSummary(reports[i].Entries, private.Entries))
 		}
 	}
-	again, err := core.IdentifyWithContext(ctx, core.Config4)
+	again, err := core.IdentifyCtx(context.Background(), actx, core.Config4)
 	if err != nil {
 		c.addf("identify", "repeat config 4: %v", err)
 	} else if !slices.Equal(again.Entries, reports[3].Entries) {
@@ -190,11 +191,11 @@ func (c *checker) checkNesting(reports []*core.Report) {
 // fragments and may be skipped), the reported fused-entry count is
 // consistent with the entry-set growth, and configurations without
 // FuseEH never report fused entries.
-func (c *checker) checkConfig5(ctx *analysis.Context, cfg Config, rep4, rep5 *core.Report) {
+func (c *checker) checkConfig5(actx *analysis.Context, cfg Config, rep4, rep5 *core.Report) {
 	if missing := firstNotIn(rep4.Entries, rep5.Entries); missing != 0 {
 		c.addf("config-nesting", "config 4 entry %#x absent from config 5", missing)
 	}
-	ix, err := ctx.FDEIndex()
+	ix, err := actx.FDEIndex()
 	if err != nil {
 		c.addf("identify", "FDE index: %v", err)
 		return
@@ -232,7 +233,7 @@ func (c *checker) checkConfig5(ctx *analysis.Context, cfg Config, rep4, rep5 *co
 // sweep found no end branch (no-CET builds, or manual-endbr builds with
 // nothing address-taken), and identifies exactly as its ungated twin
 // otherwise.
-func (c *checker) checkRequireCET(ctx *analysis.Context, cfg Config, reports []*core.Report, rep5 *core.Report) {
+func (c *checker) checkRequireCET(actx *analysis.Context, cfg Config, reports []*core.Report, rep5 *core.Report) {
 	gated := append(slices.Clone(fourConfigs), core.Config5)
 	ungated := append(slices.Clone(reports), rep5)
 	wantGate := len(reports[0].Endbrs) == 0
@@ -241,7 +242,7 @@ func (c *checker) checkRequireCET(ctx *analysis.Context, cfg Config, reports []*
 	}
 	for i, opts := range gated {
 		opts.RequireCET = true
-		rep, err := core.IdentifyWithContext(ctx, opts)
+		rep, err := core.IdentifyCtx(context.Background(), actx, opts)
 		if wantGate {
 			if !errors.Is(err, core.ErrNotCET) {
 				c.addf("require-cet", "config %d + RequireCET on marker-free binary: err = %v, want ErrNotCET",
@@ -265,10 +266,10 @@ func (c *checker) checkRequireCET(ctx *analysis.Context, cfg Config, reports []*
 // grow. On binaries without inline data the scan must find exactly the
 // sweep's end branches — compiler-generated code never aliases an
 // end-branch encoding at a misaligned offset.
-func (c *checker) checkSuperset(ctx *analysis.Context, rep4 *core.Report, hasData bool) []uint64 {
+func (c *checker) checkSuperset(actx *analysis.Context, rep4 *core.Report, hasData bool) []uint64 {
 	opts := core.Config4
 	opts.SupersetEndbrScan = true
-	sup, err := core.IdentifyWithContext(ctx, opts)
+	sup, err := core.IdentifyCtx(context.Background(), actx, opts)
 	if err != nil {
 		c.addf("identify", "superset scan: %v", err)
 		return nil
@@ -391,8 +392,8 @@ func (c *checker) checkEntrySets(reports []*core.Report, rep5 *core.Report, supE
 // checkClassification cross-checks the Table I study: the end-branch
 // distribution computed from the binary's own metadata must match the
 // ground-truth role counts exactly.
-func (c *checker) checkClassification(ctx *analysis.Context, gt *groundtruth.GT) {
-	dist, err := core.ClassifyEndbrsWithContext(ctx)
+func (c *checker) checkClassification(actx *analysis.Context, gt *groundtruth.GT) {
+	dist, err := core.ClassifyEndbrsWithContext(actx)
 	if err != nil {
 		c.addf("identify", "classify endbrs: %v", err)
 		return
@@ -416,24 +417,24 @@ func (c *checker) checkClassification(ctx *analysis.Context, gt *groundtruth.GT)
 // checkBaselines runs the IDA, Ghidra, and FETCH models for structural
 // sanity: no errors, sorted unique entries, all inside .text. Their
 // recall is intentionally imperfect, so no exactness is asserted.
-func (c *checker) checkBaselines(ctx *analysis.Context, bin *elfx.Binary) {
+func (c *checker) checkBaselines(actx *analysis.Context, bin *elfx.Binary) {
 	type run struct {
 		name    string
 		entries []uint64
 		err     error
 	}
 	var runs []run
-	if r, err := idapro.IdentifyWithContext(ctx); err != nil {
+	if r, err := idapro.IdentifyWithContext(actx); err != nil {
 		runs = append(runs, run{name: "idapro", err: err})
 	} else {
 		runs = append(runs, run{name: "idapro", entries: r.Entries})
 	}
-	if r, err := ghidra.IdentifyWithContext(ctx); err != nil {
+	if r, err := ghidra.IdentifyWithContext(actx); err != nil {
 		runs = append(runs, run{name: "ghidra", err: err})
 	} else {
 		runs = append(runs, run{name: "ghidra", entries: r.Entries})
 	}
-	if r, err := fetch.IdentifyWithContext(ctx); err != nil {
+	if r, err := fetch.IdentifyWithContext(actx); err != nil {
 		runs = append(runs, run{name: "fetch", err: err})
 	} else {
 		runs = append(runs, run{name: "fetch", entries: r.Entries})
@@ -457,10 +458,10 @@ func (c *checker) checkBaselines(ctx *analysis.Context, bin *elfx.Binary) {
 // checkRecdesc asserts the recursive-descent walker produces
 // byte-identical results with and without the memoized sweep index (the
 // PR-1 fallback contract), and stays inside .text.
-func (c *checker) checkRecdesc(bin *elfx.Binary, ctx *analysis.Context) {
+func (c *checker) checkRecdesc(bin *elfx.Binary, actx *analysis.Context) {
 	seeds := []uint64{bin.Entry}
 	plain := recdesc.Traverse(bin, seeds)
-	indexed := recdesc.TraverseIndexed(bin, ctx.Index(), seeds)
+	indexed := recdesc.TraverseIndexed(bin, actx.Index(), seeds)
 	pe, ie := plain.Entries(), indexed.Entries()
 	if !slices.Equal(pe, ie) {
 		c.addf("recdesc-differential", "indexed traversal entries differ from plain: %s",
@@ -509,8 +510,8 @@ func (c *checker) checkParallelSweep(bin *elfx.Binary) {
 // checkStats asserts the shared-context memoization contract after the
 // full battery above: one linear sweep, at most one .eh_frame parse and
 // landing-pad join, at most one superset scan, and a healthy hit count.
-func (c *checker) checkStats(ctx *analysis.Context, bin *elfx.Binary) {
-	st := ctx.Stats()
+func (c *checker) checkStats(actx *analysis.Context, bin *elfx.Binary) {
+	st := actx.Stats()
 	if st.Sweep.Computes != 1 {
 		c.addf("stats", "linear sweep ran %d times on one context, want exactly 1", st.Sweep.Computes)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -84,7 +85,7 @@ func (t Tool) RunContext(actx *analysis.Context) ([]uint64, error) {
 			ToolFunSeeker3: core.Config3,
 			ToolFunSeeker5: core.Config5,
 		}[t]
-		r, err := core.IdentifyWithContext(actx, opts)
+		r, err := core.IdentifyCtx(context.Background(), actx, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -45,11 +46,11 @@ func RunSupersetAblation(cases []Case, workers int) (*SupersetResult, error) {
 	supersetOpts := core.Config4
 	supersetOpts.SupersetEndbrScan = true
 	err := ForEach(cases, workers, func(obs Observation) error {
-		plainReport, err := core.IdentifyWithContext(obs.Ctx, core.Config4)
+		plainReport, err := core.IdentifyCtx(context.Background(), obs.Ctx, core.Config4)
 		if err != nil {
 			return err
 		}
-		superReport, err := core.IdentifyWithContext(obs.Ctx, supersetOpts)
+		superReport, err := core.IdentifyCtx(context.Background(), obs.Ctx, supersetOpts)
 		if err != nil {
 			return err
 		}

@@ -327,7 +327,7 @@ func TestLinearSweepStop(t *testing.T) {
 	}
 }
 
-func TestSweepAllContiguous(t *testing.T) {
+func TestLinearSweepContiguous(t *testing.T) {
 	code := []byte{
 		0xF3, 0x0F, 0x1E, 0xFA, // endbr64
 		0x55,             // push rbp
@@ -336,7 +336,11 @@ func TestSweepAllContiguous(t *testing.T) {
 		0xC9, // leave
 		0xC3, // ret
 	}
-	insts := SweepAll(code, 0x400000, Mode64)
+	var insts []Inst
+	LinearSweep(code, 0x400000, Mode64, func(inst *Inst) bool {
+		insts = append(insts, *inst)
+		return true
+	})
 	if len(insts) != 6 {
 		t.Fatalf("got %d instructions, want 6", len(insts))
 	}

@@ -2,7 +2,7 @@ package x86
 
 import "testing"
 
-func TestBuildIndexMatchesSweepAll(t *testing.T) {
+func TestBuildIndexMatchesLinearSweep(t *testing.T) {
 	code := []byte{
 		0xF3, 0x0F, 0x1E, 0xFA, // endbr64
 		0x55,             // push rbp
@@ -12,9 +12,13 @@ func TestBuildIndexMatchesSweepAll(t *testing.T) {
 		0xC3, // ret
 	}
 	idx := BuildIndex(code, 0x4000, Mode64)
-	flat := SweepAll(code, 0x4000, Mode64)
+	var flat []Inst
+	LinearSweep(code, 0x4000, Mode64, func(inst *Inst) bool {
+		flat = append(flat, *inst)
+		return true
+	})
 	if len(idx.Insts) != len(flat) {
-		t.Fatalf("index has %d instructions, SweepAll %d", len(idx.Insts), len(flat))
+		t.Fatalf("index has %d instructions, LinearSweep %d", len(idx.Insts), len(flat))
 	}
 	for i := range flat {
 		if idx.Insts[i].Addr != flat[i].Addr || idx.Insts[i].Len != flat[i].Len {

@@ -49,19 +49,6 @@ func LinearSweep(code []byte, base uint64, mode Mode, fn func(*Inst) bool) (skip
 	return skipped
 }
 
-// SweepAll disassembles code linearly and returns every instruction. It is
-// a convenience wrapper over LinearSweep for tests and tools.
-func SweepAll(code []byte, base uint64, mode Mode) []Inst {
-	// Typical compiler-generated x86 averages close to 4 bytes per
-	// instruction; reserve accordingly.
-	insts := make([]Inst, 0, len(code)/4+1)
-	LinearSweep(code, base, mode, func(inst *Inst) bool {
-		insts = append(insts, *inst)
-		return true
-	})
-	return insts
-}
-
 // Index is the materialized form of one linear sweep: every decoded
 // instruction in address order plus enough bookkeeping to answer
 // address-range queries without re-decoding. Building the index costs one
@@ -117,9 +104,10 @@ func BuildIndex(code []byte, base uint64, mode Mode) *Index {
 	return idx
 }
 
-// buildIndexSeq is the shared sequential build behind BuildIndex and
-// BuildIndexCtx. A context that can never cancel (noCancel /
-// context.Background) skips every per-stride check.
+// buildIndexSeq is the shared sequential build behind BuildIndex and the
+// single-shard fallback of BuildIndexParallelCtx. A context that can
+// never cancel (noCancel / context.Background) skips every per-stride
+// check.
 func buildIndexSeq(ctx context.Context, code []byte, base uint64, mode Mode) (*Index, error) {
 	words := (len(code) + 63) / 64
 	idx := &Index{

@@ -15,16 +15,20 @@ import (
 //
 // Each baseline has two forms: RunX(bin) for a one-off run, and
 // RunXCtx(ctx, actx) over a shared analysis context under a cancelable
-// ctx. Cancellation reaches the shared linear sweep (the dominant cost
-// for every tool) through the analysis context; the tool-specific
-// refinement passes check ctx between stages. As everywhere in this
-// package, ctx is a context.Context and actx a *AnalysisContext.
+// ctx. Cancellation reaches the shared instruction index (the dominant
+// cost for every tool) through the analysis context; the tool-specific
+// refinement passes check ctx between stages. The baselines are x86
+// models: on any other architecture every form returns an error. As
+// everywhere in this package, ctx is a context.Context and actx a
+// *AnalysisContext.
 
-// primeCtx computes the shared sweep under ctx so a baseline run can be
-// canceled inside its dominant stage, then re-checks ctx before handing
-// control to the (uncancellable, but much cheaper) tool model.
+// primeCtx builds the shared x86 instruction index under ctx so a
+// baseline run can be canceled inside its dominant stage, then re-checks
+// ctx before handing control to the (uncancellable, but much cheaper)
+// tool model. The baselines model x86 tools: a binary of another
+// architecture has no index and fails here with an error naming it.
 func primeCtx(ctx context.Context, actx *AnalysisContext) error {
-	if _, err := actx.SweepCtx(ctx); err != nil {
+	if _, err := actx.IndexCtx(ctx); err != nil {
 		return err
 	}
 	return ctx.Err()

@@ -157,9 +157,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "bench: %d binaries, %d bytes; benchtime=%s\n", len(set), corpusBytes, benchtime)
+	large, err := buildLarge()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "bench: %d binaries, %d bytes (+ %d-byte large binary); benchtime=%s\n",
+		len(set), corpusBytes, len(large.raw), benchtime)
 
-	for _, bm := range series(set, corpusBytes) {
+	for _, bm := range series(set, corpusBytes, large) {
 		if seriesRe != nil && !seriesRe.MatchString(bm.name) {
 			continue
 		}
@@ -314,9 +319,31 @@ func buildCorpus(scale float64, programs int) ([]benchCase, int, error) {
 	return set, bytes, nil
 }
 
+// buildLarge compiles the first C++ program of the SPEC suite at
+// function-count scale 20 — a ~0.5 MiB binary with exception tables, the
+// shape of the end-to-end benchmark's analyze-large inputs — with GCC,
+// x86-64, PIE, -O2.
+func buildLarge() (benchCase, error) {
+	for _, spec := range funseeker.GenerateSuite(funseeker.SuiteSPEC, funseeker.CorpusOptions{Scale: 20, Seed: 424242, Programs: 4}) {
+		if spec.Lang != funseeker.LangCPP {
+			continue
+		}
+		res, err := funseeker.Compile(spec, funseeker.BuildConfig{Compiler: funseeker.GCC, Mode: funseeker.ModeX64, PIE: true, Opt: funseeker.O2})
+		if err != nil {
+			return benchCase{}, fmt.Errorf("large binary: %w", err)
+		}
+		bin, err := funseeker.Load(res.Stripped)
+		if err != nil {
+			return benchCase{}, fmt.Errorf("large binary: %w", err)
+		}
+		return benchCase{bin: bin, gt: res.GT, raw: res.Stripped}, nil
+	}
+	return benchCase{}, fmt.Errorf("large binary: no C++ program among the first SPEC programs")
+}
+
 // series is the tracked benchmark list. Names are stable across releases
 // — the comparison joins on them.
-func series(set []benchCase, corpusBytes int) []benchmark {
+func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 	const textLen = 1 << 20
 	rng := rand.New(rand.NewSource(424242))
 	text := x86.GenText(textLen, x86.Mode64, rng, 0)
@@ -349,6 +376,20 @@ func series(set []benchCase, corpusBytes int) []benchmark {
 				})
 				if n == 0 {
 					b.Fatal("empty sweep")
+				}
+			}
+		}},
+		// x86/SweepRecords is FunSeeker's DISASSEMBLE step: the sequential
+		// sweep keeping only the boundary bitmap and the endbr/call/jump
+		// records, so it reads directly against x86/Sweep (decode alone)
+		// and x86/BuildIndex (decode + materialize).
+		{name: "x86/SweepRecords", fn: func(b *testing.B) {
+			b.SetBytes(textLen)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := x86.SweepRecords(context.Background(), text, 0x401000, x86.Mode64, 1)
+				if err != nil || len(r.Calls) == 0 {
+					b.Fatalf("sweep: %v (%d calls)", err, len(r.Calls))
 				}
 			}
 		}},
@@ -450,6 +491,18 @@ func series(set []benchCase, corpusBytes int) []benchmark {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := funseeker.IdentifyBinary(set[i%len(set)].bin, funseeker.Config5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// identify/Config5Large is configuration ⑤ on one large binary,
+		// where the sweep and SELECTTAILCALL dominate; allocs/op is the
+		// whole identification's allocation count.
+		benchmark{name: "identify/Config5Large", fn: func(b *testing.B) {
+			b.SetBytes(int64(len(large.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := funseeker.IdentifyBinary(large.bin, funseeker.Config5); err != nil {
 					b.Fatal(err)
 				}
 			}

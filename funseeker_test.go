@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/funseeker/funseeker"
@@ -356,6 +357,44 @@ func TestPublicCtxFormsCanceled(t *testing.T) {
 	} {
 		if err := run(ctx, funseeker.NewContext(bin)); !errors.Is(err, funseeker.ErrCanceled) {
 			t.Errorf("%s under a canceled ctx: err = %v, want ErrCanceled", name, err)
+		}
+	}
+}
+
+// TestBaselinesRejectAArch64: the IDA, Ghidra and FETCH models read x86
+// instructions. On an AArch64 image every form must fail with an error
+// naming the architecture — not panic on a missing index, and not return
+// a silently empty or near-empty entry list.
+func TestBaselinesRejectAArch64(t *testing.T) {
+	res, err := funseeker.CompileBTI(&funseeker.ProgramSpec{
+		Name: "armbase", Lang: funseeker.LangC, Seed: 9,
+		Funcs: []funseeker.FuncSpec{
+			{Name: "main", Calls: []int{1}},
+			{Name: "w", Static: true},
+		},
+	}, funseeker.BTIBuildConfig{Opt: funseeker.O1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := funseeker.Load(res.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run func() ([]uint64, error)
+	ctxRun := func(f func(context.Context, *funseeker.AnalysisContext) ([]uint64, error)) run {
+		return func() ([]uint64, error) { return f(context.Background(), funseeker.NewContext(bin)) }
+	}
+	for name, f := range map[string]run{
+		"RunIDA":       func() ([]uint64, error) { return funseeker.RunIDA(bin) },
+		"RunGhidra":    func() ([]uint64, error) { return funseeker.RunGhidra(bin) },
+		"RunFETCH":     func() ([]uint64, error) { return funseeker.RunFETCH(bin) },
+		"RunIDACtx":    ctxRun(funseeker.RunIDACtx),
+		"RunGhidraCtx": ctxRun(funseeker.RunGhidraCtx),
+		"RunFETCHCtx":  ctxRun(funseeker.RunFETCHCtx),
+	} {
+		entries, err := f()
+		if err == nil || !strings.Contains(err.Error(), "aarch64") {
+			t.Errorf("%s on aarch64: entries=%#x err=%v, want an error naming aarch64", name, entries, err)
 		}
 	}
 }

@@ -36,8 +36,8 @@ func TestSweepArtifacts(t *testing.T) {
 	if len(sw.Endbrs) != 2 || sw.Endbrs[0] != wantEndbrs[0] || sw.Endbrs[1] != wantEndbrs[1] {
 		t.Fatalf("Endbrs = %#x, want %#x", sw.Endbrs, wantEndbrs)
 	}
-	if !sw.EndbrSet[0x1000] || !sw.EndbrSet[0x100C] {
-		t.Error("EndbrSet missing entries")
+	if !Has(sw.Endbrs, 0x1000) || !Has(sw.Endbrs, 0x100C) || Has(sw.Endbrs, 0x1004) {
+		t.Error("Has(Endbrs) disagrees with the end-branch list")
 	}
 	if len(sw.CallTargets) != 1 || sw.CallTargets[0] != 0x100C {
 		t.Fatalf("CallTargets = %#x, want [0x100c]", sw.CallTargets)
@@ -45,10 +45,16 @@ func TestSweepArtifacts(t *testing.T) {
 	if len(sw.JumpRefs) != 1 || sw.JumpRefs[0].Src != 0x100A || sw.JumpRefs[0].Target != 0x1000 || sw.JumpRefs[0].Cond {
 		t.Fatalf("JumpRefs = %+v", sw.JumpRefs)
 	}
-	if !sw.JumpTargetSet[0x1000] || !sw.UncondJumpTargets[0x1000] {
+	if !Has(sw.JumpTargets, 0x1000) || !Has(sw.UncondJumpTargets, 0x1000) {
 		t.Error("jump target sets missing 0x1000")
 	}
-	if got := len(sw.Index.Insts); got != 6 {
+	if !Has(sw.AllCallTargets, 0x100C) || len(sw.AfterIRCall) != 0 {
+		t.Errorf("AllCallTargets = %#x, AfterIRCall = %#x", sw.AllCallTargets, sw.AfterIRCall)
+	}
+	if st := ctx.Stats(); st.Index.Computes != 0 {
+		t.Errorf("the sweep built the instruction index (%d computes)", st.Index.Computes)
+	}
+	if got := len(ctx.Index().Insts); got != 6 {
 		t.Errorf("index has %d instructions, want 6", got)
 	}
 }
@@ -105,7 +111,7 @@ func TestConcurrentReaders(t *testing.T) {
 	wg.Wait()
 	st := ctx.Stats()
 	for name, stage := range map[string]StageStat{
-		"sweep": st.Sweep, "superset": st.Superset, "landing-pad": st.LandingPad,
+		"sweep": st.Sweep, "superset": st.Superset, "landing-pad": st.LandingPad, "index": st.Index,
 	} {
 		if stage.Computes != 1 {
 			t.Errorf("%s computed %d times under concurrency, want 1", name, stage.Computes)

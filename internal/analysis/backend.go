@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/funseeker/funseeker/internal/arm64"
 	"github.com/funseeker/funseeker/internal/cet"
@@ -77,69 +78,43 @@ func (b x86Backend) Arch() elfx.Arch {
 	return elfx.ArchX86_64
 }
 
-// buildIndex delegates the sweep strategy to the x86 package: workers
-// <= 0 lets BuildIndexParallelCtx pick shard and goroutine counts from
-// the text size and the cores actually available, falling back to the
-// sequential two-pass build below its own minParallelBytes threshold.
-// Keeping the auto-selection in one place means the backend cannot
-// disagree with the sweep layer about when sharding pays. Both
-// strategies produce byte-identical indexes (internal/diffcheck asserts
-// it per binary) and honor ctx cancellation at stride boundaries.
-func (b x86Backend) buildIndex(ctx context.Context, bin *elfx.Binary) (*x86.Index, error) {
-	return x86.BuildIndexParallelCtx(ctx, bin.Text, bin.TextAddr, b.mode, 0)
-}
-
-// BuildSweep implements Backend: one x86 linear sweep, with endbr
-// landmarks, direct call/jump targets, and the indirect-return-call
-// annotations FILTERENDBR consumes.
+// BuildSweep implements Backend: one x86 records sweep — end branches,
+// direct calls and direct jumps, no materialized instructions — with the
+// indirect-return-call annotations FILTERENDBR consumes resolved from
+// the sweep's boundary bitmap. Workers <= 0 leaves the sequential vs
+// sharded choice to the x86 package (one auto-selection threshold), and
+// every strategy yields identical records (internal/diffcheck asserts it
+// per binary).
 func (b x86Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, error) {
-	idx, err := b.buildIndex(ctx, bin)
+	r, err := x86.SweepRecords(ctx, bin.Text, bin.TextAddr, b.mode, 0)
 	if err != nil {
 		return nil, err
 	}
 	sw := &Sweep{
-		Arch:              b.Arch(),
-		Index:             idx,
-		Shards:            idx.Shards,
-		StitchRetries:     idx.StitchRetries,
-		AfterIRCall:       make(map[uint64]bool),
-		AllCallTargets:    make(map[uint64]bool),
-		JumpTargetSet:     make(map[uint64]bool),
-		UncondJumpTargets: make(map[uint64]bool),
+		Arch:          b.Arch(),
+		Shards:        r.Shards,
+		StitchRetries: r.StitchRetries,
+		Endbrs:        r.Endbrs,
+		JumpRefs:      r.Jumps,
 	}
-	havePrev := false
-	var prev *x86.Inst
-	insts := sw.Index.Insts
-	for i := range insts {
-		inst := &insts[i]
-		switch inst.Class {
-		case x86.ClassEndbr64, x86.ClassEndbr32:
-			sw.Endbrs = append(sw.Endbrs, inst.Addr)
-			if havePrev && prev.Class == x86.ClassCallRel && prev.HasTarget {
-				if name, ok := bin.PLTName(prev.Target); ok && cet.IsIndirectReturnFunc(name) {
-					sw.AfterIRCall[inst.Addr] = true
-				}
-			}
-		case x86.ClassCallRel:
-			if inst.HasTarget {
-				sw.AllCallTargets[inst.Target] = true
-			}
-		case x86.ClassJmpRel, x86.ClassJccRel:
-			if inst.HasTarget {
-				cond := inst.Class == x86.ClassJccRel
-				sw.JumpRefs = append(sw.JumpRefs, JumpRef{Src: inst.Addr, Target: inst.Target, Cond: cond})
-				if bin.InText(inst.Target) {
-					sw.JumpTargetSet[inst.Target] = true
-				}
-				if !cond {
-					sw.UncondJumpTargets[inst.Target] = true
-				}
+	for _, e := range r.Endbrs {
+		if t, ok := r.CallBefore(e); ok {
+			if name, ok := bin.PLTName(t); ok && cet.IsIndirectReturnFunc(name) {
+				sw.AfterIRCall = append(sw.AfterIRCall, e)
 			}
 		}
-		prev = inst
-		havePrev = true
 	}
-	sw.finishSets(bin)
+	calls := make([]uint64, len(r.Calls))
+	for i, c := range r.Calls {
+		calls[i] = c.Target
+	}
+	var uncond []uint64
+	for _, j := range r.Jumps {
+		if !j.Cond {
+			uncond = append(uncond, j.Target)
+		}
+	}
+	sw.finishSets(bin, calls, uncond)
 	return sw, nil
 }
 
@@ -181,15 +156,8 @@ func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 	if err != nil {
 		return nil, err
 	}
-	sw := &Sweep{
-		Arch:              elfx.ArchAArch64,
-		ARM64:             ix,
-		Shards:            1,
-		AfterIRCall:       make(map[uint64]bool),
-		AllCallTargets:    make(map[uint64]bool),
-		JumpTargetSet:     make(map[uint64]bool),
-		UncondJumpTargets: make(map[uint64]bool),
-	}
+	sw := &Sweep{Arch: elfx.ArchAArch64, ARM64: ix, Shards: 1}
+	var calls, uncond []uint64
 	for i := range ix.Insts {
 		inst := &ix.Insts[i]
 		switch inst.Class {
@@ -203,19 +171,16 @@ func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 			sw.Endbrs = append(sw.Endbrs, inst.Addr)
 		case arm64.ClassBL:
 			if inst.HasTarget {
-				sw.AllCallTargets[inst.Target] = true
+				calls = append(calls, inst.Target)
 			}
 		case arm64.ClassB:
 			if inst.HasTarget {
 				sw.JumpRefs = append(sw.JumpRefs, JumpRef{Src: inst.Addr, Target: inst.Target})
-				if bin.InText(inst.Target) {
-					sw.JumpTargetSet[inst.Target] = true
-				}
-				sw.UncondJumpTargets[inst.Target] = true
+				uncond = append(uncond, inst.Target)
 			}
 		}
 	}
-	sw.finishSets(bin)
+	sw.finishSets(bin, calls, uncond)
 	return sw, nil
 }
 
@@ -224,20 +189,28 @@ func (arm64Backend) ScanMarkers(text []byte, base uint64) []uint64 {
 	return arm64.ScanCallPads(text, base)
 }
 
-// finishSets derives the membership sets and sorted slices every backend
-// shares: EndbrSet from the (already ascending) landmark stream, and the
-// in-text call/jump target slices from their sets.
-func (sw *Sweep) finishSets(bin *elfx.Binary) {
-	sw.EndbrSet = make(map[uint64]bool, len(sw.Endbrs))
-	for _, e := range sw.Endbrs {
-		sw.EndbrSet[e] = true
-	}
-	sw.CallTargetSet = make(map[uint64]bool, len(sw.AllCallTargets))
-	for t := range sw.AllCallTargets {
+// finishSets derives the target sets every backend shares from the
+// sweep's raw call targets and unconditional jump targets (both consumed
+// in place): AllCallTargets and UncondJumpTargets sorted and
+// deduplicated, and C and J restricted to .text — J over every recorded
+// jump, conditional or not.
+func (sw *Sweep) finishSets(bin *elfx.Binary, calls, uncond []uint64) {
+	sw.AllCallTargets = sortCompact(calls)
+	for _, t := range sw.AllCallTargets {
 		if bin.InText(t) {
-			sw.CallTargetSet[t] = true
+			sw.CallTargets = append(sw.CallTargets, t)
 		}
 	}
-	sw.CallTargets = sortedKeys(sw.CallTargetSet)
-	sw.JumpTargets = sortedKeys(sw.JumpTargetSet)
+	sw.UncondJumpTargets = sortCompact(uncond)
+	jumps := make([]uint64, len(sw.JumpRefs))
+	for i, j := range sw.JumpRefs {
+		jumps[i] = j.Target
+	}
+	sw.JumpTargets = slices.DeleteFunc(sortCompact(jumps), func(a uint64) bool { return !bin.InText(a) })
+}
+
+// sortCompact sorts s in place and drops duplicates.
+func sortCompact(s []uint64) []uint64 {
+	slices.Sort(s)
+	return slices.Compact(s)
 }

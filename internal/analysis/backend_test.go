@@ -67,11 +67,11 @@ func TestArm64SweepArtifacts(t *testing.T) {
 	if len(sw.JumpRefs) != 1 || sw.JumpRefs[0].Src != 0x100C || sw.JumpRefs[0].Target != 0x1000 || sw.JumpRefs[0].Cond {
 		t.Fatalf("JumpRefs = %+v", sw.JumpRefs)
 	}
-	if !sw.UncondJumpTargets[0x1000] {
+	if !Has(sw.UncondJumpTargets, 0x1000) {
 		t.Error("UncondJumpTargets missing 0x1000")
 	}
-	if sw.Index != nil {
-		t.Error("x86 index populated on an arm64 sweep")
+	if idx, err := ctx.IndexCtx(context.Background()); idx != nil || err == nil || ctx.Index() != nil {
+		t.Errorf("x86 index of an arm64 binary: %v, %v; want nil and an error", idx, err)
 	}
 	if sw.ARM64 == nil || len(sw.ARM64.Insts) != 8 {
 		t.Fatalf("arm64 index missing or wrong size: %+v", sw.ARM64)

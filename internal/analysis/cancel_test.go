@@ -47,11 +47,35 @@ func TestSweepCtxCanceledNotMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SweepCtx after cancellation: %v", err)
 	}
-	if len(sw.Index.Insts) == 0 {
+	if len(sw.JumpRefs) == 0 {
 		t.Fatal("recovered sweep is empty")
 	}
 	if st := c.Stats(); st.Sweep.Computes != 1 {
 		t.Fatalf("recovered sweep computes = %d, want 1", st.Sweep.Computes)
+	}
+}
+
+// TestIndexCtxCanceledNotMemoized: the instruction-index memo has the
+// sweep memo's cancellation contract, and building it never runs the
+// FunSeeker sweep.
+func TestIndexCtxCanceledNotMemoized(t *testing.T) {
+	c := NewContext(bigBinary(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.IndexCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("IndexCtx(canceled) = %v, want context.Canceled", err)
+	}
+	idx, err := c.IndexCtx(context.Background())
+	if err != nil || len(idx.Insts) == 0 {
+		t.Fatalf("IndexCtx after cancellation: %v", err)
+	}
+	if c.Index() != idx {
+		t.Error("index not memoized")
+	}
+	st := c.Stats()
+	if st.Index.Computes != 1 || st.Index.Hits != 1 || st.Sweep.Computes != 0 {
+		t.Fatalf("index computes/hits = %d/%d, sweep computes = %d; want 1/1, 0",
+			st.Index.Computes, st.Index.Hits, st.Sweep.Computes)
 	}
 }
 
@@ -119,8 +143,8 @@ func TestSweepCtxWaiterCancellation(t *testing.T) {
 
 	// Whatever the interleaving, the context must end in a usable state.
 	sw, err := c.SweepCtx(context.Background())
-	if err != nil || len(sw.Index.Insts) == 0 {
-		t.Fatalf("post-hammer sweep: %v (insts=%d)", err, len(sw.Index.Insts))
+	if err != nil || len(sw.JumpRefs) == 0 {
+		t.Fatalf("post-hammer sweep: %v (jumps=%d)", err, len(sw.JumpRefs))
 	}
 	if st := c.Stats(); st.Sweep.Computes != 1 {
 		t.Fatalf("sweep computed %d times, want exactly 1 memoized compute", st.Sweep.Computes)

@@ -1,17 +1,20 @@
 // Package analysis provides the shared per-binary analysis context.
 //
-// Every identifier in this module — the four FunSeeker configurations and
+// Every identifier in this module — the five FunSeeker configurations and
 // the IDA, Ghidra, and FETCH baseline models — starts from the same
-// expensive artifacts: one linear-sweep disassembly of .text, the
-// end-branch set E with its indirect-return annotations, the direct
-// call/jump reference sets C and J, the parsed .eh_frame FDE records, and
-// the exception landing-pad set. Before this package existed each tool
-// recomputed them independently, so one evaluation cell did ~7× redundant
-// work per binary.
+// expensive artifacts: one linear sweep of .text yielding the end-branch
+// set E with its indirect-return annotations and the direct call/jump
+// reference sets C and J (never materialized as instructions), the
+// materialized x86 instruction index the baseline models read, the
+// parsed .eh_frame FDE records, and the exception landing-pad set. Before
+// this package existed each tool recomputed them independently, so one
+// evaluation cell did ~7× redundant work per binary.
 //
-// Context memoizes each artifact under sync.Once: it is computed exactly
-// once per binary, on first demand, and every later consumer — including
-// consumers on other goroutines — gets the cached value. All artifacts
+// Context memoizes each artifact: it is computed exactly once per binary,
+// on first demand, and every later consumer — including consumers on
+// other goroutines — gets the cached value. The two sweep-sized
+// artifacts (the sweep and the index) are cancel-aware: a build canceled
+// through its context.Context is not cached. All artifacts
 // are immutable after construction, so a single Context is safe to share
 // across the evaluation runner's worker pool. Per-stage wall-clock costs
 // and hit/miss counts are recorded in Stats (see stats.go) so the runtime
@@ -26,6 +29,7 @@ package analysis
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -38,32 +42,25 @@ import (
 	"github.com/funseeker/funseeker/internal/x86"
 )
 
-// JumpRef records one direct jump instruction and its target.
-type JumpRef struct {
-	// Src is the address of the jump instruction.
-	Src uint64
-	// Target is the absolute destination.
-	Target uint64
-	// Cond reports whether the jump is conditional (Jcc). The AArch64
-	// backend records unconditional jumps only, so it is always false
-	// there.
-	Cond bool
-}
+// JumpRef records one direct jump instruction and its target: Src is the
+// address of the jump instruction, Target the absolute destination, and
+// Cond whether the jump is conditional (Jcc). The AArch64 backend records
+// unconditional jumps only, so Cond is always false there. It is the x86
+// records sweep's own branch record, so the x86 backend hands its jumps
+// over without a copy.
+type JumpRef = x86.Ref
 
-// Sweep carries everything one linear-sweep disassembly pass collects:
-// the materialized instruction index plus the derived reference sets the
-// identification algorithms consume. The reference-set vocabulary is
-// backend-neutral — "end branch" means whatever landmark the ISA places
-// at indirect-call targets (ENDBR on x86, call-accepting BTI/PACIASP
-// pads on AArch64). All fields are populated once and must be treated as
-// read-only.
+// Sweep carries what one linear-sweep disassembly pass collects — the
+// reference sets E, C and J the identification algorithms consume, as
+// sorted, deduplicated address slices (query them with Has). The
+// vocabulary is backend-neutral — "end branch" means whatever landmark
+// the ISA places at indirect-call targets (ENDBR on x86, call-accepting
+// BTI/PACIASP pads on AArch64). All fields are populated once and must be
+// treated as read-only.
 type Sweep struct {
 	// Arch is the backend that produced the sweep.
 	Arch elfx.Arch
 
-	// Index is the materialized x86 linear-sweep disassembly, nil when
-	// another backend produced the sweep.
-	Index *x86.Index
 	// ARM64 is the materialized AArch64 sweep, nil for x86 backends.
 	ARM64 *arm64.Index
 	// Shards / StitchRetries are the backend-neutral parallel-decode
@@ -73,12 +70,11 @@ type Sweep struct {
 
 	// Endbrs is E: every landmark address in .text, ascending.
 	Endbrs []uint64
-	// EndbrSet is Endbrs as a membership set.
-	EndbrSet map[uint64]bool
-	// AfterIRCall marks end-branch addresses immediately preceded by a
-	// call to a PLT entry of an indirect-return (setjmp-family) function.
-	// Always empty on AArch64, where no analog is needed (see JumpPads).
-	AfterIRCall map[uint64]bool
+	// AfterIRCall is the end-branch addresses immediately preceded by a
+	// call to a PLT entry of an indirect-return (setjmp-family) function,
+	// ascending. Always empty on AArch64, where no analog is needed (see
+	// JumpPads).
+	AfterIRCall []uint64
 	// JumpPads is the indirect-jump-only landmark set (BTI j switch
 	// labels), excluded from E by the ISA itself. Empty on x86, where the
 	// single ENDBR encoding accepts calls and jumps alike.
@@ -86,36 +82,86 @@ type Sweep struct {
 
 	// CallTargets is C: every direct-call target inside .text, ascending.
 	CallTargets []uint64
-	// CallTargetSet is CallTargets as a membership set.
-	CallTargetSet map[uint64]bool
 	// AllCallTargets additionally includes direct-call targets outside
-	// .text (PLT stubs and the like).
-	AllCallTargets map[uint64]bool
+	// .text (PLT stubs and the like), ascending.
+	AllCallTargets []uint64
 
 	// JumpRefs is every direct jump with its source retained for
-	// SELECTTAILCALL: conditional and unconditional on x86, unconditional
-	// only on AArch64 (matching the BTI algorithm's J).
+	// SELECTTAILCALL, ascending by Src: conditional and unconditional on
+	// x86, unconditional only on AArch64 (matching the BTI algorithm's J).
 	JumpRefs []JumpRef
-	// JumpTargets is J restricted to .text, ascending, deduplicated.
+	// JumpTargets is J restricted to .text, ascending.
 	JumpTargets []uint64
-	// JumpTargetSet is JumpTargets as a membership set.
-	JumpTargetSet map[uint64]bool
-	// UncondJumpTargets is the unconditional-only target set (any
-	// address), the DirJmpTarget property of the Figure 3 study.
-	UncondJumpTargets map[uint64]bool
+	// UncondJumpTargets is the unconditional-only targets (any address),
+	// ascending — the DirJmpTarget property of the Figure 3 study.
+	UncondJumpTargets []uint64
 }
 
-// sweepMemo is one architecture's slot of the per-arch sweep cache.
+// Has reports whether the ascending address slice set contains addr —
+// the one membership test over every Sweep set.
+func Has(set []uint64, addr uint64) bool {
+	_, ok := slices.BinarySearch(set, addr)
+	return ok
+}
+
+// memo is one lazily computed, cancel-aware artifact slot.
 //
 // It is not a sync.Once: a canceled computation must leave the cache
 // empty so the next caller recomputes under its own context, and a
 // caller waiting behind an in-flight computation must still be able to
 // honor its own cancellation. mu guards both fields; inflight is
 // non-nil (and closed on completion) while some goroutine is computing.
-type sweepMemo struct {
+type memo[T any] struct {
 	mu       sync.Mutex
 	inflight chan struct{}
-	sweep    *Sweep
+	val      *T
+}
+
+// get returns the memoized value, computing it with build on first
+// demand and charging the computation (or the hit) to st. A failed
+// build is not memoized. A caller waiting behind another goroutine's
+// in-flight build returns ctx.Err() as soon as its own ctx is done, and
+// takes the build over itself when the other goroutine fails.
+func (m *memo[T]) get(ctx context.Context, st *stageCounter, build func() (*T, error)) (*T, error) {
+	for {
+		m.mu.Lock()
+		if m.val != nil {
+			m.mu.Unlock()
+			st.hits.Add(1)
+			return m.val, nil
+		}
+		if m.inflight == nil {
+			// We are the computing goroutine.
+			wait := make(chan struct{})
+			m.inflight = wait
+			m.mu.Unlock()
+
+			start := time.Now()
+			v, err := build()
+
+			m.mu.Lock()
+			m.inflight = nil
+			if err == nil {
+				m.val = v
+				st.observe(time.Since(start))
+			}
+			close(wait)
+			m.mu.Unlock()
+			if err != nil {
+				return nil, err
+			}
+			return v, nil
+		}
+		wait := m.inflight
+		m.mu.Unlock()
+		select {
+		case <-wait:
+			// Loop: either the value is memoized now, or the computing
+			// goroutine failed and we take over with our own ctx.
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 }
 
 // supersetMemo is one architecture's slot of the byte-level marker-scan
@@ -136,8 +182,12 @@ type Context struct {
 	// backend, so sweeps of different architectures over the same bytes
 	// never collide. In the overwhelmingly common case only the binary's
 	// native slot is ever touched.
-	sweeps    [elfx.NArch]sweepMemo
+	sweeps    [elfx.NArch]memo[Sweep]
 	supersets [elfx.NArch]supersetMemo
+
+	// index is the materialized x86 instruction index, built only for
+	// the baseline tool models that read whole instructions.
+	index memo[x86.Index]
 
 	ehOnce  onceStage
 	fdes    []ehframe.FDE
@@ -190,64 +240,42 @@ func (c *Context) SweepArchCtx(ctx context.Context, arch elfx.Arch) (*Sweep, err
 	if err != nil {
 		return nil, err
 	}
-	m := &c.sweeps[be.Arch()]
-	for {
-		m.mu.Lock()
-		if m.sweep != nil {
-			m.mu.Unlock()
-			c.stats.sweep.hits.Add(1)
-			return m.sweep, nil
+	return c.sweeps[be.Arch()].get(ctx, &c.stats.sweep, func() (*Sweep, error) {
+		sw, err := be.BuildSweep(ctx, c.bin)
+		if err == nil {
+			c.stats.sweepShards.Add(uint64(sw.Shards))
+			c.stats.stitchRetries.Add(uint64(sw.StitchRetries))
 		}
-		if m.inflight == nil {
-			// We are the computing goroutine.
-			wait := make(chan struct{})
-			m.inflight = wait
-			m.mu.Unlock()
-
-			start := time.Now()
-			sw, err := be.BuildSweep(ctx, c.bin)
-
-			m.mu.Lock()
-			m.inflight = nil
-			if err == nil {
-				m.sweep = sw
-				c.stats.sweep.observe(time.Since(start))
-				c.stats.sweepShards.Add(uint64(sw.Shards))
-				c.stats.stitchRetries.Add(uint64(sw.StitchRetries))
-			}
-			close(wait)
-			m.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return sw, nil
-		}
-		wait := m.inflight
-		m.mu.Unlock()
-		select {
-		case <-wait:
-			// Loop: either the sweep is memoized now, or the computing
-			// goroutine was canceled and we take over with our own ctx.
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+		return sw, err
+	})
 }
 
-// Index returns the memoized x86 instruction index (one linear sweep).
-// It is nil for binaries whose native backend is not x86; the x86-only
-// baseline models are the only consumers.
-func (c *Context) Index() *x86.Index { return c.Sweep().Index }
+// Index returns the memoized x86 instruction index, or nil for binaries
+// whose native architecture is not x86 (see IndexCtx).
+func (c *Context) Index() *x86.Index {
+	idx, _ := c.IndexCtx(context.Background()) // background never cancels
+	return idx
+}
 
-// IndexCtx returns the memoized x86 instruction index, computing the
-// sweep under ctx on first call (see SweepCtx for cancellation
-// semantics).
+// IndexCtx returns the memoized x86 instruction index — every decoded
+// instruction, materialized — computing it under ctx on first call, with
+// the cancellation semantics of SweepArchCtx. Only the x86 baseline tool
+// models read whole instructions, so FunSeeker's own sweep never builds
+// it. A binary whose native architecture is not x86 has no index and
+// yields an error naming the architecture.
 func (c *Context) IndexCtx(ctx context.Context) (*x86.Index, error) {
-	sw, err := c.SweepCtx(ctx)
-	if err != nil {
-		return nil, err
+	var mode x86.Mode
+	switch arch := resolveArch(c.bin, elfx.ArchAuto); arch {
+	case elfx.ArchX86:
+		mode = x86.Mode32
+	case elfx.ArchX86_64:
+		mode = x86.Mode64
+	default:
+		return nil, fmt.Errorf("analysis: no x86 instruction index for %s binary", arch)
 	}
-	return sw.Index, nil
+	return c.index.get(ctx, &c.stats.index, func() (*x86.Index, error) {
+		return x86.BuildIndexParallelCtx(ctx, c.bin.Text, c.bin.TextAddr, mode, 0)
+	})
 }
 
 // FDEs returns the memoized .eh_frame FDE records. Binaries without an
@@ -279,8 +307,6 @@ type FDEIndex struct {
 	// Starts is every FDE pc-begin that lies inside .text, ascending,
 	// deduplicated.
 	Starts []uint64
-	// StartSet is Starts as a membership set.
-	StartSet map[uint64]bool
 
 	// begins/ends are the merged coverage intervals, sorted by begin.
 	begins []uint64
@@ -299,7 +325,7 @@ func (ix *FDEIndex) Covers(addr uint64) bool {
 // "target" that is Interior is part of an already-known function, not a
 // new entry.
 func (ix *FDEIndex) Interior(addr uint64) bool {
-	return ix.Covers(addr) && !ix.StartSet[addr]
+	return ix.Covers(addr) && !Has(ix.Starts, addr)
 }
 
 // FDEIndex returns the memoized interval index over the binary's FDE
@@ -322,17 +348,14 @@ func (c *Context) FDEIndex() (*FDEIndex, error) {
 // for the FDEs that land in .text.
 func buildFDEIndex(bin *elfx.Binary, fdes []ehframe.FDE) *FDEIndex {
 	textEnd := bin.TextAddr + uint64(len(bin.Text))
-	ix := &FDEIndex{StartSet: make(map[uint64]bool)}
+	ix := &FDEIndex{}
 	type iv struct{ begin, end uint64 }
 	ivs := make([]iv, 0, len(fdes))
 	for _, fde := range fdes {
 		if fde.PCBegin < bin.TextAddr || fde.PCBegin >= textEnd {
 			continue
 		}
-		if !ix.StartSet[fde.PCBegin] {
-			ix.StartSet[fde.PCBegin] = true
-			ix.Starts = append(ix.Starts, fde.PCBegin)
-		}
+		ix.Starts = append(ix.Starts, fde.PCBegin)
 		end := fde.PCBegin + fde.PCRange
 		if end > textEnd {
 			end = textEnd
@@ -341,7 +364,7 @@ func buildFDEIndex(bin *elfx.Binary, fdes []ehframe.FDE) *FDEIndex {
 			ivs = append(ivs, iv{fde.PCBegin, end})
 		}
 	}
-	slices.Sort(ix.Starts)
+	ix.Starts = sortCompact(ix.Starts)
 	slices.SortFunc(ivs, func(a, b iv) int {
 		switch {
 		case a.begin < b.begin:

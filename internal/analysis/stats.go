@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,12 +36,15 @@ func (s StageStat) Mean() time.Duration {
 
 // Stats is a point-in-time snapshot of a Context's per-stage accounting —
 // or, via Add, the aggregate over many contexts (one evaluation run).
-// The memoized stages (Sweep, EHParse, LandingPad, Superset) count cache
-// hits and misses; the per-run refinement stages (Filter, TailCall) count
-// executions only.
+// The memoized stages (Sweep, Index, EHParse, LandingPad, FDEIndex,
+// Superset) count cache hits and misses; the per-run refinement stages
+// (Filter, TailCall) count executions only.
 type Stats struct {
-	// Sweep is the linear-sweep disassembly (index + reference sets).
+	// Sweep is the linear-sweep disassembly (reference sets E, C, J).
 	Sweep StageStat
+	// Index is the materialized x86 instruction index, built only for
+	// the baseline tool models.
+	Index StageStat
 	// EHParse is the .eh_frame FDE parse.
 	EHParse StageStat
 	// LandingPad is the FDE×LSDA landing-pad join.
@@ -68,6 +70,7 @@ type Stats struct {
 // Add accumulates another snapshot.
 func (s *Stats) Add(o Stats) {
 	s.Sweep.Add(o.Sweep)
+	s.Index.Add(o.Index)
 	s.EHParse.Add(o.EHParse)
 	s.LandingPad.Add(o.LandingPad)
 	s.FDEIndex.Add(o.FDEIndex)
@@ -84,6 +87,7 @@ func (s *Stats) Add(o Stats) {
 // CLI summary — adding a stage here adds it everywhere.
 func (s Stats) EachStage(f func(name string, st StageStat)) {
 	f("sweep", s.Sweep)
+	f("index", s.Index)
 	f("eh-parse", s.EHParse)
 	f("landing-pad", s.LandingPad)
 	f("fde-index", s.FDEIndex)
@@ -115,6 +119,7 @@ func (s Stats) Render() string {
 // Context.
 type statCounters struct {
 	sweep      stageCounter
+	index      stageCounter
 	ehParse    stageCounter
 	landingPad stageCounter
 	fdeIndex   stageCounter
@@ -152,6 +157,7 @@ func (c *stageCounter) snapshot() StageStat {
 func (c *Context) Stats() Stats {
 	return Stats{
 		Sweep:         c.stats.sweep.snapshot(),
+		Index:         c.stats.index.snapshot(),
 		EHParse:       c.stats.ehParse.snapshot(),
 		LandingPad:    c.stats.landingPad.snapshot(),
 		FDEIndex:      c.stats.fdeIndex.snapshot(),
@@ -181,14 +187,4 @@ func (o *onceStage) do(c *stageCounter, fn func()) {
 	if !ran {
 		c.hits.Add(1)
 	}
-}
-
-// sortedKeys flattens an address set into an ascending slice.
-func sortedKeys(set map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -176,7 +176,7 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 		return nil, ErrNotCET
 	}
 	if opts.SupersetEndbrScan {
-		endbrs = mergeSupersetEndbrs(actx.SupersetMarkers(opts.Arch), endbrs)
+		endbrs = union(actx.SupersetMarkers(opts.Arch), endbrs)
 	}
 
 	report := &Report{
@@ -186,9 +186,9 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 		JumpTargets: append([]uint64(nil), sw.JumpTargets...),
 	}
 
-	// FILTERENDBR.
+	// FILTERENDBR. Every address set from here on is an ascending,
+	// deduplicated slice.
 	filterStart := time.Now()
-	candidates := make(map[uint64]bool, len(endbrs)+len(sw.CallTargets))
 	landingPads := map[uint64]bool{}
 	if opts.FilterEndbr {
 		pads, err := actx.LandingPads()
@@ -203,9 +203,10 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 			landingPads = pads
 		}
 	}
+	kept := make([]uint64, 0, len(endbrs))
 	for _, e := range endbrs {
 		if opts.FilterEndbr {
-			if sw.AfterIRCall[e] {
+			if analysis.Has(sw.AfterIRCall, e) {
 				report.FilteredIndirectReturn++
 				continue
 			}
@@ -214,31 +215,24 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 				continue
 			}
 		}
-		candidates[e] = true
+		kept = append(kept, e)
 	}
-	for _, t := range sw.CallTargets {
-		candidates[t] = true
-	}
+	candidates := union(kept, sw.CallTargets)
 	actx.ObserveFilter(time.Since(filterStart))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// Jump-target handling.
-	tailSet := map[uint64]bool{}
+	var tails []uint64
 	switch {
 	case opts.UseJumpTargets && opts.SelectTailCall:
 		tailStart := time.Now()
-		tails := selectTailCalls(bin, sw.JumpRefs, candidates, opts.TailBoundaryOnly)
+		tails = selectTailCalls(bin, sw.JumpRefs, candidates, opts.TailBoundaryOnly)
 		actx.ObserveTailCall(time.Since(tailStart))
-		tailSet = tails
-		for t := range tails {
-			candidates[t] = true
-		}
+		candidates = union(candidates, tails)
 	case opts.UseJumpTargets:
-		for _, t := range sw.JumpTargets {
-			candidates[t] = true
-		}
+		candidates = union(candidates, sw.JumpTargets)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -248,10 +242,10 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 	// complete and only ever adds candidates, so the result is a
 	// superset of the same options without FuseEH by construction.
 	if opts.FuseEH {
-		fuseEH(actx, bin, sw, opts, report, candidates, tailSet, landingPads)
+		candidates, tails = fuseEH(actx, bin, sw, opts, report, candidates, tails, landingPads)
 	}
-	if len(tailSet) > 0 {
-		report.TailCallTargets = setToSorted(tailSet)
+	if len(tails) > 0 {
+		report.TailCallTargets = tails
 	}
 
 	if opts.FilterEndbr || opts.FuseEH {
@@ -260,7 +254,7 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 		}
 	}
 
-	report.Entries = setToSorted(candidates)
+	report.Entries = candidates
 	return report, nil
 }
 
@@ -269,9 +263,10 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 // selection is on — re-run SELECTTAILCALL over the enlarged set and keep
 // only the extra tail targets that are not strictly interior to an FDE
 // coverage interval (an interior "target" belongs to an already-known
-// function) and not landing pads. Both steps are purely additive.
+// function) and not landing pads. Both steps are purely additive; it
+// returns the enlarged candidate and tail-call sets.
 func fuseEH(actx *analysis.Context, bin *elfx.Binary, sw *analysis.Sweep, opts Options,
-	report *Report, candidates, tailSet, landingPads map[uint64]bool) {
+	report *Report, candidates, tails []uint64, landingPads map[uint64]bool) ([]uint64, []uint64) {
 	ix, err := actx.FDEIndex()
 	if err != nil {
 		// Same degradation contract as FILTERENDBR: corrupt exception
@@ -279,7 +274,7 @@ func fuseEH(actx *analysis.Context, bin *elfx.Binary, sw *analysis.Sweep, opts O
 		// able to tell fused from fell-back.
 		report.Warnings = append(report.Warnings,
 			"exception metadata unreadable, EH fusion disabled: "+err.Error())
-		return
+		return candidates, tails
 	}
 	if !opts.FilterEndbr {
 		// The filter stage did not materialize the landing-pad set; the
@@ -297,47 +292,59 @@ func fuseEH(actx *analysis.Context, bin *elfx.Binary, sw *analysis.Sweep, opts O
 	// binaries the distinction is unavailable — tail-called functions
 	// are legitimately jump targets — so every FDE start counts.
 	cet := len(sw.Endbrs) > 0
+	var fused []uint64
 	for _, start := range ix.Starts {
-		if landingPads[start] || candidates[start] {
+		if landingPads[start] || analysis.Has(candidates, start) {
 			continue
 		}
-		if cet && sw.JumpTargetSet[start] {
+		if cet && analysis.Has(sw.JumpTargets, start) {
 			continue
 		}
-		candidates[start] = true
-		report.FusedFDEEntries++
+		fused = append(fused, start)
 	}
-	if opts.UseJumpTargets && opts.SelectTailCall && report.FusedFDEEntries > 0 {
+	report.FusedFDEEntries = len(fused)
+	if len(fused) == 0 {
+		return candidates, tails
+	}
+	candidates = union(candidates, fused)
+	if opts.UseJumpTargets && opts.SelectTailCall {
 		tailStart := time.Now()
-		tails := selectTailCalls(bin, sw.JumpRefs, candidates, opts.TailBoundaryOnly)
+		// selectTailCalls never returns a known start, and the first
+		// pass's tails are already candidates.
+		more := slices.DeleteFunc(selectTailCalls(bin, sw.JumpRefs, candidates, opts.TailBoundaryOnly),
+			func(t uint64) bool { return landingPads[t] || ix.Interior(t) })
 		actx.ObserveTailCall(time.Since(tailStart))
-		for t := range tails {
-			if candidates[t] || tailSet[t] || landingPads[t] || ix.Interior(t) {
-				continue
-			}
-			tailSet[t] = true
-			candidates[t] = true
-		}
+		tails = union(tails, more)
+		candidates = union(candidates, more)
 	}
+	return candidates, tails
 }
 
-// mergeSupersetEndbrs unions the byte-level end-branch scan into the
-// sweep-found set E, deduplicating addresses the linear sweep already
-// discovered. Both inputs are ascending; the result is ascending.
-func mergeSupersetEndbrs(scanned, endbrs []uint64) []uint64 {
-	have := make(map[uint64]bool, len(endbrs))
-	out := make([]uint64, 0, len(endbrs)+len(scanned))
-	for _, e := range endbrs {
-		have[e] = true
-		out = append(out, e)
-	}
-	for _, va := range scanned {
-		if !have[va] {
-			have[va] = true
-			out = append(out, va)
+// union merges two ascending address slices into a new ascending,
+// deduplicated slice (never nil).
+func union(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	push := func(v uint64) {
+		if n := len(out); n == 0 || out[n-1] != v {
+			out = append(out, v)
 		}
 	}
-	slices.Sort(out)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] <= b[j] {
+			push(a[i])
+			i++
+		} else {
+			push(b[j])
+			j++
+		}
+	}
+	for ; i < len(a); i++ {
+		push(a[i])
+	}
+	for ; j < len(b); j++ {
+		push(b[j])
+	}
 	return out
 }
 

@@ -47,7 +47,7 @@ func ClassifyEndbrsWithContext(actx *analysis.Context) (EndbrDistribution, error
 	sw := actx.Sweep()
 	for _, e := range sw.Endbrs {
 		switch {
-		case sw.AfterIRCall[e]:
+		case analysis.Has(sw.AfterIRCall, e):
 			dist.IndirectReturn++
 		case pads[e]:
 			dist.Exception++
@@ -122,13 +122,13 @@ func AnalyzePropertiesWithContext(actx *analysis.Context, entries []uint64) Venn
 	var v VennCounts
 	for _, e := range entries {
 		mask := 0
-		if sw.EndbrSet[e] {
+		if analysis.Has(sw.Endbrs, e) {
 			mask |= PropEndbr
 		}
-		if sw.AllCallTargets[e] {
+		if analysis.Has(sw.AllCallTargets, e) {
 			mask |= PropDirCall
 		}
-		if sw.UncondJumpTargets[e] {
+		if analysis.Has(sw.UncondJumpTargets, e) {
 			mask |= PropDirJmp
 		}
 		v.Region[mask]++

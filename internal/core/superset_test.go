@@ -15,7 +15,7 @@ import (
 func TestMergeSupersetEndbrsDedup(t *testing.T) {
 	endbrs := []uint64{0x1000, 0x1020}
 	scanned := []uint64{0x1000, 0x1010, 0x1020}
-	got := mergeSupersetEndbrs(scanned, endbrs)
+	got := union(scanned, endbrs)
 	want := []uint64{0x1000, 0x1010, 0x1020}
 	if !slices.Equal(got, want) {
 		t.Fatalf("merge = %#x, want %#x", got, want)
@@ -27,7 +27,7 @@ func TestMergeSupersetEndbrsDedup(t *testing.T) {
 func TestMergeSupersetEndbrsSorted(t *testing.T) {
 	endbrs := []uint64{0x1100, 0x1200}
 	scanned := []uint64{0x1000, 0x1180}
-	got := mergeSupersetEndbrs(scanned, endbrs)
+	got := union(scanned, endbrs)
 	if !slices.IsSorted(got) {
 		t.Fatalf("merge not sorted: %#x", got)
 	}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/funseeker/funseeker/internal/analysis"
 	"github.com/funseeker/funseeker/internal/elfx"
@@ -22,64 +23,66 @@ import (
 // boundaryOnly drops check (2), the ablation measured in the benchmark
 // harness: without the multi-reference requirement every interior jump
 // that happens to cross an approximated boundary becomes a function.
-func selectTailCalls(bin *elfx.Binary, jumps []analysis.JumpRef, known map[uint64]bool, boundaryOnly bool) map[uint64]bool {
-	starts := setToSorted(known)
-	// funcOf returns the start of the known function containing addr,
-	// or 0 when addr precedes every known start.
-	funcOf := func(addr uint64) uint64 {
-		i := sort.Search(len(starts), func(i int) bool { return starts[i] > addr })
-		if i == 0 {
-			return 0
-		}
-		return starts[i-1]
+//
+// jumps must be ascending by Src (every backend's JumpRefs are) and
+// known ascending and deduplicated; the result is ascending. The jumps
+// are walked once with a cursor over known, producing one (target,
+// source function, escapes) triple per in-text jump; sorting the triples
+// by (target, source function) then puts each target's evidence in one
+// run, where distinct sources are adjacent. No per-target set is built.
+func selectTailCalls(bin *elfx.Binary, jumps []analysis.JumpRef, known []uint64, boundaryOnly bool) []uint64 {
+	type ref struct {
+		target, fn uint64 // fn: start of the known function containing the jump, 0 if none
+		escapes    bool
 	}
-	// nextStartAfter returns the first known start strictly greater than
-	// addr, or the end of .text.
-	nextStartAfter := func(addr uint64) uint64 {
-		i := sort.Search(len(starts), func(i int) bool { return starts[i] > addr })
-		if i == len(starts) {
-			return bin.TextEnd()
-		}
-		return starts[i]
-	}
-
-	// Gather, per target, the distinct source functions that jump to it,
-	// and whether any jump escapes its containing function's boundary.
-	type targetInfo struct {
-		srcFuncs map[uint64]bool
-		escapes  bool
-	}
-	infos := make(map[uint64]*targetInfo)
+	refs := make([]ref, 0, len(jumps))
+	k := 0 // known[:k] are the starts <= the current jump's Src
+	textEnd := bin.TextEnd()
 	for _, j := range jumps {
 		if !bin.InText(j.Target) {
 			continue
 		}
-		info := infos[j.Target]
-		if info == nil {
-			info = &targetInfo{srcFuncs: make(map[uint64]bool)}
-			infos[j.Target] = info
+		for k < len(known) && known[k] <= j.Src {
+			k++
 		}
-		src := funcOf(j.Src)
-		info.srcFuncs[src] = true
-		if j.Target < src || j.Target >= nextStartAfter(j.Src) {
-			info.escapes = true
+		fn, next := uint64(0), textEnd
+		if k > 0 {
+			fn = known[k-1]
 		}
+		if k < len(known) {
+			next = known[k]
+		}
+		// The jump escapes its function when it leaves [fn, next).
+		refs = append(refs, ref{target: j.Target, fn: fn, escapes: j.Target < fn || j.Target >= next})
 	}
+	slices.SortFunc(refs, func(a, b ref) int {
+		if c := cmp.Compare(a.target, b.target); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.fn, b.fn)
+	})
 
-	out := make(map[uint64]bool)
-	for target, info := range infos {
-		if known[target] {
-			continue // already identified via E′ ∪ C
+	var out []uint64
+	for i := 0; i < len(refs); {
+		target := refs[i].target
+		escapes, sources := false, 0
+		j := i
+		for ; j < len(refs) && refs[j].target == target; j++ {
+			escapes = escapes || refs[j].escapes
+			if j == i || refs[j].fn != refs[j-1].fn {
+				sources++
+			}
 		}
-		if !info.escapes {
-			continue
+		i = j
+		switch {
+		case !escapes:
+		case analysis.Has(known, target): // already identified via E′ ∪ C
+		case !boundaryOnly && sources < 2:
+			// "Referenced by multiple functions": more than one distinct
+			// source function must jump here.
+		default:
+			out = append(out, target)
 		}
-		// "Referenced by multiple functions": more than one distinct
-		// source function must jump here.
-		if !boundaryOnly && len(info.srcFuncs) < 2 {
-			continue
-		}
-		out[target] = true
 	}
 	return out
 }

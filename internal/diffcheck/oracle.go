@@ -86,7 +86,9 @@ func CheckSpec(spec *ProgSpec, cfg Config) (vs []Violation) {
 	}
 	c.checkBaselines(actx, bin)
 	c.checkRecdesc(bin, actx)
-	c.checkParallelSweep(bin)
+	seq := x86.BuildIndex(bin.Text, bin.TextAddr, bin.Mode)
+	c.checkParallelSweep(bin, seq)
+	c.checkSweepRecords(bin, seq)
 	c.checkStats(actx, bin)
 	return c.vs
 }
@@ -484,8 +486,7 @@ func (c *checker) checkRecdesc(bin *elfx.Binary, actx *analysis.Context) {
 // including on binaries with data-in-text where the shard seams can land
 // mid-garbage. Odd worker counts are used deliberately so the seams
 // fall at unaligned offsets.
-func (c *checker) checkParallelSweep(bin *elfx.Binary) {
-	seq := x86.BuildIndex(bin.Text, bin.TextAddr, bin.Mode)
+func (c *checker) checkParallelSweep(bin *elfx.Binary, seq *x86.Index) {
 	for _, workers := range []int{2, 3, 7} {
 		par := x86.BuildIndexParallel(bin.Text, bin.TextAddr, bin.Mode, workers)
 		if len(par.Insts) != len(seq.Insts) {
@@ -503,6 +504,26 @@ func (c *checker) checkParallelSweep(bin *elfx.Binary) {
 		if par.Skipped != seq.Skipped {
 			c.addf("parallel-sweep", "workers=%d: skipped %d bytes vs %d sequential",
 				workers, par.Skipped, seq.Skipped)
+		}
+	}
+}
+
+// checkSweepRecords asserts the records sweep behind FunSeeker's
+// DISASSEMBLE step — boundaries, skipped bytes, end branches, calls and
+// jumps, never materialized as instructions — finds exactly what a walk
+// over the sequential materialized index finds, for the sequential sweep
+// and for sharded sweeps whose odd worker counts put seams at unaligned
+// offsets.
+func (c *checker) checkSweepRecords(bin *elfx.Binary, seq *x86.Index) {
+	ref := seq.Records()
+	for _, workers := range []int{1, 2, 3, 7} {
+		r, err := x86.SweepRecords(context.Background(), bin.Text, bin.TextAddr, bin.Mode, workers)
+		if err != nil {
+			c.addf("sweep-records-vs-index", "workers=%d: %v", workers, err)
+			continue
+		}
+		if d := r.Diff(ref); d != "" {
+			c.addf("sweep-records-vs-index", "workers=%d: %s", workers, d)
 		}
 	}
 }

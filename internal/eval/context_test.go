@@ -12,8 +12,9 @@ import (
 // TestSharedContextSingleSweep runs the full tool×config matrix — five
 // FunSeeker configurations, IDA, Ghidra, FETCH, plus the Table I and
 // Figure 3 studies — and asserts on the analysis.Stats counters that each
-// binary was linearly swept exactly once and its .eh_frame parsed at most
-// once, with every further consumer served from the memoized context.
+// binary was linearly swept exactly once, its instruction index built
+// exactly once, and its .eh_frame parsed at most once, with every further
+// consumer served from the memoized context.
 func TestSharedContextSingleSweep(t *testing.T) {
 	opts := corpus.Options{Scale: 0.3, Seed: 21, Programs: 1}
 	configs := []synth.Config{
@@ -34,11 +35,16 @@ func TestSharedContextSingleSweep(t *testing.T) {
 	if st.Sweep.Computes != n {
 		t.Errorf("linear sweeps = %d over %d binaries, want exactly one per binary", st.Sweep.Computes, n)
 	}
-	// Sweep consumers per binary: the 5 FunSeeker configurations, the IDA
-	// code-reference scan, the FETCH jump scan, and the two studies — all
-	// but the first must be cache hits.
-	if st.Sweep.Hits < 8*n {
-		t.Errorf("sweep cache hits = %d, want >= %d (8 per binary)", st.Sweep.Hits, 8*n)
+	// Sweep consumers per binary: the 5 FunSeeker configurations and the
+	// two studies — all but the first must be cache hits. The three
+	// baselines read whole instructions from the separately memoized
+	// index instead: one build per binary, then two hits.
+	if st.Sweep.Hits < 6*n {
+		t.Errorf("sweep cache hits = %d, want >= %d (6 per binary)", st.Sweep.Hits, 6*n)
+	}
+	if st.Index.Computes != n || st.Index.Hits < 2*n {
+		t.Errorf("index computes/hits = %d/%d over %d binaries, want one build and >= 2 hits per binary",
+			st.Index.Computes, st.Index.Hits, n)
 	}
 	if st.EHParse.Computes > n {
 		t.Errorf(".eh_frame parses = %d over %d binaries, want at most one per binary", st.EHParse.Computes, n)

@@ -28,6 +28,7 @@
 package fetch
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -62,9 +63,14 @@ func Identify(bin *elfx.Binary) (*Report, error) {
 }
 
 // IdentifyWithContext runs FETCH using the shared per-binary artifacts
-// memoized in actx.
+// memoized in actx. The model reads x86 instructions, so a binary of any
+// other architecture is an error.
 func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	bin := actx.Binary()
+	idx, err := actx.IndexCtx(context.Background())
+	if err != nil {
+		return nil, fmt.Errorf("fetch: %w", err)
+	}
 	report := &Report{}
 	fdes, err := actx.FDEs()
 	if err != nil {
@@ -100,7 +106,6 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	// of each range is served from the shared instruction index; the
 	// lift and the stack-height dataflow — the paper's cost driver,
 	// counted in AnalyzedInsts — run per call.
-	idx := actx.Index()
 	profiles := make(map[uint64]funcProfile, len(ranges))
 	for _, r := range ranges {
 		p := profileRange(bin, idx, r.begin, r.end)

@@ -10,6 +10,7 @@
 package ghidra
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -37,9 +38,14 @@ func Identify(bin *elfx.Binary) (*Report, error) {
 }
 
 // IdentifyWithContext runs the Ghidra-style algorithm using the shared
-// per-binary artifacts memoized in actx.
+// per-binary artifacts memoized in actx. The model reads x86
+// instructions, so a binary of any other architecture is an error.
 func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	bin := actx.Binary()
+	idx, err := actx.IndexCtx(context.Background())
+	if err != nil {
+		return nil, fmt.Errorf("ghidra: %w", err)
+	}
 	report := &Report{}
 	found := make(map[uint64]bool)
 
@@ -63,7 +69,6 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	// Pass 2: recursive descent from the entry point and every FDE
 	// function, expanding through direct calls. Decoding is served from
 	// the shared linear-sweep index where possible.
-	idx := actx.Index()
 	walker := recdesc.NewWalker(bin, idx)
 	res := walker.Traverse(seeds)
 	for e := range res.Functions {

@@ -14,6 +14,8 @@
 package idapro
 
 import (
+	"context"
+	"fmt"
 	"slices"
 
 	"github.com/funseeker/funseeker/internal/analysis"
@@ -43,9 +45,14 @@ func Identify(bin *elfx.Binary) (*Report, error) {
 }
 
 // IdentifyWithContext runs the IDA-style algorithm using the shared
-// per-binary artifacts memoized in actx.
+// per-binary artifacts memoized in actx. The model reads x86
+// instructions, so a binary of any other architecture is an error.
 func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	bin := actx.Binary()
+	idx, err := actx.IndexCtx(context.Background())
+	if err != nil {
+		return nil, fmt.Errorf("idapro: %w", err)
+	}
 	report := &Report{}
 	found := make(map[uint64]bool)
 
@@ -62,10 +69,9 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	// (IDA's immediate/offset analysis finds lea rdi, [rip+func] and
 	// push $func references).
 	seeds := []uint64{bin.Entry}
-	codeRefs := collectCodeRefs(actx)
+	codeRefs := collectCodeRefs(bin, idx)
 	seeds = append(seeds, codeRefs...)
 
-	idx := actx.Index()
 	walker := recdesc.NewWalker(bin, idx)
 	res := walker.Traverse(seeds)
 	for e := range res.Functions {
@@ -142,10 +148,9 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 // lea and mov-immediate forms, read off the shared instruction index.
 // Data-section function-pointer tables are invisible to this analysis —
 // exactly IDA's blind spot.
-func collectCodeRefs(actx *analysis.Context) []uint64 {
-	bin := actx.Binary()
+func collectCodeRefs(bin *elfx.Binary, idx *x86.Index) []uint64 {
 	var refs []uint64
-	insts := actx.Index().Insts
+	insts := idx.Insts
 	for i := range insts {
 		inst := &insts[i]
 		// lea reg, [rip+disp] referencing .text.

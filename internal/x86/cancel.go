@@ -15,5 +15,5 @@ const cancelStride = 64 << 10
 // stops burning all cores within a stride. On cancellation it returns
 // (nil, ctx.Err()).
 func BuildIndexParallelCtx(ctx context.Context, code []byte, base uint64, mode Mode, workers int) (*Index, error) {
-	return buildIndexParallel(ctx, code, base, mode, workers)
+	return buildIndex(ctx, code, base, mode, workers)
 }

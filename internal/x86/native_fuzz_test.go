@@ -2,6 +2,7 @@ package x86
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -93,6 +94,41 @@ func FuzzDecodeSuffixStability(f *testing.F) {
 		again, err := Decode(padded, 0, mode)
 		if err != nil || !instEqual(again, inst) {
 			t.Fatalf("padding changed decode: (%+v, %v) vs %+v (input %x)", again, err, inst, data)
+		}
+	})
+}
+
+// FuzzSweepRecords: for arbitrary bytes in both modes, the records sweep
+// equals the LinearSweep reference, and the sharded sweep (seams forced
+// at every 64-byte-aligned chunk the input allows) equals the sequential
+// one.
+func FuzzSweepRecords(f *testing.F) {
+	f.Add([]byte{0xe8, 0x00, 0x00, 0x00, 0x00, 0xf3, 0x0f, 0x1e, 0xfa, 0xc3}, true)
+	f.Add([]byte{0x0f, 0x84, 0x10, 0x00, 0x00, 0x00, 0xeb, 0xfe, 0x06, 0xe9, 0, 0, 0, 0}, false)
+	f.Add(bytes.Repeat([]byte{0xe8, 0x01, 0x06, 0xf3, 0x0f, 0x1e, 0xfb}, 40), false)
+	f.Add(bytes.Repeat([]byte{0x48, 0x8b, 0x04, 0xc5, 0xe9, 0x0f, 0x1e, 0xfa}, 50), true)
+	f.Fuzz(func(t *testing.T, data []byte, mode64 bool) {
+		mode := Mode32
+		if mode64 {
+			mode = Mode64
+		}
+		const base = 0x401000
+		want := refRecords(data, base, mode)
+		seq, err := SweepRecords(context.Background(), data, base, mode, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := seq.Diff(want); d != "" {
+			t.Fatalf("sequential vs reference: %s (input %x)", d, data)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			par, err := SweepRecords(context.Background(), data, base, mode, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := par.Diff(seq); d != "" {
+				t.Fatalf("workers=%d (%d shards) vs sequential: %s (input %x)", workers, par.Shards, d, data)
+			}
 		}
 	})
 }

@@ -2,14 +2,13 @@ package x86
 
 import (
 	"context"
-	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// minParallelBytes is the smallest text BuildIndexParallel will shard
+// minParallelBytes is the smallest text SweepRecords will shard
 // when asked to pick a worker count itself: below this the goroutine
 // fan-out and seam stitching cost more than the decode. This is the
 // single auto-selection threshold — internal/analysis delegates to it by
@@ -23,7 +22,7 @@ const minShardBytes = 64 << 10
 
 // maxShardBytes caps how much text one shard covers. Shard count is
 // decoupled from worker count: workers bounds *concurrency* while the
-// atomic work-stealing counter in runShards hands out shards, so
+// atomic work-stealing counter in runParallel hands out shards, so
 // splitting a large text into more, smaller shards costs nothing and
 // wins twice — per-shard working set (code + length memo) stays
 // cache-sized, and stragglers shrink because a slow core holds at most
@@ -32,27 +31,41 @@ const minShardBytes = 64 << 10
 // sequential (the workers=2 row on the 1 MiB bench corpus).
 const maxShardBytes = 128 << 10
 
+// BuildIndexParallel builds the same index as BuildIndex by sweeping
+// chunks of code concurrently (see SweepRecords for the workers rule and
+// sweepSharded for the seam stitching) and then materializing the
+// instructions in parallel. The result is byte-identical to BuildIndex —
+// internal/diffcheck asserts this invariant on every generated binary.
+func BuildIndexParallel(code []byte, base uint64, mode Mode, workers int) *Index {
+	idx, _ := buildIndex(noCancel, code, base, mode, workers)
+	return idx
+}
+
 // shardScratch is one worker's reusable decode buffers: the per-chunk
-// instruction-length memo, the skip offsets, and the shard-local
-// boundary bitmap. Instances are pooled — a corpus run builds thousands
-// of indexes and the buffers are pure scratch, so recycling them removes
-// the dominant per-build allocations.
+// instruction-length memo, the skip offsets, the shard-local boundary
+// bitmap, and the shard's speculative sparse records. Instances are
+// pooled — a corpus run sweeps thousands of binaries and the buffers are
+// pure scratch, so recycling them removes the dominant per-sweep
+// allocations.
 //
-// lens is the length memo at the heart of the speculative build: one
+// lens is the length memo at the heart of the speculative sweep: one
 // byte per chunk byte, 0 = never visited, 0xFF = visited but
 // undecodable (skip), otherwise the encoded instruction length (1..15).
 // It makes the seam resolver's "has this shard's stream visited offset
 // X?" test O(1) instead of a binary search, and it is what lets phase 0
 // avoid materializing instructions at all: a chunk's speculative decode
 // is fully described by ~1.2 bytes/byte of scratch instead of the ~35
-// bytes/byte the old Inst stream cost (112-byte Inst per ~3-byte
-// encoding). That footprint was the workers=8 collapse: eight full-size
+// bytes/byte an Inst stream costs (112-byte Inst per ~3-byte encoding).
+// That footprint was the workers=8 collapse: eight full-size
 // speculative Inst buffers live at once put the build allocation-bound
 // (174-208 MB/op) instead of decode-bound.
 type shardScratch struct {
-	lens  []uint8
-	skips []int32
-	bits  []uint64
+	lens   []uint8
+	skips  []int32
+	bits   []uint64
+	endbrs []uint64
+	calls  []Ref
+	jumps  []Ref
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
@@ -68,106 +81,56 @@ var scratchPool = sync.Pool{New: func() any { return new(shardScratch) }}
 // offset onward they are identical by determinism.
 //
 // Chunk starts are 64-byte aligned so each shard-local boundary bitmap
-// word maps one-to-one onto a word of the final index bitmap and can be
+// word maps one-to-one onto a word of the final bitmap and can be
 // stitched by whole-word OR instead of re-walking the instructions.
 type shard struct {
 	start int // chunk start offset (relative to code[0]), 64-byte aligned
 	end   int // chunk end offset; the stream may overrun it
 	final int // cursor offset after the last decode step (>= end)
 	sc    *shardScratch
-
-	// Seam resolution (phase A) results: the instructions re-decoded at
-	// the seam before the speculative stream agreed, and the shape of the
-	// authoritative suffix of the speculative stream.
-	seam      []Inst
-	seamSkips int
-	authStart int  // splice offset; suffix [authStart, final) is authoritative
-	authInsts int  // instructions in the authoritative suffix
-	authSkips int  // skips in the authoritative suffix
-	spliced   bool // false when the seam walk consumed the whole chunk
-	outPos    int  // index in the final Insts where this shard's output begins
 }
 
-// BuildIndexParallel builds the same index as BuildIndex by decoding
-// workers chunks of code concurrently and stitching them at the first
-// agreeing instruction boundary past each chunk seam. workers <= 0
+// shardPlan is the sharding geometry of one sweep: shards chunks of
+// chunk bytes (the last one takes the remainder), decoded by at most
+// conc goroutines. shards < 2 means a sequential sweep.
+type shardPlan struct {
+	chunk, shards, conc int
+}
+
+// planShards picks the geometry for n bytes of code. workers <= 0
 // selects a count from GOMAXPROCS and the text size and falls back to
-// the sequential build for small texts; an explicit workers >= 2 shards
-// whenever every worker can get at least one aligned 64-byte chunk
-// (tests force odd seam placements this way), though the number of
-// shards decoding concurrently is always capped at GOMAXPROCS and the
-// physical core count — shard count sets seam geometry, not goroutine
-// oversubscription. The result
-// is byte-identical to BuildIndex — internal/diffcheck asserts this
-// invariant on every generated binary.
-func BuildIndexParallel(code []byte, base uint64, mode Mode, workers int) *Index {
-	idx, _ := buildIndexParallel(context.Background(), code, base, mode, workers)
-	return idx
-}
-
-// buildIndexParallel is the shared implementation behind
-// BuildIndexParallel (context.Background, never cancels) and
-// BuildIndexParallelCtx. Cancellation is checked at cancelStride
-// boundaries inside every shard pass and inside the seam resolver; a
-// background context short-circuits all checks via the Done() == nil
-// fast path.
-//
-// The build runs in four phases. Phase 0 decodes the chunks
-// speculatively in parallel, each shard recording lengths into its memo
-// and boundary bits into a chunk-local bitmap — no instructions are
-// materialized. Phase A walks the seams sequentially, re-decoding only
-// until each speculative stream agrees with the authoritative cursor
-// (an O(1) length-memo hit per probe); after it the exact instruction
-// and skip totals are known, so the final index is allocated at exact
-// size. Phase B re-decodes each shard's authoritative range in parallel
-// directly into its disjoint window of the final Insts slice —
-// determinism makes this a pure materialization of what phase 0 already
-// measured, replacing the old sequential bulk copy that dominated
-// assembly (112 bytes of memmove per ~3-byte encoding). The last phase
-// stitches the boundary bitmap by whole-word OR and builds the rank
-// directory.
-func buildIndexParallel(ctx context.Context, code []byte, base uint64, mode Mode, workers int) (*Index, error) {
+// sequential for small texts; an explicit workers >= 2 shards whenever
+// every worker can get at least one aligned 64-byte chunk (tests force
+// odd seam placements this way). Shard count sets seam geometry; the
+// number of shards decoding concurrently is capped separately.
+func planShards(n, workers int) shardPlan {
 	auto := workers <= 0
 	if auto {
 		workers = runtime.GOMAXPROCS(0)
-		if mx := len(code) / minShardBytes; workers > mx {
+		if mx := n / minShardBytes; workers > mx {
 			workers = mx
 		}
 	}
-	if workers < 2 || (auto && len(code) < minParallelBytes) {
-		return buildIndexSeq(ctx, code, base, mode)
+	if workers < 2 || (auto && n < minParallelBytes) {
+		return shardPlan{shards: 1, conc: 1}
 	}
 	// Chunks are rounded down to 64-byte multiples so shard-local bitmap
 	// words coincide with final bitmap words. A zero chunk means the
 	// text is too small to give every worker an aligned chunk; decoding
 	// it sequentially is both correct and faster.
-	chunk := (len(code) / workers) &^ 63
+	chunk := (n / workers) &^ 63
 	if chunk == 0 {
-		return buildIndexSeq(ctx, code, base, mode)
+		return shardPlan{shards: 1, conc: 1}
 	}
-	nShards := workers
+	shards := workers
 	if chunk > maxShardBytes {
 		chunk = maxShardBytes
-		nShards = (len(code) + chunk - 1) / chunk
+		shards = (n + chunk - 1) / chunk
 		// A tail chunk below one bitmap word merges into its
-		// predecessor, mirroring the i == last handling below.
-		if nShards > 1 && len(code)-(nShards-1)*chunk < 64 {
-			nShards--
-		}
-	}
-
-	shards := make([]shard, nShards)
-	for i := range shards {
-		s, e := i*chunk, (i+1)*chunk
-		if i == nShards-1 {
-			e = len(code)
-		}
-		shards[i] = shard{start: s, end: e, sc: scratchPool.Get().(*shardScratch)}
-	}
-	recycle := func() {
-		for i := range shards {
-			scratchPool.Put(shards[i].sc)
-			shards[i].sc = nil
+		// predecessor, mirroring the last-shard handling in
+		// sweepSharded.
+		if shards > 1 && n-(shards-1)*chunk < 64 {
+			shards--
 		}
 	}
 	// Concurrency is capped at both GOMAXPROCS and the physical core
@@ -184,63 +147,53 @@ func buildIndexParallel(ctx context.Context, code []byte, base uint64, mode Mode
 	if p := runtime.NumCPU(); conc > p {
 		conc = p
 	}
-	runShards(shards, conc, func(sh *shard) { sh.decode(ctx, code, base, mode) })
-	if err := ctx.Err(); err != nil {
-		recycle()
-		return nil, err
-	}
-	if err := resolveSeams(ctx, shards, code, base, mode); err != nil {
-		recycle()
-		return nil, err
-	}
-
-	// Exact sizing from the seam resolution.
-	total, skipped, retries := 0, 0, 0
-	for i := range shards {
-		sh := &shards[i]
-		sh.outPos = total
-		total += len(sh.seam)
-		skipped += sh.seamSkips
-		retries += len(sh.seam) + sh.seamSkips
-		if sh.spliced {
-			total += sh.authInsts
-			skipped += sh.authSkips
-		}
-	}
-	words := (len(code) + 63) / 64
-	idx := &Index{
-		Insts:         make([]Inst, total),
-		Base:          base,
-		Skipped:       skipped,
-		Shards:        len(shards),
-		StitchRetries: retries,
-		bits:          make([]uint64, words),
-		ranks:         make([]int32, words),
-		n:             len(code),
-	}
-	// Phase B: materialize every shard's output into its disjoint window.
-	runShards(shards, conc, func(sh *shard) { sh.materialize(ctx, code, base, mode, idx.Insts) })
-	if err := ctx.Err(); err != nil {
-		recycle()
-		return nil, err
-	}
-	stitchBits(idx, shards)
-	recycle()
-	return idx, nil
+	return shardPlan{chunk: chunk, shards: shards, conc: conc}
 }
 
-// runShards applies fn to every shard with at most conc goroutines. A
-// conc of 1 runs inline — the sharded geometry is preserved (seam
-// placement, Shards count) without spawning anything.
-func runShards(shards []shard, conc int, fn func(*shard)) {
-	if conc <= 1 || len(shards) == 1 {
+// sweepSharded is the sharded records sweep. Phase 0 decodes the chunks
+// speculatively in parallel, each shard recording lengths into its memo,
+// boundary bits into a chunk-local bitmap, and its sparse records into
+// pooled scratch. Phase A (stitch) walks the seams sequentially and
+// assembles the final records directly: seam instructions re-decoded
+// until each speculative stream agrees with the authoritative cursor,
+// then the shard's records from the splice point on, its skips counted
+// and its bitmap OR-ed in by whole words. No instruction is
+// materialized on either phase.
+func sweepSharded(ctx context.Context, code []byte, base uint64, mode Mode, g shardPlan) (*Records, error) {
+	shards := make([]shard, g.shards)
+	for i := range shards {
+		s, e := i*g.chunk, (i+1)*g.chunk
+		if i == g.shards-1 {
+			e = len(code)
+		}
+		shards[i] = shard{start: s, end: e, sc: scratchPool.Get().(*shardScratch)}
+	}
+	defer func() {
 		for i := range shards {
-			fn(&shards[i])
+			scratchPool.Put(shards[i].sc)
+			shards[i].sc = nil
+		}
+	}()
+	runParallel(len(shards), g.conc, func(i int) { shards[i].decode(ctx, code, base, mode) })
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return stitch(ctx, shards, code, base, mode)
+}
+
+// runParallel calls fn(i) for every i in [0, n) with at most conc
+// goroutines handing out indexes through an atomic counter. A conc of 1
+// runs inline — the sharded geometry is preserved (seam placement,
+// Shards count) without spawning anything.
+func runParallel(n, conc int, fn func(i int)) {
+	if conc <= 1 || n == 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
-	if conc > len(shards) {
-		conc = len(shards)
+	if conc > n {
+		conc = n
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -250,10 +203,10 @@ func runShards(shards []shard, conc int, fn func(*shard)) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(shards) {
+				if i >= n {
 					return
 				}
-				fn(&shards[i])
+				fn(i)
 			}
 		}()
 	}
@@ -262,10 +215,10 @@ func runShards(shards []shard, conc int, fn func(*shard)) {
 
 // decode runs the speculative sweep of one chunk: from start until the
 // cursor reaches the chunk end (the final instruction may overrun it),
-// recording each decode step in the length memo and the chunk-local
-// boundary bitmap. A canceled ctx stops the shard at the next
-// cancelStride boundary; the caller discards every shard after noticing
-// the cancellation.
+// recording each decode step in the length memo, the chunk-local
+// boundary bitmap and the shard's sparse records. A canceled ctx stops
+// the shard at the next cancelStride boundary; the caller discards
+// every shard after noticing the cancellation.
 func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode) {
 	sc := sh.sc
 	n := sh.end - sh.start
@@ -276,7 +229,6 @@ func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode
 		lens = lens[:n]
 		clear(lens)
 	}
-	skips := sc.skips[:0]
 	words := (n + 63) / 64
 	bm := sc.bits
 	if cap(bm) < words {
@@ -285,7 +237,11 @@ func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode
 		bm = bm[:words]
 		clear(bm)
 	}
-	defer func() { sc.lens, sc.skips, sc.bits = lens, skips, bm }()
+	skips, endbrs, calls, jumps := sc.skips[:0], sc.endbrs[:0], sc.calls[:0], sc.jumps[:0]
+	defer func() {
+		sc.lens, sc.skips, sc.bits = lens, skips, bm
+		sc.endbrs, sc.calls, sc.jumps = endbrs, calls, jumps
+	}()
 
 	done := ctx.Done()
 	var inst Inst
@@ -298,39 +254,43 @@ func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode
 			next = off + cancelStride
 		}
 		rel := off - sh.start
-		if err := DecodeInto(code[off:], base+uint64(off), mode, &inst); err != nil {
-			lens[rel] = 0xFF
-			skips = append(skips, int32(off))
-			off++
-			continue
+		if !decodeFast(code[off:], base+uint64(off), mode, &inst) {
+			if err := decodeSlow(code[off:], base+uint64(off), mode, &inst); err != nil {
+				lens[rel] = 0xFF
+				skips = append(skips, int32(off))
+				off++
+				continue
+			}
 		}
 		lens[rel] = uint8(inst.Len)
 		bm[rel>>6] |= 1 << (rel & 63)
+		endbrs, calls, jumps = appendRecord(endbrs, calls, jumps, &inst)
 		off += inst.Len
 	}
 	sh.final = off
 }
 
-// popcountFrom counts the set bits of bm at positions >= rel.
-func popcountFrom(bm []uint64, rel int) int {
-	w := rel >> 6
-	if w >= len(bm) {
-		return 0
+// stitch walks the shards in cursor order and assembles the final
+// records. At each seam the cursor either lands on an offset the shard
+// visited — an O(1) length-memo probe, after which the shard's remaining
+// stream is authoritative and is spliced in wholesale (records at or
+// above the splice point, skips counted, bitmap OR-ed from the splice
+// bit on) — or instructions are re-decoded one at a time from the true
+// boundary, each counted as a stitch retry, until the streams
+// re-synchronize. The output is identical to sweepSeq's.
+func stitch(ctx context.Context, shards []shard, code []byte, base uint64, mode Mode) (*Records, error) {
+	r := newRecords(base, len(code))
+	r.Shards = len(shards)
+	ne, nc, nj := 0, 0, 0
+	for i := range shards {
+		ne += len(shards[i].sc.endbrs)
+		nc += len(shards[i].sc.calls)
+		nj += len(shards[i].sc.jumps)
 	}
-	c := bits.OnesCount64(bm[w] &^ (1<<(rel&63) - 1))
-	for _, word := range bm[w+1:] {
-		c += bits.OnesCount64(word)
-	}
-	return c
-}
+	r.Endbrs = make([]uint64, 0, ne)
+	r.Calls = make([]Ref, 0, nc)
+	r.Jumps = make([]Ref, 0, nj)
 
-// resolveSeams walks the shards in cursor order. At each seam the cursor
-// either lands on an offset the next shard visited — an O(1) length-memo
-// probe, in which case the shard's remaining stream is authoritative and
-// its splice point plus suffix totals are recorded — or instructions are
-// re-decoded one at a time into the shard's seam buffer until the
-// streams re-synchronize.
-func resolveSeams(ctx context.Context, shards []shard, code []byte, base uint64, mode Mode) error {
 	done := ctx.Done()
 	cur, next := 0, 0
 	var inst Inst
@@ -339,106 +299,55 @@ func resolveSeams(ctx context.Context, shards []shard, code []byte, base uint64,
 		for cur < sh.end {
 			if done != nil && cur >= next {
 				if err := ctx.Err(); err != nil {
-					return err
+					return nil, err
 				}
 				next = cur + cancelStride
 			}
 			if rel := cur - sh.start; rel >= 0 && sh.sc.lens[rel] != 0 {
 				// The speculative stream visited this offset (instruction
 				// or skip): everything from here on is authoritative.
-				sh.spliced = true
-				sh.authStart = cur
-				sh.authInsts = popcountFrom(sh.sc.bits, rel)
-				sk := sh.sc.skips
-				sh.authSkips = len(sk) - sort.Search(len(sk), func(j int) bool { return sk[j] >= int32(cur) })
+				r.splice(sh, cur)
 				cur = sh.final
 				break
 			}
 			// The seam split an instruction: decode from the true
 			// boundary until the speculative stream agrees.
+			r.StitchRetries++
 			if err := DecodeInto(code[cur:], base+uint64(cur), mode, &inst); err != nil {
-				sh.seamSkips++
+				r.Skipped++
 				cur++
 				continue
 			}
-			sh.seam = append(sh.seam, inst)
+			r.add(cur, &inst)
 			cur += inst.Len
 		}
 	}
 	// The last shard decodes to len(code) and chunks are wider than any
 	// instruction, so the stream is complete once it is spliced or its
 	// seam walk reaches the end; nothing is left to decode here.
-	return nil
+	return r, nil
 }
 
-// materialize writes one shard's output — its seam instructions followed
-// by the authoritative suffix of its speculative stream — into the
-// shard's disjoint window of the final Insts slice. The suffix is
-// re-decoded boundary-by-boundary from the shard bitmap straight into
-// the final slots: phase 0 proved each decode succeeds, so this is a
-// pure materialization pass with no growth, no copies, and no error
-// handling beyond cancellation.
-func (sh *shard) materialize(ctx context.Context, code []byte, base uint64, mode Mode, out []Inst) {
-	i := sh.outPos
-	i += copy(out[i:], sh.seam)
-	if !sh.spliced || sh.authInsts == 0 {
-		return
-	}
-	done := ctx.Done()
-	bm := sh.sc.bits
-	rel := sh.authStart - sh.start
-	w := rel >> 6
-	// Mask off the speculative prefix below the splice point.
-	word := bm[w] &^ (1<<(rel&63) - 1)
-	next := sh.authStart
-	for {
-		for word == 0 {
-			w++
-			if w >= len(bm) {
-				return
-			}
-			word = bm[w]
-		}
-		off := sh.start + w<<6 + bits.TrailingZeros64(word)
-		word &= word - 1
-		if done != nil && off >= next {
-			if ctx.Err() != nil {
-				return
-			}
-			next = off + cancelStride
-		}
-		_ = DecodeInto(code[off:], base+uint64(off), mode, &out[i])
-		i++
-	}
-}
+// splice appends the authoritative suffix [from, sh.final) of a shard's
+// speculative stream.
+func (r *Records) splice(sh *shard, from int) {
+	sc := sh.sc
+	va := r.Base + uint64(from)
+	e := sort.Search(len(sc.endbrs), func(i int) bool { return sc.endbrs[i] >= va })
+	r.Endbrs = append(r.Endbrs, sc.endbrs[e:]...)
+	c := sort.Search(len(sc.calls), func(i int) bool { return sc.calls[i].Src >= va })
+	r.Calls = append(r.Calls, sc.calls[c:]...)
+	j := sort.Search(len(sc.jumps), func(i int) bool { return sc.jumps[i].Src >= va })
+	r.Jumps = append(r.Jumps, sc.jumps[j:]...)
+	k := sort.Search(len(sc.skips), func(i int) bool { return sc.skips[i] >= int32(from) })
+	r.Skipped += len(sc.skips) - k
 
-// stitchBits assembles the final boundary bitmap and rank directory:
-// seam instructions bit-by-bit, spliced shard suffixes by whole-word OR
-// from the chunk-local bitmaps (the first word masked below the splice
-// point), then one running-popcount pass for the ranks.
-func stitchBits(idx *Index, shards []shard) {
-	for i := range shards {
-		sh := &shards[i]
-		for _, inst := range sh.seam {
-			off := inst.Addr - idx.Base
-			idx.bits[off>>6] |= 1 << (off & 63)
+	rel := from - sh.start
+	gw, wf := sh.start>>6, rel>>6
+	if wf < len(sc.bits) {
+		r.bits[gw+wf] |= sc.bits[wf] &^ (1<<(rel&63) - 1)
+		for w := wf + 1; w < len(sc.bits); w++ {
+			r.bits[gw+w] |= sc.bits[w]
 		}
-		if !sh.spliced {
-			continue
-		}
-		localFrom := sh.authStart - sh.start
-		gw, wf := sh.start>>6, localFrom>>6
-		bm := sh.sc.bits
-		if wf < len(bm) {
-			idx.bits[gw+wf] |= bm[wf] &^ (1<<(localFrom&63) - 1)
-			for w := wf + 1; w < len(bm); w++ {
-				idx.bits[gw+w] |= bm[w]
-			}
-		}
-	}
-	var c int32
-	for w, word := range idx.bits {
-		idx.ranks[w] = c
-		c += int32(bits.OnesCount64(word))
 	}
 }

@@ -51,11 +51,13 @@ func LinearSweep(code []byte, base uint64, mode Mode, fn func(*Inst) bool) (skip
 
 // Index is the materialized form of one linear sweep: every decoded
 // instruction in address order plus enough bookkeeping to answer
-// address-range queries without re-decoding. Building the index costs one
-// sweep; afterwards any number of passes (entry identification, end-branch
-// classification, property studies, code-reference scans) can share it,
-// which is what makes the per-binary analysis context cheap. An Index is
-// immutable after construction and safe for concurrent readers.
+// address-range queries without re-decoding. It costs a records sweep
+// plus a second decode of every instruction into ~112 bytes each, so
+// only passes that read whole instructions (the baseline tool models'
+// recursive descent, code-reference and stack-height scans) build one;
+// FunSeeker's own identification reads the sparse Records instead. An
+// Index is immutable after construction and safe for concurrent
+// readers.
 type Index struct {
 	// Insts holds every decoded instruction in ascending address order.
 	Insts []Inst
@@ -68,9 +70,9 @@ type Index struct {
 	// Shards is the number of shards the index was decoded with
 	// (1 for a sequential BuildIndex).
 	Shards int
-	// StitchRetries counts the instructions BuildIndexParallel had to
-	// re-decode sequentially at shard seams before the speculative shard
-	// streams re-synchronized (0 for a sequential build).
+	// StitchRetries counts the instructions and skipped bytes the sharded
+	// sweep re-decoded sequentially at shard seams before the speculative
+	// shard streams re-synchronized (0 for a sequential build).
 	StitchRetries int
 
 	// Instruction boundaries are stored as a rank/select bitmap: one bit
@@ -90,79 +92,81 @@ type Index struct {
 // it. For large texts BuildIndexParallel produces an identical index
 // faster.
 //
-// The build is two-pass: a counting sweep that records only the boundary
-// bitmap (one reused cache-resident Inst, no stores into a growing
-// slice), then an exact-size materialization pass that decodes straight
-// into the final Insts slots. Profiles showed the old single-pass
-// append build spending over 70% of its time in growth memmoves and
-// per-instruction struct copies — Inst is ~112 bytes against a ~3-byte
-// average encoding, so the copy traffic dwarfs the decode itself. A
-// second decode pass is cheaper than one round of copying, and it
-// leaves the index allocating only its three final arrays.
+// The build is two-pass: the records sweep (SweepRecords) finds every
+// instruction boundary, then an exact-size materialization pass decodes
+// straight into the final Insts slots. Profiles showed the old
+// single-pass append build spending over 70% of its time in growth
+// memmoves and per-instruction struct copies — Inst is ~112 bytes
+// against a ~3-byte average encoding, so the copy traffic dwarfs the
+// decode itself. A second decode pass is cheaper than one round of
+// copying.
 func BuildIndex(code []byte, base uint64, mode Mode) *Index {
-	idx, _ := buildIndexSeq(noCancel, code, base, mode)
+	idx, _ := buildIndex(noCancel, code, base, mode, 1)
 	return idx
 }
 
-// buildIndexSeq is the shared sequential build behind BuildIndex and the
-// single-shard fallback of BuildIndexParallelCtx. A context that can
-// never cancel (noCancel / context.Background) skips every per-stride
-// check.
-func buildIndexSeq(ctx context.Context, code []byte, base uint64, mode Mode) (*Index, error) {
-	words := (len(code) + 63) / 64
-	idx := &Index{
-		Base:   base,
-		Shards: 1,
-		bits:   make([]uint64, words),
-		ranks:  make([]int32, words),
-		n:      len(code),
+// buildIndex is the shared build behind BuildIndex, BuildIndexParallel
+// and BuildIndexParallelCtx: one records sweep under the workers
+// strategy, then materialize. A context that can never cancel
+// (noCancel / context.Background) skips every per-stride check.
+func buildIndex(ctx context.Context, code []byte, base uint64, mode Mode, workers int) (*Index, error) {
+	r, err := SweepRecords(ctx, code, base, mode, workers)
+	if err != nil {
+		return nil, err
 	}
-	done := ctx.Done()
-	// Pass 1: count instructions and set boundary bits.
-	var inst Inst
-	total := 0
-	off, next := 0, 0
-	for off < len(code) {
-		if done != nil && off >= next {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			next = off + cancelStride
-		}
-		if err := DecodeInto(code[off:], base+uint64(off), mode, &inst); err != nil {
-			off++
-			idx.Skipped++
-			continue
-		}
-		idx.bits[off>>6] |= 1 << (off & 63)
-		total++
-		off += inst.Len
+	return r.materialize(ctx, code, mode, planShards(len(code), workers).conc)
+}
+
+// materialize builds the Index of a finished sweep: the rank directory
+// over the sweep's boundary bitmap, then every boundary decoded directly
+// into its final slot. Walking the bitmap instead of re-sweeping means
+// skipped (undecodable) bytes are never touched again, and decode
+// determinism guarantees every decode here succeeds with the length the
+// sweep measured. Pieces of maxShardBytes of text are decoded by up to
+// conc goroutines into disjoint windows of Insts. The index takes over
+// r's bitmap.
+func (r *Records) materialize(ctx context.Context, code []byte, mode Mode, conc int) (*Index, error) {
+	words := len(r.bits)
+	idx := &Index{
+		Base:          r.Base,
+		Skipped:       r.Skipped,
+		Shards:        r.Shards,
+		StitchRetries: r.StitchRetries,
+		bits:          r.bits,
+		ranks:         make([]int32, words),
+		n:             r.n,
 	}
 	var c int32
 	for w, word := range idx.bits {
 		idx.ranks[w] = c
 		c += int32(bits.OnesCount64(word))
 	}
-	// Pass 2: decode each boundary directly into its final slot. Walking
-	// the bitmap instead of re-sweeping means skipped (undecodable) bytes
-	// are never touched again, and decode determinism guarantees every
-	// decode here succeeds with the same length as pass 1.
-	idx.Insts = make([]Inst, total)
-	i := 0
-	next = 0
-	for w, word := range idx.bits {
-		if done != nil && w<<6 >= next {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	idx.Insts = make([]Inst, c)
+	const piece = maxShardBytes / 64 // bitmap words per work unit
+	done := ctx.Done()
+	runParallel((words+piece-1)/piece, conc, func(p int) {
+		lo, hi := p*piece, (p+1)*piece
+		if hi > words {
+			hi = words
+		}
+		next := lo << 6
+		for w := lo; w < hi; w++ {
+			if done != nil && w<<6 >= next {
+				if ctx.Err() != nil {
+					return
+				}
+				next = w<<6 + cancelStride
 			}
-			next = w<<6 + cancelStride
+			i := idx.ranks[w]
+			for word := idx.bits[w]; word != 0; word &= word - 1 {
+				off := w<<6 + bits.TrailingZeros64(word)
+				_ = DecodeInto(code[off:], r.Base+uint64(off), mode, &idx.Insts[i])
+				i++
+			}
 		}
-		for word != 0 {
-			off := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			_ = DecodeInto(code[off:], base+uint64(off), mode, &idx.Insts[i])
-			i++
-		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return idx, nil
 }

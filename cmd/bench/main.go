@@ -507,6 +507,24 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 				}
 			}
 		}},
+		// core/Refine is identify/Config5Large without its sweep: each
+		// op gets a fresh context whose sweep is primed outside the
+		// timer, so the row tracks the post-sweep work alone — the
+		// exception metadata, FILTERENDBR, both SELECTTAILCALL passes
+		// and the fusion.
+		benchmark{name: "core/Refine", fn: func(b *testing.B) {
+			b.SetBytes(int64(len(large.raw)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				actx := funseeker.NewContext(large.bin)
+				actx.Sweep()
+				b.StartTimer()
+				if _, err := funseeker.IdentifyCtx(context.Background(), actx, funseeker.Config5); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		benchmark{name: "classify/Endbrs", fn: func(b *testing.B) {
 			b.SetBytes(perBin)
 			b.ReportAllocs()

@@ -140,7 +140,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		defer close(jobs)
 		index := 0
 		for {
-			name, data, rerr := next()
+			m, rerr := next()
 			if rerr == io.EOF {
 				truncated <- false
 				return
@@ -160,13 +160,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			job := &batchJob{index: index, name: name, done: make(chan batchOutcome, 1)}
-			if len(data) == 0 {
-				job.skip = &batchRecord{Index: index, Name: name, Error: "empty member", Kind: "empty"}
-			} else if int64(len(data)) > s.cfg.maxBodyBytes {
-				job.skip = &batchRecord{Index: index, Name: name,
+			job := &batchJob{index: index, name: m.name, done: make(chan batchOutcome, 1)}
+			if m.tooLarge {
+				job.skip = &batchRecord{Index: index, Name: m.name,
 					Error: fmt.Sprintf("member exceeds the %d-byte per-binary limit", s.cfg.maxBodyBytes),
 					Kind:  "too_large"}
+			} else if len(m.data) == 0 {
+				job.skip = &batchRecord{Index: index, Name: m.name, Error: "empty member", Kind: "empty"}
 			}
 			select {
 			case jobs <- job:
@@ -178,7 +178,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				go func(raw []byte) {
 					res, aerr := s.eng.Analyze(ctx, raw, opts)
 					job.done <- batchOutcome{res: res, err: aerr}
-				}(data)
+				}(m.data)
 			}
 			index++
 		}
@@ -240,15 +240,28 @@ func (s *server) batchRecordFor(job *batchJob, out batchOutcome, configN int) *b
 	return &batchRecord{Index: job.index, Name: job.name, Result: &resp, StoreKey: out.res.StoreKey}
 }
 
+// batchMember is one archive member as the batch iterator hands it
+// over: its name and bytes, or tooLarge (and no bytes) when it is over
+// the per-binary cap.
+type batchMember struct {
+	name     string
+	data     []byte
+	tooLarge bool
+}
+
 // batchIterator returns a pull function over the uploaded archive's
-// members — (name, data, nil) per member, io.EOF at a clean end, any
+// members — one batchMember per member, io.EOF at a clean end, any
 // other error on framing damage — plus a drain that consumes the body
 // remainder. The format is chosen by Content-Type: multipart/form-data
 // streams its file parts, anything else is read as a tar stream. The
-// whole upload is capped at maxBatchBytes.
-func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (string, []byte, error), func(), error) {
+// whole upload is capped at maxBatchBytes. A member over maxBodyBytes is
+// never buffered: a tar member is judged by its header and its data
+// skipped, a multipart part is read to one byte past the cap and the
+// rest skipped.
+func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (batchMember, error), func(), error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBatchBytes)
 	drain := func() { _, _ = io.Copy(io.Discard, body) }
+	limit := s.cfg.maxBodyBytes
 	mediaType, params, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if mediaType == "multipart/form-data" {
 		boundary := params["boundary"]
@@ -256,14 +269,11 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 			return nil, nil, errors.New("multipart request without a boundary")
 		}
 		mr := multipart.NewReader(body, boundary)
-		return func() (string, []byte, error) {
+		return func() (batchMember, error) {
 			for {
 				part, err := mr.NextPart()
 				if err != nil {
-					if err == io.EOF {
-						return "", nil, io.EOF
-					}
-					return "", nil, err
+					return batchMember{}, err
 				}
 				if part.FileName() == "" && part.FormName() != "binary" {
 					continue // non-file fields (options, junk) are skipped
@@ -272,33 +282,36 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 				if name == "" {
 					name = part.FormName()
 				}
-				data, err := io.ReadAll(part)
+				data, err := io.ReadAll(io.LimitReader(part, limit+1))
 				if err != nil {
-					return "", nil, err
+					return batchMember{}, err
 				}
-				return name, data, nil
+				if int64(len(data)) > limit {
+					return batchMember{name: name, tooLarge: true}, nil
+				}
+				return batchMember{name: name, data: data}, nil
 			}
 		}, drain, nil
 	}
 	// Tar: regular files only; directories and special members skipped.
 	tr := tar.NewReader(body)
-	return func() (string, []byte, error) {
+	return func() (batchMember, error) {
 		for {
 			hdr, err := tr.Next()
 			if err != nil {
-				if err == io.EOF {
-					return "", nil, io.EOF
-				}
-				return "", nil, err
+				return batchMember{}, err
 			}
 			if hdr.Typeflag != tar.TypeReg {
 				continue
 			}
+			if hdr.Size > limit {
+				return batchMember{name: hdr.Name, tooLarge: true}, nil // Next skips the data
+			}
 			data, err := io.ReadAll(tr)
 			if err != nil {
-				return "", nil, err
+				return batchMember{}, err
 			}
-			return hdr.Name, data, nil
+			return batchMember{name: hdr.Name, data: data}, nil
 		}
 	}, drain, nil
 }

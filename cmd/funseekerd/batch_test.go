@@ -516,6 +516,65 @@ func TestBatchOversizedMember(t *testing.T) {
 	}
 }
 
+// TestBatchOversizedMemberNotBuffered: a member 64× over the
+// per-binary cap is rejected without being read into memory — by its
+// tar header, or after one byte past the cap of a multipart part — so
+// the request allocates far less than the member's size, and the
+// records are the same as for any oversized member.
+func TestBatchOversizedMemberNotBuffered(t *testing.T) {
+	const maxBody = 256 << 10
+	ts, _ := newTestServerEngine(t, engine.Config{Jobs: 2},
+		serverConfig{maxBodyBytes: maxBody, maxBatchBytes: 64 << 20})
+	raw := testELFs(t, 1)[0]
+	if len(raw) > maxBody {
+		t.Fatalf("test ELF is %d bytes, over the %d-byte cap", len(raw), maxBody)
+	}
+	big := bytes.Repeat([]byte{0x90}, 64*maxBody)
+
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
+	for _, m := range []tarMember{{"fine", raw}, {"huge", big}, {"fine2", raw}} {
+		fw, err := mw.CreateFormFile("binary", m.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(m.data)
+	}
+	mw.Close()
+
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"tar", "application/x-tar", tarArchive(t, []tarMember{{"fine", raw}, {"huge", big}, {"fine2", raw}})},
+		{"multipart", mw.FormDataContentType(), form.Bytes()},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(ts.URL+"/v1/batch", tc.contentType, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := decodeNDJSON(t, resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+
+		if len(recs) != 3 || recs[1].Name != "huge" || recs[1].Kind != "too_large" {
+			t.Fatalf("%s: records %+v, want the middle one too_large", tc.name, recs)
+		}
+		if recs[0].Result == nil || recs[2].Result == nil {
+			t.Fatalf("%s: neighbors of the oversized member did not analyze", tc.name)
+		}
+		if sum := lastSummary; sum.Items != 3 || sum.OK != 2 || sum.Errors != 1 || sum.Truncated {
+			t.Fatalf("%s: summary = %+v", tc.name, sum)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(len(big))/4 {
+			t.Errorf("%s: request allocated %d bytes for a %d-byte oversized member", tc.name, alloc, len(big))
+		}
+	}
+}
+
 // grepLines filters text to lines containing needle, for terse failure
 // output.
 func grepLines(text, needle string) string {

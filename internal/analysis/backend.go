@@ -97,24 +97,16 @@ func (b x86Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 		Endbrs:        r.Endbrs,
 		JumpRefs:      r.Jumps,
 	}
-	for _, e := range r.Endbrs {
-		if t, ok := r.CallBefore(e); ok {
-			if name, ok := bin.PLTName(t); ok && cet.IsIndirectReturnFunc(name) {
-				sw.AfterIRCall = append(sw.AfterIRCall, e)
-			}
+	r.AfterCalls(func(e, target uint64) {
+		if name, ok := bin.PLTName(target); ok && cet.IsIndirectReturnFunc(name) {
+			sw.AfterIRCall = append(sw.AfterIRCall, e)
 		}
-	}
+	})
 	calls := make([]uint64, len(r.Calls))
 	for i, c := range r.Calls {
 		calls[i] = c.Target
 	}
-	var uncond []uint64
-	for _, j := range r.Jumps {
-		if !j.Cond {
-			uncond = append(uncond, j.Target)
-		}
-	}
-	sw.finishSets(bin, calls, uncond)
+	sw.finishSets(bin, calls)
 	return sw, nil
 }
 
@@ -157,7 +149,7 @@ func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 		return nil, err
 	}
 	sw := &Sweep{Arch: elfx.ArchAArch64, ARM64: ix, Shards: 1}
-	var calls, uncond []uint64
+	var calls []uint64
 	for i := range ix.Insts {
 		inst := &ix.Insts[i]
 		switch inst.Class {
@@ -176,11 +168,10 @@ func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 		case arm64.ClassB:
 			if inst.HasTarget {
 				sw.JumpRefs = append(sw.JumpRefs, JumpRef{Src: inst.Addr, Target: inst.Target})
-				uncond = append(uncond, inst.Target)
 			}
 		}
 	}
-	sw.finishSets(bin, calls, uncond)
+	sw.finishSets(bin, calls)
 	return sw, nil
 }
 
@@ -189,28 +180,40 @@ func (arm64Backend) ScanMarkers(text []byte, base uint64) []uint64 {
 	return arm64.ScanCallPads(text, base)
 }
 
-// finishSets derives the target sets every backend shares from the
-// sweep's raw call targets and unconditional jump targets (both consumed
-// in place): AllCallTargets and UncondJumpTargets sorted and
-// deduplicated, and C and J restricted to .text — J over every recorded
-// jump, conditional or not.
-func (sw *Sweep) finishSets(bin *elfx.Binary, calls, uncond []uint64) {
+// finishSets derives the sets every backend shares from the sweep's raw
+// call targets (consumed in place) and its JumpRefs, ordering each once:
+// AllCallTargets is the sorted, deduplicated calls and C its .text
+// range; JumpOrder is the one stable sort of the jumps by target, and J
+// (every recorded jump, conditional or not, restricted to .text) and
+// UncondJumpTargets are dedupe walks over it.
+func (sw *Sweep) finishSets(bin *elfx.Binary, calls []uint64) {
 	sw.AllCallTargets = sortCompact(calls)
-	for _, t := range sw.AllCallTargets {
-		if bin.InText(t) {
-			sw.CallTargets = append(sw.CallTargets, t)
+	sw.CallTargets = textRange(bin, sw.AllCallTargets)
+
+	targets := make([]uint64, len(sw.JumpRefs))
+	sw.JumpOrder = make([]int32, len(sw.JumpRefs))
+	for i, j := range sw.JumpRefs {
+		targets[i] = j.Target
+		sw.JumpOrder[i] = int32(i)
+	}
+	sortKeys(targets, sw.JumpOrder)
+	for _, i := range sw.JumpOrder {
+		if j := sw.JumpRefs[i]; !j.Cond {
+			if n := len(sw.UncondJumpTargets); n == 0 || sw.UncondJumpTargets[n-1] != j.Target {
+				sw.UncondJumpTargets = append(sw.UncondJumpTargets, j.Target)
+			}
 		}
 	}
-	sw.UncondJumpTargets = sortCompact(uncond)
-	jumps := make([]uint64, len(sw.JumpRefs))
-	for i, j := range sw.JumpRefs {
-		jumps[i] = j.Target
-	}
-	sw.JumpTargets = slices.DeleteFunc(sortCompact(jumps), func(a uint64) bool { return !bin.InText(a) })
+	sw.JumpTargets = textRange(bin, slices.Compact(targets))
 }
 
-// sortCompact sorts s in place and drops duplicates.
-func sortCompact(s []uint64) []uint64 {
-	slices.Sort(s)
-	return slices.Compact(s)
+// textRange returns the sub-slice of the ascending set that lies inside
+// .text — a contiguous run, since .text is one address interval.
+func textRange(bin *elfx.Binary, set []uint64) []uint64 {
+	lo, _ := slices.BinarySearch(set, bin.TextAddr)
+	hi := lo
+	for hi < len(set) && bin.InText(set[hi]) {
+		hi++
+	}
+	return set[lo:hi:hi]
 }

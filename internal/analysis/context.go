@@ -30,7 +30,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -90,18 +89,16 @@ type Sweep struct {
 	// SELECTTAILCALL, ascending by Src: conditional and unconditional on
 	// x86, unconditional only on AArch64 (matching the BTI algorithm's J).
 	JumpRefs []JumpRef
+	// JumpOrder is the JumpRefs indexes ordered by Target, stably: within
+	// one target the indexes — and so the sources — ascend. It is the
+	// sweep's one ordering of its jumps; JumpTargets, UncondJumpTargets
+	// and both SELECTTAILCALL passes walk it instead of sorting again.
+	JumpOrder []int32
 	// JumpTargets is J restricted to .text, ascending.
 	JumpTargets []uint64
 	// UncondJumpTargets is the unconditional-only targets (any address),
 	// ascending — the DirJmpTarget property of the Figure 3 study.
 	UncondJumpTargets []uint64
-}
-
-// Has reports whether the ascending address slice set contains addr —
-// the one membership test over every Sweep set.
-func Has(set []uint64, addr uint64) bool {
-	_, ok := slices.BinarySearch(set, addr)
-	return ok
 }
 
 // memo is one lazily computed, cancel-aware artifact slot.
@@ -195,7 +192,7 @@ type Context struct {
 	ehErr   error
 
 	padsOnce onceStage
-	pads     map[uint64]bool
+	pads     []uint64
 	padsErr  error
 
 	fdeIxOnce onceStage
@@ -333,24 +330,21 @@ func (ix *FDEIndex) Interior(addr uint64) bool {
 // performs at most one .eh_frame parse). Binaries without .eh_frame
 // yield an empty index.
 func (c *Context) FDEIndex() (*FDEIndex, error) {
-	c.fdeIxOnce.do(&c.stats.fdeIndex, func() {
-		fdes, err := c.FDEs()
-		if err != nil {
-			c.fdeIxErr = err
-			return
+	c.fdeIxOnce.doAfter(&c.stats.fdeIndex, func() { _, c.fdeIxErr = c.FDEs() }, func() {
+		if c.fdeIxErr == nil {
+			c.fdeIx = buildFDEIndex(c.bin, c.fdes)
 		}
-		c.fdeIx = buildFDEIndex(c.bin, fdes)
 	})
 	return c.fdeIx, c.fdeIxErr
 }
 
 // buildFDEIndex materializes the start set and merged coverage intervals
-// for the FDEs that land in .text.
+// for the FDEs that land in .text. Starts and interval begins go through
+// sortKeys, so the index costs a few linear passes over the FDEs.
 func buildFDEIndex(bin *elfx.Binary, fdes []ehframe.FDE) *FDEIndex {
-	textEnd := bin.TextAddr + uint64(len(bin.Text))
-	ix := &FDEIndex{}
-	type iv struct{ begin, end uint64 }
-	ivs := make([]iv, 0, len(fdes))
+	textEnd := bin.TextEnd()
+	ix := &FDEIndex{Starts: make([]uint64, 0, len(fdes))}
+	begins, ends := make([]uint64, 0, len(fdes)), make([]uint64, 0, len(fdes))
 	for _, fde := range fdes {
 		if fde.PCBegin < bin.TextAddr || fde.PCBegin >= textEnd {
 			continue
@@ -361,44 +355,40 @@ func buildFDEIndex(bin *elfx.Binary, fdes []ehframe.FDE) *FDEIndex {
 			end = textEnd
 		}
 		if end > fde.PCBegin {
-			ivs = append(ivs, iv{fde.PCBegin, end})
+			begins = append(begins, fde.PCBegin)
+			ends = append(ends, end)
 		}
 	}
 	ix.Starts = sortCompact(ix.Starts)
-	slices.SortFunc(ivs, func(a, b iv) int {
-		switch {
-		case a.begin < b.begin:
-			return -1
-		case a.begin > b.begin:
-			return 1
-		}
-		return 0
-	})
-	for _, v := range ivs {
+	order := make([]int32, len(begins))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sortKeys(begins, order)
+	for i, begin := range begins {
+		end := ends[order[i]]
 		n := len(ix.begins)
-		if n > 0 && v.begin <= ix.ends[n-1] {
-			if v.end > ix.ends[n-1] {
-				ix.ends[n-1] = v.end
+		if n > 0 && begin <= ix.ends[n-1] {
+			if end > ix.ends[n-1] {
+				ix.ends[n-1] = end
 			}
 			continue
 		}
-		ix.begins = append(ix.begins, v.begin)
-		ix.ends = append(ix.ends, v.end)
+		ix.begins = append(ix.begins, begin)
+		ix.ends = append(ix.ends, end)
 	}
 	return ix
 }
 
-// LandingPads returns the memoized exception landing-pad set, derived
-// from the memoized FDE records (so the whole context performs at most
-// one .eh_frame parse). The returned map is read-only.
-func (c *Context) LandingPads() (map[uint64]bool, error) {
-	c.padsOnce.do(&c.stats.landingPad, func() {
-		fdes, err := c.FDEs()
-		if err != nil {
-			c.pads, c.padsErr = nil, err
-			return
+// LandingPads returns the memoized exception landing-pad set — every
+// landing-pad address, ascending and deduplicated (query it with Has) —
+// derived from the memoized FDE records, so the whole context performs
+// at most one .eh_frame parse. The returned slice is read-only.
+func (c *Context) LandingPads() ([]uint64, error) {
+	c.padsOnce.doAfter(&c.stats.landingPad, func() { _, c.padsErr = c.FDEs() }, func() {
+		if c.padsErr == nil {
+			c.pads = sortCompact(ehinfo.LandingPadsFromFDEs(c.bin, c.fdes))
 		}
-		c.pads = ehinfo.LandingPadsFromFDEs(c.bin, fdes)
 	})
 	return c.pads, c.padsErr
 }

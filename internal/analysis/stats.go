@@ -177,8 +177,19 @@ type onceStage struct {
 }
 
 func (o *onceStage) do(c *stageCounter, fn func()) {
+	o.doAfter(c, nil, fn)
+}
+
+// doAfter is do for a stage built from another stage's artifact: on the
+// first call deps (when non-nil) fetches that artifact before the clock
+// starts, so the nested stage is charged to its own counter only and the
+// stage times of one request add up to no more than its wall time.
+func (o *onceStage) doAfter(c *stageCounter, deps, fn func()) {
 	ran := false
 	o.once.Do(func() {
+		if deps != nil {
+			deps()
+		}
 		start := time.Now()
 		fn()
 		c.observe(time.Since(start))

@@ -187,9 +187,9 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 	}
 
 	// FILTERENDBR. Every address set from here on is an ascending,
-	// deduplicated slice.
-	filterStart := time.Now()
-	landingPads := map[uint64]bool{}
+	// deduplicated slice. The landing-pad set is its own memoized stage,
+	// so the filter clock starts once it is in hand.
+	var landingPads []uint64
 	if opts.FilterEndbr {
 		pads, err := actx.LandingPads()
 		if err != nil {
@@ -203,14 +203,16 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 			landingPads = pads
 		}
 	}
+	filterStart := time.Now()
 	kept := make([]uint64, 0, len(endbrs))
+	afterIR, pads := cursor{sw.AfterIRCall}, cursor{landingPads}
 	for _, e := range endbrs {
 		if opts.FilterEndbr {
-			if analysis.Has(sw.AfterIRCall, e) {
+			if afterIR.has(e) {
 				report.FilteredIndirectReturn++
 				continue
 			}
-			if landingPads[e] {
+			if pads.has(e) {
 				report.FilteredLandingPads++
 				continue
 			}
@@ -228,7 +230,7 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 	switch {
 	case opts.UseJumpTargets && opts.SelectTailCall:
 		tailStart := time.Now()
-		tails = selectTailCalls(bin, sw.JumpRefs, candidates, opts.TailBoundaryOnly)
+		tails = selectTailCalls(bin, sw, candidates, opts.TailBoundaryOnly)
 		actx.ObserveTailCall(time.Since(tailStart))
 		candidates = union(candidates, tails)
 	case opts.UseJumpTargets:
@@ -266,7 +268,7 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 // function) and not landing pads. Both steps are purely additive; it
 // returns the enlarged candidate and tail-call sets.
 func fuseEH(actx *analysis.Context, bin *elfx.Binary, sw *analysis.Sweep, opts Options,
-	report *Report, candidates, tails []uint64, landingPads map[uint64]bool) ([]uint64, []uint64) {
+	report *Report, candidates, tails, landingPads []uint64) ([]uint64, []uint64) {
 	ix, err := actx.FDEIndex()
 	if err != nil {
 		// Same degradation contract as FILTERENDBR: corrupt exception
@@ -293,11 +295,12 @@ func fuseEH(actx *analysis.Context, bin *elfx.Binary, sw *analysis.Sweep, opts O
 	// are legitimately jump targets — so every FDE start counts.
 	cet := len(sw.Endbrs) > 0
 	var fused []uint64
+	pads, known, jumpTargets := cursor{landingPads}, cursor{candidates}, cursor{sw.JumpTargets}
 	for _, start := range ix.Starts {
-		if landingPads[start] || analysis.Has(candidates, start) {
+		if pads.has(start) || known.has(start) {
 			continue
 		}
-		if cet && analysis.Has(sw.JumpTargets, start) {
+		if cet && jumpTargets.has(start) {
 			continue
 		}
 		fused = append(fused, start)
@@ -311,13 +314,28 @@ func fuseEH(actx *analysis.Context, bin *elfx.Binary, sw *analysis.Sweep, opts O
 		tailStart := time.Now()
 		// selectTailCalls never returns a known start, and the first
 		// pass's tails are already candidates.
-		more := slices.DeleteFunc(selectTailCalls(bin, sw.JumpRefs, candidates, opts.TailBoundaryOnly),
-			func(t uint64) bool { return landingPads[t] || ix.Interior(t) })
+		more := slices.DeleteFunc(selectTailCalls(bin, sw, candidates, opts.TailBoundaryOnly),
+			func(t uint64) bool { return analysis.Has(landingPads, t) || ix.Interior(t) })
 		actx.ObserveTailCall(time.Since(tailStart))
 		tails = union(tails, more)
 		candidates = union(candidates, more)
 	}
 	return candidates, tails
+}
+
+// cursor answers membership in one ascending address set for
+// non-decreasing queries: a merge walk whose position only moves
+// forward, so n queries against a set of m addresses cost O(n+m)
+// instead of n binary searches.
+type cursor struct{ set []uint64 }
+
+// has reports whether addr is in the set. addr must be no smaller than
+// the previous query.
+func (c *cursor) has(addr uint64) bool {
+	for len(c.set) > 0 && c.set[0] < addr {
+		c.set = c.set[1:]
+	}
+	return len(c.set) > 0 && c.set[0] == addr
 }
 
 // union merges two ascending address slices into a new ascending,
@@ -345,15 +363,5 @@ func union(a, b []uint64) []uint64 {
 	for ; j < len(b); j++ {
 		push(b[j])
 	}
-	return out
-}
-
-// setToSorted converts an address set to a sorted slice.
-func setToSorted(set map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	slices.Sort(out)
 	return out
 }

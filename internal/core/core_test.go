@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"testing"
+	"time"
 
+	"github.com/funseeker/funseeker/internal/analysis"
 	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/groundtruth"
 	"github.com/funseeker/funseeker/internal/synth"
@@ -335,4 +339,40 @@ func TestReportSetsSorted(t *testing.T) {
 	assertSorted("CallTargets", report.CallTargets)
 	assertSorted("JumpTargets", report.JumpTargets)
 	assertSorted("TailCallTargets", report.TailCallTargets)
+}
+
+// TestIdentifyStageClocksAddUp: every stage one configuration-⑤ run
+// charges to a fresh context — the sweep, the .eh_frame parse, the
+// landing-pad set, the FDE index, FILTERENDBR and both SELECTTAILCALL
+// passes — is timed on its own clock, started once its inputs are in
+// hand, so the stage times add up to no more than the run's wall time.
+func TestIdentifyStageClocksAddUp(t *testing.T) {
+	spec := studySpec(synth.LangCPP)
+	for i := 0; i < 200; i++ {
+		spec.Funcs = append(spec.Funcs, synth.FuncSpec{
+			Name: fmt.Sprintf("thrower%d", i), HasEH: true, NumLandingPads: 3,
+			CallsPLT: []string{"__cxa_throw"},
+		})
+		spec.Funcs[0].Calls = append(spec.Funcs[0].Calls, len(spec.Funcs)-1)
+	}
+	bin, _ := compileAndLoad(t, spec, defaultCfg())
+	for trial := 0; trial < 3; trial++ {
+		actx := analysis.NewContext(bin)
+		start := time.Now()
+		if _, err := IdentifyCtx(context.Background(), actx, Config5); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(start)
+		var sum time.Duration
+		var charged []string
+		actx.Stats().EachStage(func(name string, st analysis.StageStat) {
+			sum += st.Time
+			if st.Computes > 0 {
+				charged = append(charged, name)
+			}
+		})
+		if sum > wall {
+			t.Fatalf("stage times %v sum to %v, more than the run's wall time %v", charged, sum, wall)
+		}
+	}
 }

@@ -15,17 +15,8 @@ import (
 // function start from the FDE). The set is memoized per binary in
 // analysis.Context; see Context.LandingPads.
 
-// LandingPads exposes the landing-pad computation for tools and studies.
+// LandingPads exposes the landing-pad computation for tools and studies:
+// the sorted landing-pad addresses, from a private analysis context.
 func LandingPads(bin *elfx.Binary) ([]uint64, error) {
-	return LandingPadsWithContext(analysis.NewContext(bin))
-}
-
-// LandingPadsWithContext returns the sorted landing-pad addresses from
-// the shared analysis context.
-func LandingPadsWithContext(actx *analysis.Context) ([]uint64, error) {
-	set, err := actx.LandingPads()
-	if err != nil {
-		return nil, err
-	}
-	return setToSorted(set), nil
+	return analysis.NewContext(bin).LandingPads()
 }

@@ -49,7 +49,7 @@ func ClassifyEndbrsWithContext(actx *analysis.Context) (EndbrDistribution, error
 		switch {
 		case analysis.Has(sw.AfterIRCall, e):
 			dist.IndirectReturn++
-		case pads[e]:
+		case analysis.Has(pads, e):
 			dist.Exception++
 		default:
 			dist.FuncEntry++

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"github.com/funseeker/funseeker/internal/analysis"
 	"github.com/funseeker/funseeker/internal/elfx"
 )
@@ -24,59 +21,64 @@ import (
 // harness: without the multi-reference requirement every interior jump
 // that happens to cross an approximated boundary becomes a function.
 //
-// jumps must be ascending by Src (every backend's JumpRefs are) and
-// known ascending and deduplicated; the result is ascending. The jumps
-// are walked once with a cursor over known, producing one (target,
-// source function, escapes) triple per in-text jump; sorting the triples
-// by (target, source function) then puts each target's evidence in one
-// run, where distinct sources are adjacent. No per-target set is built.
-func selectTailCalls(bin *elfx.Binary, jumps []analysis.JumpRef, known []uint64, boundaryOnly bool) []uint64 {
-	type ref struct {
-		target, fn uint64 // fn: start of the known function containing the jump, 0 if none
-		escapes    bool
-	}
-	refs := make([]ref, 0, len(jumps))
-	k := 0 // known[:k] are the starts <= the current jump's Src
+// known must be ascending and deduplicated; the result is ascending.
+// The work is two linear walks over the sweep's jumps and no sort: one
+// cursor walk over known in Src order finds each jump's containing
+// function and whether the jump leaves it, then a walk over
+// sw.JumpOrder visits each target's jumps as one run. A run's sources
+// ascend and the containing function is monotone in the source, so
+// distinct source functions are adjacent in the run and are counted
+// without a set.
+func selectTailCalls(bin *elfx.Binary, sw *analysis.Sweep, known []uint64, boundaryOnly bool) []uint64 {
+	jumps := sw.JumpRefs
 	textEnd := bin.TextEnd()
-	for _, j := range jumps {
-		if !bin.InText(j.Target) {
-			continue
-		}
+	// fn[i]>>1 is the index in known of the start of the function
+	// containing jumps[i] (-1 if none); bit 0 is set when the jump
+	// escapes that function's extent [known[k-1], known[k]).
+	fn := make([]int32, len(jumps))
+	k := 0 // known[:k] are the starts <= the current jump's Src
+	for i, j := range jumps {
 		for k < len(known) && known[k] <= j.Src {
 			k++
 		}
-		fn, next := uint64(0), textEnd
+		lo, hi := uint64(0), textEnd
 		if k > 0 {
-			fn = known[k-1]
+			lo = known[k-1]
 		}
 		if k < len(known) {
-			next = known[k]
+			hi = known[k]
 		}
-		// The jump escapes its function when it leaves [fn, next).
-		refs = append(refs, ref{target: j.Target, fn: fn, escapes: j.Target < fn || j.Target >= next})
+		fn[i] = int32(k-1) << 1
+		if j.Target < lo || j.Target >= hi {
+			fn[i] |= 1
+		}
 	}
-	slices.SortFunc(refs, func(a, b ref) int {
-		if c := cmp.Compare(a.target, b.target); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.fn, b.fn)
-	})
 
+	order := sw.JumpOrder
+	isKnown := cursor{known} // runs come in ascending target order
 	var out []uint64
-	for i := 0; i < len(refs); {
-		target := refs[i].target
-		escapes, sources := false, 0
-		j := i
-		for ; j < len(refs) && refs[j].target == target; j++ {
-			escapes = escapes || refs[j].escapes
-			if j == i || refs[j].fn != refs[j-1].fn {
-				sources++
-			}
+	for i := 0; i < len(order); {
+		target := jumps[order[i]].Target
+		end := i + 1
+		for end < len(order) && jumps[order[end]].Target == target {
+			end++
 		}
-		i = j
+		run := order[i:end]
+		i = end
+		if !bin.InText(target) {
+			continue
+		}
+		escapes, sources, prev := false, 0, int32(-2)
+		for _, x := range run {
+			if f := fn[x] >> 1; f != prev {
+				sources++
+				prev = f
+			}
+			escapes = escapes || fn[x]&1 != 0
+		}
 		switch {
 		case !escapes:
-		case analysis.Has(known, target): // already identified via E′ ∪ C
+		case isKnown.has(target): // already identified via E′ ∪ C
 		case !boundaryOnly && sources < 2:
 			// "Referenced by multiple functions": more than one distinct
 			// source function must jump here.

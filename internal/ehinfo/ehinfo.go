@@ -17,10 +17,11 @@ import (
 // landing pad: for each FDE carrying an LSDA pointer, the LSDA call-site
 // table is decoded with the FDE's pc-begin as the landing-pad base
 // (LPStart is omitted in compiler-emitted tables). A single undecodable
-// LSDA is skipped; a structurally broken .eh_frame is an error.
-func LandingPadSet(bin *elfx.Binary) (map[uint64]bool, error) {
+// LSDA is skipped; a structurally broken .eh_frame is an error. The
+// addresses come in FDE order and may repeat (see LandingPadsFromFDEs).
+func LandingPadSet(bin *elfx.Binary) ([]uint64, error) {
 	if len(bin.EHFrame) == 0 || len(bin.ExceptTable) == 0 {
-		return make(map[uint64]bool), nil
+		return nil, nil
 	}
 	fdes, err := ehframe.Parse(bin.EHFrame, bin.EHFrameAddr, bin.PtrSize())
 	if err != nil {
@@ -29,14 +30,16 @@ func LandingPadSet(bin *elfx.Binary) (map[uint64]bool, error) {
 	return LandingPadsFromFDEs(bin, fdes), nil
 }
 
-// LandingPadsFromFDEs computes the landing-pad set from already-parsed FDE
+// LandingPadsFromFDEs computes the landing pads from already-parsed FDE
 // records, letting callers that have the .eh_frame parse memoized (the
-// analysis context) skip re-parsing the section.
-func LandingPadsFromFDEs(bin *elfx.Binary, fdes []ehframe.FDE) map[uint64]bool {
-	pads := make(map[uint64]bool)
+// analysis context) skip re-parsing the section. The pads are appended
+// in FDE order, unsorted and possibly repeated; ordering them is the
+// caller's one sort.
+func LandingPadsFromFDEs(bin *elfx.Binary, fdes []ehframe.FDE) []uint64 {
 	if len(bin.ExceptTable) == 0 {
-		return pads
+		return nil
 	}
+	var pads []uint64
 	for _, fde := range fdes {
 		if !fde.HasLSDA || fde.LSDA < bin.ExceptTableAddr {
 			continue
@@ -49,9 +52,7 @@ func LandingPadsFromFDEs(bin *elfx.Binary, fdes []ehframe.FDE) map[uint64]bool {
 		if err != nil {
 			continue
 		}
-		for _, pad := range table.LandingPads() {
-			pads[pad] = true
-		}
+		pads = table.AppendLandingPads(pads)
 	}
 	return pads
 }

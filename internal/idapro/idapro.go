@@ -60,10 +60,7 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	// to their parent functions, so catch blocks are not promoted to
 	// functions by the orphan rescue. (It still does not use end-branch
 	// instructions or FDE starts for identification.)
-	pads, err := actx.LandingPads()
-	if err != nil {
-		pads = map[uint64]bool{}
-	}
+	pads, _ := actx.LandingPads() // unreadable metadata: no pads
 
 	// Seed: the program entry point plus code-referenced addresses
 	// (IDA's immediate/offset analysis finds lea rdi, [rip+func] and
@@ -119,7 +116,7 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 			// chunks — small orphan stubs (e.g. most exception landing
 			// pads) are left as loose code, though large pads still slip
 			// through as spurious functions.
-			if chunkStart && !pads[va] && chunkLen(bin, res.Covered, va) >= minRescueChunk &&
+			if chunkStart && !analysis.Has(pads, va) && chunkLen(bin, res.Covered, va) >= minRescueChunk &&
 				recdesc.ContainsEarlyCallIndexed(bin, idx, va, 8) {
 				accepted = true
 				report.FromOrphanRescue++

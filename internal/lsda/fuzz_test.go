@@ -36,7 +36,7 @@ func FuzzParse(f *testing.F) {
 		if len(data) > 0 && data[0] == 0xff && table.FuncStart != funcStart {
 			t.Fatalf("FuncStart %#x != supplied %#x", table.FuncStart, funcStart)
 		}
-		for _, pad := range table.LandingPads() {
+		for _, pad := range table.AppendLandingPads(nil) {
 			if pad == table.FuncStart {
 				t.Fatalf("zero-offset landing pad leaked through (input %x)", data)
 			}

@@ -50,15 +50,16 @@ type Table struct {
 	RawLen int
 }
 
-// LandingPads returns the absolute addresses of all non-zero landing pads.
-func (t *Table) LandingPads() []uint64 {
-	pads := make([]uint64, 0, len(t.CallSites))
+// AppendLandingPads appends the absolute addresses of all non-zero
+// landing pads to dst, in call-site order, and returns the extended
+// slice.
+func (t *Table) AppendLandingPads(dst []uint64) []uint64 {
 	for _, cs := range t.CallSites {
 		if cs.LandingPad != 0 {
-			pads = append(pads, t.FuncStart+cs.LandingPad)
+			dst = append(dst, t.FuncStart+cs.LandingPad)
 		}
 	}
-	return pads
+	return dst
 }
 
 // ErrMalformed is returned for undecodable LSDA bytes.
@@ -115,7 +116,9 @@ func Parse(data []byte, funcStart uint64) (*Table, error) {
 	if csEnd > len(data) {
 		return nil, fmt.Errorf("%w: call-site table overruns data", ErrMalformed)
 	}
-	var sites []CallSite
+	// Each call site takes at least four bytes (four ULEB128 fields), and
+	// the table lies inside data (an overflowed csEnd reads as empty).
+	sites := make([]CallSite, 0, max(0, csEnd-r.Offset())/4)
 	maxAction := uint64(0)
 	for r.Offset() < csEnd {
 		var cs CallSite

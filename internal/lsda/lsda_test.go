@@ -25,7 +25,7 @@ func TestRoundtripSimple(t *testing.T) {
 	if !reflect.DeepEqual(table.CallSites, sites) {
 		t.Fatalf("call sites = %+v, want %+v", table.CallSites, sites)
 	}
-	pads := table.LandingPads()
+	pads := table.AppendLandingPads(nil)
 	want := []uint64{0x401100, 0x401140}
 	if !reflect.DeepEqual(pads, want) {
 		t.Fatalf("landing pads = %#x, want %#x", pads, want)
@@ -43,14 +43,14 @@ func TestMultipleLSDAsPacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pads := t1.LandingPads(); len(pads) != 1 || pads[0] != 0x1040 {
+	if pads := t1.AppendLandingPads(nil); len(pads) != 1 || pads[0] != 0x1040 {
 		t.Fatalf("LSDA1 pads = %#x", pads)
 	}
 	t2, err := Parse(data[off2:], 0x2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pads := t2.LandingPads(); len(pads) != 1 || pads[0] != 0x2080 {
+	if pads := t2.AppendLandingPads(nil); len(pads) != 1 || pads[0] != 0x2080 {
 		t.Fatalf("LSDA2 pads = %#x", pads)
 	}
 	t3, err := Parse(data[off3:], 0x3000)
@@ -100,7 +100,7 @@ func TestNoLandingPads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pads := table.LandingPads(); len(pads) != 0 {
+	if pads := table.AppendLandingPads(nil); len(pads) != 0 {
 		t.Fatalf("got %d pads, want 0", len(pads))
 	}
 }
@@ -165,7 +165,7 @@ func TestParseWithExplicitLPStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pads := table.LandingPads()
+	pads := table.AppendLandingPads(nil)
 	if len(pads) != 1 || pads[0] != 0x5040 {
 		t.Fatalf("pads = %#x, want [0x5040]", pads)
 	}
@@ -197,7 +197,7 @@ func TestParseWithTypeTable(t *testing.T) {
 	if table.RawLen != len(data) {
 		t.Fatalf("RawLen = %d, want %d", table.RawLen, len(data))
 	}
-	if pads := table.LandingPads(); len(pads) != 1 || pads[0] != 0x2020 {
+	if pads := table.AppendLandingPads(nil); len(pads) != 1 || pads[0] != 0x2020 {
 		t.Fatalf("pads = %#x", pads)
 	}
 }

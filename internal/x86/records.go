@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // Ref is one direct branch the sweep decoded: the instruction's address,
@@ -159,27 +158,31 @@ func (r *Records) prevBoundary(off int) int {
 	return w<<6 + 63 - bits.LeadingZeros64(word)
 }
 
-// CallBefore reports the target of the direct call that is the decoded
-// instruction immediately preceding the instruction at va — "preceding"
-// in the sweep's own stream, so undecodable bytes between the two are
-// stepped over, exactly as a walk over the materialized instructions
-// would. ok is false when va is not inside the swept text, no
-// instruction precedes it, or the preceding instruction is not a direct
-// call.
-func (r *Records) CallBefore(va uint64) (target uint64, ok bool) {
-	if va < r.Base || va-r.Base >= uint64(r.n) {
-		return 0, false
+// AfterCalls calls f, in ascending order, for every end branch whose
+// preceding decoded instruction is a direct call, with that call's
+// target — "preceding" in the sweep's own stream, so undecodable bytes
+// between the two are stepped over, exactly as a walk over the
+// materialized instructions would. It is one merge walk over the
+// ascending Endbrs and Calls: each end branch's previous boundary comes
+// from the bitmap, and the call cursor only moves forward.
+func (r *Records) AfterCalls(f func(endbr, target uint64)) {
+	c := 0
+	for _, e := range r.Endbrs {
+		if e < r.Base || e-r.Base >= uint64(r.n) {
+			continue // address wrapped past the top of the address space
+		}
+		p := r.prevBoundary(int(e - r.Base))
+		if p < 0 {
+			continue
+		}
+		src := r.Base + uint64(p)
+		for c < len(r.Calls) && r.Calls[c].Src < src {
+			c++
+		}
+		if c < len(r.Calls) && r.Calls[c].Src == src {
+			f(e, r.Calls[c].Target)
+		}
 	}
-	p := r.prevBoundary(int(va - r.Base))
-	if p < 0 {
-		return 0, false
-	}
-	src := r.Base + uint64(p)
-	i := sort.Search(len(r.Calls), func(i int) bool { return r.Calls[i].Src >= src })
-	if i == len(r.Calls) || r.Calls[i].Src != src {
-		return 0, false
-	}
-	return r.Calls[i].Target, true
 }
 
 // Records derives the sparse records from a materialized index by

@@ -78,45 +78,48 @@ func TestSweepRecordsMatchReference(t *testing.T) {
 // TestCallBeforeAcrossSeam places an endbr right after a seam, behind a
 // direct call (the setjmp-family shape FILTERENDBR looks for) that
 // straddles the seam, and again with an undecodable byte between the
-// two: the "preceding instruction" is the call in both cases, for the
-// sequential and every sharded sweep.
+// two: AfterCalls pairs the endbr with that call in both cases, for the
+// sequential and every sharded sweep, and reports nothing else.
 func TestCallBeforeAcrossSeam(t *testing.T) {
 	const base = 0x401000
+	type pair struct{ endbr, target uint64 }
+	afterCalls := func(r *Records) []pair {
+		var out []pair
+		r.AfterCalls(func(e, target uint64) { out = append(out, pair{e, target}) })
+		return out
+	}
 	for _, gap := range [][]byte{nil, {0x06}} {
 		code := make([]byte, 256)
 		for i := range code {
 			code[i] = 0x90
 		}
+		// An endbr behind a nop: not after a call.
+		copy(code[40:], []byte{0xF3, 0x0F, 0x1E, 0xFA})
 		// call rel32 at 125..129 straddles the workers=2 seam at 128.
 		const callAt = 125
 		copy(code[callAt:], []byte{0xE8, 0x10, 0x00, 0x00, 0x00})
 		endbrAt := callAt + 5 + len(gap)
 		copy(code[callAt+5:], gap)
 		copy(code[endbrAt:], []byte{0xF3, 0x0F, 0x1E, 0xFA})
-		wantTarget := uint64(base + callAt + 5 + 0x10)
+		want := []pair{{base + uint64(endbrAt), base + callAt + 5 + 0x10}}
 		for _, workers := range []int{1, 2, 3, 4} {
 			r, err := SweepRecords(context.Background(), code, base, Mode64, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Contains(r.Endbrs, base+uint64(endbrAt)) {
-				t.Fatalf("gap=%x workers=%d: endbr not found: %#x", gap, workers, r.Endbrs)
+			if !slices.Contains(r.Endbrs, base+uint64(endbrAt)) || !slices.Contains(r.Endbrs, base+40) {
+				t.Fatalf("gap=%x workers=%d: endbrs not found: %#x", gap, workers, r.Endbrs)
 			}
-			got, ok := r.CallBefore(base + uint64(endbrAt))
-			if !ok || got != wantTarget {
-				t.Fatalf("gap=%x workers=%d: CallBefore = (%#x, %v), want (%#x, true)",
-					gap, workers, got, ok, wantTarget)
-			}
-			if _, ok := r.CallBefore(base + callAt); ok {
-				t.Fatalf("gap=%x workers=%d: a nop precedes the call, not a call", gap, workers)
+			if got := afterCalls(r); !slices.Equal(got, want) {
+				t.Fatalf("gap=%x workers=%d: AfterCalls = %#x, want %#x", gap, workers, got, want)
 			}
 		}
 	}
-	r, _ := SweepRecords(context.Background(), []byte{0xE8, 0, 0, 0, 0}, base, Mode64, 1)
-	if _, ok := r.CallBefore(base); ok {
-		t.Fatal("CallBefore at the first instruction found a predecessor")
-	}
-	if _, ok := r.CallBefore(base + 5); ok {
-		t.Fatal("CallBefore past the end of text found a call")
+	// An endbr at the first instruction has no predecessor; a call
+	// right before the second one pairs it.
+	code := []byte{0xF3, 0x0F, 0x1E, 0xFA, 0xE8, 0, 0, 0, 0, 0xF3, 0x0F, 0x1E, 0xFA}
+	r, _ := SweepRecords(context.Background(), code, base, Mode64, 1)
+	if got, want := afterCalls(r), []pair{{base + 9, base + 9}}; !slices.Equal(got, want) {
+		t.Fatalf("AfterCalls = %#x, want %#x", got, want)
 	}
 }

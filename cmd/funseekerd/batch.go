@@ -255,9 +255,9 @@ type batchMember struct {
 // remainder. The format is chosen by Content-Type: multipart/form-data
 // streams its file parts, anything else is read as a tar stream. The
 // whole upload is capped at maxBatchBytes. A member over maxBodyBytes is
-// never buffered: a tar member is judged by its header and its data
-// skipped, a multipart part is read to one byte past the cap and the
-// rest skipped.
+// never buffered: a tar member is judged by its header, a multipart part
+// by reading one byte past the cap, and the rest of its data is
+// discarded (skipTooLarge).
 func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (batchMember, error), func(), error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBatchBytes)
 	drain := func() { _, _ = io.Copy(io.Discard, body) }
@@ -287,7 +287,7 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 					return batchMember{}, err
 				}
 				if int64(len(data)) > limit {
-					return batchMember{name: name, tooLarge: true}, nil
+					return skipTooLarge(name, part)
 				}
 				return batchMember{name: name, data: data}, nil
 			}
@@ -305,7 +305,7 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 				continue
 			}
 			if hdr.Size > limit {
-				return batchMember{name: hdr.Name, tooLarge: true}, nil // Next skips the data
+				return skipTooLarge(hdr.Name, tr)
 			}
 			data, err := io.ReadAll(tr)
 			if err != nil {
@@ -314,6 +314,17 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 			return batchMember{name: hdr.Name, data: data}, nil
 		}
 	}, drain, nil
+}
+
+// skipTooLarge discards the rest of an oversized member's data through
+// a small copy buffer and reports the member as tooLarge. A member whose
+// data is cut short returns the read error instead, so a damaged archive
+// yields the one "archive" record as if the member had been read whole.
+func skipTooLarge(name string, rest io.Reader) (batchMember, error) {
+	if _, err := io.Copy(io.Discard, rest); err != nil {
+		return batchMember{}, err
+	}
+	return batchMember{name: name, tooLarge: true}, nil
 }
 
 // buildAnalyzeResponse renders one engine result as the wire shape

@@ -575,6 +575,64 @@ func TestBatchOversizedMemberNotBuffered(t *testing.T) {
 	}
 }
 
+// TestBatchTruncatedOversizedMember: an oversized member whose data is
+// cut short is archive damage, not a too_large member — the stream
+// carries the members before it and the one "archive" record, exactly
+// as when such a member is read whole, in tar and multipart alike.
+func TestBatchTruncatedOversizedMember(t *testing.T) {
+	const maxBody = 64 << 10
+	ts, _ := newTestServerEngine(t, engine.Config{Jobs: 2}, serverConfig{maxBodyBytes: maxBody})
+	raw := testELFs(t, 1)[0]
+	big := bytes.Repeat([]byte{0x90}, 4*maxBody)
+
+	var tarBody bytes.Buffer
+	tw := tar.NewWriter(&tarBody)
+	for _, m := range []tarMember{{"fine", raw}, {"huge", big}} {
+		if err := tw.WriteHeader(&tar.Header{Name: m.name, Mode: 0o644, Size: int64(len(m.data))}); err != nil {
+			t.Fatal(err)
+		}
+		tw.Write(m.data)
+	}
+	// No Close: the archive ends half-way through the huge member's data.
+	tarCut := tarBody.Bytes()[:tarBody.Len()-len(big)/2]
+
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
+	for _, m := range []tarMember{{"fine", raw}, {"huge", big}} {
+		fw, err := mw.CreateFormFile("binary", m.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(m.data)
+	}
+	// No closing boundary: the body ends inside the huge part.
+	formCut := form.Bytes()[:form.Len()-len(big)/2]
+
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"tar", "application/x-tar", tarCut},
+		{"multipart", mw.FormDataContentType(), formCut},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/batch", tc.contentType, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := decodeNDJSON(t, resp.Body)
+		resp.Body.Close()
+		if len(recs) != 2 || recs[0].Result == nil || recs[0].Name != "fine" {
+			t.Fatalf("%s: records %+v, want the fine member's result then the archive error", tc.name, recs)
+		}
+		if recs[1].Kind != "archive" {
+			t.Fatalf("%s: second record = %+v, want an archive framing error", tc.name, recs[1])
+		}
+		if sum := lastSummary; sum.Items != 2 || sum.OK != 1 || sum.Errors != 1 || !sum.Truncated {
+			t.Fatalf("%s: summary = %+v, want truncated with 1 ok / 1 error", tc.name, sum)
+		}
+	}
+}
+
 // grepLines filters text to lines containing needle, for terse failure
 // output.
 func grepLines(text, needle string) string {

@@ -1,21 +1,32 @@
 package analysis
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
-// Has reports whether the ascending address slice set contains addr —
-// the one membership test over every Sweep set.
+// Has reports whether the ascending address slice set contains addr,
+// by one binary search: the membership test for queries in any order
+// (Cursor serves ascending ones).
 func Has(set []uint64, addr uint64) bool {
 	_, ok := slices.BinarySearch(set, addr)
 	return ok
 }
 
-// radixCutoff is the length below which sortKeys uses a comparison sort:
-// for short inputs the per-pass 256-bucket histograms cost more than
-// they save.
-const radixCutoff = 256
+// Cursor answers membership in one ascending address set for
+// non-decreasing queries: a merge walk whose position only moves
+// forward, so n queries against a set of m addresses cost O(n+m)
+// instead of Has's n binary searches.
+type Cursor struct{ set []uint64 }
+
+// NewCursor returns a Cursor at the start of the ascending set.
+func NewCursor(set []uint64) Cursor { return Cursor{set} }
+
+// Has reports whether addr is in the set. addr must be no smaller than
+// the previous query.
+func (c *Cursor) Has(addr uint64) bool {
+	for len(c.set) > 0 && c.set[0] < addr {
+		c.set = c.set[1:]
+	}
+	return len(c.set) > 0 && c.set[0] == addr
+}
 
 // sortKeys sorts keys ascending and is stable: equal keys keep their
 // relative order. vals is nil or as long as keys, and vals[i] travels
@@ -24,15 +35,12 @@ const radixCutoff = 256
 // section that is all but the low two or three bytes — so it runs in a
 // few linear passes instead of n log n comparisons. This is the one
 // sort every Sweep set, the landing-pad set and the FDE index go
-// through.
+// through, at every size: a comparison-sort path for short inputs
+// measured no faster, on small binaries or end to end (EXPERIMENTS.md,
+// "Linear-time refinement").
 func sortKeys(keys []uint64, vals []int32) {
 	n := len(keys)
-	if n < radixCutoff {
-		if vals == nil {
-			slices.Sort(keys)
-		} else {
-			sort.Stable(keyVals{keys, vals})
-		}
+	if n < 2 {
 		return
 	}
 	var differ uint64 // bit set where some key differs from keys[0]
@@ -82,20 +90,6 @@ func sortKeys(keys []uint64, vals []int32) {
 		copy(origK, keys)
 		copy(origV, vals)
 	}
-}
-
-// keyVals is sortKeys' small-input form: a stable comparison sort of
-// keys carrying vals.
-type keyVals struct {
-	keys []uint64
-	vals []int32
-}
-
-func (kv keyVals) Len() int           { return len(kv.keys) }
-func (kv keyVals) Less(i, j int) bool { return kv.keys[i] < kv.keys[j] }
-func (kv keyVals) Swap(i, j int) {
-	kv.keys[i], kv.keys[j] = kv.keys[j], kv.keys[i]
-	kv.vals[i], kv.vals[j] = kv.vals[j], kv.vals[i]
 }
 
 // sortCompact sorts s in place and drops duplicates.

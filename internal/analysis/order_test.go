@@ -50,11 +50,12 @@ func checkSortKeys(t *testing.T, what string, keys []uint64) {
 	}
 }
 
-// TestSortKeysMatchesSlicesSort covers both sides of the radix cutoff
-// and the key shapes the byte-skipping has to get right.
+// TestSortKeysMatchesSlicesSort covers sizes from empty to thousands,
+// around one bucket count (256), and the key shapes the byte-skipping
+// has to get right.
 func TestSortKeysMatchesSlicesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 2, 17, radixCutoff - 1, radixCutoff, radixCutoff + 1, 3 * radixCutoff, 5000} {
+	for _, n := range []int{0, 1, 2, 3, 17, 255, 256, 257, 768, 5000} {
 		gen := map[string]func(i int) uint64{
 			"random":    func(int) uint64 { return rng.Uint64() },
 			"text":      func(int) uint64 { return 0x401000 + uint64(rng.Intn(1<<20)) },
@@ -73,6 +74,30 @@ func TestSortKeysMatchesSlicesSort(t *testing.T) {
 				keys[i] = g(i)
 			}
 			checkSortKeys(t, what, keys)
+		}
+	}
+}
+
+// TestCursorMatchesHas: for any ascending query sequence, with repeats
+// and misses, the forward-only Cursor answers as Has does.
+func TestCursorMatchesHas(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 1, 5, 300} {
+		set := make([]uint64, n)
+		for i := range set {
+			set[i] = 0x401000 + uint64(rng.Intn(4*n+1))
+		}
+		set = sortCompact(set)
+		queries := make([]uint64, 3*n+2)
+		for i := range queries {
+			queries[i] = 0x400ff0 + uint64(rng.Intn(4*n+40))
+		}
+		slices.Sort(queries)
+		c := NewCursor(set)
+		for _, q := range queries {
+			if got, want := c.Has(q), Has(set, q); got != want {
+				t.Fatalf("n=%d: Cursor.Has(%#x) = %v, Has = %v", n, q, got, want)
+			}
 		}
 	}
 }
@@ -129,8 +154,8 @@ func TestJumpOrderStable(t *testing.T) {
 		text := x86.GenText(1<<16, mode, rand.New(rand.NewSource(int64(mode))), 0.05)
 		bin := &elfx.Binary{Mode: mode, Text: text, TextAddr: 0x401000}
 		sw := NewContext(bin).Sweep()
-		if len(sw.JumpRefs) < radixCutoff {
-			t.Fatalf("mode %v: only %d jumps, below the radix cutoff", mode, len(sw.JumpRefs))
+		if len(sw.JumpRefs) < 256 {
+			t.Fatalf("mode %v: only %d jumps, too few to fill the radix buckets", mode, len(sw.JumpRefs))
 		}
 		checkJumpOrder(t, bin, sw)
 	}

@@ -205,14 +205,14 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 	}
 	filterStart := time.Now()
 	kept := make([]uint64, 0, len(endbrs))
-	afterIR, pads := cursor{sw.AfterIRCall}, cursor{landingPads}
+	afterIR, pads := analysis.NewCursor(sw.AfterIRCall), analysis.NewCursor(landingPads)
 	for _, e := range endbrs {
 		if opts.FilterEndbr {
-			if afterIR.has(e) {
+			if afterIR.Has(e) {
 				report.FilteredIndirectReturn++
 				continue
 			}
-			if pads.has(e) {
+			if pads.Has(e) {
 				report.FilteredLandingPads++
 				continue
 			}
@@ -295,12 +295,12 @@ func fuseEH(actx *analysis.Context, bin *elfx.Binary, sw *analysis.Sweep, opts O
 	// are legitimately jump targets — so every FDE start counts.
 	cet := len(sw.Endbrs) > 0
 	var fused []uint64
-	pads, known, jumpTargets := cursor{landingPads}, cursor{candidates}, cursor{sw.JumpTargets}
+	pads, known, jumpTargets := analysis.NewCursor(landingPads), analysis.NewCursor(candidates), analysis.NewCursor(sw.JumpTargets)
 	for _, start := range ix.Starts {
-		if pads.has(start) || known.has(start) {
+		if pads.Has(start) || known.Has(start) {
 			continue
 		}
-		if cet && jumpTargets.has(start) {
+		if cet && jumpTargets.Has(start) {
 			continue
 		}
 		fused = append(fused, start)
@@ -313,29 +313,15 @@ func fuseEH(actx *analysis.Context, bin *elfx.Binary, sw *analysis.Sweep, opts O
 	if opts.UseJumpTargets && opts.SelectTailCall {
 		tailStart := time.Now()
 		// selectTailCalls never returns a known start, and the first
-		// pass's tails are already candidates.
+		// pass's tails are already candidates. Its result ascends.
+		pads = analysis.NewCursor(landingPads)
 		more := slices.DeleteFunc(selectTailCalls(bin, sw, candidates, opts.TailBoundaryOnly),
-			func(t uint64) bool { return analysis.Has(landingPads, t) || ix.Interior(t) })
+			func(t uint64) bool { return pads.Has(t) || ix.Interior(t) })
 		actx.ObserveTailCall(time.Since(tailStart))
 		tails = union(tails, more)
 		candidates = union(candidates, more)
 	}
 	return candidates, tails
-}
-
-// cursor answers membership in one ascending address set for
-// non-decreasing queries: a merge walk whose position only moves
-// forward, so n queries against a set of m addresses cost O(n+m)
-// instead of n binary searches.
-type cursor struct{ set []uint64 }
-
-// has reports whether addr is in the set. addr must be no smaller than
-// the previous query.
-func (c *cursor) has(addr uint64) bool {
-	for len(c.set) > 0 && c.set[0] < addr {
-		c.set = c.set[1:]
-	}
-	return len(c.set) > 0 && c.set[0] == addr
 }
 
 // union merges two ascending address slices into a new ascending,

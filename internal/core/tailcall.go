@@ -55,7 +55,7 @@ func selectTailCalls(bin *elfx.Binary, sw *analysis.Sweep, known []uint64, bound
 	}
 
 	order := sw.JumpOrder
-	isKnown := cursor{known} // runs come in ascending target order
+	isKnown := analysis.NewCursor(known) // runs come in ascending target order
 	var out []uint64
 	for i := 0; i < len(order); {
 		target := jumps[order[i]].Target
@@ -78,7 +78,7 @@ func selectTailCalls(bin *elfx.Binary, sw *analysis.Sweep, known []uint64, bound
 		}
 		switch {
 		case !escapes:
-		case isKnown.has(target): // already identified via E′ ∪ C
+		case isKnown.Has(target): // already identified via E′ ∪ C
 		case !boundaryOnly && sources < 2:
 			// "Referenced by multiple functions": more than one distinct
 			// source function must jump here.

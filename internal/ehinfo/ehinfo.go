@@ -6,35 +6,19 @@
 package ehinfo
 
 import (
-	"fmt"
-
 	"github.com/funseeker/funseeker/internal/ehframe"
 	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/lsda"
 )
 
-// LandingPadSet computes the absolute addresses of every exception
-// landing pad: for each FDE carrying an LSDA pointer, the LSDA call-site
-// table is decoded with the FDE's pc-begin as the landing-pad base
-// (LPStart is omitted in compiler-emitted tables). A single undecodable
-// LSDA is skipped; a structurally broken .eh_frame is an error. The
-// addresses come in FDE order and may repeat (see LandingPadsFromFDEs).
-func LandingPadSet(bin *elfx.Binary) ([]uint64, error) {
-	if len(bin.EHFrame) == 0 || len(bin.ExceptTable) == 0 {
-		return nil, nil
-	}
-	fdes, err := ehframe.Parse(bin.EHFrame, bin.EHFrameAddr, bin.PtrSize())
-	if err != nil {
-		return nil, fmt.Errorf("ehinfo: eh_frame: %w", err)
-	}
-	return LandingPadsFromFDEs(bin, fdes), nil
-}
-
-// LandingPadsFromFDEs computes the landing pads from already-parsed FDE
-// records, letting callers that have the .eh_frame parse memoized (the
-// analysis context) skip re-parsing the section. The pads are appended
-// in FDE order, unsorted and possibly repeated; ordering them is the
-// caller's one sort.
+// LandingPadsFromFDEs computes the absolute addresses of every exception
+// landing pad from parsed FDE records (the analysis context memoizes the
+// .eh_frame parse): for each FDE carrying an LSDA pointer, the LSDA
+// call-site table is decoded with the FDE's pc-begin as the landing-pad
+// base (LPStart is omitted in compiler-emitted tables). A single
+// undecodable LSDA is skipped. The pads are appended in FDE order,
+// unsorted and possibly repeated; ordering them is the caller's one
+// sort.
 func LandingPadsFromFDEs(bin *elfx.Binary, fdes []ehframe.FDE) []uint64 {
 	if len(bin.ExceptTable) == 0 {
 		return nil

@@ -4,11 +4,25 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/funseeker/funseeker/internal/ehframe"
 	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/groundtruth"
 	"github.com/funseeker/funseeker/internal/synth"
 	"github.com/funseeker/funseeker/internal/x86"
 )
+
+// landingPads parses bin's .eh_frame (a structurally broken section is
+// an error) and returns its landing pads sorted and deduplicated, the
+// form analysis.Context.LandingPads serves.
+func landingPads(bin *elfx.Binary) ([]uint64, error) {
+	fdes, err := ehframe.Parse(bin.EHFrame, bin.EHFrameAddr, bin.PtrSize())
+	if err != nil {
+		return nil, err
+	}
+	pads := LandingPadsFromFDEs(bin, fdes)
+	slices.Sort(pads)
+	return slices.Compact(pads), nil
+}
 
 func TestLandingPadSetMatchesGroundTruth(t *testing.T) {
 	spec := &synth.ProgSpec{
@@ -34,7 +48,7 @@ func TestLandingPadSetMatchesGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pads, err := LandingPadSet(bin)
+		pads, err := landingPads(bin)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
 		}
@@ -45,9 +59,8 @@ func TestLandingPadSetMatchesGroundTruth(t *testing.T) {
 			}
 		}
 		slices.Sort(want)
-		slices.Sort(pads)
-		if got := slices.Compact(pads); !slices.Equal(got, slices.Compact(want)) {
-			t.Fatalf("%s: pads %#x, want %#x", cfg, got, want)
+		if want = slices.Compact(want); !slices.Equal(pads, want) {
+			t.Fatalf("%s: pads %#x, want %#x", cfg, pads, want)
 		}
 	}
 }
@@ -67,7 +80,7 @@ func TestNoEHSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pads, err := LandingPadSet(bin)
+	pads, err := landingPads(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +113,14 @@ func TestCorruptEHFrame(t *testing.T) {
 	bin.EHFrame[1] = 0xFF
 	bin.EHFrame[2] = 0xFF
 	bin.EHFrame[3] = 0x7F
-	if _, err := LandingPadSet(bin); err == nil {
+	if _, err := landingPads(bin); err == nil {
 		t.Error("want error for corrupt .eh_frame")
 	}
 	// A truncated except table must not panic either: LSDA parse errors
 	// are skipped per-record.
 	bin2, _ := elfx.Load(res.Stripped)
 	bin2.ExceptTable = bin2.ExceptTable[:1]
-	if _, err := LandingPadSet(bin2); err != nil {
+	if _, err := landingPads(bin2); err != nil {
 		t.Errorf("truncated LSDA should be skipped, got %v", err)
 	}
 }

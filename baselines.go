@@ -15,44 +15,25 @@ import (
 //
 // Each baseline has two forms: RunX(bin) for a one-off run, and
 // RunXCtx(ctx, actx) over a shared analysis context under a cancelable
-// ctx. Cancellation reaches the shared instruction index (the dominant
-// cost for every tool) through the analysis context; the tool-specific
-// refinement passes check ctx between stages. The baselines are x86
-// models: on any other architecture every form returns an error. As
-// everywhere in this package, ctx is a context.Context and actx a
-// *AnalysisContext.
-
-// primeCtx builds the shared x86 instruction index under ctx so a
-// baseline run can be canceled inside its dominant stage, then re-checks
-// ctx before handing control to the (uncancellable, but much cheaper)
-// tool model. The baselines model x86 tools: a binary of another
-// architecture has no index and fails here with an error naming it.
-func primeCtx(ctx context.Context, actx *AnalysisContext) error {
-	if _, err := actx.IndexCtx(ctx); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
+// ctx. The models decode instructions on demand and check ctx between
+// their passes; FETCH's escaping-jump scan reads the sweep memoized in
+// the analysis context, which cancellation reaches too. The baselines
+// are x86 models: on any other architecture every form returns an
+// error naming it. As everywhere in this package, ctx is a
+// context.Context and actx a *AnalysisContext.
 
 // RunIDA identifies function entries with the IDA Pro model: recursive
 // descent, prologue signatures, code-reference analysis, unverified
 // tail-call splitting, and orphan-code rescue — but no use of end-branch
 // instructions.
 func RunIDA(bin *Binary) ([]uint64, error) {
-	r, err := idapro.Identify(bin)
-	if err != nil {
-		return nil, err
-	}
-	return r.Entries, nil
+	return RunIDACtx(context.Background(), NewContext(bin))
 }
 
 // RunIDACtx is RunIDA over a shared analysis context, reusing the
-// memoized landing-pad set and instruction index, under a cancelable ctx.
+// memoized landing-pad set, under a cancelable ctx.
 func RunIDACtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
-	if err := primeCtx(ctx, actx); err != nil {
-		return nil, err
-	}
-	r, err := idapro.IdentifyWithContext(actx)
+	r, err := idapro.Identify(ctx, actx)
 	if err != nil {
 		return nil, err
 	}
@@ -62,20 +43,13 @@ func RunIDACtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
 // RunGhidra identifies function entries with the Ghidra model:
 // .eh_frame FDE starts, recursive descent, and prologue signatures.
 func RunGhidra(bin *Binary) ([]uint64, error) {
-	r, err := ghidra.Identify(bin)
-	if err != nil {
-		return nil, err
-	}
-	return r.Entries, nil
+	return RunGhidraCtx(context.Background(), NewContext(bin))
 }
 
 // RunGhidraCtx is RunGhidra over a shared analysis context, reusing the
 // memoized .eh_frame parse, under a cancelable ctx.
 func RunGhidraCtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
-	if err := primeCtx(ctx, actx); err != nil {
-		return nil, err
-	}
-	r, err := ghidra.IdentifyWithContext(actx)
+	r, err := ghidra.Identify(ctx, actx)
 	if err != nil {
 		return nil, err
 	}
@@ -86,22 +60,14 @@ func RunGhidraCtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) 
 // al., DSN 2021): .eh_frame FDE starts plus tail-call targets verified by
 // CFG-level stack-height and calling-convention analysis.
 func RunFETCH(bin *Binary) ([]uint64, error) {
-	r, err := fetch.Identify(bin)
-	if err != nil {
-		return nil, err
-	}
-	return r.Entries, nil
+	return RunFETCHCtx(context.Background(), NewContext(bin))
 }
 
 // RunFETCHCtx is RunFETCH over a shared analysis context, reusing the
-// memoized .eh_frame parse and instruction index (the stack-height
-// verification — FETCH's real cost — still runs in full), under a
-// cancelable ctx.
+// memoized .eh_frame parse and sweep (the stack-height verification —
+// FETCH's real cost — still runs in full), under a cancelable ctx.
 func RunFETCHCtx(ctx context.Context, actx *AnalysisContext) ([]uint64, error) {
-	if err := primeCtx(ctx, actx); err != nil {
-		return nil, err
-	}
-	r, err := fetch.IdentifyWithContext(actx)
+	r, err := fetch.Identify(ctx, actx)
 	if err != nil {
 		return nil, err
 	}

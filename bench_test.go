@@ -91,7 +91,7 @@ func BenchmarkTableI(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := set[i%len(set)]
-		if _, err := funseeker.ClassifyEndbrs(c.bin); err != nil {
+		if _, err := funseeker.ClassifyEndbrs(funseeker.NewContext(c.bin)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func BenchmarkFigure3(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		funseeker.AnalyzeProperties(set[i%len(set)].bin, entries[i%len(set)])
+		funseeker.AnalyzeProperties(funseeker.NewContext(set[i%len(set)].bin), entries[i%len(set)])
 	}
 }
 
@@ -177,10 +177,10 @@ func BenchmarkTableIII_FETCH(b *testing.B) {
 // analyses obtain their inputs.
 func evalMatrixShared(b *testing.B, c benchCase) {
 	actx := funseeker.NewContext(c.bin)
-	if _, err := funseeker.ClassifyEndbrsWithContext(actx); err != nil {
+	if _, err := funseeker.ClassifyEndbrs(actx); err != nil {
 		b.Fatal(err)
 	}
-	funseeker.AnalyzePropertiesWithContext(actx, c.gt.SortedEntries())
+	funseeker.AnalyzeProperties(actx, c.gt.SortedEntries())
 	for _, opts := range []funseeker.Options{
 		funseeker.Config1, funseeker.Config2, funseeker.Config3, funseeker.Config4,
 	} {
@@ -200,10 +200,10 @@ func evalMatrixShared(b *testing.B, c benchCase) {
 }
 
 func evalMatrixReload(b *testing.B, c benchCase) {
-	if _, err := funseeker.ClassifyEndbrs(c.bin); err != nil {
+	if _, err := funseeker.ClassifyEndbrs(funseeker.NewContext(c.bin)); err != nil {
 		b.Fatal(err)
 	}
-	funseeker.AnalyzeProperties(c.bin, c.gt.SortedEntries())
+	funseeker.AnalyzeProperties(funseeker.NewContext(c.bin), c.gt.SortedEntries())
 	for _, opts := range []funseeker.Options{
 		funseeker.Config1, funseeker.Config2, funseeker.Config3, funseeker.Config4,
 	} {

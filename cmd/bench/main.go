@@ -14,9 +14,11 @@
 // correctness, not timing) — this is what CI uses. The JSON schema per
 // result is {name, ns_op, b_op, allocs_op, mb_s}. -check also enforces
 // the throughput floor (-mbs-threshold, new/old MB/s) and the parallel
-// scaling curve: on hosts with >= 4 cores, BuildIndexParallel/workers=4
-// pinned at gomaxprocs=4 must reach 1.8x sequential BuildIndex, and no
-// workers=N row may fall below sequential anywhere.
+// scaling curve: on hosts with >= 4 cores, SweepRecords/workers=4
+// pinned at gomaxprocs=4 must reach 1.8x sequential SweepRecords, and no
+// workers=N row may fall below sequential anywhere. Outside -smoke the
+// rows that curve compares are measured in alternating rounds and keep
+// their fastest.
 package main
 
 import (
@@ -164,17 +166,42 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "bench: %d binaries, %d bytes (+ %d-byte large binary); benchtime=%s\n",
 		len(set), corpusBytes, len(large.raw), benchtime)
 
+	var bms []benchmark
 	for _, bm := range series(set, corpusBytes, large) {
-		if seriesRe != nil && !seriesRe.MatchString(bm.name) {
-			continue
+		if seriesRe == nil || seriesRe.MatchString(bm.name) {
+			bms = append(bms, bm)
 		}
+	}
+	measure := func(bm benchmark) testing.BenchmarkResult {
 		if bm.gomaxprocs > 0 {
 			runtime.GOMAXPROCS(bm.gomaxprocs)
+			defer runtime.GOMAXPROCS(rep.Gomaxprocs)
 		}
-		r := testing.Benchmark(bm.fn)
-		if bm.gomaxprocs > 0 {
-			runtime.GOMAXPROCS(rep.Gomaxprocs)
+		return testing.Benchmark(bm.fn)
+	}
+	runs := make([]testing.BenchmarkResult, len(bms))
+	var gate []int
+	for i, bm := range bms {
+		runs[i] = measure(bm)
+		if isScalingRow(bm.name) {
+			gate = append(gate, i)
 		}
+	}
+	// The scaling gate compares rows within one run, so host noise that
+	// hits one row and not the other decides it. Its rows therefore get
+	// further rounds, alternating across the rows so drift in host speed
+	// reaches all of them alike, and each keeps its fastest round.
+	if !*smoke {
+		for round := 1; round < scalingRounds; round++ {
+			for _, i := range gate {
+				if r := measure(bms[i]); r.NsPerOp() < runs[i].NsPerOp() {
+					runs[i] = r
+				}
+			}
+		}
+	}
+	for i, bm := range bms {
+		r := runs[i]
 		res := result{
 			Name:        bm.name,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
@@ -230,8 +257,18 @@ func run() error {
 	return cmpErr
 }
 
+// scalingRounds is how many alternating rounds the scaling gate's rows
+// are measured in (see isScalingRow); each row reports its fastest.
+const scalingRounds = 5
+
+// isScalingRow reports whether name is one of the rows checkScaling
+// compares: sequential x86/SweepRecords and its workers=N variants.
+func isScalingRow(name string) bool {
+	return name == "x86/SweepRecords" || strings.HasPrefix(name, "x86/SweepRecords/")
+}
+
 // checkScaling enforces the parallel scaling curve within one report:
-// no workers=N row may fall below sequential BuildIndex (beyond noise),
+// no workers=N row may fall below sequential SweepRecords (beyond noise),
 // and on hosts with at least 4 cores the workers=4 row pinned at
 // gomaxprocs=4 must reach 1.8x sequential throughput. Smoke runs are
 // single-iteration and carry no timing signal, so they skip the check.
@@ -244,20 +281,20 @@ func checkScaling(rep *report, smoke bool) error {
 	for _, r := range rep.Results {
 		mbs[r.Name] = r.MBPerS
 	}
-	seq := mbs["x86/BuildIndex"]
+	seq := mbs["x86/SweepRecords"]
 	if seq <= 0 {
-		fmt.Fprintln(os.Stderr, "bench: scaling check skipped (no x86/BuildIndex row)")
+		fmt.Fprintln(os.Stderr, "bench: scaling check skipped (no x86/SweepRecords row)")
 		return nil
 	}
 	// Same-binary benchmark noise on shared VMs runs ~10%; only flag a
 	// parallel row as a collapse when it is clearly below sequential.
 	const noise = 0.90
 	for _, r := range rep.Results {
-		if !strings.HasPrefix(r.Name, "x86/BuildIndexParallel/") || r.MBPerS <= 0 {
+		if !strings.HasPrefix(r.Name, "x86/SweepRecords/") || r.MBPerS <= 0 {
 			continue
 		}
 		if r.MBPerS < seq*noise {
-			return fmt.Errorf("scaling: %s at %.2f MB/s is below sequential BuildIndex %.2f MB/s", r.Name, r.MBPerS, seq)
+			return fmt.Errorf("scaling: %s at %.2f MB/s is below sequential SweepRecords %.2f MB/s", r.Name, r.MBPerS, seq)
 		}
 	}
 	if rep.NumCPU < 4 {
@@ -265,7 +302,7 @@ func checkScaling(rep *report, smoke bool) error {
 		return nil
 	}
 	const target = 1.8
-	name := "x86/BuildIndexParallel/workers=4/gomaxprocs=4"
+	name := "x86/SweepRecords/workers=4/gomaxprocs=4"
 	if par := mbs[name]; par > 0 && par < seq*target {
 		return fmt.Errorf("scaling: %s at %.2f MB/s is %.2fx sequential (%.2f MB/s), want >= %.1fx",
 			name, par, par/seq, seq, target)
@@ -381,71 +418,21 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 		}},
 		// x86/SweepRecords is FunSeeker's DISASSEMBLE step: the sequential
 		// sweep keeping only the boundary bitmap and the endbr/call/jump
-		// records, so it reads directly against x86/Sweep (decode alone)
-		// and x86/BuildIndex (decode + materialize).
-		{name: "x86/SweepRecords", fn: func(b *testing.B) {
-			b.SetBytes(textLen)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := x86.SweepRecords(context.Background(), text, 0x401000, x86.Mode64, 1)
-				if err != nil || len(r.Calls) == 0 {
-					b.Fatalf("sweep: %v (%d calls)", err, len(r.Calls))
-				}
-			}
-		}},
-		{name: "x86/BuildIndex", fn: func(b *testing.B) {
-			b.SetBytes(textLen)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if idx := x86.BuildIndex(text, 0x401000, x86.Mode64); len(idx.Insts) == 0 {
-					b.Fatal("empty index")
-				}
-			}
-		}},
-		// x86/Superset decodes at every byte offset (the length-memoized
-		// superset disassembly); MB/s is per text byte, so the row reads
-		// directly against x86/Sweep as the cost of superset coverage.
-		// The generated text ends mid-instruction, so whole-text chain
-		// viability is legitimately empty — assert on the memo instead.
-		{name: "x86/Superset", fn: func(b *testing.B) {
-			b.SetBytes(textLen)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if s := x86.BuildSuperset(text, 0x401000, x86.Mode64); s.LenAt(0) == 0 {
-					b.Fatal("offset 0 did not decode")
-				}
-			}
-		}},
+		// records, so it reads directly against x86/Sweep (decode alone).
+		// It is the baseline of the parallel scaling gate.
+		{name: "x86/SweepRecords", fn: sweepRecordsBench(text, 1)},
 	}
 	for _, workers := range []int{2, 4, 8} {
-		workers := workers
-		bms = append(bms, benchmark{name: fmt.Sprintf("x86/BuildIndexParallel/workers=%d", workers), fn: func(b *testing.B) {
-			b.SetBytes(textLen)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if idx := x86.BuildIndexParallel(text, 0x401000, x86.Mode64, workers); len(idx.Insts) == 0 {
-					b.Fatal("empty index")
-				}
-			}
-		}})
+		bms = append(bms, benchmark{name: fmt.Sprintf("x86/SweepRecords/workers=%d", workers), fn: sweepRecordsBench(text, workers)})
 	}
-	// The gomaxprocs=N series re-runs the workers=4 parallel build with
-	// the scheduler pinned, separating algorithmic speedup (exact-size
-	// assembly vs append growth) from hardware parallelism.
+	// The gomaxprocs=N series re-runs the workers=4 sharded sweep with
+	// the scheduler pinned, separating the sharding's own cost from
+	// hardware parallelism.
 	for _, procs := range []int{1, 2, 4} {
-		procs := procs
 		bms = append(bms, benchmark{
-			name:       fmt.Sprintf("x86/BuildIndexParallel/workers=4/gomaxprocs=%d", procs),
+			name:       fmt.Sprintf("x86/SweepRecords/workers=4/gomaxprocs=%d", procs),
 			gomaxprocs: procs,
-			fn: func(b *testing.B) {
-				b.SetBytes(textLen)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if idx := x86.BuildIndexParallel(text, 0x401000, x86.Mode64, 4); len(idx.Insts) == 0 {
-						b.Fatal("empty index")
-					}
-				}
-			},
+			fn:         sweepRecordsBench(text, 4),
 		})
 	}
 	atext := arm64.GenText(textLen, rand.New(rand.NewSource(424242)))
@@ -463,15 +450,6 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 				}
 				if n == 0 {
 					b.Fatal("no calls decoded")
-				}
-			}
-		}},
-		benchmark{name: "arm64/BuildIndex", fn: func(b *testing.B) {
-			b.SetBytes(int64(len(atext)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if idx := arm64.BuildIndex(atext, 0x401000); len(idx.Insts) == 0 {
-					b.Fatal("empty index")
 				}
 			}
 		}},
@@ -529,7 +507,7 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 			b.SetBytes(perBin)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := funseeker.ClassifyEndbrs(set[i%len(set)].bin); err != nil {
+				if _, err := funseeker.ClassifyEndbrs(funseeker.NewContext(set[i%len(set)].bin)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -737,7 +715,7 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 			for i := 0; i < b.N; i++ {
 				for _, c := range set {
 					actx := funseeker.NewContext(c.bin)
-					if _, err := funseeker.ClassifyEndbrsWithContext(actx); err != nil {
+					if _, err := funseeker.ClassifyEndbrs(actx); err != nil {
 						b.Fatal(err)
 					}
 					for _, opts := range []funseeker.Options{
@@ -756,6 +734,21 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 		}},
 	)
 	return bms
+}
+
+// sweepRecordsBench times one records sweep of text per op under the
+// given worker count (1 = sequential).
+func sweepRecordsBench(text []byte, workers int) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.SetBytes(int64(len(text)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r, err := x86.SweepRecords(context.Background(), text, 0x401000, x86.Mode64, workers)
+			if err != nil || len(r.Calls) == 0 {
+				b.Fatalf("sweep: %v (%d calls)", err, len(r.Calls))
+			}
+		}
+	}
 }
 
 // latestPrevious finds the lexicographically latest BENCH_*.json in dir,

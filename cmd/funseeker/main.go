@@ -106,7 +106,7 @@ func run() error {
 		if bin.Arch == funseeker.ArchAArch64 {
 			return fmt.Errorf("-endbr-dist is an x86 study (Table I); not supported for aarch64")
 		}
-		d, err := funseeker.ClassifyEndbrs(bin)
+		d, err := funseeker.ClassifyEndbrs(funseeker.NewContext(bin))
 		if err != nil {
 			return err
 		}

@@ -70,7 +70,7 @@ func ExampleClassifyEndbrs() {
 		fmt.Println("load:", err)
 		return
 	}
-	dist, err := funseeker.ClassifyEndbrs(bin)
+	dist, err := funseeker.ClassifyEndbrs(funseeker.NewContext(bin))
 	if err != nil {
 		fmt.Println("classify:", err)
 		return

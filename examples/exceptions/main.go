@@ -60,7 +60,7 @@ func run() error {
 		fmt.Printf("  %#x\n", p)
 	}
 
-	dist, err := funseeker.ClassifyEndbrs(bin)
+	dist, err := funseeker.ClassifyEndbrs(funseeker.NewContext(bin))
 	if err != nil {
 		return err
 	}

@@ -48,7 +48,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	dist, err := funseeker.ClassifyEndbrs(bin)
+	dist, err := funseeker.ClassifyEndbrs(funseeker.NewContext(bin))
 	if err != nil {
 		return err
 	}

@@ -118,7 +118,8 @@ func TestPublicStudyAPIs(t *testing.T) {
 	if !bin.CETEnabled {
 		t.Error("sample must be CET-enabled")
 	}
-	dist, err := funseeker.ClassifyEndbrs(bin)
+	actx := funseeker.NewContext(bin)
+	dist, err := funseeker.ClassifyEndbrs(actx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestPublicStudyAPIs(t *testing.T) {
 	if len(pads) == 0 {
 		t.Error("C++ sample must have landing pads")
 	}
-	venn := funseeker.AnalyzeProperties(bin, res.GT.SortedEntries())
+	venn := funseeker.AnalyzeProperties(actx, res.GT.SortedEntries())
 	if venn.Total != len(res.GT.Funcs) {
 		t.Errorf("venn total = %d, want %d", venn.Total, len(res.GT.Funcs))
 	}

@@ -51,12 +51,6 @@ func TestSweepArtifacts(t *testing.T) {
 	if !Has(sw.AllCallTargets, 0x100C) || len(sw.AfterIRCall) != 0 {
 		t.Errorf("AllCallTargets = %#x, AfterIRCall = %#x", sw.AllCallTargets, sw.AfterIRCall)
 	}
-	if st := ctx.Stats(); st.Index.Computes != 0 {
-		t.Errorf("the sweep built the instruction index (%d computes)", st.Index.Computes)
-	}
-	if got := len(ctx.Index().Insts); got != 6 {
-		t.Errorf("index has %d instructions, want 6", got)
-	}
 }
 
 func TestMemoizationCounts(t *testing.T) {
@@ -104,14 +98,13 @@ func TestConcurrentReaders(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = ctx.Index().Range(0x1000, 0x1010)
 			}
 		}()
 	}
 	wg.Wait()
 	st := ctx.Stats()
 	for name, stage := range map[string]StageStat{
-		"sweep": st.Sweep, "superset": st.Superset, "landing-pad": st.LandingPad, "index": st.Index,
+		"sweep": st.Sweep, "superset": st.Superset, "landing-pad": st.LandingPad,
 	} {
 		if stage.Computes != 1 {
 			t.Errorf("%s computed %d times under concurrency, want 1", name, stage.Computes)

@@ -140,18 +140,16 @@ type arm64Backend struct{}
 // Arch implements Backend.
 func (arm64Backend) Arch() elfx.Arch { return elfx.ArchAArch64 }
 
-// BuildSweep implements Backend: one fixed-width AArch64 sweep. The
-// sweep is never sharded — with 4-byte instructions every decode start
-// is already synchronized, so parallel speculation has nothing to buy.
+// BuildSweep implements Backend: one fixed-width AArch64 sweep that
+// keeps only the records the refinements read — call-accepting pads (E),
+// jump-only pads, BL targets and B references — decoding each word once
+// without storing it. The sweep is never sharded — with 4-byte
+// instructions every decode start is already synchronized, so parallel
+// speculation has nothing to buy.
 func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, error) {
-	ix, err := arm64.BuildIndexCtx(ctx, bin.Text, bin.TextAddr)
-	if err != nil {
-		return nil, err
-	}
-	sw := &Sweep{Arch: elfx.ArchAArch64, ARM64: ix, Shards: 1}
+	sw := &Sweep{Arch: elfx.ArchAArch64, Shards: 1}
 	var calls []uint64
-	for i := range ix.Insts {
-		inst := &ix.Insts[i]
+	err := arm64.LinearSweep(ctx, bin.Text, bin.TextAddr, func(inst arm64.Inst) bool {
 		switch inst.Class {
 		case arm64.ClassBTI:
 			if inst.BTI.AcceptsCall() {
@@ -170,6 +168,10 @@ func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 				sw.JumpRefs = append(sw.JumpRefs, JumpRef{Src: inst.Addr, Target: inst.Target})
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	sw.finishSets(bin, calls)
 	return sw, nil

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"github.com/funseeker/funseeker/internal/elfx"
@@ -70,11 +71,8 @@ func TestArm64SweepArtifacts(t *testing.T) {
 	if !Has(sw.UncondJumpTargets, 0x1000) {
 		t.Error("UncondJumpTargets missing 0x1000")
 	}
-	if idx, err := ctx.IndexCtx(context.Background()); idx != nil || err == nil || ctx.Index() != nil {
-		t.Errorf("x86 index of an arm64 binary: %v, %v; want nil and an error", idx, err)
-	}
-	if sw.ARM64 == nil || len(sw.ARM64.Insts) != 8 {
-		t.Fatalf("arm64 index missing or wrong size: %+v", sw.ARM64)
+	if err := ctx.RequireX86(); err == nil || !strings.Contains(err.Error(), "aarch64") {
+		t.Errorf("RequireX86 on an arm64 binary: %v, want an error naming aarch64", err)
 	}
 }
 

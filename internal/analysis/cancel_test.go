@@ -55,30 +55,6 @@ func TestSweepCtxCanceledNotMemoized(t *testing.T) {
 	}
 }
 
-// TestIndexCtxCanceledNotMemoized: the instruction-index memo has the
-// sweep memo's cancellation contract, and building it never runs the
-// FunSeeker sweep.
-func TestIndexCtxCanceledNotMemoized(t *testing.T) {
-	c := NewContext(bigBinary(t))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.IndexCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("IndexCtx(canceled) = %v, want context.Canceled", err)
-	}
-	idx, err := c.IndexCtx(context.Background())
-	if err != nil || len(idx.Insts) == 0 {
-		t.Fatalf("IndexCtx after cancellation: %v", err)
-	}
-	if c.Index() != idx {
-		t.Error("index not memoized")
-	}
-	st := c.Stats()
-	if st.Index.Computes != 1 || st.Index.Hits != 1 || st.Sweep.Computes != 0 {
-		t.Fatalf("index computes/hits = %d/%d, sweep computes = %d; want 1/1, 0",
-			st.Index.Computes, st.Index.Hits, st.Sweep.Computes)
-	}
-}
-
 // TestSweepCtxStopsEarly bounds the CPU a canceled sweep may burn: a
 // context canceled up front must return far faster than the full sweep.
 // The margin is deliberately huge (10×) to stay robust on loaded CI

@@ -5,16 +5,14 @@
 // expensive artifacts: one linear sweep of .text yielding the end-branch
 // set E with its indirect-return annotations and the direct call/jump
 // reference sets C and J (never materialized as instructions), the
-// materialized x86 instruction index the baseline models read, the
 // parsed .eh_frame FDE records, and the exception landing-pad set. Before
 // this package existed each tool recomputed them independently, so one
 // evaluation cell did ~7× redundant work per binary.
 //
 // Context memoizes each artifact: it is computed exactly once per binary,
 // on first demand, and every later consumer — including consumers on
-// other goroutines — gets the cached value. The two sweep-sized
-// artifacts (the sweep and the index) are cancel-aware: a build canceled
-// through its context.Context is not cached. All artifacts
+// other goroutines — gets the cached value. The sweep is cancel-aware: a
+// sweep canceled through its context.Context is not cached. All artifacts
 // are immutable after construction, so a single Context is safe to share
 // across the evaluation runner's worker pool. Per-stage wall-clock costs
 // and hit/miss counts are recorded in Stats (see stats.go) so the runtime
@@ -34,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/funseeker/funseeker/internal/arm64"
 	"github.com/funseeker/funseeker/internal/ehframe"
 	"github.com/funseeker/funseeker/internal/ehinfo"
 	"github.com/funseeker/funseeker/internal/elfx"
@@ -60,8 +57,6 @@ type Sweep struct {
 	// Arch is the backend that produced the sweep.
 	Arch elfx.Arch
 
-	// ARM64 is the materialized AArch64 sweep, nil for x86 backends.
-	ARM64 *arm64.Index
 	// Shards / StitchRetries are the backend-neutral parallel-decode
 	// accounting (1 / 0 for a sequential sweep).
 	Shards        int
@@ -182,10 +177,6 @@ type Context struct {
 	sweeps    [elfx.NArch]memo[Sweep]
 	supersets [elfx.NArch]supersetMemo
 
-	// index is the materialized x86 instruction index, built only for
-	// the baseline tool models that read whole instructions.
-	index memo[x86.Index]
-
 	ehOnce  onceStage
 	fdes    []ehframe.FDE
 	ehWarns []string
@@ -247,32 +238,16 @@ func (c *Context) SweepArchCtx(ctx context.Context, arch elfx.Arch) (*Sweep, err
 	})
 }
 
-// Index returns the memoized x86 instruction index, or nil for binaries
-// whose native architecture is not x86 (see IndexCtx).
-func (c *Context) Index() *x86.Index {
-	idx, _ := c.IndexCtx(context.Background()) // background never cancels
-	return idx
-}
-
-// IndexCtx returns the memoized x86 instruction index — every decoded
-// instruction, materialized — computing it under ctx on first call, with
-// the cancellation semantics of SweepArchCtx. Only the x86 baseline tool
-// models read whole instructions, so FunSeeker's own sweep never builds
-// it. A binary whose native architecture is not x86 has no index and
-// yields an error naming the architecture.
-func (c *Context) IndexCtx(ctx context.Context) (*x86.Index, error) {
-	var mode x86.Mode
+// RequireX86 reports an error naming the binary's architecture unless
+// it is x86 or x86-64. The baseline tool models decode x86 instructions
+// on demand and call it before their first pass.
+func (c *Context) RequireX86() error {
 	switch arch := resolveArch(c.bin, elfx.ArchAuto); arch {
-	case elfx.ArchX86:
-		mode = x86.Mode32
-	case elfx.ArchX86_64:
-		mode = x86.Mode64
+	case elfx.ArchX86, elfx.ArchX86_64:
+		return nil
 	default:
-		return nil, fmt.Errorf("analysis: no x86 instruction index for %s binary", arch)
+		return fmt.Errorf("analysis: no x86 instruction index for %s binary", arch)
 	}
-	return c.index.get(ctx, &c.stats.index, func() (*x86.Index, error) {
-		return x86.BuildIndexParallelCtx(ctx, c.bin.Text, c.bin.TextAddr, mode, 0)
-	})
 }
 
 // FDEs returns the memoized .eh_frame FDE records. Binaries without an

@@ -36,15 +36,12 @@ func (s StageStat) Mean() time.Duration {
 
 // Stats is a point-in-time snapshot of a Context's per-stage accounting —
 // or, via Add, the aggregate over many contexts (one evaluation run).
-// The memoized stages (Sweep, Index, EHParse, LandingPad, FDEIndex,
+// The memoized stages (Sweep, EHParse, LandingPad, FDEIndex,
 // Superset) count cache hits and misses; the per-run refinement stages
 // (Filter, TailCall) count executions only.
 type Stats struct {
 	// Sweep is the linear-sweep disassembly (reference sets E, C, J).
 	Sweep StageStat
-	// Index is the materialized x86 instruction index, built only for
-	// the baseline tool models.
-	Index StageStat
 	// EHParse is the .eh_frame FDE parse.
 	EHParse StageStat
 	// LandingPad is the FDE×LSDA landing-pad join.
@@ -70,7 +67,6 @@ type Stats struct {
 // Add accumulates another snapshot.
 func (s *Stats) Add(o Stats) {
 	s.Sweep.Add(o.Sweep)
-	s.Index.Add(o.Index)
 	s.EHParse.Add(o.EHParse)
 	s.LandingPad.Add(o.LandingPad)
 	s.FDEIndex.Add(o.FDEIndex)
@@ -87,7 +83,6 @@ func (s *Stats) Add(o Stats) {
 // CLI summary — adding a stage here adds it everywhere.
 func (s Stats) EachStage(f func(name string, st StageStat)) {
 	f("sweep", s.Sweep)
-	f("index", s.Index)
 	f("eh-parse", s.EHParse)
 	f("landing-pad", s.LandingPad)
 	f("fde-index", s.FDEIndex)
@@ -119,7 +114,6 @@ func (s Stats) Render() string {
 // Context.
 type statCounters struct {
 	sweep      stageCounter
-	index      stageCounter
 	ehParse    stageCounter
 	landingPad stageCounter
 	fdeIndex   stageCounter
@@ -157,7 +151,6 @@ func (c *stageCounter) snapshot() StageStat {
 func (c *Context) Stats() Stats {
 	return Stats{
 		Sweep:         c.stats.sweep.snapshot(),
-		Index:         c.stats.index.snapshot(),
 		EHParse:       c.stats.ehParse.snapshot(),
 		LandingPad:    c.stats.landingPad.snapshot(),
 		FDEIndex:      c.stats.fdeIndex.snapshot(),

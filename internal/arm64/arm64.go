@@ -16,7 +16,11 @@
 // and is treated as such.
 package arm64
 
-import "fmt"
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+)
 
 // Class is the coarse classification of one decoded instruction.
 type Class int
@@ -189,14 +193,63 @@ func branch19Target(word uint32, addr uint64) uint64 {
 	return uint64(int64(addr) + imm)
 }
 
+// cancelStride is how many bytes LinearSweep decodes between
+// cancellation checks, mirroring the x86 sweep's stride: frequent enough
+// that an aborted request stops burning CPU within tens of microseconds,
+// rare enough that the check never shows up in profiles.
+const cancelStride = 64 << 10
+
 // LinearSweep decodes code word by word, invoking fn for each
-// instruction. Trailing bytes that do not fill a word are ignored.
-func LinearSweep(code []byte, base uint64, fn func(Inst) bool) {
+// instruction; fn may return false to stop the sweep. Trailing bytes
+// that do not fill a word are ignored. Cancellation is checked at
+// cancelStride boundaries (a background context short-circuits every
+// check via the Done() == nil fast path); on cancellation the sweep
+// stops and returns ctx.Err().
+func LinearSweep(ctx context.Context, code []byte, base uint64, fn func(Inst) bool) error {
+	done := ctx.Done()
+	next := 0
 	for off := 0; off+4 <= len(code); off += 4 {
-		word := uint32(code[off]) | uint32(code[off+1])<<8 |
-			uint32(code[off+2])<<16 | uint32(code[off+3])<<24
+		if done != nil && off >= next {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			next = off + cancelStride
+		}
+		word := binary.LittleEndian.Uint32(code[off:])
 		if !fn(Decode(word, base+uint64(off))) {
-			return
+			return nil
 		}
 	}
+	return nil
+}
+
+// ScanCallPads returns every address in code holding a call-accepting
+// landmark encoding (BTI c, BTI jc, PACIASP/PACIBSP), ascending. Because
+// AArch64 instructions are fixed-width and word-aligned, this equals the
+// pad set the linear sweep discovers — superset disassembly degenerates
+// to the sweep on this ISA, there are no misaligned encodings to
+// recover. It exists so the byte-level-scan option has a uniform meaning
+// across backends.
+func ScanCallPads(code []byte, base uint64) []uint64 {
+	var out []uint64
+	for off := 0; off+4 <= len(code); off += 4 {
+		word := binary.LittleEndian.Uint32(code[off:])
+		inst := Decode(word, base+uint64(off))
+		if isCallPad(&inst) {
+			out = append(out, inst.Addr)
+		}
+	}
+	return out
+}
+
+// isCallPad reports whether inst is a landmark an indirect call may land
+// on: the AArch64 analog of ENDBR for entry identification.
+func isCallPad(inst *Inst) bool {
+	switch inst.Class {
+	case ClassBTI:
+		return inst.BTI.AcceptsCall()
+	case ClassPACIASP:
+		return true
+	}
+	return false
 }

@@ -1,6 +1,10 @@
 package arm64
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"testing"
+)
 
 func TestDecodeKnown(t *testing.T) {
 	tests := []struct {
@@ -83,7 +87,7 @@ func TestLinearSweep(t *testing.T) {
 		code = append(code, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
 	}
 	var classes []Class
-	LinearSweep(code, 0x1000, func(inst Inst) bool {
+	LinearSweep(context.Background(), code, 0x1000, func(inst Inst) bool {
 		classes = append(classes, inst.Class)
 		return true
 	})
@@ -92,15 +96,22 @@ func TestLinearSweep(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	LinearSweep(code, 0, func(Inst) bool { n++; return false })
+	LinearSweep(context.Background(), code, 0, func(Inst) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d", n)
 	}
 	// Trailing partial word ignored.
 	n = 0
-	LinearSweep(append(code, 0xAA), 0, func(Inst) bool { n++; return true })
+	LinearSweep(context.Background(), append(code, 0xAA), 0, func(Inst) bool { n++; return true })
 	if n != 3 {
 		t.Fatalf("partial word handling: %d", n)
+	}
+	// A done context stops the sweep before its first word.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	n = 0
+	if err := LinearSweep(ctx, code, 0, func(Inst) bool { n++; return true }); !errors.Is(err, context.Canceled) || n != 0 {
+		t.Fatalf("canceled sweep: err=%v after %d words, want context.Canceled after 0", err, n)
 	}
 }
 

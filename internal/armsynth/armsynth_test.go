@@ -2,6 +2,7 @@ package armsynth
 
 import (
 	"bytes"
+	"context"
 	"debug/elf"
 	"testing"
 
@@ -166,7 +167,7 @@ func TestBranchFixupRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var insts []arm64.Inst
-	arm64.LinearSweep(code, 0x401000, func(i arm64.Inst) bool {
+	arm64.LinearSweep(context.Background(), code, 0x401000, func(i arm64.Inst) bool {
 		insts = append(insts, i)
 		return true
 	})

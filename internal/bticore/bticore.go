@@ -19,6 +19,7 @@ package bticore
 
 import (
 	"bytes"
+	"context"
 	"debug/elf"
 	"errors"
 	"fmt"
@@ -84,7 +85,8 @@ func Identify(text []byte, textAddr uint64) *Report {
 	callTargets := make(map[uint64]bool)
 	var jumps []jumpRef
 
-	arm64.LinearSweep(text, textAddr, func(inst arm64.Inst) bool {
+	// A background context never cancels, so the sweep cannot fail.
+	_ = arm64.LinearSweep(context.Background(), text, textAddr, func(inst arm64.Inst) bool {
 		switch inst.Class {
 		case arm64.ClassBTI:
 			if inst.BTI.AcceptsCall() {

@@ -229,7 +229,7 @@ func TestTailCallSelection(t *testing.T) {
 
 func TestClassifyEndbrs(t *testing.T) {
 	bin, gt := compileAndLoad(t, studySpec(synth.LangCPP), defaultCfg())
-	dist, err := ClassifyEndbrs(bin)
+	dist, err := ClassifyEndbrs(analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +258,14 @@ func TestClassifyEndbrs(t *testing.T) {
 
 func TestAnalyzeProperties(t *testing.T) {
 	bin, gt := compileAndLoad(t, studySpec(synth.LangC), defaultCfg())
-	venn := AnalyzeProperties(bin, gt.SortedEntries())
+	actx := analysis.NewContext(bin)
+	venn := AnalyzeProperties(actx, gt.SortedEntries())
 	if venn.Total != len(gt.Funcs) {
 		t.Fatalf("analyzed %d funcs, want %d", venn.Total, len(gt.Funcs))
 	}
 	// Cross-check per-function expectations.
 	for _, f := range gt.Funcs {
-		v := AnalyzeProperties(bin, []uint64{f.Addr})
+		v := AnalyzeProperties(actx, []uint64{f.Addr})
 		var mask int
 		for m, c := range v.Region {
 			if c == 1 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/funseeker/funseeker/internal/analysis"
-	"github.com/funseeker/funseeker/internal/elfx"
-)
+import "github.com/funseeker/funseeker/internal/analysis"
 
 // EndbrDistribution counts end-branch instructions per location class,
 // reproducing the measurement behind Table I.
@@ -31,14 +28,9 @@ func (d *EndbrDistribution) Add(o EndbrDistribution) {
 
 // ClassifyEndbrs classifies every end branch in .text using only the
 // binary's own metadata (PLT names and exception tables) — the analysis
-// of paper §III-B.
-func ClassifyEndbrs(bin *elfx.Binary) (EndbrDistribution, error) {
-	return ClassifyEndbrsWithContext(analysis.NewContext(bin))
-}
-
-// ClassifyEndbrsWithContext classifies the end branches using the shared
-// sweep and landing-pad artifacts memoized in actx.
-func ClassifyEndbrsWithContext(actx *analysis.Context) (EndbrDistribution, error) {
+// of paper §III-B — reading the shared sweep and landing-pad artifacts
+// memoized in actx.
+func ClassifyEndbrs(actx *analysis.Context) (EndbrDistribution, error) {
 	var dist EndbrDistribution
 	pads, err := actx.LandingPads()
 	if err != nil {
@@ -110,14 +102,9 @@ func (v VennCounts) PctWith(mask int) float64 {
 }
 
 // AnalyzeProperties computes, for each true function entry, which of the
-// three syntactic properties hold, reproducing the study behind Figure 3.
-func AnalyzeProperties(bin *elfx.Binary, entries []uint64) VennCounts {
-	return AnalyzePropertiesWithContext(analysis.NewContext(bin), entries)
-}
-
-// AnalyzePropertiesWithContext runs the property study over the shared
-// sweep artifacts memoized in actx.
-func AnalyzePropertiesWithContext(actx *analysis.Context, entries []uint64) VennCounts {
+// three syntactic properties hold, reproducing the study behind Figure 3
+// over the shared sweep artifacts memoized in actx.
+func AnalyzeProperties(actx *analysis.Context, entries []uint64) VennCounts {
 	sw := actx.Sweep()
 	var v VennCounts
 	for _, e := range entries {

@@ -22,8 +22,9 @@
 //     (dead) functions and endbr-less tail-only targets may be missed,
 //     and .cold/.part fragments may be spuriously reported — nothing
 //     else may be;
-//   - recursive descent with a memoized sweep index is byte-identical to
-//     recursive descent without one;
+//   - the records sweep, sequential and sharded at odd worker counts,
+//     equals LinearSweep's own loop, and recursive descent stays inside
+//     .text;
 //   - the shared context really did sweep once and parse .eh_frame at
 //     most once (the PR-1 memoization contract).
 //

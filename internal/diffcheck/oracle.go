@@ -85,10 +85,8 @@ func CheckSpec(spec *ProgSpec, cfg Config) (vs []Violation) {
 		c.checkClassification(actx, gt)
 	}
 	c.checkBaselines(actx, bin)
-	c.checkRecdesc(bin, actx)
-	seq := x86.BuildIndex(bin.Text, bin.TextAddr, bin.Mode)
-	c.checkParallelSweep(bin, seq)
-	c.checkSweepRecords(bin, seq)
+	c.checkRecdesc(bin)
+	c.checkSweepRecords(bin)
 	c.checkStats(actx, bin)
 	return c.vs
 }
@@ -395,7 +393,7 @@ func (c *checker) checkEntrySets(reports []*core.Report, rep5 *core.Report, supE
 // distribution computed from the binary's own metadata must match the
 // ground-truth role counts exactly.
 func (c *checker) checkClassification(actx *analysis.Context, gt *groundtruth.GT) {
-	dist, err := core.ClassifyEndbrsWithContext(actx)
+	dist, err := core.ClassifyEndbrs(actx)
 	if err != nil {
 		c.addf("identify", "classify endbrs: %v", err)
 		return
@@ -426,17 +424,17 @@ func (c *checker) checkBaselines(actx *analysis.Context, bin *elfx.Binary) {
 		err     error
 	}
 	var runs []run
-	if r, err := idapro.IdentifyWithContext(actx); err != nil {
+	if r, err := idapro.Identify(context.Background(), actx); err != nil {
 		runs = append(runs, run{name: "idapro", err: err})
 	} else {
 		runs = append(runs, run{name: "idapro", entries: r.Entries})
 	}
-	if r, err := ghidra.IdentifyWithContext(actx); err != nil {
+	if r, err := ghidra.Identify(context.Background(), actx); err != nil {
 		runs = append(runs, run{name: "ghidra", err: err})
 	} else {
 		runs = append(runs, run{name: "ghidra", entries: r.Entries})
 	}
-	if r, err := fetch.IdentifyWithContext(actx); err != nil {
+	if r, err := fetch.Identify(context.Background(), actx); err != nil {
 		runs = append(runs, run{name: "fetch", err: err})
 	} else {
 		runs = append(runs, run{name: "fetch", entries: r.Entries})
@@ -457,73 +455,31 @@ func (c *checker) checkBaselines(actx *analysis.Context, bin *elfx.Binary) {
 	}
 }
 
-// checkRecdesc asserts the recursive-descent walker produces
-// byte-identical results with and without the memoized sweep index (the
-// PR-1 fallback contract), and stays inside .text.
-func (c *checker) checkRecdesc(bin *elfx.Binary, actx *analysis.Context) {
-	seeds := []uint64{bin.Entry}
-	plain := recdesc.Traverse(bin, seeds)
-	indexed := recdesc.TraverseIndexed(bin, actx.Index(), seeds)
-	pe, ie := plain.Entries(), indexed.Entries()
-	if !slices.Equal(pe, ie) {
-		c.addf("recdesc-differential", "indexed traversal entries differ from plain: %s",
-			diffSummary(pe, ie))
-	}
-	if !slices.Equal(plain.Covered, indexed.Covered) {
-		c.addf("recdesc-differential", "indexed traversal coverage differs from plain")
-	}
-	for _, e := range pe {
+// checkRecdesc asserts the recursive-descent walker stays inside .text.
+func (c *checker) checkRecdesc(bin *elfx.Binary) {
+	for _, e := range recdesc.Traverse(bin, []uint64{bin.Entry}).Entries() {
 		if !bin.InText(e) {
 			c.addf("recdesc-bounds", "entry %#x outside .text", e)
 		}
 	}
 }
 
-// checkParallelSweep asserts the sharded-sweep stitching contract: for
-// any worker count, BuildIndexParallel must produce an index
-// byte-identical to the sequential BuildIndex — same instruction stream
-// (every field, compared with ==) and the same skipped-byte accounting,
-// including on binaries with data-in-text where the shard seams can land
-// mid-garbage. Odd worker counts are used deliberately so the seams
-// fall at unaligned offsets.
-func (c *checker) checkParallelSweep(bin *elfx.Binary, seq *x86.Index) {
-	for _, workers := range []int{2, 3, 7} {
-		par := x86.BuildIndexParallel(bin.Text, bin.TextAddr, bin.Mode, workers)
-		if len(par.Insts) != len(seq.Insts) {
-			c.addf("parallel-sweep", "workers=%d: %d instructions vs %d sequential",
-				workers, len(par.Insts), len(seq.Insts))
-			continue
-		}
-		for i := range seq.Insts {
-			if par.Insts[i] != seq.Insts[i] {
-				c.addf("parallel-sweep", "workers=%d: inst %d differs: parallel %+v vs sequential %+v",
-					workers, i, par.Insts[i], seq.Insts[i])
-				break
-			}
-		}
-		if par.Skipped != seq.Skipped {
-			c.addf("parallel-sweep", "workers=%d: skipped %d bytes vs %d sequential",
-				workers, par.Skipped, seq.Skipped)
-		}
-	}
-}
-
 // checkSweepRecords asserts the records sweep behind FunSeeker's
 // DISASSEMBLE step — boundaries, skipped bytes, end branches, calls and
-// jumps, never materialized as instructions — finds exactly what a walk
-// over the sequential materialized index finds, for the sequential sweep
-// and for sharded sweeps whose odd worker counts put seams at unaligned
-// offsets.
-func (c *checker) checkSweepRecords(bin *elfx.Binary, seq *x86.Index) {
-	ref := seq.Records()
+// jumps — finds exactly what LinearSweep's own loop finds, for the
+// sequential sweep and for sharded sweeps whose odd worker counts put
+// seams at unaligned offsets, including on binaries with data-in-text
+// where the seams can land mid-garbage.
+func (c *checker) checkSweepRecords(bin *elfx.Binary) {
+	ref := x86.ReferenceRecords(bin.Text, bin.TextAddr, bin.Mode)
 	for _, workers := range []int{1, 2, 3, 7} {
 		r, err := x86.SweepRecords(context.Background(), bin.Text, bin.TextAddr, bin.Mode, workers)
 		if err != nil {
-			c.addf("sweep-records-vs-index", "workers=%d: %v", workers, err)
+			c.addf("sweep-records", "workers=%d: %v", workers, err)
 			continue
 		}
 		if d := r.Diff(ref); d != "" {
-			c.addf("sweep-records-vs-index", "workers=%d: %s", workers, d)
+			c.addf("sweep-records", "workers=%d: %s", workers, d)
 		}
 	}
 }

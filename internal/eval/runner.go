@@ -91,19 +91,19 @@ func (t Tool) RunContext(actx *analysis.Context) ([]uint64, error) {
 		}
 		return r.Entries, nil
 	case ToolIDA:
-		r, err := idapro.IdentifyWithContext(actx)
+		r, err := idapro.Identify(context.Background(), actx)
 		if err != nil {
 			return nil, err
 		}
 		return r.Entries, nil
 	case ToolGhidra:
-		r, err := ghidra.IdentifyWithContext(actx)
+		r, err := ghidra.Identify(context.Background(), actx)
 		if err != nil {
 			return nil, err
 		}
 		return r.Entries, nil
 	case ToolFETCH:
-		r, err := fetch.IdentifyWithContext(actx)
+		r, err := fetch.Identify(context.Background(), actx)
 		if err != nil {
 			return nil, err
 		}

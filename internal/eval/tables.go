@@ -93,11 +93,11 @@ func RunAll(cases []Case, workers int) (*Results, error) {
 		gk := GroupKey{Comp: obs.Case.Config.Compiler, Suite: obs.Case.Suite}
 		ak := ArchKey{Mode: obs.Case.Config.Mode, Suite: obs.Case.Suite}
 
-		dist, err := core.ClassifyEndbrsWithContext(obs.Ctx)
+		dist, err := core.ClassifyEndbrs(obs.Ctx)
 		if err != nil {
 			return err
 		}
-		venn := core.AnalyzePropertiesWithContext(obs.Ctx, obs.Result.GT.SortedEntries())
+		venn := core.AnalyzeProperties(obs.Ctx, obs.Result.GT.SortedEntries())
 
 		type toolRun struct {
 			tool    Tool

@@ -46,7 +46,7 @@ func (p funcProfile) looksLikeFunction() bool {
 // profileRange analyzes the instructions of [begin, end) by building the
 // function's CFG, lifting to micro-ops, and running the stack-height
 // dataflow to a fixpoint — the analysis architecture of the real FETCH.
-func profileRange(bin *elfx.Binary, idx *x86.Index, begin, end uint64) funcProfile {
+func profileRange(bin *elfx.Binary, begin, end uint64) funcProfile {
 	if begin < bin.TextAddr {
 		return funcProfile{decodeError: true}
 	}
@@ -58,16 +58,16 @@ func profileRange(bin *elfx.Binary, idx *x86.Index, begin, end uint64) funcProfi
 	if lo >= hi {
 		return funcProfile{decodeError: true}
 	}
-	return cfgProfileSrc(csrc{code: bin.Text[lo:hi], base: begin, mode: bin.Mode, idx: idx})
+	return cfgProfile(bin.Text[lo:hi], begin, bin.Mode)
 }
 
 // profileWindow analyzes up to maxInsts instructions starting at va.
-func profileWindow(bin *elfx.Binary, idx *x86.Index, va uint64, maxInsts int) funcProfile {
+func profileWindow(bin *elfx.Binary, va uint64, maxInsts int) funcProfile {
 	if !bin.InText(va) {
 		return funcProfile{decodeError: true}
 	}
 	lo := va - bin.TextAddr
-	return profileSrc(csrc{code: bin.Text[lo:], base: va, mode: bin.Mode, idx: idx}, maxInsts, true)
+	return profile(bin.Text[lo:], va, bin.Mode, maxInsts, true)
 }
 
 // profile is the core walk: linear disassembly with stack-height and
@@ -76,14 +76,8 @@ func profileWindow(bin *elfx.Binary, idx *x86.Index, va uint64, maxInsts int) fu
 // verification); otherwise it walks the whole region, resetting the
 // height model at each return (full-function profiling).
 func profile(code []byte, base uint64, mode x86.Mode, maxInsts int, stopAtFlowEnd bool) funcProfile {
-	return profileSrc(csrc{code: code, base: base, mode: mode}, maxInsts, stopAtFlowEnd)
-}
-
-// profileSrc is profile over a decode source (optionally backed by the
-// shared linear-sweep index).
-func profileSrc(src csrc, maxInsts int, stopAtFlowEnd bool) funcProfile {
+	src := csrc{code: code, base: base, mode: mode}
 	var p funcProfile
-	mode := src.mode
 	ptr := int64(8)
 	if mode == x86.Mode32 {
 		ptr = 4
@@ -93,13 +87,12 @@ func profileSrc(src csrc, maxInsts int, stopAtFlowEnd bool) funcProfile {
 		written    [16]bool
 		checkedArg = false
 	)
-	var scratch x86.Inst
+	var inst x86.Inst
 	pc := src.base
 	end := src.end()
 	first := true
 	for pc < end && p.insts < maxInsts {
-		inst, err := src.decode(pc, &scratch)
-		if err != nil {
+		if err := src.decode(pc, &inst); err != nil {
 			p.decodeError = true
 			return p
 		}
@@ -121,7 +114,7 @@ func profileSrc(src csrc, maxInsts int, stopAtFlowEnd bool) funcProfile {
 			height += ptr
 		case inst.Class == x86.ClassLeave:
 			height = 0 // rsp <- rbp; pop rbp
-		case isRspAdjust(inst):
+		case isRspAdjust(&inst):
 			if inst.Reg() == 5 { // sub
 				height -= inst.Imm
 			} else { // add
@@ -136,7 +129,7 @@ func profileSrc(src csrc, maxInsts int, stopAtFlowEnd bool) funcProfile {
 
 		// Argument-register liveness: only meaningful near the entry.
 		if !checkedArg && p.insts <= 12 {
-			reads, writes := regEffects(inst, mode)
+			reads, writes := regEffects(&inst, mode)
 			for _, r := range reads {
 				if mode == x86.Mode64 && argRegs64[r] && !written[r] {
 					p.argRegRead = true

@@ -94,32 +94,20 @@ func lift(inst *x86.Inst, ptr int64, ops []microOp) []microOp {
 	return ops
 }
 
-// csrc serves decoded instructions for one contiguous code region.
-// When the shared linear-sweep index is present, instruction starts it
-// already decoded are returned by pointer (no re-decode, no copy);
-// anything else — desynchronized regions, or an index instruction that
-// would cross the region end — falls back to decoding the region's own
-// bytes, which reproduces the truncation behaviour of a plain decode
-// loop exactly.
+// csrc is one contiguous code region. Its instructions are decoded on
+// demand from the region's own bytes, so an instruction that would cross
+// the region end fails to decode exactly as in a plain decode loop.
 type csrc struct {
 	code []byte // the region's bytes
 	base uint64 // virtual address of code[0]
 	mode x86.Mode
-	idx  *x86.Index
 }
 
 func (s csrc) end() uint64 { return s.base + uint64(len(s.code)) }
 
-func (s csrc) decode(pc uint64, scratch *x86.Inst) (*x86.Inst, error) {
-	if s.idx != nil {
-		if p := s.idx.AtPtr(pc); p != nil && pc+uint64(p.Len) <= s.end() {
-			return p, nil
-		}
-	}
-	if err := x86.DecodeInto(s.code[pc-s.base:], pc, s.mode, scratch); err != nil {
-		return nil, err
-	}
-	return scratch, nil
+// decode decodes the instruction at pc into inst.
+func (s csrc) decode(pc uint64, inst *x86.Inst) error {
+	return x86.DecodeInto(s.code[pc-s.base:], pc, s.mode, inst)
 }
 
 // liftedInst is one instruction of the lifted stream: its class, its
@@ -153,18 +141,17 @@ func buildCFG(src csrc, ptr int64) ([]basicBlock, []microOp, bool) {
 	lifted := make([]liftedInst, 0, est)
 	addrs := make([]uint64, 0, est)
 	arena := make([]microOp, 0, 2*est)
-	var scratch x86.Inst
+	var inst x86.Inst
 	pc := src.base
 	end := src.end()
 	decodeOK := true
 	for pc < end {
-		inst, err := src.decode(pc, &scratch)
-		if err != nil {
+		if err := src.decode(pc, &inst); err != nil {
 			decodeOK = false
 			break
 		}
 		opsStart := int32(len(arena))
-		arena = lift(inst, ptr, arena)
+		arena = lift(&inst, ptr, arena)
 		lifted = append(lifted, liftedInst{
 			class:    inst.Class,
 			hasTgt:   inst.HasTarget,
@@ -329,12 +316,7 @@ func analyzeCFG(blocks []basicBlock, arena []microOp, decodeOK bool, ptr int64) 
 
 // cfgProfile is the CFG-based replacement for the linear range profiler.
 func cfgProfile(code []byte, begin uint64, mode x86.Mode) funcProfile {
-	return cfgProfileSrc(csrc{code: code, base: begin, mode: mode})
-}
-
-// cfgProfileSrc is cfgProfile over a decode source (optionally backed by
-// the shared linear-sweep index).
-func cfgProfileSrc(src csrc) funcProfile {
+	src := csrc{code: code, base: begin, mode: mode}
 	ptr := int64(8)
 	if src.mode == x86.Mode32 {
 		ptr = 4

@@ -20,21 +20,20 @@
 //     candidate and models the stack, which costs real time — FunSeeker's
 //     speed advantage in the paper comes from skipping exactly this work.
 //
-// The .eh_frame parse, the escaping-jump scan, and the raw instruction
-// decode all come from the shared analysis.Context (one parse / one
-// sweep per binary); the lift to micro-ops and the stack-height
-// dataflow remain FETCH's own per-run work, because their cost is
-// exactly what the paper's runtime comparison measures.
+// The .eh_frame parse and the escaping-jump scan come from the shared
+// analysis.Context (one parse / one sweep per binary); the instruction
+// decode, the lift to micro-ops and the stack-height dataflow remain
+// FETCH's own per-run work, because their cost is exactly what the
+// paper's runtime comparison measures.
 package fetch
 
 import (
 	"context"
 	"fmt"
 	"slices"
+	"sort"
 
 	"github.com/funseeker/funseeker/internal/analysis"
-	"github.com/funseeker/funseeker/internal/elfx"
-	"github.com/funseeker/funseeker/internal/x86"
 )
 
 // Report is the identification result.
@@ -56,20 +55,16 @@ type Report struct {
 // maxVerifyWindow bounds the per-candidate verification walk.
 const maxVerifyWindow = 256
 
-// Identify runs the FETCH algorithm on a loaded binary with a private
-// analysis context.
-func Identify(bin *elfx.Binary) (*Report, error) {
-	return IdentifyWithContext(analysis.NewContext(bin))
-}
-
-// IdentifyWithContext runs FETCH using the shared per-binary artifacts
-// memoized in actx. The model reads x86 instructions, so a binary of any
-// other architecture is an error.
-func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
+// Identify runs FETCH using the shared per-binary artifacts memoized in
+// actx, checking ctx between its passes. The model reads x86
+// instructions, so a binary of any other architecture is an error.
+func Identify(ctx context.Context, actx *analysis.Context) (*Report, error) {
 	bin := actx.Binary()
-	idx, err := actx.IndexCtx(context.Background())
-	if err != nil {
+	if err := actx.RequireX86(); err != nil {
 		return nil, fmt.Errorf("fetch: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	report := &Report{}
 	fdes, err := actx.FDEs()
@@ -88,6 +83,9 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 		ranges = append(ranges, frange{begin: f.PCBegin, end: f.PCBegin + f.PCRange})
 	}
 	report.FDEFunctions = len(entries)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	slices.SortFunc(ranges, func(a, b frange) int {
 		switch {
 		case a.begin < b.begin:
@@ -102,28 +100,38 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	// Profile every FDE-covered function: stack-height consistency and
 	// argument-register usage. FETCH uses these profiles both to sanity
 	// check its ranges and to verify tail-call candidates; the cost of
-	// this full pass is the dominant term in its runtime. The raw decode
-	// of each range is served from the shared instruction index; the
-	// lift and the stack-height dataflow — the paper's cost driver,
-	// counted in AnalyzedInsts — run per call.
+	// this full pass is the dominant term in its runtime. Each range is
+	// decoded on demand; the decode, the lift and the stack-height
+	// dataflow — the paper's cost driver, counted in AnalyzedInsts — run
+	// per call.
 	profiles := make(map[uint64]funcProfile, len(ranges))
 	for _, r := range ranges {
-		p := profileRange(bin, idx, r.begin, r.end)
+		p := profileRange(bin, r.begin, r.end)
 		profiles[r.begin] = p
 		report.AnalyzedInsts += p.insts
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
-	// Find direct jumps escaping their FDE range, reading the shared
-	// instruction index instead of re-sweeping each range.
+	// Find direct unconditional jumps escaping their FDE range, reading
+	// the shared sweep's jump records (ascending by source) instead of
+	// re-sweeping each range.
+	sw, err := actx.SweepCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	jumps := sw.JumpRefs
 	candidates := make(map[uint64][]uint64) // target -> jump sources
 	for _, r := range ranges {
-		for _, inst := range idx.Range(r.begin, r.end) {
-			if inst.Class == x86.ClassJmpRel && inst.HasTarget {
-				if inst.Target < r.begin || inst.Target >= r.end {
-					if bin.InText(inst.Target) && !entries[inst.Target] {
-						candidates[inst.Target] = append(candidates[inst.Target], inst.Addr)
-					}
-				}
+		i := sort.Search(len(jumps), func(i int) bool { return jumps[i].Src >= r.begin })
+		for ; i < len(jumps) && jumps[i].Src < r.end; i++ {
+			j := jumps[i]
+			if j.Cond || (j.Target >= r.begin && j.Target < r.end) {
+				continue
+			}
+			if bin.InText(j.Target) && !entries[j.Target] {
+				candidates[j.Target] = append(candidates[j.Target], j.Src)
 			}
 		}
 	}
@@ -135,7 +143,7 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	}
 	slices.Sort(targets)
 	for _, t := range targets {
-		prof := profileWindow(bin, idx, t, maxVerifyWindow)
+		prof := profileWindow(bin, t, maxVerifyWindow)
 		report.AnalyzedInsts += prof.insts
 		if prof.looksLikeFunction() {
 			entries[t] = true

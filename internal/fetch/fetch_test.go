@@ -1,8 +1,13 @@
 package fetch
 
 import (
+	"bytes"
+	"context"
+	"slices"
 	"testing"
 
+	"github.com/funseeker/funseeker/internal/analysis"
+	"github.com/funseeker/funseeker/internal/ehframe"
 	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/groundtruth"
 	"github.com/funseeker/funseeker/internal/synth"
@@ -39,7 +44,7 @@ func sampleSpec() *synth.ProgSpec {
 
 func TestFDECoverageGCC64(t *testing.T) {
 	bin, gt := build(t, sampleSpec(), synth.Config{Compiler: synth.GCC, Mode: x86.Mode64, Opt: synth.O2})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +68,7 @@ func TestFDECoverageGCC64(t *testing.T) {
 
 func TestClangX86CollapseOnC(t *testing.T) {
 	bin, gt := build(t, sampleSpec(), synth.Config{Compiler: synth.Clang, Mode: x86.Mode32, Opt: synth.O2})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +86,7 @@ func TestPartBlocksAreFalsePositives(t *testing.T) {
 	spec := sampleSpec()
 	spec.Funcs[0].ColdPart = true
 	bin, gt := build(t, spec, synth.Config{Compiler: synth.GCC, Mode: x86.Mode64, Opt: synth.O2})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +177,7 @@ func TestCFGProfileLoops(t *testing.T) {
 
 func TestVerifiedTailCall(t *testing.T) {
 	bin, gt := build(t, sampleSpec(), synth.Config{Compiler: synth.GCC, Mode: x86.Mode64, Opt: synth.O2})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,4 +189,33 @@ func TestVerifiedTailCall(t *testing.T) {
 		t.Error("negative counters")
 	}
 	_ = gt
+}
+
+// TestEscapingJumpsUnconditionalOnly: a direct jump leaving its FDE range
+// is a tail-call candidate, a conditional jump leaving it is not, even
+// when both targets pass verification.
+func TestEscapingJumpsUnconditionalOnly(t *testing.T) {
+	const base, ehVA = 0x1000, 0x3000
+	body := []byte{0x55, 0x48, 0x89, 0xE5, 0x5D, 0xC3} // push rbp; mov rbp,rsp; pop rbp; ret
+	text := bytes.Repeat([]byte{0xCC}, 0x40)
+	copy(text, []byte{
+		0x0F, 0x84, 0x1A, 0x00, 0x00, 0x00, // jz 0x1020
+		0xE9, 0x25, 0x00, 0x00, 0x00, // jmp 0x1030
+		0xC3,
+	})
+	copy(text[0x20:], body)
+	copy(text[0x30:], body)
+	eh := ehframe.NewBuilder(ehVA, 8)
+	eh.AddFDE(base, 0x10, false, 0)
+	bin := &elfx.Binary{
+		Arch: elfx.ArchX86_64, Mode: x86.Mode64, Entry: base,
+		Text: text, TextAddr: base, EHFrame: eh.Bytes(), EHFrameAddr: ehVA,
+	}
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{0x1000, 0x1030}; !slices.Equal(rep.Entries, want) {
+		t.Fatalf("entries = %#x, want %#x", rep.Entries, want)
+	}
 }

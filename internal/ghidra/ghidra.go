@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"github.com/funseeker/funseeker/internal/analysis"
-	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/recdesc"
 )
 
@@ -31,20 +30,17 @@ type Report struct {
 	FromPrologue int
 }
 
-// Identify runs the Ghidra-style algorithm with a private analysis
-// context.
-func Identify(bin *elfx.Binary) (*Report, error) {
-	return IdentifyWithContext(analysis.NewContext(bin))
-}
-
-// IdentifyWithContext runs the Ghidra-style algorithm using the shared
-// per-binary artifacts memoized in actx. The model reads x86
-// instructions, so a binary of any other architecture is an error.
-func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
+// Identify runs the Ghidra-style algorithm using the shared per-binary
+// artifacts memoized in actx, checking ctx between its passes. The model
+// reads x86 instructions, so a binary of any other architecture is an
+// error.
+func Identify(ctx context.Context, actx *analysis.Context) (*Report, error) {
 	bin := actx.Binary()
-	idx, err := actx.IndexCtx(context.Background())
-	if err != nil {
+	if err := actx.RequireX86(); err != nil {
 		return nil, fmt.Errorf("ghidra: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	report := &Report{}
 	found := make(map[uint64]bool)
@@ -66,10 +62,13 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 		}
 	}
 
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
 	// Pass 2: recursive descent from the entry point and every FDE
-	// function, expanding through direct calls. Decoding is served from
-	// the shared linear-sweep index where possible.
-	walker := recdesc.NewWalker(bin, idx)
+	// function, expanding through direct calls.
+	walker := recdesc.NewWalker(bin)
 	res := walker.Traverse(seeds)
 	for e := range res.Functions {
 		if !found[e] {
@@ -78,12 +77,16 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 		}
 	}
 
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
 	// Pass 3: prologue signatures over the gaps, instruction by
 	// instruction. Ghidra's function start patterns recognize classic
 	// frame-pointer prologues; it does not key on end-branch markers
 	// (the paper's central observation).
-	recdesc.WalkGapsIndexed(bin, idx, res.Covered, func(va uint64, _ bool) bool {
-		if recdesc.ClassifyPrologueIndexed(bin, idx, va) != recdesc.PrologueFramePointer {
+	recdesc.WalkGaps(bin, res.Covered, func(va uint64, _ bool) bool {
+		if recdesc.ClassifyPrologue(bin, va) != recdesc.PrologueFramePointer {
 			return false
 		}
 		found[va] = true

@@ -1,8 +1,10 @@
 package ghidra
 
 import (
+	"context"
 	"testing"
 
+	"github.com/funseeker/funseeker/internal/analysis"
 	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/groundtruth"
 	"github.com/funseeker/funseeker/internal/synth"
@@ -39,7 +41,7 @@ func sampleSpec() *synth.ProgSpec {
 
 func TestFullRecallWithFDEs(t *testing.T) {
 	bin, gt := build(t, sampleSpec(), synth.Config{Compiler: synth.GCC, Mode: x86.Mode64, Opt: synth.O2})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestFullRecallWithFDEs(t *testing.T) {
 func TestClangX86RecallDrop(t *testing.T) {
 	cfgNoFDE := synth.Config{Compiler: synth.Clang, Mode: x86.Mode32, Opt: synth.O2}
 	bin, gt := build(t, sampleSpec(), cfgNoFDE)
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestClangX86RecallDrop(t *testing.T) {
 	cfgO0 := cfgNoFDE
 	cfgO0.Opt = synth.O0
 	bin0, gt0 := build(t, sampleSpec(), cfgO0)
-	rep0, err := Identify(bin0)
+	rep0, err := Identify(context.Background(), analysis.NewContext(bin0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestPartBlockFalsePositives(t *testing.T) {
 	spec := sampleSpec()
 	spec.Funcs[0].ColdPart = true
 	bin, gt := build(t, spec, synth.Config{Compiler: synth.GCC, Mode: x86.Mode64, Opt: synth.O2})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}

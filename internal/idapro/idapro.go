@@ -39,19 +39,17 @@ type Report struct {
 	FromOrphanRescue int
 }
 
-// Identify runs the IDA-style algorithm with a private analysis context.
-func Identify(bin *elfx.Binary) (*Report, error) {
-	return IdentifyWithContext(analysis.NewContext(bin))
-}
-
-// IdentifyWithContext runs the IDA-style algorithm using the shared
-// per-binary artifacts memoized in actx. The model reads x86
-// instructions, so a binary of any other architecture is an error.
-func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
+// Identify runs the IDA-style algorithm using the shared per-binary
+// artifacts memoized in actx, checking ctx between its passes. The model
+// reads x86 instructions, so a binary of any other architecture is an
+// error.
+func Identify(ctx context.Context, actx *analysis.Context) (*Report, error) {
 	bin := actx.Binary()
-	idx, err := actx.IndexCtx(context.Background())
-	if err != nil {
+	if err := actx.RequireX86(); err != nil {
 		return nil, fmt.Errorf("idapro: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	report := &Report{}
 	found := make(map[uint64]bool)
@@ -66,10 +64,13 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	// (IDA's immediate/offset analysis finds lea rdi, [rip+func] and
 	// push $func references).
 	seeds := []uint64{bin.Entry}
-	codeRefs := collectCodeRefs(bin, idx)
+	codeRefs := collectCodeRefs(bin)
 	seeds = append(seeds, codeRefs...)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
-	walker := recdesc.NewWalker(bin, idx)
+	walker := recdesc.NewWalker(bin)
 	res := walker.Traverse(seeds)
 	for e := range res.Functions {
 		found[e] = true
@@ -99,13 +100,16 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 	// Explore the newly split functions so their bodies count as covered
 	// (marked in place on the shared coverage array).
 	walker.TraverseInto(setToSlice(escapes), res.Covered)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	// Gap analysis: prologue signatures and orphan-code rescue, walking
 	// each gap instruction by instruction so back-to-back unaligned
 	// functions are all examined.
-	recdesc.WalkGapsIndexed(bin, idx, res.Covered, func(va uint64, chunkStart bool) bool {
+	recdesc.WalkGaps(bin, res.Covered, func(va uint64, chunkStart bool) bool {
 		accepted := false
-		switch recdesc.ClassifyPrologueIndexed(bin, idx, va) {
+		switch recdesc.ClassifyPrologue(bin, va) {
 		case recdesc.PrologueFramePointer:
 			accepted = true
 			report.FromPrologue++
@@ -117,7 +121,7 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 			// pads) are left as loose code, though large pads still slip
 			// through as spurious functions.
 			if chunkStart && !analysis.Has(pads, va) && chunkLen(bin, res.Covered, va) >= minRescueChunk &&
-				recdesc.ContainsEarlyCallIndexed(bin, idx, va, 8) {
+				recdesc.ContainsEarlyCall(bin, va, 8) {
 				accepted = true
 				report.FromOrphanRescue++
 			}
@@ -142,14 +146,12 @@ func IdentifyWithContext(actx *analysis.Context) (*Report, error) {
 }
 
 // collectCodeRefs finds .text addresses materialized by code: RIP-relative
-// lea and mov-immediate forms, read off the shared instruction index.
+// lea and mov-immediate forms, found by one linear sweep of .text.
 // Data-section function-pointer tables are invisible to this analysis —
 // exactly IDA's blind spot.
-func collectCodeRefs(bin *elfx.Binary, idx *x86.Index) []uint64 {
+func collectCodeRefs(bin *elfx.Binary) []uint64 {
 	var refs []uint64
-	insts := idx.Insts
-	for i := range insts {
-		inst := &insts[i]
+	x86.LinearSweep(bin.Text, bin.TextAddr, bin.Mode, func(inst *x86.Inst) bool {
 		// lea reg, [rip+disp] referencing .text.
 		if inst.OpcodeMap == 1 && inst.Opcode == 0x8D && inst.HasRIPRef && bin.InText(inst.RIPRef) {
 			refs = append(refs, inst.RIPRef)
@@ -161,7 +163,8 @@ func collectCodeRefs(bin *elfx.Binary, idx *x86.Index) []uint64 {
 				refs = append(refs, va)
 			}
 		}
-	}
+		return true
+	})
 	return refs
 }
 

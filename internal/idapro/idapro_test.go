@@ -1,8 +1,10 @@
 package idapro
 
 import (
+	"context"
 	"testing"
 
+	"github.com/funseeker/funseeker/internal/analysis"
 	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/groundtruth"
 	"github.com/funseeker/funseeker/internal/synth"
@@ -52,7 +54,7 @@ func mixSpec() *synth.ProgSpec {
 
 func TestFindsCallGraph(t *testing.T) {
 	bin, gt := build(t, mixSpec(), synth.Config{Compiler: synth.GCC, Mode: x86.Mode64, Opt: synth.O2})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestFindsCallGraph(t *testing.T) {
 
 func TestPrologueScanAtO0(t *testing.T) {
 	bin, gt := build(t, mixSpec(), synth.Config{Compiler: synth.GCC, Mode: x86.Mode64, Opt: synth.O0})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestPrologueScanAtO0(t *testing.T) {
 
 func Test32BitImmediateRefs(t *testing.T) {
 	bin, gt := build(t, mixSpec(), synth.Config{Compiler: synth.GCC, Mode: x86.Mode32, Opt: synth.O2})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func Test32BitImmediateRefs(t *testing.T) {
 
 func TestReportCounters(t *testing.T) {
 	bin, _ := build(t, mixSpec(), synth.Config{Compiler: synth.GCC, Mode: x86.Mode64, Opt: synth.O0})
-	rep, err := Identify(bin)
+	rep, err := Identify(context.Background(), analysis.NewContext(bin))
 	if err != nil {
 		t.Fatal(err)
 	}

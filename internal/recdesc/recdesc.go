@@ -42,54 +42,31 @@ func (r *Result) Entries() []uint64 {
 	return out
 }
 
-// source bundles a binary with an optional memoized linear-sweep index.
-// When the index is present, instruction starts it already decoded are
-// served from it instead of re-running the decoder; addresses the global
-// sweep never reached (desynchronized regions) fall back to a fresh
-// decode, so results are byte-identical either way — decoding the same
-// bytes at the same address is deterministic.
-type source struct {
-	bin *elfx.Binary
-	idx *x86.Index
-}
-
-// decode returns the instruction at va: a pointer into the shared index
-// on a hit (must not be modified), or scratch filled by a fresh decode.
-func (s source) decode(va uint64, scratch *x86.Inst) (*x86.Inst, error) {
-	if s.idx != nil {
-		if p := s.idx.AtPtr(va); p != nil {
-			return p, nil
-		}
-	}
-	if err := x86.DecodeInto(s.bin.Text[va-s.bin.TextAddr:], va, s.bin.Mode, scratch); err != nil {
-		return nil, err
-	}
-	return scratch, nil
+// decodeAt decodes the instruction at va into inst. Decoding is served
+// fresh from the section bytes every time: the same bytes at the same
+// address always decode the same way, so no instruction is stored.
+func decodeAt(bin *elfx.Binary, va uint64, inst *x86.Inst) error {
+	return x86.DecodeInto(bin.Text[va-bin.TextAddr:], va, bin.Mode, inst)
 }
 
 // Walker carries the reusable state for repeated traversals over one
-// binary: the optional decode index and an epoch-numbered visited set,
-// so per-function exploration allocates neither a map nor a fresh array.
+// binary: an epoch-numbered visited set, so per-function exploration
+// allocates neither a map nor a fresh array.
 type Walker struct {
-	src     source
+	bin     *elfx.Binary
 	visited []uint32
 	gen     uint32
 }
 
-// NewWalker prepares traversal state for bin. idx may be nil; when
-// present it is the binary's memoized linear-sweep index and spares
-// re-decoding instructions the sweep already produced.
-func NewWalker(bin *elfx.Binary, idx *x86.Index) *Walker {
-	return &Walker{
-		src:     source{bin: bin, idx: idx},
-		visited: make([]uint32, len(bin.Text)),
-	}
+// NewWalker prepares traversal state for bin.
+func NewWalker(bin *elfx.Binary) *Walker {
+	return &Walker{bin: bin, visited: make([]uint32, len(bin.Text))}
 }
 
 // Traverse explores the binary from the seed entries into a fresh
 // coverage array.
 func (w *Walker) Traverse(seeds []uint64) *Result {
-	return w.TraverseInto(seeds, make([]bool, len(w.src.bin.Text)))
+	return w.TraverseInto(seeds, make([]bool, len(w.bin.Text)))
 }
 
 // TraverseInto explores the binary from the seed entries, marking
@@ -97,7 +74,7 @@ func (w *Walker) Traverse(seeds []uint64) *Result {
 // Result shares. Bytes already marked stay marked — merge semantics
 // without the extra array and copy.
 func (w *Walker) TraverseInto(seeds []uint64, covered []bool) *Result {
-	bin := w.src.bin
+	bin := w.bin
 	res := &Result{
 		Functions: make(map[uint64]*Func),
 		Covered:   covered,
@@ -119,26 +96,20 @@ func (w *Walker) TraverseInto(seeds []uint64, covered []bool) *Result {
 	return res
 }
 
-// Traverse explores the binary from the seed entries.
+// Traverse explores the binary from the seed entries. Callers doing
+// repeated traversals over one binary should hold a Walker instead.
 func Traverse(bin *elfx.Binary, seeds []uint64) *Result {
-	return NewWalker(bin, nil).Traverse(seeds)
-}
-
-// TraverseIndexed is Traverse backed by a memoized linear-sweep index
-// (may be nil). Callers doing repeated traversals over one binary should
-// hold a Walker instead.
-func TraverseIndexed(bin *elfx.Binary, idx *x86.Index, seeds []uint64) *Result {
-	return NewWalker(bin, idx).Traverse(seeds)
+	return NewWalker(bin).Traverse(seeds)
 }
 
 // exploreFunction walks one function's control flow. It returns newly
 // discovered call targets.
 func (w *Walker) exploreFunction(fn *Func, res *Result) []uint64 {
-	bin := w.src.bin
+	bin := w.bin
 	w.gen++
 	gen := w.gen
 	var calls []uint64
-	var scratch x86.Inst
+	var inst x86.Inst
 	blocks := []uint64{fn.Entry}
 	maxEnd := fn.Entry
 
@@ -152,8 +123,7 @@ func (w *Walker) exploreFunction(fn *Func, res *Result) []uint64 {
 		for bin.InText(pc) && w.visited[pc-bin.TextAddr] != gen {
 			off := pc - bin.TextAddr
 			w.visited[off] = gen
-			inst, err := w.src.decode(pc, &scratch)
-			if err != nil {
+			if err := decodeAt(bin, pc, &inst); err != nil {
 				break
 			}
 			for i := uint64(0); i < uint64(inst.Len) && off+i < uint64(len(res.Covered)); i++ {
@@ -262,14 +232,7 @@ func Gaps(bin *elfx.Binary, covered []bool) []GapChunk {
 // per-instruction walk is what lets signature scans find back-to-back
 // functions in one large gap (unaligned -O0/-O1 layouts).
 func WalkGaps(bin *elfx.Binary, covered []bool, visit func(va uint64, chunkStart bool) bool) {
-	WalkGapsIndexed(bin, nil, covered, visit)
-}
-
-// WalkGapsIndexed is WalkGaps backed by a memoized linear-sweep index
-// (may be nil).
-func WalkGapsIndexed(bin *elfx.Binary, idx *x86.Index, covered []bool, visit func(va uint64, chunkStart bool) bool) {
-	src := source{bin: bin, idx: idx}
-	var scratch x86.Inst
+	var inst x86.Inst
 	n := len(bin.Text)
 	chunkStart := true
 	for off := 0; off < n; {
@@ -278,8 +241,7 @@ func WalkGapsIndexed(bin *elfx.Binary, idx *x86.Index, covered []bool, visit fun
 			chunkStart = true
 			continue
 		}
-		inst, err := src.decode(bin.TextAddr+uint64(off), &scratch)
-		if err != nil {
+		if err := decodeAt(bin, bin.TextAddr+uint64(off), &inst); err != nil {
 			covered[off] = true
 			off++
 			chunkStart = true
@@ -331,14 +293,8 @@ const (
 
 // ClassifyPrologue inspects the first instructions at va.
 func ClassifyPrologue(bin *elfx.Binary, va uint64) PrologueKind {
-	return ClassifyPrologueIndexed(bin, nil, va)
-}
-
-// ClassifyPrologueIndexed is ClassifyPrologue backed by a memoized
-// linear-sweep index (may be nil).
-func ClassifyPrologueIndexed(bin *elfx.Binary, idx *x86.Index, va uint64) PrologueKind {
 	var buf [3]x86.Inst
-	insts := decodeWindow(source{bin: bin, idx: idx}, va, buf[:0])
+	insts := decodeWindow(bin, va, buf[:0])
 	if len(insts) == 0 {
 		return PrologueNone
 	}
@@ -360,14 +316,8 @@ func ClassifyPrologueIndexed(bin *elfx.Binary, idx *x86.Index, va uint64) Prolog
 // ContainsEarlyCall reports whether a direct call appears within the
 // first n instructions at va (the "orphan code rescue" heuristic).
 func ContainsEarlyCall(bin *elfx.Binary, va uint64, n int) bool {
-	return ContainsEarlyCallIndexed(bin, nil, va, n)
-}
-
-// ContainsEarlyCallIndexed is ContainsEarlyCall backed by a memoized
-// linear-sweep index (may be nil).
-func ContainsEarlyCallIndexed(bin *elfx.Binary, idx *x86.Index, va uint64, n int) bool {
 	buf := make([]x86.Inst, 0, n)
-	for _, inst := range decodeWindow(source{bin: bin, idx: idx}, va, buf) {
+	for _, inst := range decodeWindow(bin, va, buf) {
 		if inst.Class == x86.ClassCallRel || inst.Class == x86.ClassCallInd {
 			return true
 		}
@@ -377,19 +327,17 @@ func ContainsEarlyCallIndexed(bin *elfx.Binary, idx *x86.Index, va uint64, n int
 
 // decodeWindow fills out (an empty slice whose capacity bounds the
 // window) with successive instructions starting at va.
-func decodeWindow(src source, va uint64, out []x86.Inst) []x86.Inst {
-	bin := src.bin
+func decodeWindow(bin *elfx.Binary, va uint64, out []x86.Inst) []x86.Inst {
 	if !bin.InText(va) {
 		return nil
 	}
-	var scratch x86.Inst
+	var inst x86.Inst
 	off := va - bin.TextAddr
 	for len(out) < cap(out) && off < uint64(len(bin.Text)) {
-		inst, err := src.decode(bin.TextAddr+off, &scratch)
-		if err != nil {
+		if err := decodeAt(bin, bin.TextAddr+off, &inst); err != nil {
 			break
 		}
-		out = append(out, *inst)
+		out = append(out, inst)
 		off += uint64(inst.Len)
 	}
 	return out

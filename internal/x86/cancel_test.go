@@ -23,52 +23,54 @@ func cancelTestText(tb testing.TB) []byte {
 	return cancelTestTextOnce()
 }
 
-func TestBuildIndexParallelCtx(t *testing.T) {
+// TestSweepRecordsCtx: a background context never cancels and the
+// sharded sweep still matches the sequential one; a done context stops
+// both strategies at their first stride check with ctx.Err() and no
+// records.
+func TestSweepRecordsCtx(t *testing.T) {
 	text := cancelTestText(t)
 
 	t.Run("background matches sequential", func(t *testing.T) {
-		want := BuildIndex(text, 0x401000, Mode64)
-		got, err := BuildIndexParallelCtx(context.Background(), text, 0x401000, Mode64, 4)
+		want, err := SweepRecords(context.Background(), text, 0x401000, Mode64, 1)
 		if err != nil {
-			t.Fatalf("BuildIndexParallelCtx: %v", err)
+			t.Fatalf("sequential sweep: %v", err)
 		}
-		if len(got.Insts) != len(want.Insts) {
-			t.Fatalf("parallel ctx build diverged: %d insts, want %d", len(got.Insts), len(want.Insts))
+		got, err := SweepRecords(context.Background(), text, 0x401000, Mode64, 4)
+		if err != nil {
+			t.Fatalf("sharded sweep: %v", err)
 		}
-		for i := range got.Insts {
-			if got.Insts[i] != want.Insts[i] {
-				t.Fatalf("inst %d diverged: %+v vs %+v", i, got.Insts[i], want.Insts[i])
-			}
+		if d := got.Diff(want); d != "" {
+			t.Fatalf("sharded sweep diverged: %s", d)
 		}
 	})
 
-	// workers=1 is the sequential buildIndexSeq fallback, which serves
-	// every text below the parallel threshold; workers=4 is the sharded
-	// build. Both must honour a done context.
+	// workers=1 is the sequential sweep, which serves every text below
+	// the parallel threshold; workers=4 is the sharded sweep. Both must
+	// honour a done context.
 	t.Run("pre-canceled", func(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
-				idx, err := BuildIndexParallelCtx(ctx, text, 0x401000, Mode64, workers)
+				r, err := SweepRecords(ctx, text, 0x401000, Mode64, workers)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
-				if idx != nil {
-					t.Fatal("canceled build returned a non-nil index")
+				if r != nil {
+					t.Fatal("canceled sweep returned non-nil records")
 				}
 			})
 		}
 	})
 
 	t.Run("deadline", func(t *testing.T) {
-		// A deadline already in the past: the build must observe it at
+		// A deadline already in the past: the sweep must observe it at
 		// its first stride check.
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 				ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 				defer cancel()
-				if _, err := BuildIndexParallelCtx(ctx, text, 0x401000, Mode64, workers); !errors.Is(err, context.DeadlineExceeded) {
+				if _, err := SweepRecords(ctx, text, 0x401000, Mode64, workers); !errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 				}
 			})

@@ -113,7 +113,7 @@ func FuzzSweepRecords(f *testing.F) {
 			mode = Mode64
 		}
 		const base = 0x401000
-		want := refRecords(data, base, mode)
+		want := ReferenceRecords(data, base, mode)
 		seq, err := SweepRecords(context.Background(), data, base, mode, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -31,16 +31,6 @@ const minShardBytes = 64 << 10
 // sequential (the workers=2 row on the 1 MiB bench corpus).
 const maxShardBytes = 128 << 10
 
-// BuildIndexParallel builds the same index as BuildIndex by sweeping
-// chunks of code concurrently (see SweepRecords for the workers rule and
-// sweepSharded for the seam stitching) and then materializing the
-// instructions in parallel. The result is byte-identical to BuildIndex —
-// internal/diffcheck asserts this invariant on every generated binary.
-func BuildIndexParallel(code []byte, base uint64, mode Mode, workers int) *Index {
-	idx, _ := buildIndex(noCancel, code, base, mode, workers)
-	return idx
-}
-
 // shardScratch is one worker's reusable decode buffers: the per-chunk
 // instruction-length memo, the skip offsets, the shard-local boundary
 // bitmap, and the shard's speculative sparse records. Instances are

@@ -28,10 +28,10 @@ type Ref struct {
 //
 // For compiler-generated text that is under 1 byte of output per byte of
 // code (0.7–0.9 on the synthetic SPEC corpus), against ~37 bytes per byte
-// for a materialized Index. Callers
-// that need full instructions (the baseline tool models) build an Index
-// instead. A Records value is immutable after construction and safe for
-// concurrent readers.
+// for one stored Inst per instruction. Callers that need full
+// instructions (the baseline tool models) re-decode them on demand with
+// DecodeInto. A Records value is immutable after construction and safe
+// for concurrent readers.
 type Records struct {
 	// Base is the virtual address decoding started at.
 	Base uint64
@@ -61,10 +61,10 @@ type Records struct {
 }
 
 // SweepRecords runs one linear sweep over code and returns its sparse
-// records. workers selects the strategy exactly as for
-// BuildIndexParallel: workers <= 0 picks a count from GOMAXPROCS and the
-// text size (sequential below minParallelBytes), workers == 1 is the
-// sequential sweep, and an explicit workers >= 2 shards the text. Every
+// records. workers selects the strategy: workers <= 0 picks a count from
+// GOMAXPROCS and the text size (sequential below minParallelBytes),
+// workers == 1 is the sequential sweep, and an explicit workers >= 2
+// shards the text (see sweepSharded for the seam stitching). Every
 // strategy produces identical records. Cancellation is checked at
 // cancelStride boundaries; on cancellation it returns (nil, ctx.Err()).
 func SweepRecords(ctx context.Context, code []byte, base uint64, mode Mode, workers int) (*Records, error) {
@@ -161,8 +161,8 @@ func (r *Records) prevBoundary(off int) int {
 // AfterCalls calls f, in ascending order, for every end branch whose
 // preceding decoded instruction is a direct call, with that call's
 // target — "preceding" in the sweep's own stream, so undecodable bytes
-// between the two are stepped over, exactly as a walk over the
-// materialized instructions would. It is one merge walk over the
+// between the two are stepped over, exactly as a walk over the decoded
+// instructions would. It is one merge walk over the
 // ascending Endbrs and Calls: each end branch's previous boundary comes
 // from the bitmap, and the call cursor only moves forward.
 func (r *Records) AfterCalls(f func(endbr, target uint64)) {
@@ -185,16 +185,16 @@ func (r *Records) AfterCalls(f func(endbr, target uint64)) {
 	}
 }
 
-// Records derives the sparse records from a materialized index by
-// walking its instructions, each decoded in full at its boundary. It is
-// the reference internal/diffcheck checks the records sweep against,
+// ReferenceRecords is the reference the records sweep is checked
+// against: LinearSweep's own loop, recording every decoded instruction
+// into fresh records. internal/diffcheck compares SweepRecords with it,
 // for every worker count, on every generated binary.
-func (ix *Index) Records() *Records {
-	r := newRecords(ix.Base, ix.n)
-	r.Skipped, r.Shards, r.StitchRetries = ix.Skipped, ix.Shards, ix.StitchRetries
-	for i := range ix.Insts {
-		r.add(int(ix.Insts[i].Addr-ix.Base), &ix.Insts[i])
-	}
+func ReferenceRecords(code []byte, base uint64, mode Mode) *Records {
+	r := newRecords(base, len(code))
+	r.Skipped = LinearSweep(code, base, mode, func(inst *Inst) bool {
+		r.add(int(inst.Addr-base), inst)
+		return true
+	})
 	return r
 }
 

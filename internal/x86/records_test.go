@@ -1,33 +1,26 @@
 package x86
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// refRecords is the test reference for the records sweep: LinearSweep's
-// own loop, recording every decoded instruction into fresh records.
-func refRecords(code []byte, base uint64, mode Mode) *Records {
-	r := newRecords(base, len(code))
-	r.Skipped = LinearSweep(code, base, mode, func(inst *Inst) bool {
-		r.add(int(inst.Addr-base), inst)
-		return true
-	})
-	return r
-}
+// sweepWorkers are the worker counts every records check runs: auto,
+// sequential, and sharded counts chosen so seams land at unaligned
+// offsets.
+var sweepWorkers = []int{0, 1, 2, 3, 4, 7, 8}
 
 // checkRecords asserts, for every worker count, that the records sweep
-// equals the LinearSweep reference and the records derived from a
-// materialized BuildIndex.
-func checkRecords(t *testing.T, label string, code []byte, base uint64, mode Mode) {
+// equals the LinearSweep reference, and returns the sharded sweeps'
+// shard counts by worker count.
+func checkRecords(t *testing.T, label string, code []byte, base uint64, mode Mode) map[int]int {
 	t.Helper()
-	want := refRecords(code, base, mode)
-	if d := BuildIndex(code, base, mode).Records().Diff(want); d != "" {
-		t.Fatalf("%s: BuildIndex records vs reference: %s", label, d)
-	}
-	for _, workers := range []int{1, 2, 3, 4, 8} {
+	want := ReferenceRecords(code, base, mode)
+	shards := make(map[int]int, len(sweepWorkers))
+	for _, workers := range sweepWorkers {
 		got, err := SweepRecords(context.Background(), code, base, mode, workers)
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", label, workers, err)
@@ -35,20 +28,28 @@ func checkRecords(t *testing.T, label string, code []byte, base uint64, mode Mod
 		if d := got.Diff(want); d != "" {
 			t.Fatalf("%s workers=%d (%d shards): %s", label, workers, got.Shards, d)
 		}
+		shards[workers] = got.Shards
 	}
+	return shards
 }
 
 // TestSweepRecordsMatchReference is the records-sweep soundness
 // property: sequential == sharded == reference across compiler-shaped
-// text in both modes, tiny texts whose seams land at odd offsets, and
-// junk where most bytes are undecodable.
+// text in both modes (every explicit worker count gets its own shard),
+// tiny texts whose seams land at odd offsets, nop runs shorter than
+// workers×15 bytes, and junk where most bytes are undecodable.
 func TestSweepRecordsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 6; trial++ {
 		for _, mode := range []Mode{Mode32, Mode64} {
 			for _, data := range []float64{0, 0.15, 0.5} {
 				code := GenText(2048+rng.Intn(8192), mode, rng, data)
-				checkRecords(t, mode.String(), code, uint64(0x400000+rng.Intn(1<<20)), mode)
+				shards := checkRecords(t, mode.String(), code, uint64(0x400000+rng.Intn(1<<20)), mode)
+				for workers, n := range shards {
+					if workers >= 2 && n != workers {
+						t.Fatalf("%s workers=%d: sweep reports %d shards", mode, workers, n)
+					}
+				}
 			}
 		}
 	}
@@ -59,6 +60,9 @@ func TestSweepRecordsMatchReference(t *testing.T) {
 			code := GenText(n, mode, rng, 0.1)[:n]
 			checkRecords(t, "tiny", code, 0x1000, mode)
 		}
+	}
+	for _, n := range []int{0, 1, 2, 14, 15, 16, 29, 64} {
+		checkRecords(t, "nops", bytes.Repeat([]byte{0x90}, n), 0, Mode64)
 	}
 	for trial := 0; trial < 6; trial++ {
 		junk := make([]byte, 512+rng.Intn(4096))

@@ -1,6 +1,7 @@
 package x86
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -68,46 +69,35 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildIndex measures the sequential index build — the paper's
-// Table III linear-sweep cost, in MB/s.
-func BenchmarkBuildIndex(b *testing.B) {
+// BenchmarkSweepRecords measures the sequential records sweep — the
+// paper's Table III linear-sweep cost, in MB/s.
+func BenchmarkSweepRecords(b *testing.B) {
 	code := sweepBenchText(Mode64)
 	b.SetBytes(int64(len(code)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		idx := BuildIndex(code, 0x401000, Mode64)
-		if len(idx.Insts) == 0 {
-			b.Fatal("empty index")
+		r, err := SweepRecords(context.Background(), code, 0x401000, Mode64, 1)
+		if err != nil || len(r.Calls) == 0 {
+			b.Fatalf("sweep: %v (%d calls)", err, len(r.Calls))
 		}
 	}
 }
 
-// BenchmarkBuildIndexParallel measures the sharded build at several
-// worker counts against the same corpus as BenchmarkBuildIndex.
-func BenchmarkBuildIndexParallel(b *testing.B) {
+// BenchmarkSweepRecordsParallel measures the sharded records sweep at
+// several worker counts against the same corpus as
+// BenchmarkSweepRecords.
+func BenchmarkSweepRecordsParallel(b *testing.B) {
 	code := sweepBenchText(Mode64)
 	for _, workers := range []int{2, 4, 8} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			b.SetBytes(int64(len(code)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				idx := BuildIndexParallel(code, 0x401000, Mode64, workers)
-				if len(idx.Insts) == 0 {
-					b.Fatal("empty index")
+				r, err := SweepRecords(context.Background(), code, 0x401000, Mode64, workers)
+				if err != nil || len(r.Calls) == 0 {
+					b.Fatalf("sweep: %v (%d calls)", err, len(r.Calls))
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkIndexAt measures the rank/select boundary lookup.
-func BenchmarkIndexAt(b *testing.B) {
-	code := sweepBenchText(Mode64)
-	idx := BuildIndex(code, 0x401000, Mode64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		va := idx.Base + uint64(i%len(code))
-		idx.AtPtr(va)
 	}
 }

@@ -11,15 +11,11 @@ import (
 type EndbrDistribution = core.EndbrDistribution
 
 // ClassifyEndbrs classifies every end branch in the binary's .text using
-// only the binary's own metadata (PLT names and exception tables).
-func ClassifyEndbrs(bin *Binary) (EndbrDistribution, error) {
-	return core.ClassifyEndbrs(bin)
-}
-
-// ClassifyEndbrsWithContext is ClassifyEndbrs over a shared analysis
-// context (the sweep and landing-pad set are reused, not recomputed).
-func ClassifyEndbrsWithContext(actx *AnalysisContext) (EndbrDistribution, error) {
-	return core.ClassifyEndbrsWithContext(actx)
+// only the binary's own metadata (PLT names and exception tables). It
+// reads the sweep and landing-pad set memoized in actx, so a context
+// shared with other analyses computes neither twice.
+func ClassifyEndbrs(actx *AnalysisContext) (EndbrDistribution, error) {
+	return core.ClassifyEndbrs(actx)
 }
 
 // Function-property bit masks for the Figure 3 style analysis.
@@ -38,15 +34,9 @@ const (
 type VennCounts = core.VennCounts
 
 // AnalyzeProperties computes, for each known function entry, which of the
-// three syntactic properties hold.
-func AnalyzeProperties(bin *Binary, entries []uint64) VennCounts {
-	return core.AnalyzeProperties(bin, entries)
-}
-
-// AnalyzePropertiesWithContext is AnalyzeProperties over a shared
-// analysis context.
-func AnalyzePropertiesWithContext(actx *AnalysisContext, entries []uint64) VennCounts {
-	return core.AnalyzePropertiesWithContext(actx, entries)
+// three syntactic properties hold, over the sweep memoized in actx.
+func AnalyzeProperties(actx *AnalysisContext, entries []uint64) VennCounts {
+	return core.AnalyzeProperties(actx, entries)
 }
 
 // LandingPads returns the absolute addresses of every C++ exception

@@ -35,21 +35,15 @@ func checkRecords(t *testing.T, label string, code []byte, base uint64, mode Mod
 
 // TestSweepRecordsMatchReference is the records-sweep soundness
 // property: sequential == sharded == reference across compiler-shaped
-// text in both modes (every explicit worker count gets its own shard),
-// tiny texts whose seams land at odd offsets, nop runs shorter than
-// workers×15 bytes, and junk where most bytes are undecodable.
+// text in both modes, tiny texts whose seams land at odd offsets, and
+// junk where most bytes are undecodable.
 func TestSweepRecordsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 6; trial++ {
 		for _, mode := range []Mode{Mode32, Mode64} {
 			for _, data := range []float64{0, 0.15, 0.5} {
 				code := GenText(2048+rng.Intn(8192), mode, rng, data)
-				shards := checkRecords(t, mode.String(), code, uint64(0x400000+rng.Intn(1<<20)), mode)
-				for workers, n := range shards {
-					if workers >= 2 && n != workers {
-						t.Fatalf("%s workers=%d: sweep reports %d shards", mode, workers, n)
-					}
-				}
+				checkRecords(t, mode.String(), code, uint64(0x400000+rng.Intn(1<<20)), mode)
 			}
 		}
 	}
@@ -60,9 +54,6 @@ func TestSweepRecordsMatchReference(t *testing.T) {
 			code := GenText(n, mode, rng, 0.1)[:n]
 			checkRecords(t, "tiny", code, 0x1000, mode)
 		}
-	}
-	for _, n := range []int{0, 1, 2, 14, 15, 16, 29, 64} {
-		checkRecords(t, "nops", bytes.Repeat([]byte{0x90}, n), 0, Mode64)
 	}
 	for trial := 0; trial < 6; trial++ {
 		junk := make([]byte, 512+rng.Intn(4096))
@@ -77,6 +68,98 @@ func TestSweepRecordsMatchReference(t *testing.T) {
 		bad[i] = 0x06 // push es: invalid in 64-bit mode
 	}
 	checkRecords(t, "undecodable", bad, 0x1000, Mode64)
+}
+
+// TestBuildIndexMatchesLinearSweep: on a hand-assembled prologue the
+// records sweep marks exactly LinearSweep's instruction boundaries,
+// skips nothing, and records the one end branch and the one call.
+func TestBuildIndexMatchesLinearSweep(t *testing.T) {
+	code := []byte{
+		0xF3, 0x0F, 0x1E, 0xFA, // endbr64
+		0x55,             // push rbp
+		0x48, 0x89, 0xE5, // mov rbp, rsp
+		0xE8, 0x00, 0x00, 0x00, 0x00, // call +0
+		0xC9, // leave
+		0xC3, // ret
+	}
+	const base = 0x4000
+	r, err := SweepRecords(context.Background(), code, base, Mode64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flat []int
+	LinearSweep(code, base, Mode64, func(inst *Inst) bool {
+		flat = append(flat, int(inst.Addr-base))
+		return true
+	})
+	var marked []int
+	for off := range code {
+		if r.bits[off>>6]>>(off&63)&1 != 0 {
+			marked = append(marked, off)
+		}
+	}
+	if !slices.Equal(marked, flat) {
+		t.Fatalf("records boundaries %v, LinearSweep %v", marked, flat)
+	}
+	if r.Skipped != 0 {
+		t.Errorf("Skipped = %d on well-formed code", r.Skipped)
+	}
+	if want := []uint64{base}; !slices.Equal(r.Endbrs, want) {
+		t.Errorf("Endbrs = %#x, want %#x", r.Endbrs, want)
+	}
+	if want := []Ref{{Src: base + 8, Target: base + 13}}; !slices.Equal(r.Calls, want) {
+		t.Errorf("Calls = %+v, want %+v", r.Calls, want)
+	}
+	checkRecords(t, "prologue", code, base, Mode64)
+}
+
+// TestBuildIndexParallelMatchesSequential is the stitching soundness
+// property: across random compiler-shaped corpora — with and without
+// data-in-text — both modes, and worker counts chosen to land seams at
+// unaligned offsets, the sharded records equal the sequential ones, and
+// every explicit worker count gets its own shard.
+func TestBuildIndexParallelMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 12; trial++ {
+		n := 2048 + rng.Intn(8192)
+		dataRatio := 0.0
+		if trial%3 == 1 {
+			dataRatio = 0.15 // data-in-text: seams can land mid-garbage
+		}
+		if trial%3 == 2 {
+			dataRatio = 0.5 // pathological: half the bytes are data
+		}
+		for _, mode := range []Mode{Mode32, Mode64} {
+			code := GenText(n, mode, rng, dataRatio)
+			base := uint64(0x400000 + rng.Intn(1<<20))
+			for workers, got := range checkRecords(t, mode.String(), code, base, mode) {
+				if workers >= 2 && got != workers {
+					t.Fatalf("%s workers=%d: sweep reports %d shards", mode, workers, got)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildIndexParallelPureGarbage: every byte random, maximal skip
+// churn — the stitcher's skip accounting must still agree exactly.
+func TestBuildIndexParallelPureGarbage(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 8; trial++ {
+		code := make([]byte, 1024+rng.Intn(4096))
+		rng.Read(code)
+		for _, mode := range []Mode{Mode32, Mode64} {
+			checkRecords(t, mode.String(), code, 0x1000, mode)
+		}
+	}
+}
+
+// TestBuildIndexParallelSmallInputs: degenerate sizes must not panic or
+// diverge — empty text, a single byte, fewer bytes than workers×15.
+func TestBuildIndexParallelSmallInputs(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 14, 15, 16, 29, 64} {
+		checkRecords(t, "small", bytes.Repeat([]byte{0x90}, n), 0, Mode64)
+	}
 }
 
 // TestCallBeforeAcrossSeam places an endbr right after a seam, behind a

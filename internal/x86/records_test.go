@@ -13,14 +13,25 @@ import (
 // offsets.
 var sweepWorkers = []int{0, 1, 2, 3, 4, 7, 8}
 
-// checkRecords asserts, for every worker count, that the records sweep
-// equals the LinearSweep reference, and returns the sharded sweeps'
-// shard counts by worker count.
+// stitchWorkers extends sweepWorkers with 5 and 13: on 2-10 KiB texts
+// 13 workers give ~128-byte shards, more shards than most hosts have
+// cores, which loads the seams and the concurrency cap hardest.
+var stitchWorkers = []int{0, 1, 2, 3, 4, 5, 7, 8, 13}
+
+// checkRecords asserts, for every worker count in sweepWorkers, that the
+// records sweep equals the LinearSweep reference, and returns the
+// sweeps' shard counts by worker count.
 func checkRecords(t *testing.T, label string, code []byte, base uint64, mode Mode) map[int]int {
 	t.Helper()
+	return checkRecordsWorkers(t, label, code, base, mode, sweepWorkers)
+}
+
+// checkRecordsWorkers is checkRecords over an explicit worker list.
+func checkRecordsWorkers(t *testing.T, label string, code []byte, base uint64, mode Mode, workerList []int) map[int]int {
+	t.Helper()
 	want := ReferenceRecords(code, base, mode)
-	shards := make(map[int]int, len(sweepWorkers))
-	for _, workers := range sweepWorkers {
+	shards := make(map[int]int, len(workerList))
+	for _, workers := range workerList {
 		got, err := SweepRecords(context.Background(), code, base, mode, workers)
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", label, workers, err)
@@ -73,6 +84,7 @@ func TestSweepRecordsMatchReference(t *testing.T) {
 // TestBuildIndexMatchesLinearSweep: on a hand-assembled prologue the
 // records sweep marks exactly LinearSweep's instruction boundaries,
 // skips nothing, and records the one end branch and the one call.
+// The name is kept from the retired index; the test checks SweepRecords.
 func TestBuildIndexMatchesLinearSweep(t *testing.T) {
 	code := []byte{
 		0xF3, 0x0F, 0x1E, 0xFA, // endbr64
@@ -116,8 +128,10 @@ func TestBuildIndexMatchesLinearSweep(t *testing.T) {
 // TestBuildIndexParallelMatchesSequential is the stitching soundness
 // property: across random compiler-shaped corpora — with and without
 // data-in-text — both modes, and worker counts chosen to land seams at
-// unaligned offsets, the sharded records equal the sequential ones, and
-// every explicit worker count gets its own shard.
+// unaligned offsets (up to 13 shards), the sharded records equal the
+// sequential ones, and every explicit worker count gets its own shard.
+// The name is kept from the retired BuildIndexParallel; the test checks
+// SweepRecords.
 func TestBuildIndexParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 12; trial++ {
@@ -132,7 +146,7 @@ func TestBuildIndexParallelMatchesSequential(t *testing.T) {
 		for _, mode := range []Mode{Mode32, Mode64} {
 			code := GenText(n, mode, rng, dataRatio)
 			base := uint64(0x400000 + rng.Intn(1<<20))
-			for workers, got := range checkRecords(t, mode.String(), code, base, mode) {
+			for workers, got := range checkRecordsWorkers(t, mode.String(), code, base, mode, stitchWorkers) {
 				if workers >= 2 && got != workers {
 					t.Fatalf("%s workers=%d: sweep reports %d shards", mode, workers, got)
 				}
@@ -143,6 +157,7 @@ func TestBuildIndexParallelMatchesSequential(t *testing.T) {
 
 // TestBuildIndexParallelPureGarbage: every byte random, maximal skip
 // churn — the stitcher's skip accounting must still agree exactly.
+// The name is kept from the retired index; the test checks SweepRecords.
 func TestBuildIndexParallelPureGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 8; trial++ {
@@ -156,6 +171,7 @@ func TestBuildIndexParallelPureGarbage(t *testing.T) {
 
 // TestBuildIndexParallelSmallInputs: degenerate sizes must not panic or
 // diverge — empty text, a single byte, fewer bytes than workers×15.
+// The name is kept from the retired index; the test checks SweepRecords.
 func TestBuildIndexParallelSmallInputs(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 14, 15, 16, 29, 64} {
 		checkRecords(t, "small", bytes.Repeat([]byte{0x90}, n), 0, Mode64)

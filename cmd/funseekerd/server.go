@@ -374,6 +374,8 @@ func classifyAnalyzeError(err error) (status int, kind string) {
 		return http.StatusUnprocessableEntity, "not_elf"
 	case errors.Is(err, elfx.ErrNoText):
 		return http.StatusUnprocessableEntity, "no_text"
+	case errors.Is(err, elfx.ErrMalformed):
+		return http.StatusUnprocessableEntity, "malformed_elf"
 	case errors.Is(err, core.ErrNotCET):
 		return http.StatusUnprocessableEntity, "not_cet"
 	case errors.Is(err, context.DeadlineExceeded):

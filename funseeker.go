@@ -45,6 +45,8 @@ import (
 //
 //	ErrNotELF   — the input bytes are not an ELF image
 //	ErrNoText   — the ELF has no executable .text section
+//	ErrMalformed — a section the analysis reads is compressed, has no
+//	               file bytes, or lies outside the image
 //	ErrNotCET   — Options.RequireCET was set and no end branch exists
 //	ErrCanceled — the context passed to a *Ctx entry point was canceled
 //
@@ -56,6 +58,11 @@ var (
 	ErrNoText = elfx.ErrNoText
 	// ErrNotELF is returned when the input does not parse as ELF at all.
 	ErrNotELF = elfx.ErrNotELF
+	// ErrMalformed is returned when a section the analysis reads (.text,
+	// the exception tables, the PLT and its relocations, the symbol
+	// tables, the GNU property note) is compressed, has no file bytes, or
+	// lies outside the image.
+	ErrMalformed = elfx.ErrMalformed
 	// ErrNotCET is returned when Options.RequireCET is set and the sweep
 	// finds no end-branch instruction: the binary was not built for
 	// Intel CET / IBT, so the marker-based algorithm cannot apply.

@@ -78,6 +78,11 @@ var ErrNoText = errors.New("elfx: no .text section")
 // match with errors.Is(err, ErrNotELF).
 var ErrNotELF = errors.New("elfx: not an ELF image")
 
+// ErrMalformed is returned when a section Load reads cannot be read as
+// plain bytes of the image: it is compressed, has no file bytes, or lies
+// outside the image. Match with errors.Is(err, ErrMalformed).
+var ErrMalformed = errors.New("elfx: malformed section")
+
 // Open loads the ELF file at path.
 func Open(path string) (*Binary, error) {
 	raw, err := os.ReadFile(path)
@@ -116,24 +121,38 @@ func Load(raw []byte) (*Binary, error) {
 	if text == nil {
 		return nil, ErrNoText
 	}
-	if bin.Text, err = text.Data(); err != nil {
-		return nil, fmt.Errorf("elfx: read .text: %w", err)
+	if bin.Text, err = sectionData(text, raw); err != nil {
+		return nil, err
 	}
 	bin.TextAddr = text.Addr
 
 	if s := f.Section(".eh_frame"); s != nil {
-		if bin.EHFrame, err = s.Data(); err != nil {
-			return nil, fmt.Errorf("elfx: read .eh_frame: %w", err)
+		if bin.EHFrame, err = sectionData(s, raw); err != nil {
+			return nil, err
 		}
 		bin.EHFrameAddr = s.Addr
 	}
 	if s := f.Section(".gcc_except_table"); s != nil {
-		if bin.ExceptTable, err = s.Data(); err != nil {
-			return nil, fmt.Errorf("elfx: read .gcc_except_table: %w", err)
+		if bin.ExceptTable, err = sectionData(s, raw); err != nil {
+			return nil, err
 		}
 		bin.ExceptTableAddr = s.Addr
 	}
 
+	// debug/elf reads the symbol tables itself; check them, and the
+	// string tables they link, the way sectionData checks the rest.
+	for _, typ := range []elf.SectionType{elf.SHT_SYMTAB, elf.SHT_DYNSYM} {
+		if s := f.SectionByType(typ); s != nil {
+			if err := checkSection(s, raw); err != nil {
+				return nil, err
+			}
+			if int(s.Link) < len(f.Sections) {
+				if err := checkSection(f.Sections[s.Link], raw); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
 	if syms, err := f.Symbols(); err == nil {
 		for _, s := range syms {
 			if elf.ST_TYPE(s.Info) == elf.STT_FUNC {
@@ -142,16 +161,54 @@ func Load(raw []byte) (*Binary, error) {
 		}
 	}
 
+	var note []byte
+	if s := f.Section(".note.gnu.property"); s != nil {
+		if note, err = sectionData(s, raw); err != nil {
+			return nil, err
+		}
+	}
 	if bin.Arch == ArchAArch64 {
-		bin.BTIEnabled = hasPropertyBit(f, prTypeAArch64Features, 0x1)
+		bin.BTIEnabled = hasPropertyBit(note, f.Class, prTypeAArch64Features, 0x1)
 	} else {
-		bin.CETEnabled = hasPropertyBit(f, prTypeX86Features, 0x1)
+		bin.CETEnabled = hasPropertyBit(note, f.Class, prTypeX86Features, 0x1)
 	}
 
-	if err := bin.buildPLTMap(f); err != nil {
+	if err := bin.buildPLTMap(f, raw); err != nil {
 		return nil, err
 	}
 	return bin, nil
+}
+
+// sectionData returns the bytes of sec, a section Load reads, after
+// checkSection accepts it.
+func sectionData(sec *elf.Section, raw []byte) ([]byte, error) {
+	if err := checkSection(sec, raw); err != nil {
+		return nil, err
+	}
+	data, err := sec.Data()
+	if err != nil {
+		return nil, fmt.Errorf("%w: read %s: %v", ErrMalformed, sec.Name, err)
+	}
+	return data, nil
+}
+
+// checkSection rejects, with ErrMalformed, a section whose bytes are not
+// a plain range of raw: SHF_COMPRESSED, which no toolchain emits on the
+// sections Load reads and which lets a small image inflate to any size;
+// SHT_NOBITS, whose zero fill is sized by the header alone; and a file
+// range outside raw. Sections Load never reads (compressed debug
+// sections among them) are not checked.
+func checkSection(sec *elf.Section, raw []byte) error {
+	switch {
+	case sec.Flags&elf.SHF_COMPRESSED != 0:
+		return fmt.Errorf("%w: %s is compressed", ErrMalformed, sec.Name)
+	case sec.Type == elf.SHT_NOBITS:
+		return fmt.Errorf("%w: %s has no file bytes", ErrMalformed, sec.Name)
+	case sec.Offset > uint64(len(raw)) || sec.FileSize > uint64(len(raw))-sec.Offset:
+		return fmt.Errorf("%w: %s [%#x,+%#x) lies outside the %d-byte image",
+			ErrMalformed, sec.Name, sec.Offset, sec.FileSize, len(raw))
+	}
+	return nil
 }
 
 // PtrSize returns the pointer width in bytes.
@@ -196,15 +253,10 @@ const (
 	prTypeAArch64Features = 0xc0000000 // GNU_PROPERTY_AARCH64_FEATURE_1_AND
 )
 
-// hasPropertyBit scans .note.gnu.property for the property word prType
-// and reports whether it carries bit.
-func hasPropertyBit(f *elf.File, prType, bit uint32) bool {
-	sec := f.Section(".note.gnu.property")
-	if sec == nil {
-		return false
-	}
-	data, err := sec.Data()
-	if err != nil || len(data) < 16 {
+// hasPropertyBit scans the .note.gnu.property bytes for the property
+// word prType and reports whether it carries bit.
+func hasPropertyBit(data []byte, class elf.Class, prType, bit uint32) bool {
+	if len(data) < 16 {
 		return false
 	}
 	le := binary.LittleEndian
@@ -225,7 +277,7 @@ func hasPropertyBit(f *elf.File, prType, bit uint32) bool {
 		}
 		// Properties are padded to the class alignment.
 		align := uint32(8)
-		if f.Class == elf.ELFCLASS32 {
+		if class == elf.ELFCLASS32 {
 			align = 4
 		}
 		off += 8 + (prSize+align-1)/align*align
@@ -238,8 +290,8 @@ func hasPropertyBit(f *elf.File, prType, bit uint32) bool {
 // PLT relocation table. Both the classic single .plt layout and the
 // split .plt/.plt.sec layout of CET-enabled links are handled: every
 // executable stub section is scanned with the same GOT-slot join.
-func (b *Binary) buildPLTMap(f *elf.File) error {
-	gotToName, err := pltRelocations(f)
+func (b *Binary) buildPLTMap(f *elf.File, raw []byte) error {
+	gotToName, err := pltRelocations(f, raw)
 	if err != nil {
 		return err
 	}
@@ -247,9 +299,9 @@ func (b *Binary) buildPLTMap(f *elf.File) error {
 		if sec == nil {
 			return nil
 		}
-		data, err := sec.Data()
+		data, err := sectionData(sec, raw)
 		if err != nil {
-			return fmt.Errorf("elfx: read %s: %w", sec.Name, err)
+			return err
 		}
 		switch sec.Name {
 		case ".plt":
@@ -301,20 +353,20 @@ func (b *Binary) buildPLTMap(f *elf.File) error {
 }
 
 // pltRelocations parses .rela.plt / .rel.plt into a GOT-slot → name map.
-func pltRelocations(f *elf.File) (map[uint64]string, error) {
+func pltRelocations(f *elf.File, raw []byte) (map[uint64]string, error) {
 	var (
 		data []byte
 		rela bool
 		err  error
 	)
 	if s := f.Section(".rela.plt"); s != nil {
-		if data, err = s.Data(); err != nil {
-			return nil, fmt.Errorf("elfx: read .rela.plt: %w", err)
+		if data, err = sectionData(s, raw); err != nil {
+			return nil, err
 		}
 		rela = true
 	} else if s := f.Section(".rel.plt"); s != nil {
-		if data, err = s.Data(); err != nil {
-			return nil, fmt.Errorf("elfx: read .rel.plt: %w", err)
+		if data, err = sectionData(s, raw); err != nil {
+			return nil, err
 		}
 	} else {
 		return nil, nil

@@ -3,7 +3,6 @@ package x86
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -44,15 +43,25 @@ func TestSweepRecordsCtx(t *testing.T) {
 		}
 	})
 
-	// workers=1 is the sequential sweep, which serves every text below
-	// the parallel threshold; workers=4 is the sharded sweep. Both must
-	// honour a done context.
+	// workers=1 and auto on a text below minParallelBytes are the
+	// one-shard sweep; workers=4 is the sharded sweep. All must honour a
+	// done context.
+	small := text[:minParallelBytes/2]
+	cases := []struct {
+		name    string
+		text    []byte
+		workers int
+	}{
+		{"workers=1", text, 1},
+		{"auto-small", small, 0},
+		{"workers=4", text, 4},
+	}
 	t.Run("pre-canceled", func(t *testing.T) {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
-				r, err := SweepRecords(ctx, text, 0x401000, Mode64, workers)
+				r, err := SweepRecords(ctx, tc.text, 0x401000, Mode64, tc.workers)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
@@ -66,12 +75,16 @@ func TestSweepRecordsCtx(t *testing.T) {
 	t.Run("deadline", func(t *testing.T) {
 		// A deadline already in the past: the sweep must observe it at
 		// its first stride check.
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
 				ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 				defer cancel()
-				if _, err := SweepRecords(ctx, text, 0x401000, Mode64, workers); !errors.Is(err, context.DeadlineExceeded) {
+				r, err := SweepRecords(ctx, tc.text, 0x401000, Mode64, tc.workers)
+				if !errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+				}
+				if r != nil {
+					t.Fatal("timed-out sweep returned non-nil records")
 				}
 			})
 		}

@@ -99,30 +99,6 @@ func Decode(code []byte, addr uint64, mode Mode) (Inst, error) {
 	return inst, nil
 }
 
-// DecodeInto decodes a single instruction from the front of code into
-// *inst, overwriting it completely. It is the allocation-free form of
-// Decode: hot loops reuse one Inst across calls instead of copying a
-// fresh ~80-byte value per instruction. On error *inst is zeroed.
-//
-// Common compiler-emitted encodings — the single-byte families
-// (push/pop, mov/lea, ret, nop, direct call/jmp/jcc, the ALU register
-// forms) and the two-byte 0F families (Jcc rel32, setcc, cmovcc,
-// movzx/movsx, multi-byte NOP, the endbr row), see fastpath.go — take a
-// table-driven fast path that skips the full decodeState machinery; all
-// remaining encodings fall back to the complete Intel-SDM walk. The two
-// paths produce bit-identical Inst values (asserted by
-// TestFastPathMatchesFullDecode and FuzzDecode).
-func DecodeInto(code []byte, addr uint64, mode Mode, inst *Inst) error {
-	if mode != Mode32 && mode != Mode64 {
-		*inst = Inst{}
-		return fmt.Errorf("x86: unsupported mode %d", int(mode))
-	}
-	if decodeFast(code, addr, mode, inst) {
-		return nil
-	}
-	return decodeSlow(code, addr, mode, inst)
-}
-
 // decodeSlow is the full decode walk, used for every encoding the fast
 // path declines.
 func decodeSlow(code []byte, addr uint64, mode Mode, inst *Inst) error {

@@ -1,443 +1,474 @@
 package x86
 
-// Table-driven fast path for the opcode families that dominate
-// compiler-generated text: push/pop, mov/lea, the ALU register forms,
-// test/cmp, shifts, direct call/jmp/jcc, ret, nop, int3, the FF
-// indirect-branch group, and — via a second 256-entry table dispatched
-// after the 0F escape — the two-byte families (Jcc rel32, setcc, cmovcc,
-// movzx/movsx, imul, the 0F 1E/0F 1F hint-NOP rows). A single leading
-// 66/F3/F2 prefix ahead of a 0F opcode is also handled, which covers
-// endbr64/endbr32 and the scalar SSE mov forms. Profiling the linear
-// sweep shows >95% of decoded instructions take one of these shapes
-// (optionally behind a single REX prefix), so skipping the general
-// decodeState walk for them roughly halves the per-instruction cost.
+import "fmt"
+
+// The fast path: one table-driven decoder, in two layers, for the opcode
+// families that dominate compiler-generated text — push/pop, mov/lea, the
+// ALU register forms, test/cmp, shifts, direct call/jmp/jcc, ret, nop,
+// int3, the FF indirect-branch group, and, through a second 256-entry
+// table dispatched after the 0F escape, the two-byte families (Jcc rel32,
+// setcc, cmovcc, movzx/movsx, imul, the 0F 1E/0F 1F hint-NOP rows). An
+// optional REX prefix in 64-bit mode, or a single 66/F3/F2 prefix ahead
+// of a 0F opcode (endbr64/endbr32 and the scalar SSE mov forms) or of 90,
+// is handled too. Profiling the linear sweep shows >95% of decoded
+// instructions take one of these shapes.
 //
-// The contract is strict: for every byte sequence the fast path accepts,
-// it must produce an Inst bit-identical to the full decoder's. Anything
-// ambiguous — legacy prefixes, escapes, VEX/EVEX, mode-dependent
-// validity, truncated buffers — is declined (return false) and falls
-// back to decodeSlow. TestFastPathMatchesFullDecode and FuzzDecode
-// enforce the equivalence.
+//   - The core layer (scan; decodeCore is its records-sweep form) sizes
+//     and classifies an encoding from two tables: a per-opcode length
+//     descriptor (opDesc) and a per-ModRM addressing-form table
+//     (modrmForm). It reads the length, the class and a direct branch's
+//     target — exactly what the records sweep (paper Algorithm 1's
+//     DISASSEMBLE) needs — and returns a cursor saying where the opcode,
+//     ModRM, displacement and immediate sit.
+//   - The detail layer (DecodeInto's fast path) is the core plus operand
+//     detail: it fills a full Inst by reading the bytes at the cursor
+//     positions, re-deciding nothing.
+//
+// The records sweep calls the core alone, so it never builds an Inst for
+// an encoding the core accepts. The contract is strict: DecodeInto takes
+// the fast path exactly where the core accepts, and there its Inst is
+// bit-identical to the full decoder's, with the core's length, class and
+// target. Anything ambiguous — legacy prefixes, escapes, VEX/EVEX,
+// mode-dependent validity, truncated buffers — is declined and falls back
+// to decodeSlow. TestFastPathMatchesFullDecode, FuzzDecode and
+// FuzzDecodeCore enforce it.
 
-// fastKind describes how a fast-path opcode's operands are shaped.
-type fastKind uint8
-
-const (
-	// fkNone marks bytes the fast path declines (prefixes, escapes,
-	// mode-dependent validity, immediates sized by prefix state).
-	fkNone fastKind = iota
-	// fkLen1 is a bare one-byte instruction.
-	fkLen1
-	// fkImm8 / fkImm16 / fkImmZ are opcode + fixed-size immediate. With
-	// no legacy prefixes in play, iz immediates are always 4 bytes.
-	fkImm8
-	fkImm16
-	fkImmZ
-	// fkImmV is MOV r, iv: 4 bytes, or 8 under REX.W.
-	fkImmV
-	// fkRel8 / fkRel32 are direct branches with a relative displacement.
-	fkRel8
-	fkRel32
-	// fkModRM is opcode + ModRM addressing form, no immediate.
-	fkModRM
-	// fkModRMImm8 / fkModRMImmZ add a trailing immediate.
-	fkModRMImm8
-	fkModRMImmZ
-	// fkModRMGroup5 is FF: ModRM with the class selected by /reg
-	// (2 = indirect call, 4 = indirect jump).
-	fkModRMGroup5
-)
-
-// fastOp is one fast-path opcode-table entry.
-type fastOp struct {
-	kind  fastKind
-	class Class
+// opDesc is one opcode's length descriptor: what follows the opcode byte
+// and how the encoding classifies. The zero value declines.
+type opDesc struct {
+	imm   uint8 // immediate bytes after the addressing form
+	rel   uint8 // relative branch displacement bytes (0, 1 or 4)
+	flags uint8 // dAccept, dModRM, dImmW, dGroup5, dEndbr
+	class uint8 // Class, before the ModRM-selected refinements below
 }
 
+// opDesc flags.
+const (
+	// dAccept marks opcodes the fast path takes.
+	dAccept = 1 << iota
+	// dModRM marks opcodes followed by a ModRM addressing form.
+	dModRM
+	// dImmW marks MOV r, iv: the immediate is 8 bytes under REX.W, else imm.
+	dImmW
+	// dGroup5 marks FF: ModRM /2 is an indirect call, /4 an indirect jump.
+	dGroup5
+	// dEndbr marks 0F 1E: behind F3, ModRM FA/FB is endbr64/endbr32; any
+	// other form stays a reserved hint NOP (ClassOther).
+	dEndbr
+)
+
 // fastOps maps a first opcode byte (after an optional REX in 64-bit
-// mode) to its fast-path handling. Entries are valid in both modes: any
-// byte whose length or validity differs between Mode32 and Mode64 —
-// other than 40-4F, which the caller intercepts as REX before the
-// lookup — stays fkNone.
+// mode) to its descriptor. Entries are valid in both modes: any byte
+// whose length or validity differs between Mode32 and Mode64 — other
+// than 40-4F, which the core intercepts as REX before the lookup — stays
+// zero. With no legacy prefix in play, iz immediates are always 4 bytes.
 var fastOps = buildFastOps()
 
-func buildFastOps() [256]fastOp {
-	var t [256]fastOp
-	set := func(class Class, kind fastKind, ops ...int) {
+func buildFastOps() [256]opDesc {
+	var t [256]opDesc
+	set := func(d opDesc, class Class, ops ...int) {
+		d.flags |= dAccept
+		d.class = uint8(class)
 		for _, op := range ops {
-			t[op] = fastOp{kind: kind, class: class}
+			t[op] = d
 		}
 	}
+	var (
+		bare = opDesc{}
+		i8   = opDesc{imm: 1}
+		i16  = opDesc{imm: 2}
+		iz   = opDesc{imm: 4}
+		iv   = opDesc{imm: 4, flags: dImmW}
+		r8   = opDesc{rel: 1}
+		r32  = opDesc{rel: 4}
+		m    = opDesc{flags: dModRM}
+		mi8  = opDesc{flags: dModRM, imm: 1}
+		miz  = opDesc{flags: dModRM, imm: 4}
+	)
 	// ALU r/m forms: ADD/OR/ADC/SBB/AND/SUB/XOR/CMP.
 	for _, base := range []int{0x00, 0x08, 0x10, 0x18, 0x20, 0x28, 0x30, 0x38} {
-		set(ClassOther, fkModRM, base, base+1, base+2, base+3)
-		set(ClassOther, fkImm8, base+4)
-		set(ClassOther, fkImmZ, base+5)
+		set(m, ClassOther, base, base+1, base+2, base+3)
+		set(i8, ClassOther, base+4)
+		set(iz, ClassOther, base+5)
 	}
 	// INC/DEC r32 (Mode32 only — Mode64 consumes 40-4F as REX first).
 	for op := 0x40; op <= 0x4F; op++ {
-		set(ClassOther, fkLen1, op)
+		set(bare, ClassOther, op)
 	}
 	// PUSH/POP reg.
 	for op := 0x50; op <= 0x5F; op++ {
-		set(ClassOther, fkLen1, op)
+		set(bare, ClassOther, op)
 	}
-	set(ClassOther, fkModRM, 0x63) // ARPL (32) / MOVSXD (64): ModRM in both
-	set(ClassOther, fkImmZ, 0x68)  // PUSH iz
-	set(ClassOther, fkModRMImmZ, 0x69)
-	set(ClassOther, fkImm8, 0x6A) // PUSH ib
-	set(ClassOther, fkModRMImm8, 0x6B)
-	set(ClassOther, fkLen1, 0x6C, 0x6D, 0x6E, 0x6F) // INS/OUTS
+	set(m, ClassOther, 0x63)  // ARPL (32) / MOVSXD (64): ModRM in both
+	set(iz, ClassOther, 0x68) // PUSH iz
+	set(miz, ClassOther, 0x69)
+	set(i8, ClassOther, 0x6A) // PUSH ib
+	set(mi8, ClassOther, 0x6B)
+	set(bare, ClassOther, 0x6C, 0x6D, 0x6E, 0x6F) // INS/OUTS
 	// Jcc rel8.
 	for op := 0x70; op <= 0x7F; op++ {
-		set(ClassJccRel, fkRel8, op)
+		set(r8, ClassJccRel, op)
 	}
 	// Immediate group 1 (0x82 is the 32-bit-only alias: declined).
-	set(ClassOther, fkModRMImm8, 0x80)
-	set(ClassOther, fkModRMImmZ, 0x81)
-	set(ClassOther, fkModRMImm8, 0x83)
+	set(mi8, ClassOther, 0x80)
+	set(miz, ClassOther, 0x81)
+	set(mi8, ClassOther, 0x83)
 	// TEST/XCHG/MOV/LEA/MOV-seg/POP r/m.
-	set(ClassOther, fkModRM, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x8C, 0x8D, 0x8E, 0x8F)
-	set(ClassNop, fkLen1, 0x90) // caller demotes REX.B 90 (XCHG R8) to Other
-	set(ClassOther, fkLen1, 0x91, 0x92, 0x93, 0x94, 0x95, 0x96, 0x97)
-	set(ClassOther, fkLen1, 0x98, 0x99, 0x9B, 0x9C, 0x9D, 0x9E, 0x9F)
-	set(ClassOther, fkImm8, 0xA8) // TEST AL, ib
-	set(ClassOther, fkImmZ, 0xA9) // TEST eAX, iz
-	set(ClassOther, fkLen1, 0xA4, 0xA5, 0xA6, 0xA7, 0xAA, 0xAB, 0xAC, 0xAD, 0xAE, 0xAF)
+	set(m, ClassOther, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x8C, 0x8D, 0x8E, 0x8F)
+	set(bare, ClassNop, 0x90) // the core demotes REX.B 90 (XCHG R8) to Other
+	set(bare, ClassOther, 0x91, 0x92, 0x93, 0x94, 0x95, 0x96, 0x97)
+	set(bare, ClassOther, 0x98, 0x99, 0x9B, 0x9C, 0x9D, 0x9E, 0x9F)
+	set(i8, ClassOther, 0xA8) // TEST AL, ib
+	set(iz, ClassOther, 0xA9) // TEST eAX, iz
+	set(bare, ClassOther, 0xA4, 0xA5, 0xA6, 0xA7, 0xAA, 0xAB, 0xAC, 0xAD, 0xAE, 0xAF)
 	// MOV reg, imm.
 	for op := 0xB0; op <= 0xB7; op++ {
-		set(ClassOther, fkImm8, op)
+		set(i8, ClassOther, op)
 	}
 	for op := 0xB8; op <= 0xBF; op++ {
-		set(ClassOther, fkImmV, op)
+		set(iv, ClassOther, op)
 	}
 	// Shift groups, RET, MOV r/m imm, LEAVE, INT3/INT, IRET.
-	set(ClassOther, fkModRMImm8, 0xC0, 0xC1)
-	set(ClassRet, fkImm16, 0xC2)
-	set(ClassRet, fkLen1, 0xC3)
-	set(ClassOther, fkModRMImm8, 0xC6)
-	set(ClassOther, fkModRMImmZ, 0xC7)
-	set(ClassLeave, fkLen1, 0xC9)
-	set(ClassRet, fkImm16, 0xCA)
-	set(ClassRet, fkLen1, 0xCB)
-	set(ClassInt3, fkLen1, 0xCC)
-	set(ClassOther, fkImm8, 0xCD)
-	set(ClassOther, fkLen1, 0xCF)
-	set(ClassOther, fkModRM, 0xD0, 0xD1, 0xD2, 0xD3) // shift by 1 / CL
-	set(ClassOther, fkLen1, 0xD7)
-	set(ClassOther, fkModRM, 0xD8, 0xD9, 0xDA, 0xDB, 0xDC, 0xDD, 0xDE, 0xDF) // x87
+	set(mi8, ClassOther, 0xC0, 0xC1)
+	set(i16, ClassRet, 0xC2)
+	set(bare, ClassRet, 0xC3)
+	set(mi8, ClassOther, 0xC6)
+	set(miz, ClassOther, 0xC7)
+	set(bare, ClassLeave, 0xC9)
+	set(i16, ClassRet, 0xCA)
+	set(bare, ClassRet, 0xCB)
+	set(bare, ClassInt3, 0xCC)
+	set(i8, ClassOther, 0xCD)
+	set(bare, ClassOther, 0xCF)
+	set(m, ClassOther, 0xD0, 0xD1, 0xD2, 0xD3) // shift by 1 / CL
+	set(bare, ClassOther, 0xD7)
+	set(m, ClassOther, 0xD8, 0xD9, 0xDA, 0xDB, 0xDC, 0xDD, 0xDE, 0xDF) // x87
 	// LOOP/JCXZ, IN/OUT, CALL/JMP.
-	set(ClassJccRel, fkRel8, 0xE0, 0xE1, 0xE2, 0xE3)
-	set(ClassOther, fkImm8, 0xE4, 0xE5, 0xE6, 0xE7)
-	set(ClassCallRel, fkRel32, 0xE8)
-	set(ClassJmpRel, fkRel32, 0xE9)
-	set(ClassJmpRel, fkRel8, 0xEB)
-	set(ClassOther, fkLen1, 0xEC, 0xED, 0xEE, 0xEF)
-	set(ClassOther, fkLen1, 0xF1, 0xF5)
-	set(ClassHlt, fkLen1, 0xF4)
-	set(ClassOther, fkLen1, 0xF8, 0xF9, 0xFA, 0xFB, 0xFC, 0xFD)
-	set(ClassOther, fkModRM, 0xFE) // INC/DEC r/m8
-	set(ClassOther, fkModRMGroup5, 0xFF)
+	set(r8, ClassJccRel, 0xE0, 0xE1, 0xE2, 0xE3)
+	set(i8, ClassOther, 0xE4, 0xE5, 0xE6, 0xE7)
+	set(r32, ClassCallRel, 0xE8)
+	set(r32, ClassJmpRel, 0xE9)
+	set(r8, ClassJmpRel, 0xEB)
+	set(bare, ClassOther, 0xEC, 0xED, 0xEE, 0xEF)
+	set(bare, ClassOther, 0xF1, 0xF5)
+	set(bare, ClassHlt, 0xF4)
+	set(bare, ClassOther, 0xF8, 0xF9, 0xFA, 0xFB, 0xFC, 0xFD)
+	set(m, ClassOther, 0xFE) // INC/DEC r/m8
+	set(opDesc{flags: dModRM | dGroup5}, ClassOther, 0xFF)
 	return t
 }
 
 // fastOps2 maps the second opcode byte of a 0F-escaped instruction to its
-// fast-path handling. It is derived mechanically from the twoByte
-// attribute table so the two stay consistent by construction: every map-2
-// opcode is ModRM-driven, bare, ModRM+imm8, or Jcc relZ — none of the
-// prefix-sized immediate kinds (iz/iv) exist in map 2, which is what
-// makes the whole map fast-path eligible. The exceptions decline
-// (fkNone): the 0F 38 / 0F 3A three-byte escapes (VEX/EVEX-adjacent
-// territory) and the fUndef rows, which must keep erroring through the
-// slow path.
+// descriptor. It is derived mechanically from the twoByte attribute table
+// so the two stay consistent by construction: every map-2 opcode is
+// ModRM-driven, bare, ModRM+imm8, or Jcc relZ — none of the prefix-sized
+// immediate kinds (iz/iv) exist in map 2, which is what makes the whole
+// map fast-path eligible. The exceptions decline: the 0F 38 / 0F 3A
+// three-byte escapes (VEX/EVEX-adjacent territory) and the fUndef rows,
+// which must keep erroring through the slow path.
 var fastOps2 = buildFastOps2()
 
-func buildFastOps2() [256]fastOp {
-	var t [256]fastOp
+func buildFastOps2() [256]opDesc {
+	var t [256]opDesc
 	for b := 0; b < 256; b++ {
 		info := twoByte[b]
 		if b == 0x38 || b == 0x3A || info.has(fUndef) {
 			continue // escapes + undefined rows: decline to decodeSlow
 		}
-		var kind fastKind
+		d := opDesc{flags: dAccept}
 		switch {
 		case info.has(fModRM) && info.imm == imm8:
-			kind = fkModRMImm8
+			d.flags |= dModRM
+			d.imm = 1
 		case info.has(fModRM) && info.imm == immNone:
-			kind = fkModRM
+			d.flags |= dModRM
 		case info.imm == relZ:
-			kind = fkRel32 // Jcc 0F 80-8F; 16-bit form declined by the caller
+			d.rel = 4 // Jcc 0F 80-8F; the 16-bit form is declined by the core
 		case info.imm == immNone:
-			kind = fkLen1
 		default:
 			continue
 		}
-		class := ClassOther
+		d.class = uint8(ClassOther)
 		switch {
 		case b >= 0x80 && b <= 0x8F:
-			class = ClassJccRel
+			d.class = uint8(ClassJccRel)
+		case b == 0x1E:
+			d.flags |= dEndbr
 		case b == 0x1F:
-			class = ClassNop // 0F 1F /0 long NOP; 0F 1E stays ClassOther unless F3-prefixed
+			d.class = uint8(ClassNop) // 0F 1F /0 long NOP
 		case b == 0x0B || b == 0xB9:
-			class = ClassUD
+			d.class = uint8(ClassUD)
 		}
-		t[b] = fastOp{kind: kind, class: class}
+		t[b] = d
 	}
 	return t
 }
 
-// decodeFast attempts the fast path. It reports false — leaving *inst in
-// an unspecified state — when the encoding needs the full decoder.
-func decodeFast(code []byte, addr uint64, mode Mode, inst *Inst) bool {
+// modrmForm gives, per ModRM byte, the addressing-form bytes that follow
+// it in the 32/64-bit form — the fast path never runs under a 67 prefix,
+// so the 16-bit form cannot occur: the displacement width (mDisp bits),
+// whether a SIB byte comes first (mSIB; with mod 0 a SIB base of 5 adds a
+// disp32 and no base register), and whether the form is mod 0 rm 5
+// (mRIP: a disp32 that is RIP-relative in 64-bit mode, absolute in
+// 32-bit mode).
+var modrmForm = buildModRMForm()
+
+// modrmForm bits.
+const (
+	mDisp = 0x07
+	mSIB  = 0x08
+	mRIP  = 0x10
+)
+
+func buildModRMForm() [256]uint8 {
+	var t [256]uint8
+	for m := 0; m < 256; m++ {
+		mod, rm := m>>6, m&7
+		var f uint8
+		switch mod {
+		case 1:
+			f = 1
+		case 2:
+			f = 4
+		}
+		switch {
+		case mod == 3:
+		case rm == 4:
+			f |= mSIB
+		case mod == 0 && rm == 5:
+			f = 4 | mRIP
+		}
+		t[m] = f
+	}
+	return t
+}
+
+// cursor records where the parts of an accepted encoding sit, packed into
+// one word so the core returns it in a register beside the length, class
+// and target. The detail layer reads operands at these positions.
+type cursor uint32
+
+// cursor fields.
+const (
+	curOpPos  = 0x3  // offset of the opcode byte (0, 1 or 2)
+	curPfx    = 0x4  // code[0] is the one legacy prefix
+	curMap2   = 0x8  // the opcode is in map 2 (behind 0F)
+	curModRM  = 0x10 // a ModRM byte follows the opcode
+	curRel    = 0x20 // the trailing bytes are a branch displacement
+	curMemRIP = 0x40 // mod 0 rm 5: a disp32 that is RIP-relative in Mode64, absolute in Mode32
+	curMemAbs = 0x80 // a SIB with no base: an absolute disp32
+
+	// curImmShift positions the count of trailing immediate (or branch
+	// displacement) bytes. A memory disp32 ends where they start.
+	curImmShift = 8
+)
+
+// scan is the core layer: the length, class and (for a direct branch)
+// target of the encoding at the front of code, plus its cursor. ok is
+// false when the encoding needs the full decoder.
+func scan(code []byte, addr uint64, mode Mode) (n int, class Class, target uint64, cur cursor, ok bool) {
 	if len(code) == 0 {
-		return false
+		return 0, ClassOther, 0, 0, false
 	}
 	pos := 0
 	b := code[0]
-	var rex, pfx byte
+	var rex byte
 	switch {
 	case mode == Mode64 && b&0xF0 == 0x40:
 		if len(code) < 2 {
-			return false
+			return 0, ClassOther, 0, 0, false
 		}
 		nb := code[1]
 		if legacyPrefixTab[nb] || nb&0xF0 == 0x40 {
-			return false // dead REX: leave prefix bookkeeping to the slow path
+			return 0, ClassOther, 0, 0, false // dead REX: leave prefix bookkeeping to the slow path
 		}
-		rex = b
-		pos = 1
-		b = nb
+		rex, pos, b = b, 1, nb
 	case b == 0x66 || b == 0xF3 || b == 0xF2:
 		// Single legacy prefix forms. 66 90 is the two-byte NOP; a single
 		// 66/F3/F2 ahead of a 0F escape covers endbr64/endbr32 and the
 		// scalar/packed SSE families, whose map-2 lengths are independent
 		// of the SIMD prefix. Anything else (prefix runs, prefix+REX,
-		// prefixed one-byte opcodes) declines to the slow path.
+		// other prefixed one-byte opcodes) declines to the slow path.
 		if len(code) < 2 {
-			return false
+			return 0, ClassOther, 0, 0, false
 		}
-		if b == 0x66 && code[1] == 0x90 {
-			*inst = Inst{Addr: addr, Len: 2, Class: ClassNop, Opcode: 0x90,
-				OpcodeMap: 1, Prefix: [4]byte{0x66}, NPrefix: 1}
-			return true
+		nb := code[1]
+		if nb != 0x0F && (b != 0x66 || nb != 0x90) {
+			return 0, ClassOther, 0, 0, false
 		}
-		if code[1] != 0x0F {
-			return false
-		}
-		pfx = b
-		pos, b = 1, 0x0F
+		pos, b, cur = 1, nb, curPfx
 	}
-	opcodeMap := 1
-	var op fastOp
+	d := fastOps[b]
 	if b == 0x0F {
-		// Two-byte map: dispatch the byte after the escape through
-		// fastOps2. REX ahead of 0F is fine (it has no length effect in
-		// map 2 — no iv immediates there); the 16-bit Jcc displacement
-		// form (66 + 0F 8x in 32-bit mode) is the one prefix-dependent
-		// length in the map and declines below.
-		if pos+1 >= len(code) {
-			return false
-		}
+		// Two-byte map. REX ahead of 0F has no length effect there (no iv
+		// immediates in map 2); the 16-bit Jcc displacement form (66 +
+		// 0F 8x in 32-bit mode) is the one prefix-dependent length in the
+		// map and declines.
 		pos++
+		if pos >= len(code) {
+			return 0, ClassOther, 0, 0, false
+		}
 		b = code[pos]
-		op = fastOps2[b]
-		opcodeMap = 2
-		if op.kind == fkRel32 && pfx == 0x66 && mode == Mode32 {
-			return false // rel16 under the operand-size prefix
+		d = fastOps2[b]
+		cur |= curMap2
+		if d.rel != 0 && cur&curPfx != 0 && code[0] == 0x66 && mode == Mode32 {
+			return 0, ClassOther, 0, 0, false // rel16 under the operand-size prefix
 		}
-	} else {
-		op = fastOps[b]
 	}
-	if op.kind == fkNone {
-		return false
+	if d.flags&dAccept == 0 {
+		return 0, ClassOther, 0, 0, false
 	}
+	cur |= cursor(pos)
 	pos++
-	*inst = Inst{Addr: addr, Class: op.class, Opcode: b, OpcodeMap: opcodeMap}
-	if pfx != 0 {
-		inst.Prefix[0] = pfx
-		inst.NPrefix = 1
-	}
-
-	// The two dominant kinds in compiler output (bare one-byte opcodes
-	// and plain ModRM forms — together ~2/3 of decoded instructions) are
-	// peeled off ahead of the general kind switch so they ride two
-	// well-predicted branches instead of an indirect jump.
-	if op.kind == fkLen1 {
-		if opcodeMap == 1 && b == 0x90 && rex&1 != 0 {
-			inst.Class = ClassOther // REX.B 90 is XCHG R8, not NOP
+	class = Class(d.class)
+	if d.flags&dModRM != 0 {
+		if pos >= len(code) {
+			return 0, ClassOther, 0, 0, false
 		}
-		inst.Len = pos
-		return true
-	}
-	if op.kind == fkModRM && pos < len(code) {
-		if m := code[pos]; m >= 0xC0 || (m&7 != 4 && (m >= 0x40 || m&7 != 5)) {
-			n := 1
-			switch m >> 6 {
-			case 1:
-				n = 2 // ModRM + disp8
-			case 2:
-				n = 5 // ModRM + disp32
+		m := code[pos]
+		pos++
+		cur |= curModRM
+		f := modrmForm[m]
+		if f&(mSIB|mRIP) != 0 {
+			if f&mRIP != 0 {
+				cur |= curMemRIP
+			} else {
+				if pos >= len(code) {
+					return 0, ClassOther, 0, 0, false
+				}
+				if m < 0x40 && code[pos]&7 == 5 {
+					f |= 4 // mod 0, no base: disp32
+					cur |= curMemAbs
+				}
+				pos++
 			}
-			if pos+n > len(code) {
-				return false
-			}
-			inst.ModRM = m
-			inst.HasModRM = true
-			pos += n
-			if opcodeMap == 2 && b == 0x1E && pfx == 0xF3 {
+		}
+		pos += int(f & mDisp)
+		if d.flags&(dGroup5|dEndbr) != 0 {
+			switch {
+			case d.flags&dGroup5 != 0:
+				switch m >> 3 & 7 {
+				case 2:
+					class = ClassCallInd
+				case 4:
+					class = ClassJmpInd
+				}
+			case cur&curPfx != 0 && code[0] == 0xF3:
 				switch m {
 				case 0xFA:
-					inst.Class = ClassEndbr64
+					class = ClassEndbr64
 				case 0xFB:
-					inst.Class = ClassEndbr32
+					class = ClassEndbr32
 				}
 			}
-			inst.Len = pos
-			return true
 		}
 	}
+	imm := int(d.imm)
+	if d.flags&dImmW != 0 && rex&0x08 != 0 {
+		imm = 8
+	}
+	imm += int(d.rel)
+	pos += imm
+	if pos > len(code) {
+		return 0, ClassOther, 0, 0, false
+	}
+	cur |= cursor(imm) << curImmShift
+	if d.rel != 0 {
+		cur |= curRel
+		var disp int64
+		if d.rel == 1 {
+			disp = int64(int8(code[pos-1]))
+		} else {
+			disp = int64(int32(le32(code[pos-4:])))
+		}
+		target = truncAddr(mode, addr+uint64(pos)+uint64(disp))
+	}
+	if class == ClassNop && rex&1 != 0 && cur&curMap2 == 0 {
+		class = ClassOther // REX.B 90 is XCHG R8, not NOP
+	}
+	return pos, class, target, cur, true
+}
 
-	var disp int64
-	var ripRel, absDisp bool
-	switch op.kind {
-	case fkLen1:
-		// Unreachable (peeled above); kept for the switch's exhaustiveness.
-	case fkImm8:
-		if pos >= len(code) {
-			return false
-		}
-		inst.Imm = int64(int8(code[pos]))
-		inst.HasImm = true
-		pos++
-	case fkImm16:
-		if pos+2 > len(code) {
-			return false
-		}
-		inst.Imm = int64(int16(uint16(code[pos]) | uint16(code[pos+1])<<8))
-		inst.HasImm = true
-		pos += 2
-	case fkImmZ:
-		if pos+4 > len(code) {
-			return false
-		}
-		inst.Imm = int64(int32(le32(code[pos:])))
-		inst.HasImm = true
-		pos += 4
-	case fkImmV:
-		if rex&0x08 != 0 {
-			if pos+8 > len(code) {
-				return false
-			}
-			inst.Imm = int64(uint64(le32(code[pos:])) | uint64(le32(code[pos+4:]))<<32)
-			pos += 8
-		} else {
-			if pos+4 > len(code) {
-				return false
-			}
-			inst.Imm = int64(int32(le32(code[pos:])))
-			pos += 4
-		}
-		inst.HasImm = true
-	case fkRel8:
-		if pos >= len(code) {
-			return false
-		}
-		inst.Imm = int64(int8(code[pos]))
-		inst.HasImm = true
-		pos++
-		inst.Target = truncAddr(mode, addr+uint64(pos)+uint64(inst.Imm))
+// decodeCore is the core layer as the records sweep calls it: the length,
+// class and (for a direct branch) target of the instruction at the front
+// of code, or ok == false when the fast path declines it. Where it
+// accepts, DecodeInto's Len, Class and Target agree with it.
+func decodeCore(code []byte, addr uint64, mode Mode) (n int, class Class, target uint64, ok bool) {
+	n, class, target, _, ok = scan(code, addr, mode)
+	return n, class, target, ok
+}
+
+// DecodeInto decodes a single instruction from the front of code into
+// *inst, overwriting it completely. It is the allocation-free form of
+// Decode: hot loops reuse one Inst across calls instead of copying a
+// fresh value per instruction. On error *inst is zeroed.
+//
+// It is the fast path's detail layer (see the top of this file): where
+// the core layer (scan) accepts, the Inst is the core's length, class
+// and target plus the operand detail read at the core's cursor
+// positions; every other encoding falls back to the complete Intel-SDM
+// walk in decodeSlow. The two paths produce bit-identical Inst values
+// (asserted by TestFastPathMatchesFullDecode and FuzzDecode).
+func DecodeInto(code []byte, addr uint64, mode Mode, inst *Inst) error {
+	if mode != Mode32 && mode != Mode64 {
+		*inst = Inst{}
+		return fmt.Errorf("x86: unsupported mode %d", int(mode))
+	}
+	n, class, target, cur, ok := scan(code, addr, mode)
+	if !ok {
+		return decodeSlow(code, addr, mode, inst)
+	}
+	op := int(cur & curOpPos)
+	*inst = Inst{Addr: addr, Len: n, Class: class, OpcodeMap: 1}
+	inst.Opcode = code[op]
+	if cur&^curOpPos == 0 {
+		return nil // a bare one-byte opcode: no prefix, operand or target
+	}
+	if cur&curMap2 != 0 {
+		inst.OpcodeMap = 2
+	}
+	if cur&curPfx != 0 {
+		inst.Prefix[0] = code[0]
+		inst.NPrefix = 1
+	}
+	if cur&curModRM != 0 {
+		inst.ModRM = code[op+1]
+		inst.HasModRM = true
+	}
+	if cur&curRel != 0 {
+		inst.Target = target
 		inst.HasTarget = true
-	case fkRel32:
-		if pos+4 > len(code) {
-			return false
-		}
-		inst.Imm = int64(int32(le32(code[pos:])))
+	}
+	imm := int(cur >> curImmShift)
+	at := n - imm
+	switch imm {
+	case 0:
+	case 1:
+		inst.Imm = int64(int8(code[at]))
 		inst.HasImm = true
-		pos += 4
-		inst.Target = truncAddr(mode, addr+uint64(pos)+uint64(inst.Imm))
-		inst.HasTarget = true
-	case fkModRM, fkModRMImm8, fkModRMImmZ, fkModRMGroup5:
-		// Peel the addressing forms that dominate compiler output before
-		// the general walk, keeping them branch-light and call-free:
-		// register-register (mod 3), bare [reg], and [reg+disp8/disp32].
-		// Only the SIB forms and mod-0 rm-5 (RIP-relative / absolute)
-		// fall through to fastModRM. The peeled displacement forms never
-		// materialize a reference, so their disp bytes are skipped, not
-		// read — bounds checks are all that remains of them.
-		if pos >= len(code) {
-			return false
-		}
-		if m := code[pos]; m >= 0xC0 {
-			inst.ModRM = m
-			inst.HasModRM = true
-			pos++
-		} else if rm := m & 7; rm != 4 && (m >= 0x40 || rm != 5) {
-			n := 1
-			switch m >> 6 {
-			case 1:
-				n = 2 // ModRM + disp8
-			case 2:
-				n = 5 // ModRM + disp32
-			}
-			if pos+n > len(code) {
-				return false
-			}
-			inst.ModRM = m
-			inst.HasModRM = true
-			pos += n
+	case 2:
+		inst.Imm = int64(int16(uint16(code[at]) | uint16(code[at+1])<<8))
+		inst.HasImm = true
+	case 4:
+		inst.Imm = int64(int32(le32(code[at:])))
+		inst.HasImm = true
+	default:
+		inst.Imm = int64(uint64(le32(code[at:])) | uint64(le32(code[at+4:]))<<32)
+		inst.HasImm = true
+	}
+	// A disp32 memory reference ends where the immediate starts; RIP-
+	// relative addressing is next-instruction relative.
+	if cur&(curMemRIP|curMemAbs) != 0 {
+		disp := int64(int32(le32(code[at-4:])))
+		if cur&curMemRIP != 0 && mode == Mode64 {
+			inst.RIPRef = addr + uint64(n) + uint64(disp)
+			inst.HasRIPRef = true
 		} else {
-			var ok bool
-			disp, ripRel, absDisp, ok = fastModRM(code, &pos, mode, inst)
-			if !ok {
-				return false
-			}
-		}
-		if opcodeMap == 2 && b == 0x1E && pfx == 0xF3 {
-			// F3 0F 1E FA/FB are the CET end-branch markers; any other
-			// ModRM value stays a reserved hint NOP (ClassOther).
-			switch inst.ModRM {
-			case 0xFA:
-				inst.Class = ClassEndbr64
-			case 0xFB:
-				inst.Class = ClassEndbr32
-			}
-		}
-		switch op.kind {
-		case fkModRMImm8:
-			if pos >= len(code) {
-				return false
-			}
-			inst.Imm = int64(int8(code[pos]))
-			inst.HasImm = true
-			pos++
-		case fkModRMImmZ:
-			if pos+4 > len(code) {
-				return false
-			}
-			inst.Imm = int64(int32(le32(code[pos:])))
-			inst.HasImm = true
-			pos += 4
-		case fkModRMGroup5:
-			switch inst.Reg() {
-			case 2:
-				inst.Class = ClassCallInd
-			case 4:
-				inst.Class = ClassJmpInd
-			}
+			inst.MemDisp = uint64(uint32(disp))
+			inst.HasMemDisp = true
 		}
 	}
-	inst.Len = pos
-	// Materialize the displacement-derived references now that the full
-	// length is known (RIP-relative addressing is next-instruction
-	// relative).
-	if ripRel {
-		inst.RIPRef = truncAddr(mode, addr+uint64(pos)+uint64(disp))
-		inst.HasRIPRef = true
-	} else if absDisp {
-		inst.MemDisp = uint64(uint32(disp))
-		inst.HasMemDisp = true
-	}
-	return true
+	return nil
 }
 
 // le32 is an inlinable little-endian 32-bit load (a single MOV on
@@ -446,69 +477,6 @@ func decodeFast(code []byte, addr uint64, mode Mode, inst *Inst) bool {
 func le32(b []byte) uint32 {
 	_ = b[3]
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// fastModRM consumes the ModRM byte and its addressing-form bytes (SIB,
-// displacement) in the 32/64-bit form — the fast path never runs under a
-// 67 prefix, so the 16-bit form cannot occur. It reports the raw
-// displacement and whether it is RIP-relative or an absolute address.
-func fastModRM(code []byte, pos *int, mode Mode, inst *Inst) (disp int64, ripRel, absDisp, ok bool) {
-	p := *pos
-	if p >= len(code) {
-		return 0, false, false, false
-	}
-	m := code[p]
-	p++
-	inst.ModRM = m
-	inst.HasModRM = true
-	mod := m >> 6
-	rm := m & 7
-	if mod == 3 {
-		*pos = p
-		return 0, false, false, true
-	}
-	hasSIB := rm == 4
-	sibBase := byte(0xFF)
-	if hasSIB {
-		if p >= len(code) {
-			return 0, false, false, false
-		}
-		sibBase = code[p] & 7
-		p++
-	}
-	dispN := 0
-	switch mod {
-	case 0:
-		switch {
-		case !hasSIB && rm == 5:
-			dispN = 4
-			ripRel = mode == Mode64
-			absDisp = mode == Mode32
-		case hasSIB && sibBase == 5:
-			dispN = 4
-			absDisp = true
-		}
-	case 1:
-		dispN = 1
-	case 2:
-		dispN = 4
-	}
-	switch dispN {
-	case 1:
-		if p >= len(code) {
-			return 0, false, false, false
-		}
-		disp = int64(int8(code[p]))
-		p++
-	case 4:
-		if p+4 > len(code) {
-			return 0, false, false, false
-		}
-		disp = int64(int32(le32(code[p:])))
-		p += 4
-	}
-	*pos = p
-	return disp, ripRel, absDisp, true
 }
 
 // legacyPrefixTab is isLegacyPrefix as a direct-indexed table: the fast

@@ -5,10 +5,45 @@ import (
 	"testing"
 )
 
+// checkFastPath asserts the fast path's two layers on the encoding at the
+// front of code: when the core accepts, DecodeInto's Inst is bit-identical
+// to the full decoder's, its Len, Class and Target are the core's, and
+// HasTarget holds exactly for the direct-branch classes. It reports
+// whether the core accepted.
+func checkFastPath(t testing.TB, code []byte, addr uint64, mode Mode) bool {
+	t.Helper()
+	n, class, target, ok := decodeCore(code, addr, mode)
+	if !ok {
+		return false
+	}
+	show := code[:min(len(code), 16)]
+	var fast, slow Inst
+	if err := DecodeInto(code, addr, mode, &fast); err != nil {
+		t.Fatalf("mode %v bytes % x: core accepted, DecodeInto failed: %v", mode, show, err)
+	}
+	if err := decodeSlow(code, addr, mode, &slow); err != nil {
+		t.Fatalf("mode %v bytes % x: fast path accepted what the full decoder rejects: %v", mode, show, err)
+	}
+	if fast != slow {
+		t.Fatalf("mode %v bytes % x:\nfast %+v\nslow %+v", mode, show, fast, slow)
+	}
+	if n != fast.Len || class != fast.Class || target != fast.Target {
+		t.Fatalf("mode %v bytes % x: core (len %d, %v, target %#x), DecodeInto (len %d, %v, target %#x)",
+			mode, show, n, class, target, fast.Len, fast.Class, fast.Target)
+	}
+	rel := class == ClassCallRel || class == ClassJmpRel || class == ClassJccRel
+	if fast.HasTarget != rel {
+		t.Fatalf("mode %v bytes % x: class %v with HasTarget %v", mode, show, class, fast.HasTarget)
+	}
+	return true
+}
+
 // TestFastPathMatchesFullDecode is the fast path's defining invariant:
-// every byte sequence the fast path accepts must decode to an Inst
-// bit-identical to the full decoder's. Driven over random byte soup and
-// compiler-shaped text, in both modes, at every offset.
+// every byte sequence the core accepts decodes, through DecodeInto's
+// detail layer, to an Inst bit-identical to the full decoder's, with the
+// core's length, class and target. Driven over random byte soup and
+// compiler-shaped text, in both modes, at every offset and at every
+// truncation of a compiler-shaped instruction.
 func TestFastPathMatchesFullDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	buffers := make([][]byte, 0, 64)
@@ -27,19 +62,24 @@ func TestFastPathMatchesFullDecode(t *testing.T) {
 	for _, mode := range []Mode{Mode32, Mode64} {
 		for _, buf := range buffers {
 			for off := 0; off < len(buf); off++ {
-				var fast, slow Inst
-				if !decodeFast(buf[off:], addr+uint64(off), mode, &fast) {
-					continue
+				if checkFastPath(t, buf[off:], addr+uint64(off), mode) {
+					checked++
 				}
-				if err := decodeSlow(buf[off:], addr+uint64(off), mode, &slow); err != nil {
-					t.Fatalf("mode %v bytes % x: fast path accepted what the full decoder rejects: %v",
-						mode, buf[off:off+min(len(buf)-off, 16)], err)
+			}
+		}
+		// Truncations: the core declines a cut-short encoding exactly
+		// when the full decoder reports it truncated.
+		text := GenText(1024, mode, rng, 0)
+		for off := 0; off+15 < len(text); off += 7 {
+			for cut := 0; cut <= 15; cut++ {
+				code := text[off : off+cut]
+				if !checkFastPath(t, code, addr, mode) {
+					if _, _, _, ok := decodeCore(text[off:], addr, mode); ok {
+						if _, err := Decode(code, addr, mode); err != ErrTruncated {
+							t.Fatalf("mode %v % x: core declined a truncation the full decoder reports as %v", mode, code, err)
+						}
+					}
 				}
-				if fast != slow {
-					t.Fatalf("mode %v bytes % x:\nfast %+v\nslow %+v",
-						mode, buf[off:off+min(len(buf)-off, 16)], fast, slow)
-				}
-				checked++
 			}
 		}
 	}
@@ -49,9 +89,10 @@ func TestFastPathMatchesFullDecode(t *testing.T) {
 }
 
 // TestFastPathDeclineSet pins the decline behavior of the two-byte
-// table: the escape bytes into maps 3A/38, the undefined map-2 rows, and
-// every VEX/EVEX-adjacent first byte must make decodeFast return false —
-// the slow path is the only decoder allowed to judge them. The test then
+// table: the escape bytes into maps 3A/38, the undefined map-2 rows,
+// every VEX/EVEX-adjacent first byte, prefix runs and dead REX prefixes
+// must make the core decline — the slow path is the only decoder allowed
+// to judge them. The test then
 // confirms the slow path really does own each declined sequence (decode
 // or reject, its call — the fast path just must not have an opinion).
 func TestFastPathDeclineSet(t *testing.T) {
@@ -76,11 +117,23 @@ func TestFastPathDeclineSet(t *testing.T) {
 	for _, b := range []byte{0xC4, 0xC5, 0x62} {
 		declined = append(declined, append([]byte{b}, tail...))
 	}
+	// Prefix forms other than one 66/F3/F2 ahead of 0F, or 66 90: prefix
+	// runs, other prefixed one-byte opcodes (F3 90 is PAUSE), the
+	// address-size and segment prefixes, and the 3E NOTRACK prefix on an
+	// indirect branch.
+	declined = append(declined,
+		[]byte{0x66, 0x66, 0x90},
+		[]byte{0xF3, 0x90},
+		[]byte{0x66, 0x05, 0x01, 0x02},
+		[]byte{0x67, 0x8B, 0x00},
+		[]byte{0x2E, 0x8B, 0x00},
+		[]byte{0x3E, 0xFF, 0xE0},
+		[]byte{0xF3, 0x48, 0x0F, 0x1E, 0xFA},
+	)
 	for _, mode := range []Mode{Mode32, Mode64} {
 		for _, code := range declined {
-			var inst Inst
-			if decodeFast(code, addr, mode, &inst) {
-				t.Errorf("mode %v % x: fast path accepted a decline-set sequence (inst %+v)", mode, code, inst)
+			if n, class, _, ok := decodeCore(code, addr, mode); ok {
+				t.Errorf("mode %v % x: core accepted a decline-set sequence (len %d, %v)", mode, code, n, class)
 				continue
 			}
 			// The slow path must own the sequence: whatever it says is the
@@ -99,14 +152,80 @@ func TestFastPathDeclineSet(t *testing.T) {
 	// declines it in Mode32 while accepting it in Mode64.
 	jcc := []byte{0x66, 0x0F, 0x84, 0x10, 0x20, 0x30, 0x40}
 	var inst Inst
-	if decodeFast(jcc, addr, Mode32, &inst) {
-		t.Errorf("mode32 % x: fast path accepted 66-prefixed Jcc (rel16 form)", jcc)
+	if _, _, _, ok := decodeCore(jcc, addr, Mode32); ok {
+		t.Errorf("mode32 % x: core accepted 66-prefixed Jcc (rel16 form)", jcc)
 	}
 	if err := decodeSlow(jcc, addr, Mode32, &inst); err != nil || inst.Len != 5 {
 		t.Errorf("mode32 % x: slow path len = %d err = %v, want rel16 len 5", jcc, inst.Len, err)
 	}
-	if !decodeFast(jcc, addr, Mode64, &inst) || inst.Len != 7 {
-		t.Errorf("mode64 % x: fast path len = %d accepted = %v, want rel32 len 7", jcc, inst.Len, inst.Len == 7)
+	if n, _, _, ok := decodeCore(jcc, addr, Mode64); !ok || n != 7 {
+		t.Errorf("mode64 % x: core len = %d accepted = %v, want rel32 len 7", jcc, n, ok)
+	}
+
+	// In Mode64, 40-4F are REX: a dead REX (followed by a legacy prefix
+	// or another REX) and a lone REX decline, while in Mode32 the same
+	// bytes are one-byte INC/DEC the core accepts.
+	for _, code := range [][]byte{{0x48}, {0x48, 0x66, 0x90}, {0x48, 0x41, 0x90}, {0x40, 0xF0, 0x01, 0x00}} {
+		if _, _, _, ok := decodeCore(code, addr, Mode64); ok {
+			t.Errorf("mode64 % x: core accepted a lone or dead REX", code)
+		}
+		if n, _, _, ok := decodeCore(code, addr, Mode32); !ok || n != 1 {
+			t.Errorf("mode32 % x: core len = %d accepted = %v, want INC/DEC len 1", code, n, ok)
+		}
+	}
+}
+
+// TestFastPathAcceptSet pins encodings the core must take, with their
+// length and class: the shapes the records sweep reads (end branches,
+// direct branches), the group-5 indirect branches, REX.B 90 demoted to
+// Other, and every ModRM addressing form.
+func TestFastPathAcceptSet(t *testing.T) {
+	const addr = 0x401000
+	cases := []struct {
+		code  []byte
+		mode  Mode
+		n     int
+		class Class
+	}{
+		{[]byte{0xF3, 0x0F, 0x1E, 0xFA}, Mode64, 4, ClassEndbr64},
+		{[]byte{0xF3, 0x0F, 0x1E, 0xFB}, Mode32, 4, ClassEndbr32},
+		{[]byte{0x0F, 0x1E, 0xFA}, Mode64, 3, ClassOther},       // no F3: a hint NOP
+		{[]byte{0xF3, 0x0F, 0x1E, 0xC8}, Mode64, 4, ClassOther}, // rdsspd
+		{[]byte{0xE8, 0, 0, 0, 0}, Mode64, 5, ClassCallRel},
+		{[]byte{0xE9, 0, 0, 0, 0}, Mode32, 5, ClassJmpRel},
+		{[]byte{0xEB, 0xFE}, Mode64, 2, ClassJmpRel},
+		{[]byte{0x74, 0x10}, Mode64, 2, ClassJccRel},
+		{[]byte{0xE3, 0x10}, Mode32, 2, ClassJccRel}, // jecxz
+		{[]byte{0x0F, 0x85, 0, 0, 0, 0}, Mode64, 6, ClassJccRel},
+		{[]byte{0x66, 0x0F, 0x85, 0, 0, 0, 0}, Mode64, 7, ClassJccRel},
+		{[]byte{0xFF, 0xD0}, Mode64, 2, ClassCallInd},
+		{[]byte{0xFF, 0x24, 0xC5, 0, 0, 0, 0}, Mode64, 7, ClassJmpInd},
+		{[]byte{0xFF, 0x15, 0, 0, 0, 0}, Mode32, 6, ClassCallInd},
+		{[]byte{0xFF, 0xF0}, Mode64, 2, ClassOther}, // push r/m
+		{[]byte{0x90}, Mode64, 1, ClassNop},
+		{[]byte{0x66, 0x90}, Mode64, 2, ClassNop},
+		{[]byte{0x41, 0x90}, Mode64, 2, ClassOther}, // xchg r8d, eax
+		{[]byte{0x0F, 0x1F, 0x44, 0x00, 0x00}, Mode64, 5, ClassNop},
+		{[]byte{0x0F, 0x0B}, Mode64, 2, ClassUD},
+		{[]byte{0xC3}, Mode64, 1, ClassRet},
+		{[]byte{0xC2, 0x08, 0x00}, Mode32, 3, ClassRet},
+		{[]byte{0x48, 0xB8, 1, 2, 3, 4, 5, 6, 7, 8}, Mode64, 10, ClassOther}, // mov rax, imm64
+		{[]byte{0xB8, 1, 2, 3, 4}, Mode64, 5, ClassOther},
+		{[]byte{0x8B, 0x04, 0x25, 0, 0, 0, 0}, Mode64, 7, ClassOther},        // SIB, no base
+		{[]byte{0x8B, 0x44, 0x24, 0x08}, Mode64, 4, ClassOther},              // SIB + disp8
+		{[]byte{0x8B, 0x84, 0x24, 0, 1, 0, 0}, Mode64, 7, ClassOther},        // SIB + disp32
+		{[]byte{0x48, 0x8B, 0x05, 0, 0, 0, 0}, Mode64, 7, ClassOther},        // RIP-relative
+		{[]byte{0xC7, 0x05, 0, 0, 0, 0, 1, 0, 0, 0}, Mode32, 10, ClassOther}, // absolute + imm32
+		{[]byte{0x80, 0x7D, 0xF8, 0x01}, Mode64, 4, ClassOther},              // disp8 + imm8
+	}
+	for _, tc := range cases {
+		n, class, _, ok := decodeCore(tc.code, addr, tc.mode)
+		if !ok || n != tc.n || class != tc.class {
+			t.Errorf("mode %v % x: core (len %d, %v, accepted %v), want (len %d, %v)",
+				tc.mode, tc.code, n, class, ok, tc.n, tc.class)
+			continue
+		}
+		checkFastPath(t, tc.code, addr, tc.mode)
 	}
 }
 

@@ -12,6 +12,28 @@ func instEqual(a, b Inst) bool {
 	return a == b
 }
 
+// decodeSeeds are the hand-picked encodings FuzzDecode and FuzzDecodeCore
+// start from (each also seeds from its testdata/fuzz corpus).
+var decodeSeeds = [][]byte{
+	{0xf3, 0x0f, 0x1e, 0xfa},                   // endbr64
+	{0xf3, 0x0f, 0x1e, 0xfb},                   // endbr32
+	{0xe8, 0x00, 0x00, 0x00, 0x00},             // call rel32
+	{0xe9, 0xfb, 0xff, 0xff, 0xff},             // jmp rel32
+	{0xff, 0x25, 0x00, 0x10, 0x00, 0x00},       // jmp indirect
+	{0x0f, 0x84, 0x10, 0x00, 0x00, 0x00},       // jz rel32
+	{0x48, 0x8b, 0x04, 0xc5, 0, 0, 0, 0},       // mov rax,[rax*8+disp32]
+	{0x66, 0x0f, 0x38, 0x00, 0xc0},             // three-byte opcode map
+	{0xc4, 0xe2, 0x79, 0x00, 0xc0},             // vex3
+	{0xc5, 0xf8, 0x77},                         // vex2 vzeroupper
+	{0x62, 0xf1, 0x7c, 0x48, 0x28, 0xc0},       // evex
+	{0xf0, 0x48, 0x0f, 0xb1, 0x0d, 0, 0, 0, 0}, // lock cmpxchg
+	{0x66, 0x66, 0x66, 0x90},                   // redundant prefixes
+	{0xc3},                                     // ret
+	{0xcc},                                     // int3
+	{0x00},
+	{},
+}
+
 // FuzzDecode drives the decoder with arbitrary byte streams in both
 // operating modes. Invariants: the decoder never panics; a successful
 // decode consumes 1..15 bytes, no more than were supplied; decoding the
@@ -19,26 +41,7 @@ func instEqual(a, b Inst) bool {
 // (determinism + no reliance on bytes past Len); and DecodeLen agrees
 // with Decode.
 func FuzzDecode(f *testing.F) {
-	seeds := [][]byte{
-		{0xf3, 0x0f, 0x1e, 0xfa},                   // endbr64
-		{0xf3, 0x0f, 0x1e, 0xfb},                   // endbr32
-		{0xe8, 0x00, 0x00, 0x00, 0x00},             // call rel32
-		{0xe9, 0xfb, 0xff, 0xff, 0xff},             // jmp rel32
-		{0xff, 0x25, 0x00, 0x10, 0x00, 0x00},       // jmp indirect
-		{0x0f, 0x84, 0x10, 0x00, 0x00, 0x00},       // jz rel32
-		{0x48, 0x8b, 0x04, 0xc5, 0, 0, 0, 0},       // mov rax,[rax*8+disp32]
-		{0x66, 0x0f, 0x38, 0x00, 0xc0},             // three-byte opcode map
-		{0xc4, 0xe2, 0x79, 0x00, 0xc0},             // vex3
-		{0xc5, 0xf8, 0x77},                         // vex2 vzeroupper
-		{0x62, 0xf1, 0x7c, 0x48, 0x28, 0xc0},       // evex
-		{0xf0, 0x48, 0x0f, 0xb1, 0x0d, 0, 0, 0, 0}, // lock cmpxchg
-		{0x66, 0x66, 0x66, 0x90},                   // redundant prefixes
-		{0xc3},                                     // ret
-		{0xcc},                                     // int3
-		{0x00},
-		{},
-	}
-	for _, s := range seeds {
+	for _, s := range decodeSeeds {
 		f.Add(s, true)
 		f.Add(s, false)
 	}
@@ -94,6 +97,36 @@ func FuzzDecodeSuffixStability(f *testing.F) {
 		again, err := Decode(padded, 0, mode)
 		if err != nil || !instEqual(again, inst) {
 			t.Fatalf("padding changed decode: (%+v, %v) vs %+v (input %x)", again, err, inst, data)
+		}
+	})
+}
+
+// FuzzDecodeCore is the differential check of the fast path's two
+// layers: for every byte string in both modes, where the core accepts,
+// DecodeInto takes the fast path and its Inst equals the full decoder's,
+// its (Len, Class, Target) equals the core's (n, class, target), and
+// HasTarget holds exactly for the direct-branch classes; where the core
+// declines, DecodeInto answers exactly as the full decoder does. Its
+// corpus starts from FuzzDecode's.
+func FuzzDecodeCore(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add(s, true)
+		f.Add(s, false)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, mode64 bool) {
+		mode := Mode32
+		if mode64 {
+			mode = Mode64
+		}
+		const addr = 0x401000
+		if checkFastPath(t, data, addr, mode) {
+			return
+		}
+		var got, want Inst
+		gotErr := DecodeInto(data, addr, mode, &got)
+		wantErr := decodeSlow(data, addr, mode, &want)
+		if gotErr != wantErr || got != want {
+			t.Fatalf("core declined, DecodeInto (%+v, %v) vs full decoder (%+v, %v) (input %x)", got, gotErr, want, wantErr, data)
 		}
 	})
 }

@@ -82,14 +82,14 @@ type shard struct {
 
 // shardPlan is the sharding geometry of one sweep: shards chunks of
 // chunk bytes (the last one takes the remainder), decoded by at most
-// conc goroutines. shards < 2 means a sequential sweep.
+// conc goroutines. A sequential sweep is one shard of the whole text.
 type shardPlan struct {
 	chunk, shards, conc int
 }
 
 // planShards picks the geometry for n bytes of code. workers <= 0
 // selects a count from GOMAXPROCS and the text size and falls back to
-// sequential for small texts; an explicit workers >= 2 shards whenever
+// one shard for small texts; an explicit workers >= 2 shards whenever
 // every worker can get at least one aligned 64-byte chunk (tests force
 // odd seam placements this way). Shard count sets seam geometry; the
 // number of shards decoding concurrently is capped separately.
@@ -102,7 +102,7 @@ func planShards(n, workers int) shardPlan {
 		}
 	}
 	if workers < 2 || (auto && n < minParallelBytes) {
-		return shardPlan{shards: 1, conc: 1}
+		return shardPlan{chunk: n, shards: 1, conc: 1}
 	}
 	// Chunks are rounded down to 64-byte multiples so shard-local bitmap
 	// words coincide with final bitmap words. A zero chunk means the
@@ -110,7 +110,7 @@ func planShards(n, workers int) shardPlan {
 	// it sequentially is both correct and faster.
 	chunk := (n / workers) &^ 63
 	if chunk == 0 {
-		return shardPlan{shards: 1, conc: 1}
+		return shardPlan{chunk: n, shards: 1, conc: 1}
 	}
 	shards := workers
 	if chunk > maxShardBytes {
@@ -140,7 +140,9 @@ func planShards(n, workers int) shardPlan {
 	return shardPlan{chunk: chunk, shards: shards, conc: conc}
 }
 
-// sweepSharded is the sharded records sweep. Phase 0 decodes the chunks
+// sweepSharded is the records sweep, and its loop (shard.decode) is the
+// only sweep loop in the package: a sequential sweep is one shard of the
+// whole text, decoded inline. Phase 0 decodes the chunks
 // speculatively in parallel, each shard recording lengths into its memo,
 // boundary bits into a chunk-local bitmap, and its sparse records into
 // pooled scratch. Phase A (stitch) walks the seams sequentially and
@@ -227,35 +229,37 @@ func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode
 		bm = bm[:words]
 		clear(bm)
 	}
-	skips, endbrs, calls, jumps := sc.skips[:0], sc.endbrs[:0], sc.calls[:0], sc.jumps[:0]
-	defer func() {
-		sc.lens, sc.skips, sc.bits = lens, skips, bm
-		sc.endbrs, sc.calls, sc.jumps = endbrs, calls, jumps
-	}()
+	sc.skips, sc.endbrs, sc.calls, sc.jumps = sc.skips[:0], sc.endbrs[:0], sc.calls[:0], sc.jumps[:0]
+	sc.lens, sc.bits = lens, bm
 
 	done := ctx.Done()
-	var inst Inst
-	off, next := sh.start, sh.start
-	for off < sh.end {
+	var inst Inst // the full decoder's scratch, for encodings the core declines
+	start, end := sh.start, sh.end
+	off, next := start, start
+	for off < end {
 		if done != nil && off >= next {
 			if ctx.Err() != nil {
 				return
 			}
 			next = off + cancelStride
 		}
-		rel := off - sh.start
-		if !decodeFast(code[off:], base+uint64(off), mode, &inst) {
-			if err := decodeSlow(code[off:], base+uint64(off), mode, &inst); err != nil {
-				lens[rel] = 0xFF
-				skips = append(skips, int32(off))
-				off++
-				continue
-			}
+		rel := off - start
+		n, class, target, ok := decodeCore(code[off:], base+uint64(off), mode)
+		if !ok {
+			n, class, target, ok = decodeFull(code[off:], base+uint64(off), mode, &inst)
 		}
-		lens[rel] = uint8(inst.Len)
+		if !ok {
+			lens[rel] = 0xFF
+			sc.skips = append(sc.skips, int32(off))
+			off++
+			continue
+		}
+		lens[rel] = uint8(n)
 		bm[rel>>6] |= 1 << (rel & 63)
-		endbrs, calls, jumps = appendRecord(endbrs, calls, jumps, &inst)
-		off += inst.Len
+		if class.recorded() {
+			sc.endbrs, sc.calls, sc.jumps = appendRecord(sc.endbrs, sc.calls, sc.jumps, base+uint64(off), class, target)
+		}
+		off += n
 	}
 	sh.final = off
 }
@@ -267,7 +271,8 @@ func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode
 // above the splice point, skips counted, bitmap OR-ed from the splice
 // bit on) — or instructions are re-decoded one at a time from the true
 // boundary, each counted as a stitch retry, until the streams
-// re-synchronize. The output is identical to sweepSeq's.
+// re-synchronize. The output is identical to a one-shard sweep's, where
+// the single shard's stream is spliced whole.
 func stitch(ctx context.Context, shards []shard, code []byte, base uint64, mode Mode) (*Records, error) {
 	r := newRecords(base, len(code))
 	r.Shards = len(shards)
@@ -303,13 +308,17 @@ func stitch(ctx context.Context, shards []shard, code []byte, base uint64, mode 
 			// The seam split an instruction: decode from the true
 			// boundary until the speculative stream agrees.
 			r.StitchRetries++
-			if err := DecodeInto(code[cur:], base+uint64(cur), mode, &inst); err != nil {
+			n, class, target, ok := decodeCore(code[cur:], base+uint64(cur), mode)
+			if !ok {
+				n, class, target, ok = decodeFull(code[cur:], base+uint64(cur), mode, &inst)
+			}
+			if !ok {
 				r.Skipped++
 				cur++
 				continue
 			}
-			r.add(cur, &inst)
-			cur += inst.Len
+			r.add(cur, class, target)
+			cur += n
 		}
 	}
 	// The last shard decodes to len(code) and chunks are wider than any

@@ -17,8 +17,8 @@ type Ref struct {
 
 // Records is the sparse product of one linear sweep — exactly what
 // FunSeeker's DISASSEMBLE step (paper Algorithm 1) returns, and nothing
-// it does not read. The sweep decodes every instruction once into a
-// single reused Inst and keeps only:
+// it does not read. The sweep decodes every instruction once, reading
+// only its length, class and branch target, and keeps only:
 //
 //   - the instruction-boundary bitmap (one bit per text byte), which is
 //     what answers "which instruction precedes this one?";
@@ -62,17 +62,21 @@ type Records struct {
 
 // SweepRecords runs one linear sweep over code and returns its sparse
 // records. workers selects the strategy: workers <= 0 picks a count from
-// GOMAXPROCS and the text size (sequential below minParallelBytes),
-// workers == 1 is the sequential sweep, and an explicit workers >= 2
-// shards the text (see sweepSharded for the seam stitching). Every
-// strategy produces identical records. Cancellation is checked at
-// cancelStride boundaries; on cancellation it returns (nil, ctx.Err()).
+// GOMAXPROCS and the text size (one shard below minParallelBytes),
+// workers == 1 is the sequential sweep — one shard covering the whole
+// text — and an explicit workers >= 2 shards the text (see sweepSharded
+// for the seam stitching). Every strategy produces identical records.
+// Cancellation is checked at cancelStride boundaries; on cancellation it
+// returns (nil, ctx.Err()).
 func SweepRecords(ctx context.Context, code []byte, base uint64, mode Mode, workers int) (*Records, error) {
-	g := planShards(len(code), workers)
-	if g.shards < 2 || (mode != Mode32 && mode != Mode64) {
-		return sweepSeq(ctx, code, base, mode)
+	if mode != Mode32 && mode != Mode64 {
+		// Nothing decodes in an unsupported mode; skip the per-byte
+		// error path (see LinearSweep).
+		r := newRecords(base, len(code))
+		r.Skipped = len(code)
+		return r, nil
 	}
-	return sweepSharded(ctx, code, base, mode, g)
+	return sweepSharded(ctx, code, base, mode, planShards(len(code), workers))
 }
 
 // newRecords allocates the records of one sweep over n bytes of code.
@@ -82,65 +86,38 @@ func newRecords(base uint64, n int) *Records {
 
 // add records one decoded instruction at byte offset off: its boundary
 // bit plus, for the three classes FunSeeker reads, its sparse record.
-func (r *Records) add(off int, inst *Inst) {
+func (r *Records) add(off int, class Class, target uint64) {
 	r.bits[off>>6] |= 1 << (off & 63)
-	r.Endbrs, r.Calls, r.Jumps = appendRecord(r.Endbrs, r.Calls, r.Jumps, inst)
+	r.Endbrs, r.Calls, r.Jumps = appendRecord(r.Endbrs, r.Calls, r.Jumps, r.Base+uint64(off), class, target)
 }
 
-// appendRecord appends inst's sparse record, if its class has one.
-func appendRecord(endbrs []uint64, calls, jumps []Ref, inst *Inst) ([]uint64, []Ref, []Ref) {
-	switch inst.Class {
+// recorded reports whether instructions of class c have a sparse record:
+// the end branches and the direct branches, which are contiguous Class
+// values so the sweep's per-instruction test is one compare.
+func (c Class) recorded() bool { return c >= ClassEndbr64 && c <= ClassJccRel }
+
+// appendRecord appends the sparse record of the instruction at addr, if
+// its class has one. Every direct-branch class carries its target.
+func appendRecord(endbrs []uint64, calls, jumps []Ref, addr uint64, class Class, target uint64) ([]uint64, []Ref, []Ref) {
+	switch class {
 	case ClassEndbr64, ClassEndbr32:
-		endbrs = append(endbrs, inst.Addr)
+		endbrs = append(endbrs, addr)
 	case ClassCallRel:
-		if inst.HasTarget {
-			calls = append(calls, Ref{Src: inst.Addr, Target: inst.Target})
-		}
+		calls = append(calls, Ref{Src: addr, Target: target})
 	case ClassJmpRel, ClassJccRel:
-		if inst.HasTarget {
-			jumps = append(jumps, Ref{Src: inst.Addr, Target: inst.Target, Cond: inst.Class == ClassJccRel})
-		}
+		jumps = append(jumps, Ref{Src: addr, Target: target, Cond: class == ClassJccRel})
 	}
 	return endbrs, calls, jumps
 }
 
-// sweepSeq is the sequential records sweep: one decode per instruction
-// into a reused Inst, re-synchronizing one byte at a time after decode
-// errors like LinearSweep.
-func sweepSeq(ctx context.Context, code []byte, base uint64, mode Mode) (*Records, error) {
-	r := newRecords(base, len(code))
-	if mode != Mode32 && mode != Mode64 {
-		// Nothing decodes in an unsupported mode; skip the per-byte
-		// error path (see LinearSweep).
-		r.Skipped = len(code)
-		return r, nil
+// decodeFull is the records sweep's fallback where decodeCore declines:
+// the full decoder's length, class and target (inst is its scratch). ok
+// is false for undecodable bytes.
+func decodeFull(code []byte, addr uint64, mode Mode, inst *Inst) (n int, class Class, target uint64, ok bool) {
+	if decodeSlow(code, addr, mode, inst) != nil {
+		return 0, ClassOther, 0, false
 	}
-	done := ctx.Done()
-	var inst Inst
-	bm := r.bits
-	var endbrs []uint64
-	var calls, jumps []Ref
-	off, next := 0, 0
-	for off < len(code) {
-		if done != nil && off >= next {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			next = off + cancelStride
-		}
-		if !decodeFast(code[off:], base+uint64(off), mode, &inst) {
-			if err := decodeSlow(code[off:], base+uint64(off), mode, &inst); err != nil {
-				off++
-				r.Skipped++
-				continue
-			}
-		}
-		bm[off>>6] |= 1 << (off & 63)
-		endbrs, calls, jumps = appendRecord(endbrs, calls, jumps, &inst)
-		off += inst.Len
-	}
-	r.Endbrs, r.Calls, r.Jumps = endbrs, calls, jumps
-	return r, nil
+	return inst.Len, inst.Class, inst.Target, true
 }
 
 // prevBoundary returns the offset of the last instruction boundary
@@ -192,7 +169,7 @@ func (r *Records) AfterCalls(f func(endbr, target uint64)) {
 func ReferenceRecords(code []byte, base uint64, mode Mode) *Records {
 	r := newRecords(base, len(code))
 	r.Skipped = LinearSweep(code, base, mode, func(inst *Inst) bool {
-		r.add(int(inst.Addr-base), inst)
+		r.add(int(inst.Addr-base), inst.Class, inst.Target)
 		return true
 	})
 	return r

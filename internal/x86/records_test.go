@@ -81,6 +81,46 @@ func TestSweepRecordsMatchReference(t *testing.T) {
 	checkRecords(t, "undecodable", bad, 0x1000, Mode64)
 }
 
+// TestSweepRecordsOneShard pins the sequential sweep as one shard: for
+// workers 1, and for auto on texts below minParallelBytes, the records
+// report one shard and no stitch retries, on empty and 1-byte texts too,
+// and equal the reference. An unsupported mode decodes nothing: every
+// byte is skipped and no record is kept.
+func TestSweepRecordsOneShard(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, mode := range []Mode{Mode32, Mode64} {
+		texts := [][]byte{{}, {0xC3}, {0x0F}, GenText(4096, mode, rng, 0.1), GenText(minParallelBytes-1, mode, rng, 0)}
+		for _, code := range texts {
+			want := ReferenceRecords(code, 0x401000, mode)
+			for _, workers := range []int{1, 0} {
+				r, err := SweepRecords(context.Background(), code, 0x401000, mode, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Shards != 1 || r.StitchRetries != 0 {
+					t.Errorf("%v %d bytes workers=%d: %d shards, %d stitch retries, want 1 and 0",
+						mode, len(code), workers, r.Shards, r.StitchRetries)
+				}
+				if d := r.Diff(want); d != "" {
+					t.Errorf("%v %d bytes workers=%d: %s", mode, len(code), workers, d)
+				}
+			}
+		}
+	}
+	for _, code := range [][]byte{{}, {0xC3}, bytes.Repeat([]byte{0xE8, 0, 0, 0, 0}, 100)} {
+		for _, workers := range []int{1, 0, 4} {
+			r, err := SweepRecords(context.Background(), code, 0x1000, Mode(16), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Skipped != len(code) || len(r.Endbrs)+len(r.Calls)+len(r.Jumps) != 0 || r.Shards != 1 {
+				t.Errorf("unsupported mode, %d bytes workers=%d: skipped %d, %d records, %d shards",
+					len(code), workers, r.Skipped, len(r.Endbrs)+len(r.Calls)+len(r.Jumps), r.Shards)
+			}
+		}
+	}
+}
+
 // TestBuildIndexMatchesLinearSweep: on a hand-assembled prologue the
 // records sweep marks exactly LinearSweep's instruction boundaries,
 // skips nothing, and records the one end branch and the one call.

@@ -22,14 +22,10 @@ func LinearSweep(code []byte, base uint64, mode Mode, fn func(*Inst) bool) (skip
 	var inst Inst
 	off := 0
 	for off < len(code) {
-		// Dispatch fast/slow directly: the mode check above hoists the
-		// only work DecodeInto would add per instruction.
-		if !decodeFast(code[off:], base+uint64(off), mode, &inst) {
-			if err := decodeSlow(code[off:], base+uint64(off), mode, &inst); err != nil {
-				off++
-				skipped++
-				continue
-			}
+		if DecodeInto(code[off:], base+uint64(off), mode, &inst) != nil {
+			off++
+			skipped++
+			continue
 		}
 		if !fn(&inst) {
 			return skipped

@@ -258,11 +258,8 @@ func run() error {
 }
 
 // scalingRounds is how many alternating rounds the scaling gate's rows
-// are measured in (see isScalingRow); each row reports its fastest. On a
-// shared 2-CPU host five rounds left the gomaxprocs=1 row below 0.9x of
-// the one-shard sequential row in 2 of 10 CI-form runs once both ran the
-// same decode loop.
-const scalingRounds = 9
+// are measured in (see isScalingRow); each row reports its fastest.
+const scalingRounds = 5
 
 // isScalingRow reports whether name is one of the rows checkScaling
 // compares: sequential x86/SweepRecords and its workers=N variants.

@@ -16,9 +16,10 @@
 // the throughput floor (-mbs-threshold, new/old MB/s) and the parallel
 // scaling curve: on hosts with >= 4 cores, SweepRecords/workers=4
 // pinned at gomaxprocs=4 must reach 1.8x sequential SweepRecords, and no
-// workers=N row may fall below sequential anywhere. Outside -smoke the
-// rows that curve compares are measured in alternating rounds and keep
-// their fastest.
+// workers=N row may fall below sequential anywhere. A row pinned at
+// gomaxprocs=P is held against the sequential sweep pinned at P. Outside
+// -smoke the rows that curve compares are measured in alternating rounds
+// and keep their fastest.
 package main
 
 import (
@@ -270,19 +271,21 @@ func isScalingRow(name string) bool {
 // checkScaling enforces the parallel scaling curve within one report:
 // no workers=N row may fall below sequential SweepRecords (beyond noise),
 // and on hosts with at least 4 cores the workers=4 row pinned at
-// gomaxprocs=4 must reach 1.8x sequential throughput. Smoke runs are
-// single-iteration and carry no timing signal, so they skip the check.
+// gomaxprocs=4 must reach 1.8x sequential throughput. Each row is held
+// against the sequential sweep run at its own GOMAXPROCS (see
+// seqBaseline). Smoke runs are single-iteration and carry no timing
+// signal, so they skip the check.
 func checkScaling(rep *report, smoke bool) error {
 	if smoke {
 		fmt.Fprintln(os.Stderr, "bench: scaling check skipped (-smoke timing is not meaningful)")
 		return nil
 	}
 	mbs := make(map[string]float64, len(rep.Results))
+	procs := make(map[string]int, len(rep.Results))
 	for _, r := range rep.Results {
-		mbs[r.Name] = r.MBPerS
+		mbs[r.Name], procs[r.Name] = r.MBPerS, r.Gomaxprocs
 	}
-	seq := mbs["x86/SweepRecords"]
-	if seq <= 0 {
+	if mbs["x86/SweepRecords"] <= 0 {
 		fmt.Fprintln(os.Stderr, "bench: scaling check skipped (no x86/SweepRecords row)")
 		return nil
 	}
@@ -290,11 +293,12 @@ func checkScaling(rep *report, smoke bool) error {
 	// parallel row as a collapse when it is clearly below sequential.
 	const noise = 0.90
 	for _, r := range rep.Results {
-		if !strings.HasPrefix(r.Name, "x86/SweepRecords/") || r.MBPerS <= 0 {
+		if !strings.HasPrefix(r.Name, "x86/SweepRecords/") || strings.HasPrefix(r.Name, seqPinned) || r.MBPerS <= 0 {
 			continue
 		}
+		seqName, seq := seqBaseline(mbs, r.Gomaxprocs)
 		if r.MBPerS < seq*noise {
-			return fmt.Errorf("scaling: %s at %.2f MB/s is below sequential SweepRecords %.2f MB/s", r.Name, r.MBPerS, seq)
+			return fmt.Errorf("scaling: %s at %.2f MB/s is below sequential %s %.2f MB/s", r.Name, r.MBPerS, seqName, seq)
 		}
 	}
 	if rep.NumCPU < 4 {
@@ -303,11 +307,33 @@ func checkScaling(rep *report, smoke bool) error {
 	}
 	const target = 1.8
 	name := "x86/SweepRecords/workers=4/gomaxprocs=4"
+	seqName, seq := seqBaseline(mbs, procs[name])
 	if par := mbs[name]; par > 0 && par < seq*target {
-		return fmt.Errorf("scaling: %s at %.2f MB/s is %.2fx sequential (%.2f MB/s), want >= %.1fx",
-			name, par, par/seq, seq, target)
+		return fmt.Errorf("scaling: %s at %.2f MB/s is %.2fx sequential %s (%.2f MB/s), want >= %.1fx",
+			name, par, par/seq, seqName, seq, target)
 	}
 	return nil
+}
+
+// seqPinned prefixes the sequential SweepRecords rows pinned at
+// gomaxprocs=N, the baselines of the pinned workers=4 rows.
+const seqPinned = "x86/SweepRecords/workers=1/"
+
+// seqBaseline returns the sequential row a scaling row run at GOMAXPROCS
+// procs (0: unpinned) is held against, and its MB/s: the sequential sweep
+// pinned at the same procs when the report has it, else the unpinned one.
+// A pinned row cannot hand garbage collection or other runtime work to
+// cores beyond its own, which an unpinned sequential row can, so holding
+// gomaxprocs=1 against the unpinned row on a multi-core host would charge
+// the sharding for a cost it does not have.
+func seqBaseline(mbs map[string]float64, procs int) (string, float64) {
+	if procs > 0 {
+		name := fmt.Sprintf("%sgomaxprocs=%d", seqPinned, procs)
+		if v := mbs[name]; v > 0 {
+			return name, v
+		}
+	}
+	return "x86/SweepRecords", mbs["x86/SweepRecords"]
 }
 
 type benchmark struct {
@@ -427,13 +453,16 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 	}
 	// The gomaxprocs=N series re-runs the workers=4 sharded sweep with
 	// the scheduler pinned, separating the sharding's own cost from
-	// hardware parallelism.
+	// hardware parallelism. Each is preceded by the sequential sweep
+	// pinned alike, the baseline the scaling gate holds it against.
 	for _, procs := range []int{1, 2, 4} {
-		bms = append(bms, benchmark{
-			name:       fmt.Sprintf("x86/SweepRecords/workers=4/gomaxprocs=%d", procs),
-			gomaxprocs: procs,
-			fn:         sweepRecordsBench(text, 4),
-		})
+		for _, workers := range []int{1, 4} {
+			bms = append(bms, benchmark{
+				name:       fmt.Sprintf("x86/SweepRecords/workers=%d/gomaxprocs=%d", workers, procs),
+				gomaxprocs: procs,
+				fn:         sweepRecordsBench(text, workers),
+			})
+		}
 	}
 	atext := arm64.GenText(textLen, rand.New(rand.NewSource(424242)))
 	bms = append(bms,

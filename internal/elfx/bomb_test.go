@@ -99,7 +99,7 @@ func loadAlloc(raw []byte) (*Binary, error, uint64) {
 // Load never reads may stay compressed.
 func TestLoadRejectsDecompressionBomb(t *testing.T) {
 	raw := synthImage(t)
-	for _, name := range []string{".text", ".eh_frame", ".plt", ".plt.sec", ".rela.plt", ".note.gnu.property", ".symtab", ".dynstr"} {
+	for _, name := range []string{".text", ".eh_frame", ".plt", ".plt.sec", ".rela.plt", ".note.gnu.property", ".symtab", ".dynstr", ".shstrtab"} {
 		bomb := withBomb(t, raw, name)
 		_, err, alloc := loadAlloc(bomb)
 		if !errors.Is(err, ErrMalformed) {

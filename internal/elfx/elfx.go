@@ -99,6 +99,11 @@ func Open(path string) (*Binary, error) {
 
 // Load parses an in-memory ELF image.
 func Load(raw []byte) (*Binary, error) {
+	// elf.NewFile reads the section-name string table before Load can
+	// check any section, so that one is checked from the raw header.
+	if err := checkShstrtab(raw); err != nil {
+		return nil, err
+	}
 	f, err := elf.NewFile(bytes.NewReader(raw))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotELF, err)
@@ -199,16 +204,74 @@ func sectionData(sec *elf.Section, raw []byte) ([]byte, error) {
 // range outside raw. Sections Load never reads (compressed debug
 // sections among them) are not checked.
 func checkSection(sec *elf.Section, raw []byte) error {
+	return checkHeader(sec.Name, sec.Type, sec.Flags, sec.Offset, sec.FileSize, raw)
+}
+
+// checkHeader is checkSection over the raw section-header fields.
+func checkHeader(name string, typ elf.SectionType, flags elf.SectionFlag, off, size uint64, raw []byte) error {
 	switch {
-	case sec.Flags&elf.SHF_COMPRESSED != 0:
-		return fmt.Errorf("%w: %s is compressed", ErrMalformed, sec.Name)
-	case sec.Type == elf.SHT_NOBITS:
-		return fmt.Errorf("%w: %s has no file bytes", ErrMalformed, sec.Name)
-	case sec.Offset > uint64(len(raw)) || sec.FileSize > uint64(len(raw))-sec.Offset:
+	case flags&elf.SHF_COMPRESSED != 0:
+		return fmt.Errorf("%w: %s is compressed", ErrMalformed, name)
+	case typ == elf.SHT_NOBITS:
+		return fmt.Errorf("%w: %s has no file bytes", ErrMalformed, name)
+	case off > uint64(len(raw)) || size > uint64(len(raw))-off:
 		return fmt.Errorf("%w: %s [%#x,+%#x) lies outside the %d-byte image",
-			ErrMalformed, sec.Name, sec.Offset, sec.FileSize, len(raw))
+			ErrMalformed, name, off, size, len(raw))
 	}
 	return nil
+}
+
+// checkShstrtab applies checkHeader to the section-name string table
+// (e_shstrndx) by reading the ELF and section headers from raw. A header
+// too short or out of range to locate it is left for elf.NewFile to
+// report.
+func checkShstrtab(raw []byte) error {
+	if len(raw) < 0x40 || string(raw[:4]) != elf.ELFMAG {
+		return nil
+	}
+	var bo binary.ByteOrder = binary.LittleEndian
+	if elf.Data(raw[elf.EI_DATA]) == elf.ELFDATA2MSB {
+		bo = binary.BigEndian
+	}
+	// Field offsets of e_shoff, e_shentsize, e_shnum, e_shstrndx and of
+	// sh_type, sh_flags, sh_offset, sh_size, sh_link per ELF class.
+	is64 := elf.Class(raw[elf.EI_CLASS]) == elf.ELFCLASS64
+	word := func(b []byte) uint64 {
+		if is64 {
+			return bo.Uint64(b)
+		}
+		return uint64(bo.Uint32(b))
+	}
+	shoff, at := word(raw[0x20:]), 0x2E
+	flagsAt, offAt, sizeAt, linkAt := 8, 16, 20, 24
+	if is64 {
+		shoff, at = word(raw[0x28:]), 0x3A
+		flagsAt, offAt, sizeAt, linkAt = 8, 24, 32, 40
+	}
+	shentsize := uint64(bo.Uint16(raw[at:]))
+	shnum, shstrndx := uint64(bo.Uint16(raw[at+2:])), uint64(bo.Uint16(raw[at+4:]))
+	hdr := func(i uint64) []byte {
+		if shentsize < uint64(linkAt+4) || shoff > uint64(len(raw)) ||
+			i >= (uint64(len(raw))-shoff)/shentsize {
+			return nil
+		}
+		return raw[shoff+i*shentsize:][:shentsize]
+	}
+	// Extended numbering keeps the real count and index in section 0.
+	if h := hdr(0); h != nil {
+		if shnum == 0 {
+			shnum = word(h[sizeAt:])
+		}
+		if shstrndx == uint64(elf.SHN_XINDEX) {
+			shstrndx = uint64(bo.Uint32(h[linkAt:]))
+		}
+	}
+	h := hdr(shstrndx)
+	if shstrndx == 0 || shstrndx >= shnum || h == nil {
+		return nil
+	}
+	return checkHeader(".shstrtab", elf.SectionType(bo.Uint32(h[4:])), elf.SectionFlag(word(h[flagsAt:])),
+		word(h[offAt:]), word(h[sizeAt:]), raw)
 }
 
 // PtrSize returns the pointer width in bytes.

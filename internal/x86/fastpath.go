@@ -13,19 +13,20 @@ import "fmt"
 // is handled too. Profiling the linear sweep shows >95% of decoded
 // instructions take one of these shapes.
 //
-//   - The core layer (scan; decodeCore is its records-sweep form) sizes
-//     and classifies an encoding from two tables: a per-opcode length
-//     descriptor (opDesc) and a per-ModRM addressing-form table
-//     (modrmForm). It reads the length, the class and a direct branch's
-//     target — exactly what the records sweep (paper Algorithm 1's
-//     DISASSEMBLE) needs — and returns a cursor saying where the opcode,
-//     ModRM, displacement and immediate sit.
-//   - The detail layer (DecodeInto's fast path) is the core plus operand
-//     detail: it fills a full Inst by reading the bytes at the cursor
-//     positions, re-deciding nothing.
+//   - The core layer sizes and classifies an encoding from two tables: a
+//     per-opcode length descriptor (opDesc) and a per-ModRM
+//     addressing-form table (modrmForm). It reads the length, the class
+//     and a direct branch's target — exactly what the records sweep
+//     (paper Algorithm 1's DISASSEMBLE) needs — and notes in a cursor
+//     where the opcode, ModRM, displacement and immediate sit.
+//   - The detail layer is the core plus operand detail: it fills a full
+//     Inst by reading the bytes at the cursor positions, re-deciding
+//     nothing.
 //
-// The records sweep calls the core alone, so it never builds an Inst for
-// an encoding the core accepts. The contract is strict: DecodeInto takes
+// Both layers are one function, scan, whose detail layer runs only when
+// it is given an Inst: DecodeInto and LinearSweep pass one, so a decode
+// is one call, and the records sweep passes nil, so it never builds an
+// Inst for an encoding the core accepts. The contract is strict: DecodeInto takes
 // the fast path exactly where the core accepts, and there its Inst is
 // bit-identical to the full decoder's, with the core's length, class and
 // target. Anything ambiguous — legacy prefixes, escapes, VEX/EVEX,
@@ -244,8 +245,7 @@ func buildModRMForm() [256]uint8 {
 }
 
 // cursor records where the parts of an accepted encoding sit, packed into
-// one word so the core returns it in a register beside the length, class
-// and target. The detail layer reads operands at these positions.
+// one word. The detail layer reads operands at these positions.
 type cursor uint32
 
 // cursor fields.
@@ -257,18 +257,16 @@ const (
 	curRel    = 0x20 // the trailing bytes are a branch displacement
 	curMemRIP = 0x40 // mod 0 rm 5: a disp32 that is RIP-relative in Mode64, absolute in Mode32
 	curMemAbs = 0x80 // a SIB with no base: an absolute disp32
-
-	// curImmShift positions the count of trailing immediate (or branch
-	// displacement) bytes. A memory disp32 ends where they start.
-	curImmShift = 8
 )
 
-// scan is the core layer: the length, class and (for a direct branch)
-// target of the encoding at the front of code, plus its cursor. ok is
-// false when the encoding needs the full decoder.
-func scan(code []byte, addr uint64, mode Mode) (n int, class Class, target uint64, cur cursor, ok bool) {
+// scan is the fast path: the core layer's length, class and (for a
+// direct branch) target of the encoding at the front of code, and, when
+// inst is non-nil, the detail layer's full Inst in *inst. ok is false
+// when the encoding needs the full decoder; *inst is then untouched.
+func scan(code []byte, addr uint64, mode Mode, inst *Inst) (n int, class Class, target uint64, ok bool) {
+	var cur cursor
 	if len(code) == 0 {
-		return 0, ClassOther, 0, 0, false
+		return 0, ClassOther, 0, false
 	}
 	pos := 0
 	b := code[0]
@@ -276,11 +274,11 @@ func scan(code []byte, addr uint64, mode Mode) (n int, class Class, target uint6
 	switch {
 	case mode == Mode64 && b&0xF0 == 0x40:
 		if len(code) < 2 {
-			return 0, ClassOther, 0, 0, false
+			return 0, ClassOther, 0, false
 		}
 		nb := code[1]
 		if legacyPrefixTab[nb] || nb&0xF0 == 0x40 {
-			return 0, ClassOther, 0, 0, false // dead REX: leave prefix bookkeeping to the slow path
+			return 0, ClassOther, 0, false // dead REX: leave prefix bookkeeping to the slow path
 		}
 		rex, pos, b = b, 1, nb
 	case b == 0x66 || b == 0xF3 || b == 0xF2:
@@ -290,11 +288,11 @@ func scan(code []byte, addr uint64, mode Mode) (n int, class Class, target uint6
 		// of the SIMD prefix. Anything else (prefix runs, prefix+REX,
 		// other prefixed one-byte opcodes) declines to the slow path.
 		if len(code) < 2 {
-			return 0, ClassOther, 0, 0, false
+			return 0, ClassOther, 0, false
 		}
 		nb := code[1]
 		if nb != 0x0F && (b != 0x66 || nb != 0x90) {
-			return 0, ClassOther, 0, 0, false
+			return 0, ClassOther, 0, false
 		}
 		pos, b, cur = 1, nb, curPfx
 	}
@@ -306,24 +304,24 @@ func scan(code []byte, addr uint64, mode Mode) (n int, class Class, target uint6
 		// map and declines.
 		pos++
 		if pos >= len(code) {
-			return 0, ClassOther, 0, 0, false
+			return 0, ClassOther, 0, false
 		}
 		b = code[pos]
 		d = fastOps2[b]
 		cur |= curMap2
 		if d.rel != 0 && cur&curPfx != 0 && code[0] == 0x66 && mode == Mode32 {
-			return 0, ClassOther, 0, 0, false // rel16 under the operand-size prefix
+			return 0, ClassOther, 0, false // rel16 under the operand-size prefix
 		}
 	}
 	if d.flags&dAccept == 0 {
-		return 0, ClassOther, 0, 0, false
+		return 0, ClassOther, 0, false
 	}
 	cur |= cursor(pos)
 	pos++
 	class = Class(d.class)
 	if d.flags&dModRM != 0 {
 		if pos >= len(code) {
-			return 0, ClassOther, 0, 0, false
+			return 0, ClassOther, 0, false
 		}
 		m := code[pos]
 		pos++
@@ -334,7 +332,7 @@ func scan(code []byte, addr uint64, mode Mode) (n int, class Class, target uint6
 				cur |= curMemRIP
 			} else {
 				if pos >= len(code) {
-					return 0, ClassOther, 0, 0, false
+					return 0, ClassOther, 0, false
 				}
 				if m < 0x40 && code[pos]&7 == 5 {
 					f |= 4 // mod 0, no base: disp32
@@ -370,9 +368,8 @@ func scan(code []byte, addr uint64, mode Mode) (n int, class Class, target uint6
 	imm += int(d.rel)
 	pos += imm
 	if pos > len(code) {
-		return 0, ClassOther, 0, 0, false
+		return 0, ClassOther, 0, false
 	}
-	cur |= cursor(imm) << curImmShift
 	if d.rel != 0 {
 		cur |= curRel
 		var disp int64
@@ -386,43 +383,18 @@ func scan(code []byte, addr uint64, mode Mode) (n int, class Class, target uint6
 	if class == ClassNop && rex&1 != 0 && cur&curMap2 == 0 {
 		class = ClassOther // REX.B 90 is XCHG R8, not NOP
 	}
-	return pos, class, target, cur, true
-}
-
-// decodeCore is the core layer as the records sweep calls it: the length,
-// class and (for a direct branch) target of the instruction at the front
-// of code, or ok == false when the fast path declines it. Where it
-// accepts, DecodeInto's Len, Class and Target agree with it.
-func decodeCore(code []byte, addr uint64, mode Mode) (n int, class Class, target uint64, ok bool) {
-	n, class, target, _, ok = scan(code, addr, mode)
-	return n, class, target, ok
-}
-
-// DecodeInto decodes a single instruction from the front of code into
-// *inst, overwriting it completely. It is the allocation-free form of
-// Decode: hot loops reuse one Inst across calls instead of copying a
-// fresh value per instruction. On error *inst is zeroed.
-//
-// It is the fast path's detail layer (see the top of this file): where
-// the core layer (scan) accepts, the Inst is the core's length, class
-// and target plus the operand detail read at the core's cursor
-// positions; every other encoding falls back to the complete Intel-SDM
-// walk in decodeSlow. The two paths produce bit-identical Inst values
-// (asserted by TestFastPathMatchesFullDecode and FuzzDecode).
-func DecodeInto(code []byte, addr uint64, mode Mode, inst *Inst) error {
-	if mode != Mode32 && mode != Mode64 {
-		*inst = Inst{}
-		return fmt.Errorf("x86: unsupported mode %d", int(mode))
+	if inst == nil {
+		return pos, class, target, true
 	}
-	n, class, target, cur, ok := scan(code, addr, mode)
-	if !ok {
-		return decodeSlow(code, addr, mode, inst)
-	}
+
+	// The detail layer: the operands, read at the cursor positions. The
+	// immediate (or branch displacement) is the trailing imm bytes, and a
+	// memory disp32 ends where it starts.
 	op := int(cur & curOpPos)
-	*inst = Inst{Addr: addr, Len: n, Class: class, OpcodeMap: 1}
+	*inst = Inst{Addr: addr, Len: pos, Class: class, OpcodeMap: 1}
 	inst.Opcode = code[op]
-	if cur&^curOpPos == 0 {
-		return nil // a bare one-byte opcode: no prefix, operand or target
+	if cur&^curOpPos == 0 && imm == 0 {
+		return pos, class, target, true // a bare opcode: no prefix, operand or target
 	}
 	if cur&curMap2 != 0 {
 		inst.OpcodeMap = 2
@@ -439,8 +411,7 @@ func DecodeInto(code []byte, addr uint64, mode Mode, inst *Inst) error {
 		inst.Target = target
 		inst.HasTarget = true
 	}
-	imm := int(cur >> curImmShift)
-	at := n - imm
+	at := pos - imm
 	switch imm {
 	case 0:
 	case 1:
@@ -461,12 +432,34 @@ func DecodeInto(code []byte, addr uint64, mode Mode, inst *Inst) error {
 	if cur&(curMemRIP|curMemAbs) != 0 {
 		disp := int64(int32(le32(code[at-4:])))
 		if cur&curMemRIP != 0 && mode == Mode64 {
-			inst.RIPRef = addr + uint64(n) + uint64(disp)
+			inst.RIPRef = addr + uint64(pos) + uint64(disp)
 			inst.HasRIPRef = true
 		} else {
 			inst.MemDisp = uint64(uint32(disp))
 			inst.HasMemDisp = true
 		}
+	}
+	return pos, class, target, true
+}
+
+// DecodeInto decodes a single instruction from the front of code into
+// *inst, overwriting it completely. It is the allocation-free form of
+// Decode: hot loops reuse one Inst across calls instead of copying a
+// fresh value per instruction. On error *inst is zeroed.
+//
+// Where the fast path's core layer accepts (see the top of this file),
+// the Inst is the core's length, class and target plus the detail
+// layer's operands read at the core's cursor positions; every other
+// encoding falls back to the complete Intel-SDM
+// walk in decodeSlow. The two paths produce bit-identical Inst values
+// (asserted by TestFastPathMatchesFullDecode and FuzzDecode).
+func DecodeInto(code []byte, addr uint64, mode Mode, inst *Inst) error {
+	if mode != Mode32 && mode != Mode64 {
+		*inst = Inst{}
+		return fmt.Errorf("x86: unsupported mode %d", int(mode))
+	}
+	if _, _, _, ok := scan(code, addr, mode, inst); !ok {
+		return decodeSlow(code, addr, mode, inst)
 	}
 	return nil
 }

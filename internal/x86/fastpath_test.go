@@ -12,7 +12,7 @@ import (
 // whether the core accepted.
 func checkFastPath(t testing.TB, code []byte, addr uint64, mode Mode) bool {
 	t.Helper()
-	n, class, target, ok := decodeCore(code, addr, mode)
+	n, class, target, ok := scan(code, addr, mode, nil)
 	if !ok {
 		return false
 	}
@@ -74,7 +74,7 @@ func TestFastPathMatchesFullDecode(t *testing.T) {
 			for cut := 0; cut <= 15; cut++ {
 				code := text[off : off+cut]
 				if !checkFastPath(t, code, addr, mode) {
-					if _, _, _, ok := decodeCore(text[off:], addr, mode); ok {
+					if _, _, _, ok := scan(text[off:], addr, mode, nil); ok {
 						if _, err := Decode(code, addr, mode); err != ErrTruncated {
 							t.Fatalf("mode %v % x: core declined a truncation the full decoder reports as %v", mode, code, err)
 						}
@@ -132,7 +132,7 @@ func TestFastPathDeclineSet(t *testing.T) {
 	)
 	for _, mode := range []Mode{Mode32, Mode64} {
 		for _, code := range declined {
-			if n, class, _, ok := decodeCore(code, addr, mode); ok {
+			if n, class, _, ok := scan(code, addr, mode, nil); ok {
 				t.Errorf("mode %v % x: core accepted a decline-set sequence (len %d, %v)", mode, code, n, class)
 				continue
 			}
@@ -152,13 +152,13 @@ func TestFastPathDeclineSet(t *testing.T) {
 	// declines it in Mode32 while accepting it in Mode64.
 	jcc := []byte{0x66, 0x0F, 0x84, 0x10, 0x20, 0x30, 0x40}
 	var inst Inst
-	if _, _, _, ok := decodeCore(jcc, addr, Mode32); ok {
+	if _, _, _, ok := scan(jcc, addr, Mode32, nil); ok {
 		t.Errorf("mode32 % x: core accepted 66-prefixed Jcc (rel16 form)", jcc)
 	}
 	if err := decodeSlow(jcc, addr, Mode32, &inst); err != nil || inst.Len != 5 {
 		t.Errorf("mode32 % x: slow path len = %d err = %v, want rel16 len 5", jcc, inst.Len, err)
 	}
-	if n, _, _, ok := decodeCore(jcc, addr, Mode64); !ok || n != 7 {
+	if n, _, _, ok := scan(jcc, addr, Mode64, nil); !ok || n != 7 {
 		t.Errorf("mode64 % x: core len = %d accepted = %v, want rel32 len 7", jcc, n, ok)
 	}
 
@@ -166,10 +166,10 @@ func TestFastPathDeclineSet(t *testing.T) {
 	// or another REX) and a lone REX decline, while in Mode32 the same
 	// bytes are one-byte INC/DEC the core accepts.
 	for _, code := range [][]byte{{0x48}, {0x48, 0x66, 0x90}, {0x48, 0x41, 0x90}, {0x40, 0xF0, 0x01, 0x00}} {
-		if _, _, _, ok := decodeCore(code, addr, Mode64); ok {
+		if _, _, _, ok := scan(code, addr, Mode64, nil); ok {
 			t.Errorf("mode64 % x: core accepted a lone or dead REX", code)
 		}
-		if n, _, _, ok := decodeCore(code, addr, Mode32); !ok || n != 1 {
+		if n, _, _, ok := scan(code, addr, Mode32, nil); !ok || n != 1 {
 			t.Errorf("mode32 % x: core len = %d accepted = %v, want INC/DEC len 1", code, n, ok)
 		}
 	}
@@ -219,7 +219,7 @@ func TestFastPathAcceptSet(t *testing.T) {
 		{[]byte{0x80, 0x7D, 0xF8, 0x01}, Mode64, 4, ClassOther},              // disp8 + imm8
 	}
 	for _, tc := range cases {
-		n, class, _, ok := decodeCore(tc.code, addr, tc.mode)
+		n, class, _, ok := scan(tc.code, addr, tc.mode, nil)
 		if !ok || n != tc.n || class != tc.class {
 			t.Errorf("mode %v % x: core (len %d, %v, accepted %v), want (len %d, %v)",
 				tc.mode, tc.code, n, class, ok, tc.n, tc.class)

@@ -244,7 +244,7 @@ func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode
 			next = off + cancelStride
 		}
 		rel := off - start
-		n, class, target, ok := decodeCore(code[off:], base+uint64(off), mode)
+		n, class, target, ok := scan(code[off:], base+uint64(off), mode, nil)
 		if !ok {
 			n, class, target, ok = decodeFull(code[off:], base+uint64(off), mode, &inst)
 		}
@@ -308,7 +308,7 @@ func stitch(ctx context.Context, shards []shard, code []byte, base uint64, mode 
 			// The seam split an instruction: decode from the true
 			// boundary until the speculative stream agrees.
 			r.StitchRetries++
-			n, class, target, ok := decodeCore(code[cur:], base+uint64(cur), mode)
+			n, class, target, ok := scan(code[cur:], base+uint64(cur), mode, nil)
 			if !ok {
 				n, class, target, ok = decodeFull(code[cur:], base+uint64(cur), mode, &inst)
 			}

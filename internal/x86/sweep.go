@@ -22,7 +22,10 @@ func LinearSweep(code []byte, base uint64, mode Mode, fn func(*Inst) bool) (skip
 	var inst Inst
 	off := 0
 	for off < len(code) {
-		if DecodeInto(code[off:], base+uint64(off), mode, &inst) != nil {
+		// DecodeInto's two paths, with its mode check hoisted out of the
+		// loop.
+		if _, _, _, ok := scan(code[off:], base+uint64(off), mode, &inst); !ok &&
+			decodeSlow(code[off:], base+uint64(off), mode, &inst) != nil {
 			off++
 			skipped++
 			continue

@@ -31,6 +31,17 @@ func synthImage(t *testing.T) []byte {
 	return res.Image
 }
 
+// synthImage32 compiles one small 32-bit x86 CET binary.
+func synthImage32(t *testing.T) []byte {
+	t.Helper()
+	specs := corpus.Generate(corpus.Coreutils, corpus.Options{Scale: 0.1, Seed: 7, Programs: 1})
+	res, err := synth.Compile(specs[0], synth.Config{Compiler: synth.GCC, Mode: x86.Mode32, Opt: synth.O2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Image
+}
+
 // shdr64 locates the ELF64 section header of the named section in raw.
 func shdr64(t *testing.T, raw []byte, name string) []byte {
 	t.Helper()
@@ -109,6 +120,17 @@ func TestLoadRejectsDecompressionBomb(t *testing.T) {
 			t.Errorf("%s bomb: Load allocated %d bytes, want < %d (2x the %d-byte image)", name, alloc, limit, len(bomb))
 		}
 	}
+	// The 32-bit header layout: an ELF32 image whose .shstrtab claims
+	// SHF_COMPRESSED is rejected before elf.NewFile inflates it.
+	raw32 := synthImage32(t)
+	le := binary.LittleEndian
+	shoff, shentsize := le.Uint32(raw32[0x20:]), uint32(le.Uint16(raw32[0x2E:]))
+	h := raw32[shoff+uint32(le.Uint16(raw32[0x32:]))*shentsize:]
+	le.PutUint32(h[8:], le.Uint32(h[8:])|uint32(elf.SHF_COMPRESSED))
+	if _, err := Load(raw32); !errors.Is(err, ErrMalformed) {
+		t.Errorf("ELF32 compressed .shstrtab: err = %v, want ErrMalformed", err)
+	}
+
 	bomb := withBomb(t, raw, ".text")
 	if allocs := testing.AllocsPerRun(5, func() { Load(bomb) }); allocs > 500 {
 		t.Errorf("the .text bomb costs %.0f allocations per Load", allocs)

@@ -233,8 +233,6 @@ func checkShstrtab(raw []byte) error {
 	if elf.Data(raw[elf.EI_DATA]) == elf.ELFDATA2MSB {
 		bo = binary.BigEndian
 	}
-	// Field offsets of e_shoff, e_shentsize, e_shnum, e_shstrndx and of
-	// sh_type, sh_flags, sh_offset, sh_size, sh_link per ELF class.
 	is64 := elf.Class(raw[elf.EI_CLASS]) == elf.ELFCLASS64
 	word := func(b []byte) uint64 {
 		if is64 {
@@ -242,6 +240,9 @@ func checkShstrtab(raw []byte) error {
 		}
 		return uint64(bo.Uint32(b))
 	}
+	// Field offsets of e_shoff and e_shentsize (e_shnum and e_shstrndx
+	// follow it), and of sh_flags, sh_offset, sh_size and sh_link, per
+	// ELF class.
 	shoff, at := word(raw[0x20:]), 0x2E
 	flagsAt, offAt, sizeAt, linkAt := 8, 16, 20, 24
 	if is64 {

@@ -26,13 +26,13 @@ import "fmt"
 // Both layers are one function, scan, whose detail layer runs only when
 // it is given an Inst: DecodeInto and LinearSweep pass one, so a decode
 // is one call, and the records sweep passes nil, so it never builds an
-// Inst for an encoding the core accepts. The contract is strict: DecodeInto takes
-// the fast path exactly where the core accepts, and there its Inst is
-// bit-identical to the full decoder's, with the core's length, class and
-// target. Anything ambiguous — legacy prefixes, escapes, VEX/EVEX,
-// mode-dependent validity, truncated buffers — is declined and falls back
-// to decodeSlow. TestFastPathMatchesFullDecode, FuzzDecode and
-// FuzzDecodeCore enforce it.
+// Inst for an encoding the core accepts. The contract is strict:
+// DecodeInto takes the fast path exactly where the core accepts, and
+// there its Inst is bit-identical to the full decoder's, with the core's
+// length, class and target. Anything ambiguous — legacy prefixes,
+// escapes, VEX/EVEX, mode-dependent validity, truncated buffers — is
+// declined and falls back to decodeSlow. TestFastPathMatchesFullDecode,
+// FuzzDecode and FuzzDecodeCore enforce it.
 
 // opDesc is one opcode's length descriptor: what follows the opcode byte
 // and how the encoding classifies. The zero value declines.
@@ -450,9 +450,9 @@ func scan(code []byte, addr uint64, mode Mode, inst *Inst) (n int, class Class, 
 // Where the fast path's core layer accepts (see the top of this file),
 // the Inst is the core's length, class and target plus the detail
 // layer's operands read at the core's cursor positions; every other
-// encoding falls back to the complete Intel-SDM
-// walk in decodeSlow. The two paths produce bit-identical Inst values
-// (asserted by TestFastPathMatchesFullDecode and FuzzDecode).
+// encoding falls back to the complete Intel-SDM walk in decodeSlow. The
+// two paths produce bit-identical Inst values (asserted by
+// TestFastPathMatchesFullDecode and FuzzDecode).
 func DecodeInto(code []byte, addr uint64, mode Mode, inst *Inst) error {
 	if mode != Mode32 && mode != Mode64 {
 		*inst = Inst{}

@@ -15,9 +15,10 @@
 // intermediate set sizes and filter counters are reported.
 //
 // Given several paths — or a directory, which is walked for ELF files —
-// funseeker switches to corpus mode: the binaries are analyzed on a
-// bounded worker pool (-jobs, default GOMAXPROCS) and one result per
-// binary is emitted in input order, as JSON lines with -json. Per-binary
+// funseeker switches to corpus mode: the binaries are analyzed -jobs
+// at a time (default GOMAXPROCS), with at most 2×-jobs read and in
+// flight ahead of the one being printed, and one result per binary is
+// emitted in input order, as JSON lines with -json. Per-binary
 // failures are reported on stderr without stopping the batch. In corpus
 // mode -stats additionally prints a per-stage latency summary table
 // (count, p50, p90, p99, total for sweep, eh-parse, filter, tail-call,
@@ -203,10 +204,10 @@ type corpusLine struct {
 }
 
 // runCorpus analyzes every named binary (directories are walked for ELF
-// files) on the engine's worker pool, emitting results in input order.
-// Per-binary failures go to stderr — and into the JSONL stream with an
-// "error" field — without aborting the batch. Ctrl-C cancels cleanly:
-// in-flight sweeps stop at the next cancellation check.
+// files) through the engine's batch pipeline, emitting results in input
+// order. Per-binary failures go to stderr — and into the JSONL stream
+// with an "error" field — without aborting the batch. Ctrl-C cancels
+// cleanly: in-flight sweeps stop at the next cancellation check.
 func runCorpus(args []string, opts funseeker.Options, configN, jobs int, jsonOut, quiet, stats, verbose bool) error {
 	paths, err := engine.Expand(args)
 	if err != nil {

@@ -48,38 +48,21 @@ type batchSummary struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// batchOutcome is what one member's analysis resolved to.
-type batchOutcome struct {
-	res *engine.Result
-	err error
-}
-
-// batchJob is one archive member in flight: the producer enqueues it,
-// a per-member goroutine resolves done (buffered, so the resolver
-// never blocks and never leaks even if the consumer bails), and the
-// consumer emits its record in order.
-type batchJob struct {
-	index int
-	name  string
-	// skip short-circuits members rejected before analysis (empty,
-	// oversized) with a prebuilt error record.
-	skip *batchRecord
-	done chan batchOutcome
-}
-
 // handleBatch implements POST /v1/batch: a tar archive (or multipart
 // form) of ELF images in, an NDJSON stream of per-member records out,
 // one line per member in archive order, then one summary line.
 //
-// Concurrency and backpressure: members are analyzed up to 2×jobs at a
-// time. The producer (archive reader) blocks once that window is full,
-// which stops reading the request body, which backpressures the
-// uploader through TCP — a slow analysis pipeline slows the upload
-// instead of buffering the whole archive in memory.
+// Concurrency and backpressure come from engine.Batch: at most 2×jobs
+// members are in flight behind the one being streamed, and while that
+// window is full the archive
+// reader stops, which stops reading the request body, which
+// backpressures the uploader through TCP — a slow analysis pipeline
+// slows the upload instead of buffering the whole archive in memory.
 //
 // Cancellation: if the client disconnects mid-stream, the request
-// context cancels every in-flight member analysis; the handler drains
-// what was already launched and returns. Per-member error isolation:
+// context cancels every in-flight member analysis; the batch drains
+// what was already launched, counting but not sending its records, and
+// the handler returns. Per-member error isolation:
 // a member that fails (not ELF, truncated, over the per-member size
 // cap) produces an error record and the stream continues.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -128,71 +111,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
-	window := 2 * s.eng.Jobs()
-	if window < 2 {
-		window = 2
-	}
-	jobs := make(chan *batchJob, window)
-	truncated := make(chan bool, 1)
-
-	// Producer: walk the archive, launch one analysis per member.
-	go func() {
-		defer close(jobs)
-		index := 0
-		for {
-			m, rerr := next()
-			if rerr == io.EOF {
-				truncated <- false
-				return
-			}
-			if rerr != nil {
-				// Archive framing damage: past this point there is no
-				// trustworthy member boundary, so the walk must stop —
-				// but everything already enqueued still completes.
-				truncated <- true
-				select {
-				case jobs <- &batchJob{index: index, skip: &batchRecord{
-					Index: index,
-					Error: fmt.Sprintf("archive unreadable: %v", rerr),
-					Kind:  "archive",
-				}}:
-				case <-ctx.Done():
-				}
-				return
-			}
-			job := &batchJob{index: index, name: m.name, done: make(chan batchOutcome, 1)}
-			if m.tooLarge {
-				job.skip = &batchRecord{Index: index, Name: m.name,
-					Error: fmt.Sprintf("member exceeds the %d-byte per-binary limit", s.cfg.maxBodyBytes),
-					Kind:  "too_large"}
-			} else if len(m.data) == 0 {
-				job.skip = &batchRecord{Index: index, Name: m.name, Error: "empty member", Kind: "empty"}
-			}
-			select {
-			case jobs <- job:
-			case <-ctx.Done():
-				truncated <- true
-				return
-			}
-			if job.skip == nil {
-				go func(raw []byte) {
-					res, aerr := s.eng.Analyze(ctx, raw, opts)
-					job.done <- batchOutcome{res: res, err: aerr}
-				}(m.data)
-			}
-			index++
-		}
-	}()
-
-	// Consumer: emit records strictly in archive order.
 	var items, ok, errs int
 	clientGone := false
-	for job := range jobs {
-		rec := job.skip
-		if rec == nil {
-			out := <-job.done
-			rec = s.batchRecordFor(job, out, configN)
-		}
+	emit := func(rec batchRecord) {
+		rec.Index = items
 		items++
 		if rec.Error != "" {
 			errs++
@@ -202,18 +124,33 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.batchItems.With("ok").Inc()
 		}
 		if clientGone {
-			continue // draining: outcomes are awaited, records unsendable
+			return // draining: outcomes are awaited, records unsendable
 		}
 		if werr := enc.Encode(rec); werr != nil {
-			// The client is gone. Cancel the in-flight analyses and keep
-			// draining so every launched member resolves before we return.
+			// The client is gone. Cancel the in-flight analyses; the
+			// batch still drains what it launched before returning.
 			clientGone = true
 			cancel()
-			continue
+			return
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
+	}
+	framingDamage := false
+	pull := func() (engine.Member, error) {
+		m, err := next()
+		framingDamage = err != nil && err != io.EOF
+		return m, err
+	}
+	err = s.eng.Batch(ctx, pull, opts, func(m engine.Member, res *engine.Result, err error) error {
+		emit(s.batchRecordFor(m.Name, res, err, configN))
+		return nil
+	})
+	if framingDamage {
+		// Past framing damage there is no trustworthy member boundary, so
+		// the walk stopped; everything before it was still emitted.
+		emit(batchRecord{Error: fmt.Sprintf("archive unreadable: %v", err), Kind: "archive"})
 	}
 	if clientGone {
 		return
@@ -223,34 +160,35 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Items:     items,
 		OK:        ok,
 		Errors:    errs,
-		Truncated: <-truncated,
+		Truncated: err != nil,
 		Canceled:  ctx.Err() != nil,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	})
 }
 
-// batchRecordFor renders one resolved member as its NDJSON record.
-func (s *server) batchRecordFor(job *batchJob, out batchOutcome, configN int) *batchRecord {
-	if out.err != nil {
-		_, kind := classifyAnalyzeError(out.err)
-		return &batchRecord{Index: job.index, Name: job.name, Error: out.err.Error(), Kind: kind}
-	}
-	s.analyzeByArch.With(out.res.Report.Arch).Inc()
-	resp := buildAnalyzeResponse(out.res, configN)
-	return &batchRecord{Index: job.index, Name: job.name, Result: &resp, StoreKey: out.res.StoreKey}
-}
+// rejectedMember is the preset error of a member refused before
+// analysis; kind is its record's Kind.
+type rejectedMember struct{ kind, msg string }
 
-// batchMember is one archive member as the batch iterator hands it
-// over: its name and bytes, or tooLarge (and no bytes) when it is over
-// the per-binary cap.
-type batchMember struct {
-	name     string
-	data     []byte
-	tooLarge bool
+func (r rejectedMember) Error() string { return r.msg }
+
+// batchRecordFor renders one resolved member as its NDJSON record; the
+// caller numbers it.
+func (s *server) batchRecordFor(name string, res *engine.Result, err error, configN int) batchRecord {
+	if err != nil {
+		_, kind := classifyAnalyzeError(err)
+		if rej, isRej := err.(rejectedMember); isRej {
+			kind = rej.kind
+		}
+		return batchRecord{Name: name, Error: err.Error(), Kind: kind}
+	}
+	s.analyzeByArch.With(res.Report.Arch).Inc()
+	resp := buildAnalyzeResponse(res, configN)
+	return batchRecord{Name: name, Result: &resp, StoreKey: res.StoreKey}
 }
 
 // batchIterator returns a pull function over the uploaded archive's
-// members — one batchMember per member, io.EOF at a clean end, any
+// members — one engine.Member per member, io.EOF at a clean end, any
 // other error on framing damage — plus a drain that consumes the body
 // remainder. The format is chosen by Content-Type: multipart/form-data
 // streams its file parts, anything else is read as a tar stream. The
@@ -258,7 +196,7 @@ type batchMember struct {
 // never buffered: a tar member is judged by its header, a multipart part
 // by reading one byte past the cap, and the rest of its data is
 // discarded (skipTooLarge).
-func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (batchMember, error), func(), error) {
+func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (engine.Member, error), func(), error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBatchBytes)
 	drain := func() { _, _ = io.Copy(io.Discard, body) }
 	limit := s.cfg.maxBodyBytes
@@ -269,11 +207,11 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 			return nil, nil, errors.New("multipart request without a boundary")
 		}
 		mr := multipart.NewReader(body, boundary)
-		return func() (batchMember, error) {
+		return func() (engine.Member, error) {
 			for {
 				part, err := mr.NextPart()
 				if err != nil {
-					return batchMember{}, err
+					return engine.Member{}, err
 				}
 				if part.FileName() == "" && part.FormName() != "binary" {
 					continue // non-file fields (options, junk) are skipped
@@ -284,47 +222,57 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 				}
 				data, err := io.ReadAll(io.LimitReader(part, limit+1))
 				if err != nil {
-					return batchMember{}, err
+					return engine.Member{}, err
 				}
 				if int64(len(data)) > limit {
-					return skipTooLarge(name, part)
+					return skipTooLarge(name, part, limit)
 				}
-				return batchMember{name: name, data: data}, nil
+				return member(name, data), nil
 			}
 		}, drain, nil
 	}
 	// Tar: regular files only; directories and special members skipped.
 	tr := tar.NewReader(body)
-	return func() (batchMember, error) {
+	return func() (engine.Member, error) {
 		for {
 			hdr, err := tr.Next()
 			if err != nil {
-				return batchMember{}, err
+				return engine.Member{}, err
 			}
 			if hdr.Typeflag != tar.TypeReg {
 				continue
 			}
 			if hdr.Size > limit {
-				return skipTooLarge(hdr.Name, tr)
+				return skipTooLarge(hdr.Name, tr, limit)
 			}
 			data, err := io.ReadAll(tr)
 			if err != nil {
-				return batchMember{}, err
+				return engine.Member{}, err
 			}
-			return batchMember{name: hdr.Name, data: data}, nil
+			return member(hdr.Name, data), nil
 		}
 	}, drain, nil
 }
 
-// skipTooLarge discards the rest of an oversized member's data through
-// a small copy buffer and reports the member as tooLarge. A member whose
-// data is cut short returns the read error instead, so a damaged archive
-// yields the one "archive" record as if the member had been read whole.
-func skipTooLarge(name string, rest io.Reader) (batchMember, error) {
-	if _, err := io.Copy(io.Discard, rest); err != nil {
-		return batchMember{}, err
+// member is one read member, rejected up front when it is empty.
+func member(name string, data []byte) engine.Member {
+	if len(data) == 0 {
+		return engine.Member{Name: name, Err: rejectedMember{"empty", "empty member"}}
 	}
-	return batchMember{name: name, tooLarge: true}, nil
+	return engine.Member{Name: name, Data: data}
+}
+
+// skipTooLarge discards the rest of an oversized member's data through
+// a small copy buffer and reports the member as too_large. A member
+// whose data is cut short returns the read error instead, so a damaged
+// archive yields the one "archive" record as if the member had been
+// read whole.
+func skipTooLarge(name string, rest io.Reader, limit int64) (engine.Member, error) {
+	if _, err := io.Copy(io.Discard, rest); err != nil {
+		return engine.Member{}, err
+	}
+	return engine.Member{Name: name, Err: rejectedMember{"too_large",
+		fmt.Sprintf("member exceeds the %d-byte per-binary limit", limit)}}, nil
 }
 
 // buildAnalyzeResponse renders one engine result as the wire shape

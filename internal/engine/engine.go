@@ -337,9 +337,6 @@ func (e *Engine) ShedConfig() (bound, window time.Duration) {
 	return e.shedBound, e.shedWindow
 }
 
-// HasStore reports whether a persistent store tier is configured.
-func (e *Engine) HasStore() bool { return e.store != nil }
-
 // Close releases resources the engine owns: the store opened via
 // Config.StoreDir (and its background compactor). A caller-provided
 // Config.Store is left open — its owner closes it.

@@ -201,14 +201,6 @@ func ForEach(cases []Case, workers int, fn func(Observation) error) error {
 	return firstErr
 }
 
-// TimedRun measures one tool run with a private context (cold path:
-// includes the sweep and parse costs).
-func TimedRun(t Tool, bin *elfx.Binary) ([]uint64, time.Duration, error) {
-	start := time.Now()
-	entries, err := t.Run(bin)
-	return entries, time.Since(start), err
-}
-
 // TimedRunContext measures one tool run against a shared context. Stage
 // costs already paid by earlier consumers of actx are not re-incurred —
 // the measured time is the tool's marginal cost; consult analysis.Stats

@@ -115,11 +115,6 @@ func (r *Ring) Lookup(key []byte) (string, bool) {
 	return r.points[r.successor(hashKey(key))].node, true
 }
 
-// LookupString is Lookup over a string key.
-func (r *Ring) LookupString(key string) (string, bool) {
-	return r.Lookup([]byte(key))
-}
-
 // LookupN returns up to n distinct nodes in ring order starting at
 // key's owner — the owner first, then the natural failover successors.
 // Fewer than n nodes are returned when the ring has fewer members.

@@ -554,7 +554,7 @@ func (d *decodeState) finishInto(inst *Inst) {
 	d.classify(inst)
 	if d.hasDisp {
 		if d.ripRel {
-			inst.RIPRef = d.truncate(d.addr + uint64(d.pos) + uint64(d.disp))
+			inst.RIPRef = truncAddr(d.mode, d.addr+uint64(d.pos)+uint64(d.disp))
 			inst.HasRIPRef = true
 		} else if d.absDisp && !d.addr16() {
 			inst.MemDisp = uint64(uint32(d.disp))
@@ -563,80 +563,79 @@ func (d *decodeState) finishInto(inst *Inst) {
 	}
 }
 
-// truncate wraps an address to the mode's pointer width.
-func (d *decodeState) truncate(v uint64) uint64 {
-	if d.mode == Mode32 {
-		return uint64(uint32(v))
+func (d *decodeState) classify(inst *Inst) {
+	if d.vex || d.opcodeMap > 2 {
+		return // no VEX or three-byte-map instruction is branch-relevant
 	}
-	return v
+	inst.Class = opClass(d.opcodeMap, d.opcode)
+	switch inst.Class {
+	case ClassCallRel, ClassJmpRel, ClassJccRel:
+		inst.Target = truncAddr(d.mode, d.addr+uint64(d.pos)+uint64(d.imm))
+		inst.HasTarget = true
+	case ClassNop:
+		// 90 is a NOP plain or behind 66, but F3 90 is PAUSE and REX.B
+		// 90 is XCHG R8.
+		if d.opcodeMap == 1 && (d.rep || d.repne || d.hasRex && d.rex&1 != 0) {
+			inst.Class = ClassOther
+		}
+	}
+	switch {
+	case d.opcodeMap == 1 && d.opcode == 0xFF:
+		switch inst.Reg() {
+		case 2:
+			inst.Class = ClassCallInd
+			inst.Notrack = d.notrack
+		case 4:
+			inst.Class = ClassJmpInd
+			inst.Notrack = d.notrack
+		}
+	case d.opcodeMap == 2 && d.opcode == 0x1E && d.rep && d.hasModRM:
+		// F3 0F 1E FA = ENDBR64, F3 0F 1E FB = ENDBR32. Any other
+		// ModRM value is a reserved hint NOP.
+		switch d.modRM {
+		case 0xFA:
+			inst.Class = ClassEndbr64
+		case 0xFB:
+			inst.Class = ClassEndbr32
+		}
+	}
 }
 
-func (d *decodeState) classify(inst *Inst) {
-	setTarget := func() {
-		inst.Target = d.truncate(d.addr + uint64(d.pos) + uint64(d.imm))
-		inst.HasTarget = true
-	}
-	if d.vex {
-		return // no VEX instruction is branch-relevant
-	}
-	switch d.opcodeMap {
-	case 1:
-		switch op := d.opcode; {
-		case op == 0xE8:
-			inst.Class = ClassCallRel
-			setTarget()
-		case op == 0xE9 || op == 0xEB:
-			inst.Class = ClassJmpRel
-			setTarget()
-		case op >= 0x70 && op <= 0x7F, op >= 0xE0 && op <= 0xE3:
-			inst.Class = ClassJccRel
-			setTarget()
-		case op == 0xC3 || op == 0xC2 || op == 0xCB || op == 0xCA:
-			inst.Class = ClassRet
-		case op == 0xCC:
-			inst.Class = ClassInt3
-		case op == 0xF4:
-			inst.Class = ClassHlt
-		case op == 0xC9:
-			inst.Class = ClassLeave
-		case op == 0x90:
-			// Plain NOP and the 66-prefixed two-byte NOP. F3 90 is
-			// PAUSE; REX.B 90 is XCHG R8.
-			if !d.rep && !d.repne && (!d.hasRex || d.rex&1 == 0) {
-				inst.Class = ClassNop
-			}
-		case op == 0xFF:
-			switch inst.Reg() {
-			case 2:
-				inst.Class = ClassCallInd
-				inst.Notrack = d.notrack
-			case 4:
-				inst.Class = ClassJmpInd
-				inst.Notrack = d.notrack
-			}
-		}
-	case 2:
-		switch op := d.opcode; {
+// opClass is the class of an opcode in map 1 or 2 before the
+// refinements that depend on prefixes or ModRM: FF /2 and /4, endbr
+// behind F3, and the 90 forms that are not a NOP. classify and the fast
+// path's descriptor tables both read it.
+func opClass(opcodeMap int, op byte) Class {
+	if opcodeMap == 2 {
+		switch {
 		case op >= 0x80 && op <= 0x8F:
-			inst.Class = ClassJccRel
-			setTarget()
-		case op == 0x1E:
-			// F3 0F 1E FA = ENDBR64, F3 0F 1E FB = ENDBR32. Any other
-			// ModRM value is a reserved hint NOP.
-			if d.rep && d.hasModRM {
-				switch d.modRM {
-				case 0xFA:
-					inst.Class = ClassEndbr64
-				case 0xFB:
-					inst.Class = ClassEndbr32
-				}
-			}
+			return ClassJccRel
 		case op == 0x1F:
-			inst.Class = ClassNop
+			return ClassNop // 0F 1F /0 long NOP
 		case op == 0x0B || op == 0xB9:
-			inst.Class = ClassUD
+			return ClassUD
 		}
+		return ClassOther
 	}
+	switch {
+	case op == 0xE8:
+		return ClassCallRel
+	case op == 0xE9 || op == 0xEB:
+		return ClassJmpRel
+	case op >= 0x70 && op <= 0x7F, op >= 0xE0 && op <= 0xE3:
+		return ClassJccRel
+	case op == 0xC3 || op == 0xC2 || op == 0xCB || op == 0xCA:
+		return ClassRet
+	case op == 0xCC:
+		return ClassInt3
+	case op == 0xF4:
+		return ClassHlt
+	case op == 0xC9:
+		return ClassLeave
+	case op == 0x90:
+		return ClassNop
+	}
+	return ClassOther
 }
 
 // DecodeLen returns only the length of the instruction at the front of

@@ -59,150 +59,72 @@ const (
 )
 
 // fastOps maps a first opcode byte (after an optional REX in 64-bit
-// mode) to its descriptor. Entries are valid in both modes: any byte
-// whose length or validity differs between Mode32 and Mode64 — other
-// than 40-4F, which the core intercepts as REX before the lookup — stays
-// zero. With no legacy prefix in play, iz immediates are always 4 bytes.
-var fastOps = buildFastOps()
+// mode) to its descriptor, and fastOps2 the second byte of a 0F-escaped
+// opcode. Both are derived from the oneByte and twoByte attribute
+// tables and opClass, so the fast path and the full decoder agree by
+// construction. Entries are valid in both modes: any opcode whose length
+// or validity differs between Mode32 and Mode64 — other than 40-4F,
+// which the core intercepts as REX before the lookup — declines. The
+// escapes decline too: 0F (scan switches to fastOps2) and the 0F 38 /
+// 0F 3A three-byte escapes (VEX/EVEX-adjacent territory).
+var fastOps, fastOps2 = buildFastOps(), buildFastOps2()
 
 func buildFastOps() [256]opDesc {
 	var t [256]opDesc
-	set := func(d opDesc, class Class, ops ...int) {
-		d.flags |= dAccept
-		d.class = uint8(class)
-		for _, op := range ops {
-			t[op] = d
+	for b := range t {
+		if b != 0x0F {
+			t[b] = fastDesc(oneByte[b], opClass(1, byte(b)))
 		}
 	}
-	var (
-		bare = opDesc{}
-		i8   = opDesc{imm: 1}
-		i16  = opDesc{imm: 2}
-		iz   = opDesc{imm: 4}
-		iv   = opDesc{imm: 4, flags: dImmW}
-		r8   = opDesc{rel: 1}
-		r32  = opDesc{rel: 4}
-		m    = opDesc{flags: dModRM}
-		mi8  = opDesc{flags: dModRM, imm: 1}
-		miz  = opDesc{flags: dModRM, imm: 4}
-	)
-	// ALU r/m forms: ADD/OR/ADC/SBB/AND/SUB/XOR/CMP.
-	for _, base := range []int{0x00, 0x08, 0x10, 0x18, 0x20, 0x28, 0x30, 0x38} {
-		set(m, ClassOther, base, base+1, base+2, base+3)
-		set(i8, ClassOther, base+4)
-		set(iz, ClassOther, base+5)
-	}
-	// INC/DEC r32 (Mode32 only — Mode64 consumes 40-4F as REX first).
-	for op := 0x40; op <= 0x4F; op++ {
-		set(bare, ClassOther, op)
-	}
-	// PUSH/POP reg.
-	for op := 0x50; op <= 0x5F; op++ {
-		set(bare, ClassOther, op)
-	}
-	set(m, ClassOther, 0x63)  // ARPL (32) / MOVSXD (64): ModRM in both
-	set(iz, ClassOther, 0x68) // PUSH iz
-	set(miz, ClassOther, 0x69)
-	set(i8, ClassOther, 0x6A) // PUSH ib
-	set(mi8, ClassOther, 0x6B)
-	set(bare, ClassOther, 0x6C, 0x6D, 0x6E, 0x6F) // INS/OUTS
-	// Jcc rel8.
-	for op := 0x70; op <= 0x7F; op++ {
-		set(r8, ClassJccRel, op)
-	}
-	// Immediate group 1 (0x82 is the 32-bit-only alias: declined).
-	set(mi8, ClassOther, 0x80)
-	set(miz, ClassOther, 0x81)
-	set(mi8, ClassOther, 0x83)
-	// TEST/XCHG/MOV/LEA/MOV-seg/POP r/m.
-	set(m, ClassOther, 0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x8C, 0x8D, 0x8E, 0x8F)
-	set(bare, ClassNop, 0x90) // the core demotes REX.B 90 (XCHG R8) to Other
-	set(bare, ClassOther, 0x91, 0x92, 0x93, 0x94, 0x95, 0x96, 0x97)
-	set(bare, ClassOther, 0x98, 0x99, 0x9B, 0x9C, 0x9D, 0x9E, 0x9F)
-	set(i8, ClassOther, 0xA8) // TEST AL, ib
-	set(iz, ClassOther, 0xA9) // TEST eAX, iz
-	set(bare, ClassOther, 0xA4, 0xA5, 0xA6, 0xA7, 0xAA, 0xAB, 0xAC, 0xAD, 0xAE, 0xAF)
-	// MOV reg, imm.
-	for op := 0xB0; op <= 0xB7; op++ {
-		set(i8, ClassOther, op)
-	}
-	for op := 0xB8; op <= 0xBF; op++ {
-		set(iv, ClassOther, op)
-	}
-	// Shift groups, RET, MOV r/m imm, LEAVE, INT3/INT, IRET.
-	set(mi8, ClassOther, 0xC0, 0xC1)
-	set(i16, ClassRet, 0xC2)
-	set(bare, ClassRet, 0xC3)
-	set(mi8, ClassOther, 0xC6)
-	set(miz, ClassOther, 0xC7)
-	set(bare, ClassLeave, 0xC9)
-	set(i16, ClassRet, 0xCA)
-	set(bare, ClassRet, 0xCB)
-	set(bare, ClassInt3, 0xCC)
-	set(i8, ClassOther, 0xCD)
-	set(bare, ClassOther, 0xCF)
-	set(m, ClassOther, 0xD0, 0xD1, 0xD2, 0xD3) // shift by 1 / CL
-	set(bare, ClassOther, 0xD7)
-	set(m, ClassOther, 0xD8, 0xD9, 0xDA, 0xDB, 0xDC, 0xDD, 0xDE, 0xDF) // x87
-	// LOOP/JCXZ, IN/OUT, CALL/JMP.
-	set(r8, ClassJccRel, 0xE0, 0xE1, 0xE2, 0xE3)
-	set(i8, ClassOther, 0xE4, 0xE5, 0xE6, 0xE7)
-	set(r32, ClassCallRel, 0xE8)
-	set(r32, ClassJmpRel, 0xE9)
-	set(r8, ClassJmpRel, 0xEB)
-	set(bare, ClassOther, 0xEC, 0xED, 0xEE, 0xEF)
-	set(bare, ClassOther, 0xF1, 0xF5)
-	set(bare, ClassHlt, 0xF4)
-	set(bare, ClassOther, 0xF8, 0xF9, 0xFA, 0xFB, 0xFC, 0xFD)
-	set(m, ClassOther, 0xFE) // INC/DEC r/m8
-	set(opDesc{flags: dModRM | dGroup5}, ClassOther, 0xFF)
+	t[0xFF].flags |= dGroup5
 	return t
 }
 
-// fastOps2 maps the second opcode byte of a 0F-escaped instruction to its
-// descriptor. It is derived mechanically from the twoByte attribute table
-// so the two stay consistent by construction: every map-2 opcode is
-// ModRM-driven, bare, ModRM+imm8, or Jcc relZ — none of the prefix-sized
-// immediate kinds (iz/iv) exist in map 2, which is what makes the whole
-// map fast-path eligible. The exceptions decline: the 0F 38 / 0F 3A
-// three-byte escapes (VEX/EVEX-adjacent territory) and the fUndef rows,
-// which must keep erroring through the slow path.
-var fastOps2 = buildFastOps2()
-
 func buildFastOps2() [256]opDesc {
 	var t [256]opDesc
-	for b := 0; b < 256; b++ {
-		info := twoByte[b]
-		if b == 0x38 || b == 0x3A || info.has(fUndef) {
-			continue // escapes + undefined rows: decline to decodeSlow
+	for b := range t {
+		if b != 0x38 && b != 0x3A {
+			t[b] = fastDesc(twoByte[b], opClass(2, byte(b)))
 		}
-		d := opDesc{flags: dAccept}
-		switch {
-		case info.has(fModRM) && info.imm == imm8:
-			d.flags |= dModRM
-			d.imm = 1
-		case info.has(fModRM) && info.imm == immNone:
-			d.flags |= dModRM
-		case info.imm == relZ:
-			d.rel = 4 // Jcc 0F 80-8F; the 16-bit form is declined by the core
-		case info.imm == immNone:
-		default:
-			continue
-		}
-		d.class = uint8(ClassOther)
-		switch {
-		case b >= 0x80 && b <= 0x8F:
-			d.class = uint8(ClassJccRel)
-		case b == 0x1E:
-			d.flags |= dEndbr
-		case b == 0x1F:
-			d.class = uint8(ClassNop) // 0F 1F /0 long NOP
-		case b == 0x0B || b == 0xB9:
-			d.class = uint8(ClassUD)
-		}
-		t[b] = d
 	}
+	t[0x1E].flags |= dEndbr
 	return t
+}
+
+// fastDesc is one opcode-map entry's descriptor, or the zero (declining)
+// descriptor where its length or validity depends on more than the
+// opcode byte: prefix bytes, rows invalid in a mode or undefined, group
+// 3's ModRM-selected immediate, and the address-sized, far-pointer and
+// ENTER immediates. With no operand-size prefix in play (scan admits 66
+// only ahead of 0F and 90), iz immediates and relZ displacements are 4
+// bytes, and iv immediates 4, or 8 under REX.W (dImmW).
+func fastDesc(info opinfo, class Class) opDesc {
+	if info.has(fPrefix | fInval64 | fInval32 | fGroup3 | fUndef) {
+		return opDesc{}
+	}
+	d := opDesc{flags: dAccept, class: uint8(class)}
+	if info.has(fModRM) {
+		d.flags |= dModRM
+	}
+	switch info.imm {
+	case immNone:
+	case imm8:
+		d.imm = 1
+	case imm16:
+		d.imm = 2
+	case immZ:
+		d.imm = 4
+	case immV:
+		d.imm = 4
+		d.flags |= dImmW
+	case rel8:
+		d.rel = 1
+	case relZ:
+		d.rel = 4 // the 16-bit Jcc form (66 0F 8x in Mode32) is declined by scan
+	default:
+		return opDesc{}
+	}
+	return d
 }
 
 // modrmForm gives, per ModRM byte, the addressing-form bytes that follow

@@ -177,17 +177,6 @@ type Inst struct {
 	NPrefix uint8
 }
 
-// Prefixes returns the recorded legacy prefixes, in order. At most the
-// first len(Prefix) prefixes of a degenerate over-prefixed encoding are
-// available; NPrefix holds the true count.
-func (i *Inst) Prefixes() []byte {
-	n := int(i.NPrefix)
-	if n > len(i.Prefix) {
-		n = len(i.Prefix)
-	}
-	return i.Prefix[:n]
-}
-
 // Reg returns the ModRM.reg field (the /digit selecting a group member).
 func (i Inst) Reg() int { return int(i.ModRM>>3) & 7 }
 

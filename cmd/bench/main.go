@@ -554,10 +554,7 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 			b.SetBytes(int64(corpusBytes))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				eng, err := engine.New(engine.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
+				eng := engine.New(engine.Config{})
 				var wg sync.WaitGroup
 				errs := make(chan error, len(set))
 				for _, c := range set {
@@ -579,10 +576,7 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 		// engine/CacheHit measures the content-hash fast path: every
 		// binary is pre-warmed, so each op is pure SHA-256 + LRU lookup.
 		benchmark{name: "engine/CacheHit", fn: func(b *testing.B) {
-			eng, err := engine.New(engine.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := engine.New(engine.Config{})
 			for _, c := range set {
 				if _, err := eng.Analyze(context.Background(), c.raw, funseeker.Config4); err != nil {
 					b.Fatal(err)

@@ -220,6 +220,9 @@ func TestReplicationToRingSuccessor(t *testing.T) {
 			t.Fatalf("backend %s hasKey = %v, want %v (set %v)", rb.name, rb.hasKey(key), want, set)
 		}
 	}
+	// The sibling holds the key before the router has read the PUT's
+	// answer and counted the write.
+	waitFor(t, "replica write counted", func() bool { return rt.replicaWrites.Value() >= 1 })
 	if v := rt.replicaWrites.Value(); v != 1 {
 		t.Fatalf("replica writes = %d, want 1", v)
 	}
@@ -430,6 +433,7 @@ func TestBatchMemberReplication(t *testing.T) {
 			waitFor(t, "batch replica write "+m, func() bool { return byURL[u].hasKey(keys[m]) })
 		}
 	}
+	waitFor(t, "batch replica writes counted", func() bool { return rt.replicaWrites.Value() >= uint64(len(members)) })
 	if v := rt.replicaWrites.Value(); v < uint64(len(members)) {
 		t.Fatalf("replica writes = %d, want >= %d (one per member at minimum)", v, len(members))
 	}

@@ -270,7 +270,7 @@ func (rt *router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		req.Header.Set("Content-Type", "application/octet-stream")
+		req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 		copyTraceHeaders(req, r)
 		resp, err := rt.cfg.client.Do(req)
 		if err != nil {

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -587,6 +589,54 @@ func TestRelayVerbatim(t *testing.T) {
 	}
 	if err := json.Unmarshal(body, &out); err != nil || out.GotBytes != len(raw) {
 		t.Fatalf("backend saw %d bytes, want %d (body %s)", out.GotBytes, len(raw), body)
+	}
+}
+
+// TestAnalyzeForwardsContentType: the router forwards the client's
+// Content-Type on /v1/analyze, so a multipart upload gets the backend's
+// 400 (funseekerd takes only the raw body) relayed verbatim rather
+// than a 422 from the backend parsing the form framing as an image.
+func TestAnalyzeForwardsContentType(t *testing.T) {
+	const refusal = `{"error":"multipart/form-data is not accepted; send the ELF image as the raw request body"}`
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/analyze" {
+			fmt.Fprintln(w, "{}") // health probe
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == "multipart/form-data" {
+			w.WriteHeader(http.StatusBadRequest)
+			io.WriteString(w, refusal)
+			return
+		}
+		w.WriteHeader(http.StatusUnprocessableEntity)
+		io.WriteString(w, `{"error":"elfx: not an ELF file","kind":"not_elf"}`)
+	}))
+	t.Cleanup(backend.Close)
+	rt, err := newRouter(routerConfig{backends: []string{backend.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(rt.handler())
+	t.Cleanup(ts.Close)
+
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
+	fw, err := mw.CreateFormFile("binary", "prog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write([]byte("\x7fELF"))
+	mw.Close()
+	resp, err := http.Post(ts.URL+"/v1/analyze", mw.FormDataContentType(), &form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || string(body) != refusal {
+		t.Fatalf("multipart through the router = %d %s, want the backend's 400 %s", resp.StatusCode, body, refusal)
 	}
 }
 

@@ -220,10 +220,7 @@ func runCorpus(args []string, opts funseeker.Options, configN, jobs int, jsonOut
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	eng, err := engine.New(engine.Config{Jobs: jobs})
-	if err != nil {
-		return err
-	}
+	eng := engine.New(engine.Config{Jobs: jobs})
 	enc := json.NewEncoder(os.Stdout)
 	var failures int
 	err = eng.Files(ctx, paths, opts, func(fr engine.FileResult) error {
@@ -268,8 +265,8 @@ func runCorpus(args []string, opts funseeker.Options, configN, jobs int, jsonOut
 	if stats {
 		st := eng.Stats()
 		fmt.Fprintf(os.Stderr, "binaries analyzed: %d (%d failed, %d cache hits)\n",
-			st.Analyzed, st.Failures, st.CacheHits)
-		fmt.Fprintf(os.Stderr, "bytes analyzed:    %d\n", st.BytesAnalyzed)
+			st.Engine.Analyzed, st.Engine.Failures, st.Cache.Hits)
+		fmt.Fprintf(os.Stderr, "bytes analyzed:    %d\n", st.Engine.BytesAnalyzed)
 		fmt.Fprint(os.Stderr, eng.StageLatencyTable())
 	}
 	if failures > 0 {

@@ -12,6 +12,18 @@ import (
 	"github.com/funseeker/funseeker/internal/store"
 )
 
+// openTestStore opens a store in a fresh directory, closed when the test
+// ends (after the servers registered later).
+func openTestStore(t *testing.T, opts store.Options) *store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // TestAnalyzeOptionsStrict drives the shared query parser through both
 // endpoints that use it: a typo'd or malformed option must be a
 // structured 400 on /v1/analyze AND /v1/batch, never a silent analysis
@@ -72,8 +84,8 @@ func TestAnalyzeOptionsStrict(t *testing.T) {
 // caches, with zero fresh analyses — and lists the key in /v1/keys.
 func TestResultTransferRoundTrip(t *testing.T) {
 	raw := testELFs(t, 1)[0]
-	tsA, _ := newTestServerEngine(t, engine.Config{Jobs: 2, StoreDir: t.TempDir()}, serverConfig{})
-	tsB, engB := newTestServerEngine(t, engine.Config{Jobs: 2, StoreDir: t.TempDir()}, serverConfig{})
+	tsA, _ := newTestServerEngine(t, engine.Config{Jobs: 2, Store: openTestStore(t, store.Options{})}, serverConfig{})
+	tsB, engB := newTestServerEngine(t, engine.Config{Jobs: 2, Store: openTestStore(t, store.Options{})}, serverConfig{})
 
 	// Node A computes; the response names the stored result.
 	resp, body := postBinary(t, tsA.URL+"/v1/analyze", raw)
@@ -162,8 +174,8 @@ func TestResultTransferRoundTrip(t *testing.T) {
 	if resp.Header.Get(storeKeyHeader) != key {
 		t.Fatalf("B's store key header = %q, want %q", resp.Header.Get(storeKeyHeader), key)
 	}
-	if st := engB.Stats(); st.Analyzed != 0 || st.StoreInjected != 1 {
-		t.Fatalf("B stats analyzed=%d injected=%d, want 0/1", st.Analyzed, st.StoreInjected)
+	if st := engB.Stats(); st.Engine.Analyzed != 0 || st.Store.Injected != 1 {
+		t.Fatalf("B stats analyzed=%d injected=%d, want 0/1", st.Engine.Analyzed, st.Store.Injected)
 	}
 }
 
@@ -172,9 +184,10 @@ func TestResultTransferRoundTrip(t *testing.T) {
 // POST /v1/admin/compact rewrites it away without losing the live one.
 func TestAdminCompactEndpoint(t *testing.T) {
 	raw := testELFs(t, 1)[0]
-	// Tiny segments so the records land in cold segments Compact can touch.
+	// Tiny segments so the records land in cold segments Compact can
+	// touch; no background compactor.
 	tsA, _ := newTestServerEngine(t, engine.Config{
-		Jobs: 2, StoreDir: t.TempDir(), StoreSegmentBytes: 256, StoreCompactEvery: -1,
+		Jobs: 2, Store: openTestStore(t, store.Options{SegmentBytes: 256}),
 	}, serverConfig{})
 
 	resp, body := postBinary(t, tsA.URL+"/v1/analyze", raw)

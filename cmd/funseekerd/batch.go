@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
 	"time"
 
@@ -48,9 +46,9 @@ type batchSummary struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// handleBatch implements POST /v1/batch: a tar archive (or multipart
-// form) of ELF images in, an NDJSON stream of per-member records out,
-// one line per member in archive order, then one summary line.
+// handleBatch implements POST /v1/batch: a tar stream of ELF images in,
+// an NDJSON stream of per-member records out, one line per member in
+// archive order, then one summary line.
 //
 // Concurrency and backpressure come from engine.Batch: at most 2×jobs
 // members are in flight behind the one being streamed, and while that
@@ -187,51 +185,20 @@ func (s *server) batchRecordFor(name string, res *engine.Result, err error, conf
 	return batchRecord{Name: name, Result: &resp, StoreKey: res.StoreKey}
 }
 
-// batchIterator returns a pull function over the uploaded archive's
-// members — one engine.Member per member, io.EOF at a clean end, any
-// other error on framing damage — plus a drain that consumes the body
-// remainder. The format is chosen by Content-Type: multipart/form-data
-// streams its file parts, anything else is read as a tar stream. The
-// whole upload is capped at maxBatchBytes. A member over maxBodyBytes is
-// never buffered: a tar member is judged by its header, a multipart part
-// by reading one byte past the cap, and the rest of its data is
-// discarded (skipTooLarge).
+// batchIterator returns a pull function over the uploaded tar stream's
+// members — one engine.Member per regular file, io.EOF at a clean end,
+// any other error on framing damage — plus a drain that consumes the
+// body remainder. A multipart form is refused up front. The whole
+// upload is capped at maxBatchBytes. A member over maxBodyBytes is
+// judged by its header and never buffered: its data is discarded
+// (skipTooLarge).
 func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (engine.Member, error), func(), error) {
+	if err := refuseMultipart(r, "the members as a tar stream (curl --data-binary @archive.tar)"); err != nil {
+		return nil, nil, err
+	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBatchBytes)
 	drain := func() { _, _ = io.Copy(io.Discard, body) }
 	limit := s.cfg.maxBodyBytes
-	mediaType, params, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if mediaType == "multipart/form-data" {
-		boundary := params["boundary"]
-		if boundary == "" {
-			return nil, nil, errors.New("multipart request without a boundary")
-		}
-		mr := multipart.NewReader(body, boundary)
-		return func() (engine.Member, error) {
-			for {
-				part, err := mr.NextPart()
-				if err != nil {
-					return engine.Member{}, err
-				}
-				if part.FileName() == "" && part.FormName() != "binary" {
-					continue // non-file fields (options, junk) are skipped
-				}
-				name := part.FileName()
-				if name == "" {
-					name = part.FormName()
-				}
-				data, err := io.ReadAll(io.LimitReader(part, limit+1))
-				if err != nil {
-					return engine.Member{}, err
-				}
-				if int64(len(data)) > limit {
-					return skipTooLarge(name, part, limit)
-				}
-				return member(name, data), nil
-			}
-		}, drain, nil
-	}
-	// Tar: regular files only; directories and special members skipped.
 	tr := tar.NewReader(body)
 	return func() (engine.Member, error) {
 		for {
@@ -240,7 +207,7 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 				return engine.Member{}, err
 			}
 			if hdr.Typeflag != tar.TypeReg {
-				continue
+				continue // directories and special members carry no image
 			}
 			if hdr.Size > limit {
 				return skipTooLarge(hdr.Name, tr, limit)

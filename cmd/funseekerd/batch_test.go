@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -66,11 +65,7 @@ func newTestServerEngine(t *testing.T, engCfg engine.Config, cfg serverConfig) (
 		cfg.registry = obs.NewRegistry()
 	}
 	engCfg.Registry = cfg.registry
-	eng, err := engine.New(engCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
+	eng := engine.New(engCfg)
 	ts := httptest.NewServer(newServer(eng, cfg).handler())
 	t.Cleanup(ts.Close)
 	return ts, eng
@@ -215,43 +210,11 @@ func TestBatchTarRoundTrip(t *testing.T) {
 		t.Fatalf("summary = %+v, want 6 items / 5 ok / 1 error, clean end", sum)
 	}
 	st := eng.Stats()
-	if st.InFlight != 0 {
-		t.Fatalf("in-flight = %d after batch", st.InFlight)
+	if st.Engine.InFlight != 0 {
+		t.Fatalf("in-flight = %d after batch", st.Engine.InFlight)
 	}
-	if st.Analyzed != 4 {
-		t.Fatalf("analyzed = %d, want one cold run per distinct binary", st.Analyzed)
-	}
-}
-
-// TestBatchMultipart: the same stream over a multipart form upload.
-func TestBatchMultipart(t *testing.T) {
-	ts, _ := newTestServerEngine(t, engine.Config{Jobs: 2}, serverConfig{})
-	bins := testELFs(t, 2)
-
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	for i, raw := range bins {
-		fw, err := mw.CreateFormFile("binary", fmt.Sprintf("prog-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fw.Write(raw)
-	}
-	mw.WriteField("note", "not a file, skipped")
-	mw.Close()
-
-	resp, err := http.Post(ts.URL+"/v1/batch", mw.FormDataContentType(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	recs := decodeNDJSON(t, resp.Body)
-	sum := lastSummary
-	if len(recs) != 2 || sum.OK != 2 || sum.Errors != 0 {
-		t.Fatalf("multipart batch: %d records, summary %+v", len(recs), sum)
-	}
-	if recs[0].Name != "prog-0" || recs[1].Name != "prog-1" {
-		t.Fatalf("names = %q, %q", recs[0].Name, recs[1].Name)
+	if st.Engine.Analyzed != 4 {
+		t.Fatalf("analyzed = %d, want one cold run per distinct binary", st.Engine.Analyzed)
 	}
 }
 
@@ -340,19 +303,19 @@ func TestBatchClientDisconnectNoLeak(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := eng.Stats()
-		if st.InFlight == 0 && runtime.NumGoroutine() <= baseline+2 {
+		if st.Engine.InFlight == 0 && runtime.NumGoroutine() <= baseline+2 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("leak after disconnect: in-flight %d, goroutines %d (baseline %d)",
-				st.InFlight, runtime.NumGoroutine(), baseline)
+				st.Engine.InFlight, runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	st := eng.Stats()
-	sum := st.CacheHits + st.StoreHits + st.CacheMisses + st.Coalesced + st.Canceled + st.Failures
-	if sum != st.Requests {
-		t.Fatalf("counter pinning broken after disconnect: sum %d != requests %d", sum, st.Requests)
+	sum := st.Cache.Hits + storeHits(st) + st.Cache.Misses + st.Engine.Coalesced + st.Engine.Canceled + st.Engine.Failures
+	if sum != st.Engine.Requests {
+		t.Fatalf("counter pinning broken after disconnect: sum %d != requests %d", sum, st.Engine.Requests)
 	}
 }
 
@@ -362,8 +325,8 @@ func TestBatchClientDisconnectNoLeak(t *testing.T) {
 func TestShedRetryAfter(t *testing.T) {
 	reg := obs.NewRegistry()
 	ts, _ := newTestServerEngine(t,
-		engine.Config{Jobs: 1, ShedQueueP99: time.Nanosecond, ShedWindow: -1},
-		serverConfig{registry: reg})
+		engine.Config{Jobs: 1},
+		serverConfig{registry: reg, shedQueueP99: time.Nanosecond, shedWindow: -1})
 	raw := testELFs(t, 1)[0]
 
 	// Histogram empty: the first request is admitted and seeds it.
@@ -517,10 +480,9 @@ func TestBatchOversizedMember(t *testing.T) {
 }
 
 // TestBatchOversizedMemberNotBuffered: a member 64× over the
-// per-binary cap is rejected without being read into memory — by its
-// tar header, or after one byte past the cap of a multipart part — so
-// the request allocates far less than the member's size, and the
-// records are the same as for any oversized member.
+// per-binary cap is rejected by its tar header without being read into
+// memory, so the request allocates far less than the member's size, and
+// the records are the same as for any oversized member.
 func TestBatchOversizedMemberNotBuffered(t *testing.T) {
 	const maxBody = 256 << 10
 	ts, _ := newTestServerEngine(t, engine.Config{Jobs: 2},
@@ -531,23 +493,11 @@ func TestBatchOversizedMemberNotBuffered(t *testing.T) {
 	}
 	big := bytes.Repeat([]byte{0x90}, 64*maxBody)
 
-	var form bytes.Buffer
-	mw := multipart.NewWriter(&form)
-	for _, m := range []tarMember{{"fine", raw}, {"huge", big}, {"fine2", raw}} {
-		fw, err := mw.CreateFormFile("binary", m.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fw.Write(m.data)
-	}
-	mw.Close()
-
 	for _, tc := range []struct {
 		name, contentType string
 		body              []byte
 	}{
 		{"tar", "application/x-tar", tarArchive(t, []tarMember{{"fine", raw}, {"huge", big}, {"fine2", raw}})},
-		{"multipart", mw.FormDataContentType(), form.Bytes()},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -578,7 +528,7 @@ func TestBatchOversizedMemberNotBuffered(t *testing.T) {
 // TestBatchTruncatedOversizedMember: an oversized member whose data is
 // cut short is archive damage, not a too_large member — the stream
 // carries the members before it and the one "archive" record, exactly
-// as when such a member is read whole, in tar and multipart alike.
+// as when such a member is read whole.
 func TestBatchTruncatedOversizedMember(t *testing.T) {
 	const maxBody = 64 << 10
 	ts, _ := newTestServerEngine(t, engine.Config{Jobs: 2}, serverConfig{maxBodyBytes: maxBody})
@@ -596,24 +546,11 @@ func TestBatchTruncatedOversizedMember(t *testing.T) {
 	// No Close: the archive ends half-way through the huge member's data.
 	tarCut := tarBody.Bytes()[:tarBody.Len()-len(big)/2]
 
-	var form bytes.Buffer
-	mw := multipart.NewWriter(&form)
-	for _, m := range []tarMember{{"fine", raw}, {"huge", big}} {
-		fw, err := mw.CreateFormFile("binary", m.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fw.Write(m.data)
-	}
-	// No closing boundary: the body ends inside the huge part.
-	formCut := form.Bytes()[:form.Len()-len(big)/2]
-
 	for _, tc := range []struct {
 		name, contentType string
 		body              []byte
 	}{
 		{"tar", "application/x-tar", tarCut},
-		{"multipart", mw.FormDataContentType(), formCut},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/batch", tc.contentType, bytes.NewReader(tc.body))
 		if err != nil {
@@ -644,4 +581,13 @@ func grepLines(text, needle string) string {
 		}
 	}
 	return b.String()
+}
+
+// storeHits reads Store.Hits, which a storeless engine leaves out
+// (always zero).
+func storeHits(st engine.StatsDoc) uint64 {
+	if st.Store == nil {
+		return 0
+	}
+	return st.Store.Hits
 }

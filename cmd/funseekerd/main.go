@@ -7,29 +7,27 @@
 //
 //	funseekerd [-addr :8745] [-jobs N] [-cache-bytes B]
 //	           [-max-body B] [-max-batch B] [-timeout 30s]
-//	           [-shutdown-grace 10s] [-require-cet]
-//	           [-store-dir DIR] [-store-segment-bytes B]
+//	           [-shutdown-grace 10s] [-require-cet] [-store-dir DIR]
 //	           [-shed-queue-p99 D] [-shed-window 10s]
 //	           [-log text|json] [-slow 1s] [-debug-addr addr]
 //
 // Endpoints:
 //
-//	POST /v1/analyze   analyze an ELF image. The image is the raw request
-//	                   body, or the "binary" file field of a multipart
-//	                   form. Query: config=1..4 (Table II configuration,
-//	                   default 4), superset=1 (byte-level end-branch
+//	POST /v1/analyze   analyze the ELF image sent as the raw request
+//	                   body. Query: config=1..5 (Table II
+//	                   configuration, default 4; 5 fuses .eh_frame
+//	                   FDE starts), superset=1 (byte-level end-branch
 //	                   scan), require_cet=1 (fail on endbr-free
-//	                   binaries). Returns the report as JSON.
-//	POST /v1/batch     analyze a tar archive (or multipart form) of ELF
-//	                   images; results stream back as NDJSON, one
-//	                   record per member in archive order, errors
-//	                   isolated per member, then a summary line.
+//	                   binaries), arch= (pin a backend). Returns the
+//	                   report as JSON.
+//	POST /v1/batch     analyze a tar stream of ELF images; results
+//	                   stream back as NDJSON, one record per member in
+//	                   archive order, errors isolated per member, then
+//	                   a summary line.
 //	GET  /v1/healthz   liveness probe.
 //	GET  /v1/stats     versioned stats document ("v": 2): engine, cache,
 //	                   store (with compaction), shed, and server blocks.
-//	                   Any ?v other than 2 is a 400. The flat engine
-//	                   counters (not this document) are published
-//	                   through expvar under "funseeker" at /debug/vars.
+//	                   Any ?v other than 2 is a 400.
 //	GET  /v1/result    raw stored-result value by hex store key; with
 //	PUT  /v1/result    and GET /v1/keys this is the replica-transfer
 //	                   surface funseeker-lb uses to copy results between
@@ -39,20 +37,24 @@
 //	                   counters by status kind, analyze/stage latency
 //	                   histograms, cache hit/miss/coalesced counters.
 //
+// A multipart/form-data request to /v1/analyze or /v1/batch is a 400
+// that names the accepted form.
+//
 // With -store-dir set, every cold result is written through to a
 // crash-safe append-only store in that directory and served from it
-// after a restart (Cached: "store"). With -shed-queue-p99 set, the
-// server refuses new analysis work with 429 + Retry-After while the
-// windowed queue-wait p99 is over the bound.
+// after a restart (Cached: "store"); a background compactor checks the
+// store's garbage once a minute. With -shed-queue-p99 set, the server
+// refuses new analysis work with 429 + Retry-After while the windowed
+// queue-wait p99 is over the bound.
 //
 // Every response carries an X-Funseeker-Request-Id header (generated at
 // the edge, or adopted from a well-formed client-supplied value); the
 // same ID appears on every access-log line and inside error envelopes.
 // Requests slower than -slow are additionally logged at WARN level.
 //
-// With -debug-addr set, a second listener serves net/http/pprof,
-// /debug/vars, and /metrics — keep it on localhost or a management
-// network; profiles are not for the public edge.
+// With -debug-addr set, a second listener serves net/http/pprof — keep
+// it on localhost or a management network; profiles are not for the
+// public edge.
 //
 // The server stops accepting work on SIGINT/SIGTERM and gives in-flight
 // requests -shutdown-grace to finish before hard-closing connections,
@@ -63,7 +65,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -75,6 +76,7 @@ import (
 
 	"github.com/funseeker/funseeker/internal/engine"
 	"github.com/funseeker/funseeker/internal/obs"
+	"github.com/funseeker/funseeker/internal/store"
 )
 
 func main() {
@@ -86,24 +88,20 @@ func main() {
 
 func run() error {
 	var (
-		addr         = flag.String("addr", ":8745", "listen address")
-		jobs         = flag.Int("jobs", 0, "max concurrent analyses (0 = GOMAXPROCS)")
-		cacheBytes   = flag.Int64("cache-bytes", engine.DefaultCacheBytes, "result-cache budget in bytes (negative disables)")
-		maxBody      = flag.Int64("max-body", 64<<20, "max request body bytes")
-		timeout      = flag.Duration("timeout", 30*time.Second, "per-request analysis timeout (0 disables)")
-		grace        = flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window")
-		requireCET   = flag.Bool("require-cet", false, "reject binaries without any end-branch instruction")
-		storeDir     = flag.String("store-dir", "", "persistent result-store directory (empty disables persistence)")
-		storeSeg     = flag.Int64("store-segment-bytes", 0, "persistent-store segment rotation size (0 = default)")
-		compactEvery = flag.Duration("store-compact-every", 0, "background store-compaction check interval (0 = default, negative disables)")
-		compactRatio = flag.Float64("store-compact-ratio", 0, "garbage ratio that triggers background compaction (0 = default)")
-		compactMin   = flag.Int64("store-compact-min-bytes", 0, "on-disk floor below which background compaction never runs (0 = default)")
-		maxBatch     = flag.Int64("max-batch", 0, "max /v1/batch upload bytes (0 = 16x max-body)")
-		shedP99      = flag.Duration("shed-queue-p99", 0, "shed with 429 when queue-wait p99 exceeds this (0 disables)")
-		shedWin      = flag.Duration("shed-window", 0, "sampling window for the shed signal (0 = default, negative = cumulative)")
-		logFormat    = flag.String("log", "text", "log format: text or json")
-		slow         = flag.Duration("slow", time.Second, "WARN-log requests slower than this (0 disables)")
-		debugAddr    = flag.String("debug-addr", "", "optional debug listen address for pprof/expvar/metrics (e.g. 127.0.0.1:8746)")
+		addr       = flag.String("addr", ":8745", "listen address")
+		jobs       = flag.Int("jobs", 0, "max concurrent analyses (0 = GOMAXPROCS)")
+		cacheBytes = flag.Int64("cache-bytes", engine.DefaultCacheBytes, "result-cache budget in bytes (negative disables)")
+		maxBody    = flag.Int64("max-body", 64<<20, "max request body bytes")
+		timeout    = flag.Duration("timeout", 30*time.Second, "per-request analysis timeout (0 disables)")
+		grace      = flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window")
+		requireCET = flag.Bool("require-cet", false, "reject binaries without any end-branch instruction")
+		storeDir   = flag.String("store-dir", "", "persistent result-store directory (empty disables persistence)")
+		maxBatch   = flag.Int64("max-batch", 0, "max /v1/batch upload bytes (0 = 16x max-body)")
+		shedP99    = flag.Duration("shed-queue-p99", 0, "shed with 429 when queue-wait p99 exceeds this (0 disables)")
+		shedWin    = flag.Duration("shed-window", 0, "sampling window for the shed signal (0 = default, negative = cumulative)")
+		logFormat  = flag.String("log", "text", "log format: text or json")
+		slow       = flag.Duration("slow", time.Second, "WARN-log requests slower than this (0 disables)")
+		debugAddr  = flag.String("debug-addr", "", "optional debug listen address for pprof (e.g. 127.0.0.1:8746)")
 	)
 	flag.Parse()
 
@@ -116,42 +114,45 @@ func run() error {
 	default:
 		return fmt.Errorf("-log must be text or json, got %q", *logFormat)
 	}
+	if *shedP99 < 0 {
+		return fmt.Errorf("-shed-queue-p99 must not be negative, got %v", *shedP99)
+	}
 	// The obs wrapper stamps request_id onto every line logged with a
 	// request context — handlers and everything below them just log.
 	logger := slog.New(obs.NewLogHandler(handler))
 
+	// With -store-dir set, results computed before a crash or deploy are
+	// served warm (CacheSource "store") after a restart, and the
+	// background compactor keeps superseded records from accumulating.
+	// The store is closed only after the HTTP server has drained.
+	var st *store.Store
+	if *storeDir != "" {
+		var err error
+		st, err = store.Open(*storeDir, store.Options{CompactEvery: time.Minute})
+		if err != nil {
+			return fmt.Errorf("opening store %s: %w", *storeDir, err)
+		}
+		defer func() {
+			if err := st.Close(); err != nil {
+				logger.Warn("closing result store", "err", err)
+			}
+		}()
+		ss := st.Stats()
+		logger.Info("result store open", "dir", ss.Dir,
+			"records", ss.Records, "segments", ss.Segments,
+			"recovered", ss.RecoveredRecords, "truncated_bytes", ss.TruncatedBytes)
+	}
+
 	// One registry spans both layers: the engine's stage/cache series
 	// and the server's HTTP series come out of the same /metrics scrape.
-	// Defaults and validation for every engine knob — cache budget,
-	// store sizing, compaction, shedding — live in Config.Normalize, so
-	// the flags above pass zeros straight through. With -store-dir set,
-	// the engine opens (and owns) the persistent store: results computed
-	// before a crash or deploy are served warm (CacheSource "store")
-	// after a restart, and the background compactor keeps superseded
-	// records from accumulating.
 	reg := obs.NewRegistry()
-	eng, err := engine.New(engine.Config{
-		Jobs:                     *jobs,
-		CacheBytes:               *cacheBytes,
-		RequireCET:               *requireCET,
-		StoreDir:                 *storeDir,
-		StoreSegmentBytes:        *storeSeg,
-		StoreCompactEvery:        *compactEvery,
-		StoreCompactGarbageRatio: *compactRatio,
-		StoreCompactMinBytes:     *compactMin,
-		ShedQueueP99:             *shedP99,
-		ShedWindow:               *shedWin,
-		Registry:                 reg,
+	eng := engine.New(engine.Config{
+		Jobs:       *jobs,
+		CacheBytes: *cacheBytes,
+		RequireCET: *requireCET,
+		Store:      st,
+		Registry:   reg,
 	})
-	if err != nil {
-		return err
-	}
-	defer eng.Close()
-	if st := eng.Stats().Store; st != nil {
-		logger.Info("result store open", "dir", st.Dir,
-			"records", st.Records, "segments", st.Segments,
-			"recovered", st.RecoveredRecords, "truncated_bytes", st.TruncatedBytes)
-	}
 	srv2 := newServer(eng, serverConfig{
 		maxBodyBytes:  *maxBody,
 		maxBatchBytes: *maxBatch,
@@ -159,17 +160,9 @@ func run() error {
 		slowThreshold: *slow,
 		logger:        logger,
 		registry:      reg,
+		shedQueueP99:  *shedP99,
+		shedWindow:    *shedWin,
 	})
-	srvHandler := srv2.handler()
-
-	// Publish the engine snapshot through expvar; /debug/vars comes with
-	// the expvar import's default mux registration, so wire the default
-	// mux in behind our own routes.
-	expvar.Publish("funseeker", expvar.Func(func() any { return eng.Stats() }))
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", srvHandler)
-	mux.Handle("/metrics", srvHandler)
-	mux.Handle("/debug/vars", expvar.Handler())
 
 	// The debug listener is opt-in and meant for localhost/management
 	// networks: pprof profiles and traces stream from here without
@@ -191,7 +184,7 @@ func run() error {
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           mux,
+		Handler:           srv2.handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
 	"mime"
-	"mime/multipart"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
@@ -44,7 +42,18 @@ type serverConfig struct {
 	// don't scrape). Share it with the engine's Config.Registry so one
 	// scrape covers both layers.
 	registry *obs.Registry
+	// shedQueueP99 is the engine queue-wait p99 past which new analysis
+	// work is refused with 429; zero disables shedding.
+	shedQueueP99 time.Duration
+	// shedWindow is the observation window of the shedding signal. Zero
+	// selects defaultShedWindow; negative reads the cumulative
+	// distribution (tests use it for determinism).
+	shedWindow time.Duration
 }
+
+// defaultShedWindow is the shedding observation window when
+// serverConfig.shedWindow is zero.
+const defaultShedWindow = 10 * time.Second
 
 // server is the HTTP surface over one shared analysis engine.
 type server struct {
@@ -90,25 +99,24 @@ func newServer(eng *engine.Engine, cfg serverConfig) *server {
 	if s.cfg.maxBatchBytes <= 0 {
 		s.cfg.maxBatchBytes = 16 * s.cfg.maxBodyBytes
 	}
-	// The shed knobs live in engine.Config (normalized with everything
-	// else); the admission check stays here at the edge.
-	bound, window := eng.ShedConfig()
-	s.shed = newShedder(eng, bound, window)
+	if s.cfg.shedWindow == 0 {
+		s.cfg.shedWindow = defaultShedWindow
+	}
+	s.shed = newShedder(eng, s.cfg.shedQueueP99, s.cfg.shedWindow)
 	return s
 }
 
 // handler wires the public funseekerd routes:
 //
-//	POST /v1/analyze  — analyze an ELF image (raw body or multipart
-//	                    field "binary"); x86-64 and aarch64 images are
+//	POST /v1/analyze  — analyze the ELF image sent as the raw request
+//	                    body; x86-64 and aarch64 images are
 //	                    dispatched to their backends by the ELF header.
 //	                    ?config=1..5 selects the algorithm
 //	                    configuration, ?superset=1 adds the byte-level
 //	                    landmark scan, ?require_cet=1 rejects
 //	                    landmark-free binaries, ?arch=x86-64|aarch64
 //	                    pins a backend instead of trusting the header
-//	POST /v1/batch    — analyze a whole archive (tar stream or
-//	                    multipart form) of ELF images; per-member
+//	POST /v1/batch    — analyze a tar stream of ELF images; per-member
 //	                    results stream back as NDJSON in archive order,
 //	                    with per-member error isolation and a final
 //	                    summary line. Same query options as
@@ -138,10 +146,10 @@ func (s *server) handler() http.Handler {
 	return s.middleware(mux)
 }
 
-// debugHandler wires the opt-in debug listener: pprof, expvar, and a
-// second /metrics mount, all behind the same tracing middleware so even
-// profile fetches carry request IDs in the access log. The pprof
-// streaming endpoints are why statusWriter implements http.Flusher.
+// debugHandler wires the opt-in debug listener: pprof only, behind the
+// same tracing middleware so even profile fetches carry request IDs in
+// the access log. The pprof streaming endpoints are why statusWriter
+// implements http.Flusher.
 func (s *server) debugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -149,8 +157,6 @@ func (s *server) debugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.Handle("/metrics", s.cfg.registry.Handler())
 	return s.middleware(mux)
 }
 
@@ -321,41 +327,15 @@ func parseQueryBool(q url.Values, key string) (bool, error) {
 	}
 }
 
-// readBinary extracts the ELF image from the request: the "binary" file
-// field of a multipart form, or the raw body otherwise. The configured
-// body limit applies to either path via MaxBytesReader, and an empty
-// image is rejected on either path — better a clear 400 here than a
-// baffling 422 not_elf from the engine.
+// readBinary reads the ELF image from the raw request body under the
+// configured body limit. A multipart form is refused by name (curl -F
+// is an easy mistake), and so is an empty body: better a clear 400
+// here than a baffling 422 not_elf from the engine.
 func (s *server) readBinary(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes)
-	mediaType, params, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if mediaType == "multipart/form-data" {
-		boundary := params["boundary"]
-		if boundary == "" {
-			return nil, errors.New("multipart request without a boundary")
-		}
-		mr := multipart.NewReader(body, boundary)
-		for {
-			part, err := mr.NextPart()
-			if err == io.EOF {
-				return nil, errors.New(`multipart request without a "binary" part`)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if part.FormName() == "binary" {
-				raw, err := io.ReadAll(part)
-				if err != nil {
-					return nil, err
-				}
-				if len(raw) == 0 {
-					return nil, errors.New(`multipart "binary" part is empty`)
-				}
-				return raw, nil
-			}
-		}
+	if err := refuseMultipart(r, "the ELF image as the raw request body (curl --data-binary @file)"); err != nil {
+		return nil, err
 	}
-	raw, err := io.ReadAll(body)
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -363,6 +343,15 @@ func (s *server) readBinary(w http.ResponseWriter, r *http.Request) ([]byte, err
 		return nil, errors.New("empty request body")
 	}
 	return raw, nil
+}
+
+// refuseMultipart returns a bad-request error naming the one accepted
+// form (want) when r carries a multipart/form-data body.
+func refuseMultipart(r *http.Request, want string) error {
+	if mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mediaType == "multipart/form-data" {
+		return fmt.Errorf("multipart/form-data is not accepted; send %s", want)
+	}
+	return nil
 }
 
 // classifyAnalyzeError maps the package error taxonomy onto HTTP status
@@ -425,12 +414,11 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // engine/cache/store blocks plus the server-owned shed and process
 // blocks. funseeker-lb relays this same document per node.
 func (s *server) statsDoc() engine.StatsDoc {
-	doc := s.eng.StatsDoc()
-	bound, window := s.eng.ShedConfig()
+	doc := s.eng.Stats()
 	doc.Shed = &engine.ShedStatsBlock{
-		Enabled:    bound > 0,
-		BoundMS:    float64(bound) / float64(time.Millisecond),
-		WindowMS:   float64(window) / float64(time.Millisecond),
+		Enabled:    s.cfg.shedQueueP99 > 0,
+		BoundMS:    float64(s.cfg.shedQueueP99) / float64(time.Millisecond),
+		WindowMS:   float64(s.cfg.shedWindow) / float64(time.Millisecond),
 		QueueP99MS: s.shed.currentP99() * 1000,
 		ShedTotal:  s.shedTotal.Value(),
 	}

@@ -54,10 +54,7 @@ func newTestServer(t *testing.T, cfg serverConfig) (*httptest.Server, *engine.En
 	if cfg.registry == nil {
 		cfg.registry = obs.NewRegistry()
 	}
-	eng, err := engine.New(engine.Config{Jobs: 2, Registry: cfg.registry})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := engine.New(engine.Config{Jobs: 2, Registry: cfg.registry})
 	ts := httptest.NewServer(newServer(eng, cfg).handler())
 	t.Cleanup(ts.Close)
 	return ts, eng
@@ -256,11 +253,11 @@ func TestAnalyzeTimeout(t *testing.T) {
 		t.Fatalf("kind = %q, want deadline", er.Kind)
 	}
 	st := eng.Stats()
-	if st.Canceled == 0 {
+	if st.Engine.Canceled == 0 {
 		t.Fatal("engine canceled counter not incremented")
 	}
-	if st.Analyzed != 0 {
-		t.Fatalf("timed-out request still analyzed %d binaries", st.Analyzed)
+	if st.Engine.Analyzed != 0 {
+		t.Fatalf("timed-out request still analyzed %d binaries", st.Engine.Analyzed)
 	}
 }
 
@@ -279,53 +276,50 @@ func TestAnalyzeClientCancel(t *testing.T) {
 	if _, err := http.DefaultClient.Do(req); err == nil {
 		t.Fatal("pre-canceled request succeeded")
 	}
-	if st := eng.Stats(); st.Analyzed != 0 {
-		t.Fatalf("canceled request analyzed %d binaries", st.Analyzed)
+	if st := eng.Stats(); st.Engine.Analyzed != 0 {
+		t.Fatalf("canceled request analyzed %d binaries", st.Engine.Analyzed)
 	}
 }
 
-func TestAnalyzeMultipart(t *testing.T) {
-	ts, _ := newTestServer(t, serverConfig{})
+// TestMultipartRejected: each endpoint takes one input form, so a
+// multipart form upload (curl -F) is a clear 400 naming the accepted
+// form, never an analysis of the form's framing.
+func TestMultipartRejected(t *testing.T) {
+	ts, eng := newTestServer(t, serverConfig{})
 	raw := testELF(t)
 
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
+	var form bytes.Buffer
+	mw := multipart.NewWriter(&form)
 	fw, err := mw.CreateFormFile("binary", "prog")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	mw.Close()
-
-	resp, err := http.Post(ts.URL+"/v1/analyze", mw.FormDataContentType(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-	}
-	if ar := decodeAnalyze(t, body); len(ar.Entries) == 0 {
-		t.Fatal("no entries from multipart upload")
-	}
-
-	// A form without the "binary" field is a client error.
-	var bad bytes.Buffer
-	mw = multipart.NewWriter(&bad)
-	fw, _ = mw.CreateFormFile("wrong", "prog")
 	fw.Write(raw)
 	mw.Close()
-	resp, err = http.Post(ts.URL+"/v1/analyze", mw.FormDataContentType(), &bad)
-	if err != nil {
-		t.Fatal(err)
+
+	for path, want := range map[string]string{
+		"/v1/analyze": "raw request body",
+		"/v1/batch":   "tar stream",
+	} {
+		resp, err := http.Post(ts.URL+path, mw.FormDataContentType(), bytes.NewReader(form.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, body %s, want 400", path, resp.StatusCode, body)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("%s: decoding %q: %v", path, body, err)
+		}
+		if !strings.Contains(er.Error, "multipart/form-data") || !strings.Contains(er.Error, want) {
+			t.Fatalf("%s: error = %q, want it to refuse multipart and name the %s", path, er.Error, want)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf(`form without "binary": status = %d, want 400`, resp.StatusCode)
+	if st := eng.Stats(); st.Engine.Requests != 0 {
+		t.Fatalf("multipart uploads reached the engine (%d requests)", st.Engine.Requests)
 	}
 }
 
@@ -358,40 +352,6 @@ func TestMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/analyze status = %d, want 405", resp.StatusCode)
-	}
-}
-
-// TestAnalyzeMultipartEmptyBinary is the regression test for the
-// upload-validation gap: an empty "binary" part must be a clear 400,
-// not a confusing 422 not_elf from the engine.
-func TestAnalyzeMultipartEmptyBinary(t *testing.T) {
-	ts, eng := newTestServer(t, serverConfig{})
-
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	if _, err := mw.CreateFormFile("binary", "prog"); err != nil {
-		t.Fatal(err)
-	}
-	mw.Close() // zero bytes written to the part
-
-	resp, err := http.Post(ts.URL+"/v1/analyze", mw.FormDataContentType(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, body %s, want 400", resp.StatusCode, body)
-	}
-	var er errorResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatalf("decoding %q: %v", body, err)
-	}
-	if !strings.Contains(er.Error, "empty") {
-		t.Fatalf("error = %q, want a clear empty-part message", er.Error)
-	}
-	if st := eng.Stats(); st.Requests != 0 {
-		t.Fatalf("empty upload reached the engine (%d requests)", st.Requests)
 	}
 }
 
@@ -580,18 +540,15 @@ func (plainWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (plainWriter) WriteHeader(int)             {}
 
 // TestDebugHandlerPprof smoke-checks the opt-in debug surface: the
-// pprof index and /metrics respond through the tracing middleware.
+// pprof index responds through the tracing middleware.
 func TestDebugHandlerPprof(t *testing.T) {
 	reg := obs.NewRegistry()
-	eng, err := engine.New(engine.Config{Jobs: 1, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := engine.New(engine.Config{Jobs: 1, Registry: reg})
 	s := newServer(eng, serverConfig{maxBodyBytes: 1 << 20, registry: reg})
 	ts := httptest.NewServer(s.debugHandler())
 	defer ts.Close()
 
-	for _, path := range []string{"/debug/pprof/", "/metrics", "/debug/vars"} {
+	for _, path := range []string{"/debug/pprof/"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

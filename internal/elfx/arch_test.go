@@ -131,14 +131,14 @@ func TestLoadAArch64Properties(t *testing.T) {
 // canonical String round-trips, and junk is rejected.
 func TestParseArchSpellings(t *testing.T) {
 	cases := map[string]Arch{
-		"":       ArchAuto,
-		"auto":   ArchAuto,
-		"x86":    ArchX86,
-		"i386":   ArchX86,
-		"386":    ArchX86,
-		"x86-64": ArchX86_64,
-		"x86_64": ArchX86_64,
-		"amd64":  ArchX86_64,
+		"":        ArchAuto,
+		"auto":    ArchAuto,
+		"x86":     ArchX86,
+		"i386":    ArchX86,
+		"386":     ArchX86,
+		"x86-64":  ArchX86_64,
+		"x86_64":  ArchX86_64,
+		"amd64":   ArchX86_64,
 		"aarch64": ArchAArch64,
 		"arm64":   ArchAArch64,
 	}

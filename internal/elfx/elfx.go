@@ -79,8 +79,9 @@ var ErrNoText = errors.New("elfx: no .text section")
 var ErrNotELF = errors.New("elfx: not an ELF image")
 
 // ErrMalformed is returned when a section Load reads cannot be read as
-// plain bytes of the image: it is compressed, has no file bytes, or lies
-// outside the image. Match with errors.Is(err, ErrMalformed).
+// plain bytes of the image (it is compressed, has no file bytes, or lies
+// outside the image), or when the image has the ELF magic but an invalid
+// class, data or version byte. Match with errors.Is(err, ErrMalformed).
 var ErrMalformed = errors.New("elfx: malformed section")
 
 // Open loads the ELF file at path.
@@ -99,6 +100,9 @@ func Open(path string) (*Binary, error) {
 
 // Load parses an in-memory ELF image.
 func Load(raw []byte) (*Binary, error) {
+	if err := checkIdent(raw); err != nil {
+		return nil, err
+	}
 	// elf.NewFile reads the section-name string table before Load can
 	// check any section, so that one is checked from the raw header.
 	if err := checkShstrtab(raw); err != nil {
@@ -217,6 +221,26 @@ func checkHeader(name string, typ elf.SectionType, flags elf.SectionFlag, off, s
 	case off > uint64(len(raw)) || size > uint64(len(raw))-off:
 		return fmt.Errorf("%w: %s [%#x,+%#x) lies outside the %d-byte image",
 			ErrMalformed, name, off, size, len(raw))
+	}
+	return nil
+}
+
+// checkIdent names an invalid class, data or version byte in e_ident,
+// which elf.NewFile would report as an out-of-range enum value (class
+// 0x20 as "ELFCLASS64+30"). Input without the ELF magic is left for
+// elf.NewFile to report as not ELF.
+func checkIdent(raw []byte) error {
+	if len(raw) < elf.EI_NIDENT || string(raw[:4]) != elf.ELFMAG {
+		return nil
+	}
+	class, data, version := raw[elf.EI_CLASS], raw[elf.EI_DATA], raw[elf.EI_VERSION]
+	switch {
+	case class != byte(elf.ELFCLASS32) && class != byte(elf.ELFCLASS64):
+		return fmt.Errorf("%w: invalid ELF class byte %#02x", ErrMalformed, class)
+	case data != byte(elf.ELFDATA2LSB) && data != byte(elf.ELFDATA2MSB):
+		return fmt.Errorf("%w: invalid ELF data byte %#02x", ErrMalformed, data)
+	case version != byte(elf.EV_CURRENT):
+		return fmt.Errorf("%w: invalid ELF version byte %#02x", ErrMalformed, version)
 	}
 	return nil
 }

@@ -1,9 +1,12 @@
 package elfx
 
 import (
+	"bytes"
 	"debug/elf"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/funseeker/funseeker/internal/elfw"
@@ -165,6 +168,37 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load(raw); err == nil {
 		t.Error("want ErrNoText")
+	}
+}
+
+// TestLoadNamesInvalidIdentBytes: an image with the ELF magic but an
+// invalid class, data or version byte is ErrMalformed with a message
+// naming the byte, and input without the magic stays ErrNotELF.
+func TestLoadNamesInvalidIdentBytes(t *testing.T) {
+	good := buildTestImage(t, elf.ELFCLASS64)
+	for _, tc := range []struct {
+		field string
+		at    int
+	}{
+		{"class", elf.EI_CLASS},
+		{"data", elf.EI_DATA},
+		{"version", elf.EI_VERSION},
+	} {
+		raw := bytes.Clone(good)
+		raw[tc.at] = 0x20
+		_, err := Load(raw)
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s byte 0x20: err = %v, want ErrMalformed", tc.field, err)
+			continue
+		}
+		if want := "invalid ELF " + tc.field + " byte 0x20"; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s byte 0x20: err = %q, want it to say %q", tc.field, err, want)
+		}
+	}
+	raw := bytes.Clone(good)
+	raw[0] = 0
+	if _, err := Load(raw); !errors.Is(err, ErrNotELF) {
+		t.Errorf("no magic: err = %v, want ErrNotELF", err)
 	}
 }
 

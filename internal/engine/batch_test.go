@@ -20,7 +20,7 @@ import (
 func TestFilesWindow(t *testing.T) {
 	paths := writeCopies(t, testBinaries(t, 1)[0], 64)
 	const jobs = 2
-	e := newTestEngine(t, Config{Jobs: jobs})
+	e := New(Config{Jobs: jobs})
 	launched := uint64(1 + 2*jobs) // result 0 and the window behind it
 
 	release := make(chan struct{})
@@ -38,7 +38,7 @@ func TestFilesWindow(t *testing.T) {
 
 	waitRequests(t, e, launched)
 	time.Sleep(200 * time.Millisecond) // room for a runaway producer to show
-	if got := e.Stats().Requests; got > launched {
+	if got := e.Stats().Engine.Requests; got > launched {
 		t.Fatalf("%d analyses launched while result 0 was unconsumed, want at most %d", got, launched)
 	}
 	close(release)
@@ -55,7 +55,7 @@ func TestFilesWindow(t *testing.T) {
 // the return value.
 func TestFilesCancel(t *testing.T) {
 	paths := writeCopies(t, testBinaries(t, 1)[0], 16)
-	e := newTestEngine(t, Config{Jobs: 1})
+	e := New(Config{Jobs: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var got []FileResult
@@ -87,7 +87,7 @@ func TestFilesCancel(t *testing.T) {
 // before it.
 func TestBatchPullsWithinWindow(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
-	e := newTestEngine(t, Config{Jobs: 1})
+	e := New(Config{Jobs: 1})
 	const pullsAhead, members = 2, 10
 	rejected := errors.New("rejected by the caller")
 	damaged := errors.New("framing damage")
@@ -149,8 +149,8 @@ func TestBatchPullsWithinWindow(t *testing.T) {
 			t.Fatalf("emit %d got %s, want %s", i, name, want)
 		}
 	}
-	if st := e.Stats(); st.Requests != members-1 {
-		t.Fatalf("%d analyses, want %d (the rejected member is not analyzed)", st.Requests, members-1)
+	if st := e.Stats(); st.Engine.Requests != members-1 {
+		t.Fatalf("%d analyses, want %d (the rejected member is not analyzed)", st.Engine.Requests, members-1)
 	}
 }
 
@@ -173,9 +173,9 @@ func writeCopies(t *testing.T, raw []byte, n int) []string {
 func waitRequests(t *testing.T, e *Engine, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for e.Stats().Requests < n {
+	for e.Stats().Engine.Requests < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d analyses launched, want %d", e.Stats().Requests, n)
+			t.Fatalf("only %d analyses launched, want %d", e.Stats().Engine.Requests, n)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -46,18 +46,8 @@ import (
 // zero.
 const DefaultCacheBytes = 256 << 20
 
-// DefaultStoreCompactEvery is the background-compactor check interval
-// for engine-owned stores when Config.StoreCompactEvery is zero.
-const DefaultStoreCompactEvery = time.Minute
-
-// DefaultShedWindow is the load-shedding observation window when
-// Config.ShedWindow is zero.
-const DefaultShedWindow = 10 * time.Second
-
-// Config tunes an Engine. Zero values select defaults everywhere — call
-// Normalize (New does it for you) to materialize them; Normalize is
-// the single place defaults and validation live, so servers and tests
-// never duplicate them next to their flag definitions.
+// Config tunes an Engine. Zero values select defaults everywhere; New
+// materializes them.
 type Config struct {
 	// Jobs bounds the number of concurrently running analyses. Zero or
 	// negative selects runtime.GOMAXPROCS(0).
@@ -72,89 +62,16 @@ type Config struct {
 	// Store is a caller-owned persistent result tier layered *under*
 	// the LRU: an LRU miss consults it before paying for a cold
 	// analysis, and every completed cold analysis is written through to
-	// it, so a warm corpus survives a process restart. The engine does
-	// not open or close a caller-provided store. Mutually exclusive
-	// with StoreDir.
+	// it, so a warm corpus survives a process restart. The engine never
+	// opens or closes it; its owner closes it after the engine's last
+	// request.
 	Store *store.Store
-	// StoreDir, when non-empty, makes the engine open (and own) a
-	// persistent store rooted there: New opens it with the Store*
-	// knobs below and Close closes it. Mutually exclusive with Store.
-	StoreDir string
-	// StoreSegmentBytes rotates the store's active segment past this
-	// size. Zero selects store.DefaultSegmentBytes. Only used with
-	// StoreDir.
-	StoreSegmentBytes int64
-	// StoreCompactEvery is the background compaction check interval for
-	// an engine-owned store. Zero selects DefaultStoreCompactEvery;
-	// negative disables background compaction (explicit CompactStore
-	// calls still work). Only used with StoreDir.
-	StoreCompactEvery time.Duration
-	// StoreCompactGarbageRatio is the garbage fraction that triggers a
-	// background compaction. Zero selects
-	// store.DefaultCompactGarbageRatio. Only used with StoreDir.
-	StoreCompactGarbageRatio float64
-	// StoreCompactMinBytes is the on-disk floor below which background
-	// compaction never runs. Zero selects store.DefaultCompactMinBytes.
-	// Only used with StoreDir.
-	StoreCompactMinBytes int64
-	// ShedQueueP99 is the queue-wait p99 past which the serving layer
-	// should refuse new work (429). Zero disables shedding. The engine
-	// only carries the knob — the admission check lives in the server —
-	// so every deployment surface reads the same normalized value.
-	ShedQueueP99 time.Duration
-	// ShedWindow is the observation window for the shedding signal.
-	// Zero selects DefaultShedWindow; negative means cumulative (no
-	// windowing — tests use it for determinism).
-	ShedWindow time.Duration
 	// Registry receives the engine's metrics (latency histograms,
 	// cache/coalescing counters, worker-pool gauges). Nil selects a
 	// private registry: the histograms still accumulate — so
 	// StageLatencyTable works for the CLI — they are just not exported
 	// anywhere. At most one engine may register on a given registry.
 	Registry *obs.Registry
-}
-
-// Normalize fills every defaulted field in place and validates the
-// rest. It is idempotent; New calls it, and callers that want to
-// inspect or log the effective configuration can call it themselves.
-func (c *Config) Normalize() error {
-	if c.Jobs <= 0 {
-		c.Jobs = runtime.GOMAXPROCS(0)
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = DefaultCacheBytes
-	}
-	if c.Store != nil && c.StoreDir != "" {
-		return errors.New("engine: Config.Store and Config.StoreDir are mutually exclusive")
-	}
-	if c.StoreSegmentBytes < 0 {
-		return fmt.Errorf("engine: negative StoreSegmentBytes %d", c.StoreSegmentBytes)
-	}
-	if c.StoreSegmentBytes == 0 {
-		c.StoreSegmentBytes = store.DefaultSegmentBytes
-	}
-	if c.StoreCompactEvery == 0 {
-		c.StoreCompactEvery = DefaultStoreCompactEvery
-	}
-	if c.StoreCompactGarbageRatio < 0 || c.StoreCompactGarbageRatio > 1 {
-		return fmt.Errorf("engine: StoreCompactGarbageRatio %v outside [0, 1]", c.StoreCompactGarbageRatio)
-	}
-	if c.StoreCompactGarbageRatio == 0 {
-		c.StoreCompactGarbageRatio = store.DefaultCompactGarbageRatio
-	}
-	if c.StoreCompactMinBytes < 0 {
-		return fmt.Errorf("engine: negative StoreCompactMinBytes %d", c.StoreCompactMinBytes)
-	}
-	if c.StoreCompactMinBytes == 0 {
-		c.StoreCompactMinBytes = store.DefaultCompactMinBytes
-	}
-	if c.ShedQueueP99 < 0 {
-		return fmt.Errorf("engine: negative ShedQueueP99 %v", c.ShedQueueP99)
-	}
-	if c.ShedWindow == 0 {
-		c.ShedWindow = DefaultShedWindow
-	}
-	return nil
 }
 
 // Engine runs identification requests over a bounded worker pool with a
@@ -166,9 +83,6 @@ type Engine struct {
 	requireCET bool
 	cache      *lru
 	store      *store.Store
-	ownsStore  bool
-	shedBound  time.Duration
-	shedWindow time.Duration
 
 	flightMu sync.Mutex
 	flight   map[cacheKey]*call
@@ -276,32 +190,13 @@ type Result struct {
 	BinaryBytes int
 }
 
-// New builds an engine from cfg, normalizing it first. When
-// cfg.StoreDir is set the engine opens — and owns, see Close — the
-// persistent store there, with background compaction wired from the
-// StoreCompact* knobs.
-func New(cfg Config) (*Engine, error) {
-	if err := cfg.Normalize(); err != nil {
-		return nil, err
+// New builds an engine from cfg, filling its defaulted fields.
+func New(cfg Config) *Engine {
+	if cfg.Jobs <= 0 {
+		cfg.Jobs = runtime.GOMAXPROCS(0)
 	}
-	st := cfg.Store
-	ownsStore := false
-	if st == nil && cfg.StoreDir != "" {
-		every := cfg.StoreCompactEvery
-		if every < 0 {
-			every = 0 // background compaction disabled
-		}
-		var err error
-		st, err = store.Open(cfg.StoreDir, store.Options{
-			SegmentBytes:        cfg.StoreSegmentBytes,
-			CompactEvery:        every,
-			CompactGarbageRatio: cfg.StoreCompactGarbageRatio,
-			CompactMinBytes:     cfg.StoreCompactMinBytes,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("engine: opening store %s: %w", cfg.StoreDir, err)
-		}
-		ownsStore = true
+	if cfg.CacheBytes == 0 {
+		cfg.CacheBytes = DefaultCacheBytes
 	}
 	var cache *lru
 	if cfg.CacheBytes > 0 {
@@ -312,10 +207,7 @@ func New(cfg Config) (*Engine, error) {
 		sem:        make(chan struct{}, cfg.Jobs),
 		requireCET: cfg.RequireCET,
 		cache:      cache,
-		store:      st,
-		ownsStore:  ownsStore,
-		shedBound:  cfg.ShedQueueP99,
-		shedWindow: cfg.ShedWindow,
+		store:      cfg.Store,
 		flight:     make(map[cacheKey]*call),
 	}
 	reg := cfg.Registry
@@ -323,29 +215,11 @@ func New(cfg Config) (*Engine, error) {
 		reg = obs.NewRegistry()
 	}
 	e.met = registerEngineMetrics(reg, e)
-	return e, nil
+	return e
 }
 
 // Jobs returns the configured worker-pool width.
 func (e *Engine) Jobs() int { return e.jobs }
-
-// ShedConfig returns the normalized load-shedding knobs (bound zero
-// means shedding is disabled). The admission check itself lives in the
-// serving layer; carrying the knobs here keeps their defaults in
-// Config.Normalize with everything else.
-func (e *Engine) ShedConfig() (bound, window time.Duration) {
-	return e.shedBound, e.shedWindow
-}
-
-// Close releases resources the engine owns: the store opened via
-// Config.StoreDir (and its background compactor). A caller-provided
-// Config.Store is left open — its owner closes it.
-func (e *Engine) Close() error {
-	if e.ownsStore && e.store != nil {
-		return e.store.Close()
-	}
-	return nil
-}
 
 // Analyze identifies function entries in the ELF image raw under ctx.
 // The fast path — a byte-identical image analyzed before with the same
@@ -552,91 +426,4 @@ func (e *Engine) analyzeCold(ctx context.Context, raw []byte, opts core.Options,
 // shared with coalesced waiters or cached.
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Stats is a point-in-time snapshot of the engine's service counters.
-type Stats struct {
-	// Jobs is the worker-pool width.
-	Jobs int `json:"jobs"`
-	// InFlight is the number of analyses running right now.
-	InFlight int64 `json:"in_flight"`
-	// Requests counts every Analyze call. Each request lands in exactly
-	// one of CacheHits, StoreHits, CacheMisses, Coalesced, Canceled, or
-	// Failures, so those six always sum to Requests.
-	Requests uint64 `json:"requests"`
-	// Analyzed counts completed cold analyses (always equal to
-	// CacheMisses).
-	Analyzed uint64 `json:"analyzed"`
-	// CacheHits counts requests served from the in-memory LRU.
-	CacheHits uint64 `json:"cache_hits"`
-	// StoreHits counts requests that missed the LRU but were served
-	// from the persistent store. Accounted separately from CacheHits —
-	// a store hit skipped the sweep but still paid a disk read — and
-	// always zero when no store is configured.
-	StoreHits uint64 `json:"store_hits"`
-	// CacheMisses counts requests that ran a fresh analysis.
-	CacheMisses uint64 `json:"cache_misses"`
-	// Coalesced counts requests served by waiting on an identical
-	// in-flight analysis.
-	Coalesced uint64 `json:"coalesced"`
-	// Canceled counts requests abandoned through their context.
-	Canceled uint64 `json:"canceled"`
-	// Failures counts requests that failed for non-context reasons (not
-	// ELF, no .text, CET required but absent, a recovered analysis
-	// panic, ...). A failure shared by coalesced waiters counts once per
-	// affected request.
-	Failures uint64 `json:"failures"`
-	// BytesAnalyzed is the total size of all cold-analyzed images.
-	BytesAnalyzed uint64 `json:"bytes_analyzed"`
-	// CacheEntries / CacheBytes / CacheCapacity / Evictions describe the
-	// result cache (all zero when caching is disabled).
-	CacheEntries  int    `json:"cache_entries"`
-	CacheBytes    int64  `json:"cache_bytes"`
-	CacheCapacity int64  `json:"cache_capacity"`
-	Evictions     uint64 `json:"evictions"`
-	// StorePuts counts results written through to the persistent store;
-	// StoreErrors counts store reads/writes/decodes that failed (each
-	// degraded to a cold analysis or a lost write-through, never a
-	// request failure); StoreInjected counts results installed by
-	// InjectResult (the replication path) rather than computed here.
-	// Store carries the store's own snapshot; nil when no store is
-	// configured.
-	StorePuts     uint64       `json:"store_puts"`
-	StoreErrors   uint64       `json:"store_errors"`
-	StoreInjected uint64       `json:"store_injected"`
-	Store         *store.Stats `json:"store,omitempty"`
-	// Analysis aggregates the per-stage analysis costs (sweep, eh-parse,
-	// landing-pad join, filter, tail-call) over every cold analysis.
-	Analysis analysis.Stats `json:"analysis"`
-}
-
-// Stats snapshots the engine counters.
-func (e *Engine) Stats() Stats {
-	s := Stats{
-		Jobs:          e.jobs,
-		InFlight:      e.inFlight.Load(),
-		Requests:      e.requests.Load(),
-		Analyzed:      e.analyzed.Load(),
-		CacheHits:     e.hits.Load(),
-		StoreHits:     e.storeHits.Load(),
-		CacheMisses:   e.misses.Load(),
-		Coalesced:     e.coalesced.Load(),
-		Canceled:      e.canceled.Load(),
-		Failures:      e.failures.Load(),
-		BytesAnalyzed: e.bytesIn.Load(),
-		StorePuts:     e.storePuts.Load(),
-		StoreErrors:   e.storeErrors.Load(),
-		StoreInjected: e.storeInjected.Load(),
-	}
-	if e.cache != nil {
-		s.CacheEntries, s.CacheBytes, s.CacheCapacity, s.Evictions = e.cache.stats()
-	}
-	if e.store != nil {
-		st := e.store.Stats()
-		s.Store = &st
-	}
-	e.aggMu.Lock()
-	s.Analysis = e.agg
-	e.aggMu.Unlock()
-	return s
 }

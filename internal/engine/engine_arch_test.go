@@ -50,7 +50,7 @@ func testBTIBinary(tb testing.TB) []byte {
 // and the entry set matches the reference bticore implementation.
 func TestAnalyzeAArch64RoundTrip(t *testing.T) {
 	raw := testBTIBinary(t)
-	e := newTestEngine(t, Config{Jobs: 2})
+	e := New(Config{Jobs: 2})
 
 	res, err := e.Analyze(context.Background(), raw, core.Config4)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestAnalyzeAArch64RoundTrip(t *testing.T) {
 // backend's result.
 func TestCacheKeyArchSeparation(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
-	e := newTestEngine(t, Config{Jobs: 2})
+	e := New(Config{Jobs: 2})
 
 	optsX86 := core.Config4
 	optsX86.Arch = elfx.ArchX86_64
@@ -106,8 +106,8 @@ func TestCacheKeyArchSeparation(t *testing.T) {
 	if rx.Report.Arch != "x86-64" || ra.Report.Arch != "aarch64" {
 		t.Fatalf("report arches = %q / %q", rx.Report.Arch, ra.Report.Arch)
 	}
-	if s := e.Stats(); s.CacheMisses != 2 || s.CacheHits != 0 {
-		t.Fatalf("misses/hits = %d/%d, want 2/0", s.CacheMisses, s.CacheHits)
+	if s := e.Stats(); s.Cache.Misses != 2 || s.Cache.Hits != 0 {
+		t.Fatalf("misses/hits = %d/%d, want 2/0", s.Cache.Misses, s.Cache.Hits)
 	}
 	for _, opts := range []core.Options{optsX86, optsARM} {
 		res, err := e.Analyze(context.Background(), raw, opts)
@@ -118,8 +118,8 @@ func TestCacheKeyArchSeparation(t *testing.T) {
 			t.Fatalf("arch %v warm request missed", opts.Arch)
 		}
 	}
-	if s := e.Stats(); s.CacheHits != 2 {
-		t.Fatalf("hits = %d, want 2", s.CacheHits)
+	if s := e.Stats(); s.Cache.Hits != 2 {
+		t.Fatalf("hits = %d, want 2", s.Cache.Hits)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestFilesMixedArchCorpus(t *testing.T) {
 		t.Fatalf("Expand found %d files, want 3", len(paths))
 	}
 
-	e := newTestEngine(t, Config{Jobs: 4})
+	e := New(Config{Jobs: 4})
 	got := map[string]string{}
 	err = e.Files(context.Background(), paths, core.Config4, func(fr FileResult) error {
 		if fr.Err != nil {

@@ -32,7 +32,7 @@ func TestStoreTierWarmRestart(t *testing.T) {
 	bins := testBinaries(t, 3)
 	st := newTestStore(t)
 
-	e1 := newTestEngine(t, Config{Jobs: 2, Store: st})
+	e1 := New(Config{Jobs: 2, Store: st})
 	var want []*Result
 	for _, raw := range bins {
 		res, err := e1.Analyze(context.Background(), raw, core.Config4)
@@ -41,12 +41,12 @@ func TestStoreTierWarmRestart(t *testing.T) {
 		}
 		want = append(want, res)
 	}
-	if s := e1.Stats(); s.StorePuts != 3 || s.StoreHits != 0 {
-		t.Fatalf("first engine store puts/hits = %d/%d, want 3/0", s.StorePuts, s.StoreHits)
+	if s := e1.Stats(); s.Store.Puts != 3 || s.Store.Hits != 0 {
+		t.Fatalf("first engine store puts/hits = %d/%d, want 3/0", s.Store.Puts, s.Store.Hits)
 	}
 
 	// "Restart": fresh engine, fresh LRU, same store.
-	e2 := newTestEngine(t, Config{Jobs: 2, Store: st})
+	e2 := New(Config{Jobs: 2, Store: st})
 	for i, raw := range bins {
 		res, err := e2.Analyze(context.Background(), raw, core.Config4)
 		if err != nil {
@@ -67,8 +67,8 @@ func TestStoreTierWarmRestart(t *testing.T) {
 		}
 	}
 	s := e2.Stats()
-	if s.StoreHits != 3 || s.Analyzed != 0 || s.CacheMisses != 0 {
-		t.Fatalf("restarted engine = %d store hits / %d analyzed / %d misses, want 3/0/0", s.StoreHits, s.Analyzed, s.CacheMisses)
+	if s.Store.Hits != 3 || s.Engine.Analyzed != 0 || s.Cache.Misses != 0 {
+		t.Fatalf("restarted engine = %d store hits / %d analyzed / %d misses, want 3/0/0", s.Store.Hits, s.Engine.Analyzed, s.Cache.Misses)
 	}
 	if s.Store == nil || s.Store.Records != 3 {
 		t.Fatalf("store snapshot = %+v, want 3 records", s.Store)
@@ -90,11 +90,11 @@ func TestStoreTierWarmRestart(t *testing.T) {
 func TestStoreTierKeysRespectOptionsAndArch(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
 	st := newTestStore(t)
-	e1 := newTestEngine(t, Config{Jobs: 1, Store: st})
+	e1 := New(Config{Jobs: 1, Store: st})
 	if _, err := e1.Analyze(context.Background(), raw, core.Config4); err != nil {
 		t.Fatal(err)
 	}
-	e2 := newTestEngine(t, Config{Jobs: 1, Store: st})
+	e2 := New(Config{Jobs: 1, Store: st})
 	res, err := e2.Analyze(context.Background(), raw, core.Config1)
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +102,8 @@ func TestStoreTierKeysRespectOptionsAndArch(t *testing.T) {
 	if res.Cached {
 		t.Fatalf("Config1 request served from Config4's stored result (source %q)", res.CacheSource)
 	}
-	if s := e2.Stats(); s.StoreHits != 0 || s.CacheMisses != 1 {
-		t.Fatalf("stats = %d store hits / %d misses, want 0/1", s.StoreHits, s.CacheMisses)
+	if s := e2.Stats(); s.Store.Hits != 0 || s.Cache.Misses != 1 {
+		t.Fatalf("stats = %d store hits / %d misses, want 0/1", s.Store.Hits, s.Cache.Misses)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestStoreTierKeysRespectOptionsAndArch(t *testing.T) {
 func TestStoreTierWithoutLRU(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
 	st := newTestStore(t)
-	e := newTestEngine(t, Config{Jobs: 1, CacheBytes: -1, Store: st})
+	e := New(Config{Jobs: 1, CacheBytes: -1, Store: st})
 	if _, err := e.Analyze(context.Background(), raw, core.Config4); err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestStoreTierWithoutLRU(t *testing.T) {
 			t.Fatalf("repeat %d source = %q, want store (LRU disabled)", i, res.CacheSource)
 		}
 	}
-	if s := e.Stats(); s.StoreHits != 3 || s.CacheHits != 0 || s.Analyzed != 1 {
-		t.Fatalf("stats = %d store hits / %d lru hits / %d analyzed, want 3/0/1", s.StoreHits, s.CacheHits, s.Analyzed)
+	if s := e.Stats(); s.Store.Hits != 3 || s.Cache.Hits != 0 || s.Engine.Analyzed != 1 {
+		t.Fatalf("stats = %d store hits / %d lru hits / %d analyzed, want 3/0/1", s.Store.Hits, s.Cache.Hits, s.Engine.Analyzed)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestStoreDecodeErrorDegradesToCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := newTestEngine(t, Config{Jobs: 1, Store: st})
+	e := New(Config{Jobs: 1, Store: st})
 	res, err := e.Analyze(context.Background(), raw, core.Config4)
 	if err != nil {
 		t.Fatal(err)
@@ -152,14 +152,14 @@ func TestStoreDecodeErrorDegradesToCold(t *testing.T) {
 		t.Fatalf("poisoned store served cached=%v, want a fresh full analysis", res.Cached)
 	}
 	s := e.Stats()
-	if s.StoreErrors == 0 {
+	if s.Store.Errors == 0 {
 		t.Fatal("decode failure not counted under store_errors")
 	}
-	if s.Failures != 0 || s.CacheMisses != 1 {
-		t.Fatalf("failures/misses = %d/%d, want 0/1", s.Failures, s.CacheMisses)
+	if s.Engine.Failures != 0 || s.Cache.Misses != 1 {
+		t.Fatalf("failures/misses = %d/%d, want 0/1", s.Engine.Failures, s.Cache.Misses)
 	}
 	// The fresh result overwrote the poison: a new engine now store-hits.
-	e2 := newTestEngine(t, Config{Jobs: 1, Store: st})
+	e2 := New(Config{Jobs: 1, Store: st})
 	res2, err := e2.Analyze(context.Background(), raw, core.Config4)
 	if err != nil {
 		t.Fatal(err)
@@ -237,12 +237,12 @@ func TestCounterConsistencyWithStore(t *testing.T) {
 
 	// Budget for roughly one report: every distinct binary evicts the
 	// previous one, so repeats miss the LRU and fall to the store.
-	probe := newTestEngine(t, Config{Jobs: 2})
+	probe := New(Config{Jobs: 2})
 	r, err := probe.Analyze(context.Background(), bins[0], core.Config4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newTestEngine(t, Config{Jobs: 3, CacheBytes: entrySize(r.Report) + entrySize(r.Report)/2, Store: st})
+	e := New(Config{Jobs: 3, CacheBytes: entrySize(r.Report) + entrySize(r.Report)/2, Store: st})
 
 	junk := [][]byte{[]byte("not an elf"), {}, []byte("\x7fELF torn")}
 	const goroutines = 10
@@ -276,37 +276,37 @@ func TestCounterConsistencyWithStore(t *testing.T) {
 	wg.Wait()
 
 	s := e.Stats()
-	if s.Requests != issued.Load() {
-		t.Fatalf("requests = %d, issued %d", s.Requests, issued.Load())
+	if s.Engine.Requests != issued.Load() {
+		t.Fatalf("requests = %d, issued %d", s.Engine.Requests, issued.Load())
 	}
-	if s.Analyzed != s.CacheMisses {
-		t.Fatalf("analyzed %d != cache_misses %d", s.Analyzed, s.CacheMisses)
+	if s.Engine.Analyzed != s.Cache.Misses {
+		t.Fatalf("analyzed %d != cache_misses %d", s.Engine.Analyzed, s.Cache.Misses)
 	}
-	sum := s.CacheHits + s.StoreHits + s.CacheMisses + s.Coalesced + s.Canceled + s.Failures
-	if sum != s.Requests {
+	sum := s.Cache.Hits + s.Store.Hits + s.Cache.Misses + s.Engine.Coalesced + s.Engine.Canceled + s.Engine.Failures
+	if sum != s.Engine.Requests {
 		t.Fatalf("lru %d + store %d + misses %d + coalesced %d + canceled %d + failures %d = %d, want requests %d",
-			s.CacheHits, s.StoreHits, s.CacheMisses, s.Coalesced, s.Canceled, s.Failures, sum, s.Requests)
+			s.Cache.Hits, s.Store.Hits, s.Cache.Misses, s.Engine.Coalesced, s.Engine.Canceled, s.Engine.Failures, sum, s.Engine.Requests)
 	}
 	// The workload exercised the new tier for real.
-	if s.StoreHits == 0 {
+	if s.Store.Hits == 0 {
 		t.Fatal("degenerate workload: no store hits despite constant LRU eviction")
 	}
-	if s.Evictions == 0 || s.CacheMisses == 0 || s.Canceled == 0 || s.Failures == 0 {
+	if s.Cache.Evictions == 0 || s.Cache.Misses == 0 || s.Engine.Canceled == 0 || s.Engine.Failures == 0 {
 		t.Fatalf("degenerate workload: evictions %d misses %d canceled %d failures %d",
-			s.Evictions, s.CacheMisses, s.Canceled, s.Failures)
+			s.Cache.Evictions, s.Cache.Misses, s.Engine.Canceled, s.Engine.Failures)
 	}
 	// Every distinct (binary, options) pair was analyzed cold at most
 	// once per store generation: misses never exceed puts + errors.
-	if s.StorePuts < 4 {
-		t.Fatalf("store puts = %d, want one per distinct binary at minimum", s.StorePuts)
+	if s.Store.Puts < 4 {
+		t.Fatalf("store puts = %d, want one per distinct binary at minimum", s.Store.Puts)
 	}
-	if s.InFlight != 0 {
-		t.Fatalf("in-flight = %d after quiesce", s.InFlight)
+	if s.Engine.InFlight != 0 {
+		t.Fatalf("in-flight = %d after quiesce", s.Engine.InFlight)
 	}
 
 	// And the durability story holds end to end: a fresh engine over
 	// the same store serves all four binaries without re-analyzing.
-	e2 := newTestEngine(t, Config{Jobs: 2, Store: st})
+	e2 := New(Config{Jobs: 2, Store: st})
 	for i, raw := range bins {
 		res, err := e2.Analyze(context.Background(), raw, core.Config4)
 		if err != nil {
@@ -316,7 +316,7 @@ func TestCounterConsistencyWithStore(t *testing.T) {
 			t.Fatalf("bin %d after restart: source %q, want store", i, res.CacheSource)
 		}
 	}
-	if s2 := e2.Stats(); s2.Analyzed != 0 {
-		t.Fatalf("restarted engine re-analyzed %d binaries", s2.Analyzed)
+	if s2 := e2.Stats(); s2.Engine.Analyzed != 0 {
+		t.Fatalf("restarted engine re-analyzed %d binaries", s2.Engine.Analyzed)
 	}
 }

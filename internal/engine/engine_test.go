@@ -52,7 +52,7 @@ func testBinaries(tb testing.TB, n int) [][]byte {
 
 func TestAnalyzeCacheHit(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
-	e := newTestEngine(t, Config{Jobs: 2})
+	e := New(Config{Jobs: 2})
 
 	first, err := e.Analyze(context.Background(), raw, core.Config4)
 	if err != nil {
@@ -80,17 +80,17 @@ func TestAnalyzeCacheHit(t *testing.T) {
 	}
 
 	st := e.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != 1 || st.Analyzed != 1 {
-		t.Fatalf("stats = misses %d hits %d analyzed %d, want 1/1/1", st.CacheMisses, st.CacheHits, st.Analyzed)
+	if st.Cache.Misses != 1 || st.Cache.Hits != 1 || st.Engine.Analyzed != 1 {
+		t.Fatalf("stats = misses %d hits %d analyzed %d, want 1/1/1", st.Cache.Misses, st.Cache.Hits, st.Engine.Analyzed)
 	}
-	if st.Analysis.Sweep.Computes != 1 {
-		t.Fatalf("aggregate sweep computes = %d, want 1", st.Analysis.Sweep.Computes)
+	if st.Engine.Analysis.Sweep.Computes != 1 {
+		t.Fatalf("aggregate sweep computes = %d, want 1", st.Engine.Analysis.Sweep.Computes)
 	}
 }
 
 func TestAnalyzeOptionsKeyedSeparately(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
-	e := newTestEngine(t, Config{Jobs: 2})
+	e := New(Config{Jobs: 2})
 	ctx := context.Background()
 
 	if _, err := e.Analyze(ctx, raw, core.Config1); err != nil {
@@ -103,36 +103,36 @@ func TestAnalyzeOptionsKeyedSeparately(t *testing.T) {
 	if r4.Cached {
 		t.Fatal("different options must not share a cache entry")
 	}
-	if st := e.Stats(); st.CacheMisses != 2 {
-		t.Fatalf("misses = %d, want 2", st.CacheMisses)
+	if st := e.Stats(); st.Cache.Misses != 2 {
+		t.Fatalf("misses = %d, want 2", st.Cache.Misses)
 	}
 }
 
 func TestAnalyzeNotELF(t *testing.T) {
-	e := newTestEngine(t, Config{})
+	e := New(Config{})
 	_, err := e.Analyze(context.Background(), []byte("definitely not an ELF image"), core.Config4)
 	if !errors.Is(err, elfx.ErrNotELF) {
 		t.Fatalf("err = %v, want ErrNotELF", err)
 	}
-	if st := e.Stats(); st.Failures != 1 {
-		t.Fatalf("failures = %d, want 1", st.Failures)
+	if st := e.Stats(); st.Engine.Failures != 1 {
+		t.Fatalf("failures = %d, want 1", st.Engine.Failures)
 	}
 }
 
 func TestAnalyzePreCanceled(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
-	e := newTestEngine(t, Config{})
+	e := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.Analyze(ctx, raw, core.Config4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	st := e.Stats()
-	if st.Canceled == 0 {
+	if st.Engine.Canceled == 0 {
 		t.Fatal("canceled counter not incremented")
 	}
-	if st.Analyzed != 0 {
-		t.Fatalf("canceled request still analyzed %d binaries", st.Analyzed)
+	if st.Engine.Analyzed != 0 {
+		t.Fatalf("canceled request still analyzed %d binaries", st.Engine.Analyzed)
 	}
 }
 
@@ -143,12 +143,12 @@ func TestConcurrentCacheHammer(t *testing.T) {
 	bins := testBinaries(t, 4)
 
 	// Budget for roughly two of the four reports: constant churn.
-	probe := newTestEngine(t, Config{Jobs: 2})
+	probe := New(Config{Jobs: 2})
 	r, err := probe.Analyze(context.Background(), bins[0], core.Config4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newTestEngine(t, Config{Jobs: 4, CacheBytes: 2 * entrySize(r.Report)})
+	e := New(Config{Jobs: 4, CacheBytes: 2 * entrySize(r.Report)})
 
 	const goroutines = 16
 	const iters = 25
@@ -180,22 +180,22 @@ func TestConcurrentCacheHammer(t *testing.T) {
 	}
 
 	st := e.Stats()
-	total := st.CacheHits + st.CacheMisses + st.Coalesced
+	total := st.Cache.Hits + st.Cache.Misses + st.Engine.Coalesced
 	if total != goroutines*iters {
 		t.Fatalf("hits %d + misses %d + coalesced %d = %d, want %d",
-			st.CacheHits, st.CacheMisses, st.Coalesced, total, goroutines*iters)
+			st.Cache.Hits, st.Cache.Misses, st.Engine.Coalesced, total, goroutines*iters)
 	}
-	if st.CacheMisses < 4 {
-		t.Fatalf("misses = %d, want at least one per distinct binary", st.CacheMisses)
+	if st.Cache.Misses < 4 {
+		t.Fatalf("misses = %d, want at least one per distinct binary", st.Cache.Misses)
 	}
-	if st.Evictions == 0 {
+	if st.Cache.Evictions == 0 {
 		t.Fatal("no evictions despite an undersized budget")
 	}
-	if st.CacheBytes > st.CacheCapacity {
-		t.Fatalf("cache size %d exceeds capacity %d", st.CacheBytes, st.CacheCapacity)
+	if st.Cache.Bytes > st.Cache.Capacity {
+		t.Fatalf("cache size %d exceeds capacity %d", st.Cache.Bytes, st.Cache.Capacity)
 	}
-	if st.InFlight != 0 {
-		t.Fatalf("in-flight = %d after quiesce", st.InFlight)
+	if st.Engine.InFlight != 0 {
+		t.Fatalf("in-flight = %d after quiesce", st.Engine.InFlight)
 	}
 }
 
@@ -233,7 +233,7 @@ func TestFilesBatch(t *testing.T) {
 		t.Fatalf("Expand found %d files (%v), want 3", len(paths), paths)
 	}
 
-	e := newTestEngine(t, Config{Jobs: 4})
+	e := New(Config{Jobs: 4})
 	var got []string
 	err = e.Files(context.Background(), paths, core.Config4, func(fr FileResult) error {
 		if fr.Err != nil {
@@ -270,7 +270,7 @@ func TestFilesPerFileErrorDoesNotAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := newTestEngine(t, Config{Jobs: 2})
+	e := New(Config{Jobs: 2})
 	var oks, fails int
 	err := e.Files(context.Background(), []string{bad, good}, core.Config4, func(fr FileResult) error {
 		if fr.Err != nil {
@@ -300,7 +300,7 @@ func TestFilesCallbackStopsBatch(t *testing.T) {
 		paths = append(paths, p)
 	}
 
-	e := newTestEngine(t, Config{Jobs: 1})
+	e := New(Config{Jobs: 1})
 	stop := errors.New("stop after first")
 	calls := 0
 	err := e.Files(context.Background(), paths, core.Config4, func(fr FileResult) error {
@@ -322,7 +322,7 @@ func TestFilesCallbackStopsBatch(t *testing.T) {
 // reusable so the next request runs a fresh analysis.
 func TestAnalyzePanicUnblocksWaiters(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
-	e := newTestEngine(t, Config{Jobs: 2})
+	e := New(Config{Jobs: 2})
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -389,14 +389,14 @@ func TestAnalyzePanicUnblocksWaiters(t *testing.T) {
 	}
 
 	st := e.Stats()
-	if st.Failures != 1+waiters {
-		t.Fatalf("failures = %d, want %d (panicking request + every waiter)", st.Failures, 1+waiters)
+	if st.Engine.Failures != 1+waiters {
+		t.Fatalf("failures = %d, want %d (panicking request + every waiter)", st.Engine.Failures, 1+waiters)
 	}
-	if st.Analyzed != 1 || st.CacheMisses != 1 {
-		t.Fatalf("analyzed/misses = %d/%d, want 1/1", st.Analyzed, st.CacheMisses)
+	if st.Engine.Analyzed != 1 || st.Cache.Misses != 1 {
+		t.Fatalf("analyzed/misses = %d/%d, want 1/1", st.Engine.Analyzed, st.Cache.Misses)
 	}
-	if sum := st.CacheHits + st.StoreHits + st.CacheMisses + st.Coalesced + st.Canceled + st.Failures; sum != st.Requests {
-		t.Fatalf("counter sum %d != requests %d", sum, st.Requests)
+	if sum := st.Cache.Hits + storeHits(st) + st.Cache.Misses + st.Engine.Coalesced + st.Engine.Canceled + st.Engine.Failures; sum != st.Engine.Requests {
+		t.Fatalf("counter sum %d != requests %d", sum, st.Engine.Requests)
 	}
 }
 
@@ -405,7 +405,7 @@ func TestAnalyzePanicUnblocksWaiters(t *testing.T) {
 // zero), and an LRU hit reports the (small, nonzero) lookup cost.
 func TestCoalescedAndHitElapsed(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
-	e := newTestEngine(t, Config{Jobs: 2})
+	e := New(Config{Jobs: 2})
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -487,7 +487,7 @@ func TestCounterConsistency(t *testing.T) {
 		{},
 		[]byte("\x7fELF but truncated"),
 	}
-	e := newTestEngine(t, Config{Jobs: 3})
+	e := New(Config{Jobs: 3})
 
 	const goroutines = 12
 	const iters = 40
@@ -525,24 +525,24 @@ func TestCounterConsistency(t *testing.T) {
 	wg.Wait()
 
 	st := e.Stats()
-	if st.Requests != issued.Load() {
-		t.Fatalf("requests = %d, issued %d", st.Requests, issued.Load())
+	if st.Engine.Requests != issued.Load() {
+		t.Fatalf("requests = %d, issued %d", st.Engine.Requests, issued.Load())
 	}
-	if st.Analyzed != st.CacheMisses {
-		t.Fatalf("analyzed %d != cache_misses %d", st.Analyzed, st.CacheMisses)
+	if st.Engine.Analyzed != st.Cache.Misses {
+		t.Fatalf("analyzed %d != cache_misses %d", st.Engine.Analyzed, st.Cache.Misses)
 	}
-	sum := st.CacheHits + st.StoreHits + st.CacheMisses + st.Coalesced + st.Canceled + st.Failures
-	if sum != st.Requests {
+	sum := st.Cache.Hits + storeHits(st) + st.Cache.Misses + st.Engine.Coalesced + st.Engine.Canceled + st.Engine.Failures
+	if sum != st.Engine.Requests {
 		t.Fatalf("hits %d + store %d + misses %d + coalesced %d + canceled %d + failures %d = %d, want requests %d",
-			st.CacheHits, st.StoreHits, st.CacheMisses, st.Coalesced, st.Canceled, st.Failures, sum, st.Requests)
+			st.Cache.Hits, storeHits(st), st.Cache.Misses, st.Engine.Coalesced, st.Engine.Canceled, st.Engine.Failures, sum, st.Engine.Requests)
 	}
 	// The workload genuinely exercised each class.
-	if st.CacheMisses == 0 || st.CacheHits == 0 || st.Canceled == 0 || st.Failures == 0 {
+	if st.Cache.Misses == 0 || st.Cache.Hits == 0 || st.Engine.Canceled == 0 || st.Engine.Failures == 0 {
 		t.Fatalf("degenerate workload: misses %d hits %d canceled %d failures %d",
-			st.CacheMisses, st.CacheHits, st.Canceled, st.Failures)
+			st.Cache.Misses, st.Cache.Hits, st.Engine.Canceled, st.Engine.Failures)
 	}
-	if st.InFlight != 0 {
-		t.Fatalf("in-flight = %d after quiesce", st.InFlight)
+	if st.Engine.InFlight != 0 {
+		t.Fatalf("in-flight = %d after quiesce", st.Engine.InFlight)
 	}
 }
 
@@ -552,7 +552,7 @@ func TestCounterConsistency(t *testing.T) {
 func TestStageLatencyHistograms(t *testing.T) {
 	raw := testBinaries(t, 1)[0]
 	reg := obs.NewRegistry()
-	e := newTestEngine(t, Config{Jobs: 1, Registry: reg})
+	e := New(Config{Jobs: 1, Registry: reg})
 	if _, err := e.Analyze(context.Background(), raw, core.Config4); err != nil {
 		t.Fatal(err)
 	}
@@ -587,13 +587,11 @@ func TestStageLatencyHistograms(t *testing.T) {
 	}
 }
 
-// newTestEngine is the test-side New wrapper: valid configs only, so a
-// construction error is a test bug.
-func newTestEngine(t testing.TB, cfg Config) *Engine {
-	t.Helper()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+// storeHits reads Store.Hits, which a storeless engine leaves out
+// (always zero).
+func storeHits(st StatsDoc) uint64 {
+	if st.Store == nil {
+		return 0
 	}
-	return e
+	return st.Store.Hits
 }

@@ -83,8 +83,8 @@ func (e *Engine) StoreKeys() ([]string, error) {
 }
 
 // CompactStore runs one explicit store compaction (the admin/CLI/test
-// entry point; the background compactor runs the same rewrite on its
-// own schedule for engine-owned stores).
+// entry point; a store opened with store.Options.CompactEvery also runs
+// the same rewrite on its own schedule).
 func (e *Engine) CompactStore() (store.CompactResult, error) {
 	if e.store == nil {
 		return store.CompactResult{}, ErrNoStore

@@ -5,10 +5,9 @@ import (
 	"github.com/funseeker/funseeker/internal/store"
 )
 
-// StatsDoc is the versioned stats envelope ("v": 2) that /v1/stats
-// serves and funseeker-lb relays per node under /lb/nodes. One struct,
-// serialized everywhere — the ad-hoc flat merging of v1 is gone, and a
-// consumer can dispatch on the version field when v3 eventually
+// StatsDoc is the engine's stats snapshot and the versioned envelope
+// ("v": 2) that /v1/stats serves and funseeker-lb relays per node under
+// /lb/nodes. A consumer can dispatch on the version field when v3
 // changes shape. The engine fills the engine/cache/store blocks; the
 // serving layer attaches its own shed and server blocks.
 type StatsDoc struct {
@@ -73,39 +72,42 @@ type ServerStatsBlock struct {
 	Goroutines    int     `json:"goroutines"`
 }
 
-// StatsDoc builds the v2 stats document from the engine's counters.
-func (e *Engine) StatsDoc() StatsDoc {
-	s := e.Stats()
+// Stats snapshots the engine's counters as the v2 stats document. By
+// Analyze's counter contract, Cache.Hits, Store.Hits, Cache.Misses and
+// Engine.Coalesced, Canceled and Failures sum to Engine.Requests, and
+// Engine.Analyzed equals Cache.Misses.
+func (e *Engine) Stats() StatsDoc {
 	doc := StatsDoc{
 		V: 2,
 		Engine: EngineStatsBlock{
-			Jobs:          s.Jobs,
-			InFlight:      s.InFlight,
-			Requests:      s.Requests,
-			Analyzed:      s.Analyzed,
-			Coalesced:     s.Coalesced,
-			Canceled:      s.Canceled,
-			Failures:      s.Failures,
-			BytesAnalyzed: s.BytesAnalyzed,
-			Analysis:      s.Analysis,
+			Jobs:          e.jobs,
+			InFlight:      e.inFlight.Load(),
+			Requests:      e.requests.Load(),
+			Analyzed:      e.analyzed.Load(),
+			Coalesced:     e.coalesced.Load(),
+			Canceled:      e.canceled.Load(),
+			Failures:      e.failures.Load(),
+			BytesAnalyzed: e.bytesIn.Load(),
 		},
 		Cache: CacheStatsBlock{
-			Hits:      s.CacheHits,
-			Misses:    s.CacheMisses,
-			Entries:   s.CacheEntries,
-			Bytes:     s.CacheBytes,
-			Capacity:  s.CacheCapacity,
-			Evictions: s.Evictions,
+			Hits:   e.hits.Load(),
+			Misses: e.misses.Load(),
 		},
 	}
-	if s.Store != nil {
+	if e.cache != nil {
+		doc.Cache.Entries, doc.Cache.Bytes, doc.Cache.Capacity, doc.Cache.Evictions = e.cache.stats()
+	}
+	if e.store != nil {
 		doc.Store = &StoreStatsBlock{
-			Hits:     s.StoreHits,
-			Puts:     s.StorePuts,
-			Injected: s.StoreInjected,
-			Errors:   s.StoreErrors,
-			Stats:    *s.Store,
+			Hits:     e.storeHits.Load(),
+			Puts:     e.storePuts.Load(),
+			Injected: e.storeInjected.Load(),
+			Errors:   e.storeErrors.Load(),
+			Stats:    e.store.Stats(),
 		}
 	}
+	e.aggMu.Lock()
+	doc.Engine.Analysis = e.agg
+	e.aggMu.Unlock()
 	return doc
 }

@@ -367,7 +367,7 @@ func (s *Store) Put(key, val []byte) error {
 	active.size += int64(len(rec))
 	if old, ok := s.index[string(key)]; ok {
 		s.liveBytes -= int64(old.valLen)
-		s.liveRecBytes -= int64(headerSize + len(key)) + int64(old.valLen)
+		s.liveRecBytes -= int64(headerSize+len(key)) + int64(old.valLen)
 		s.replaced++
 	}
 	s.index[string(key)] = loc

@@ -637,13 +637,3 @@ func opClass(opcodeMap int, op byte) Class {
 	}
 	return ClassOther
 }
-
-// DecodeLen returns only the length of the instruction at the front of
-// code. It is equivalent to Decode(...).Len but avoids building the Inst.
-func DecodeLen(code []byte, mode Mode) (int, error) {
-	inst, err := Decode(code, 0, mode)
-	if err != nil {
-		return 0, err
-	}
-	return inst.Len, nil
-}

@@ -38,8 +38,7 @@ var decodeSeeds = [][]byte{
 // operating modes. Invariants: the decoder never panics; a successful
 // decode consumes 1..15 bytes, no more than were supplied; decoding the
 // exact consumed prefix again reproduces the identical instruction
-// (determinism + no reliance on bytes past Len); and DecodeLen agrees
-// with Decode.
+// (determinism + no reliance on bytes past Len).
 func FuzzDecode(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add(s, true)
@@ -69,10 +68,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !instEqual(again, inst) {
 			t.Fatalf("re-decode mismatch:\n first %+v\nsecond %+v\ninput %x", inst, again, data[:inst.Len])
-		}
-		n, err := DecodeLen(data, mode)
-		if err != nil || n != inst.Len {
-			t.Fatalf("DecodeLen = (%d, %v), Decode.Len = %d (input %x)", n, err, inst.Len, data)
 		}
 	})
 }

@@ -17,6 +17,7 @@ import (
 
 	"github.com/funseeker/funseeker/internal/obs"
 	"github.com/funseeker/funseeker/internal/ring"
+	"github.com/funseeker/funseeker/internal/upload"
 )
 
 // routerConfig carries one funseeker-lb instance's knobs.
@@ -243,7 +244,7 @@ func (rt *router) setHealth(backend string, up bool) {
 // the next ring successors are tried; an HTTP-level error (4xx/5xx)
 // is the backend's answer and is relayed as-is.
 func (rt *router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.maxBodyBytes))
+	raw, err := upload.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.maxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

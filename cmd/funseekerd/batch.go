@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/funseeker/funseeker/internal/engine"
+	"github.com/funseeker/funseeker/internal/upload"
 )
 
 // batchRecord is one NDJSON line of a /v1/batch response: exactly one
@@ -212,7 +213,7 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 			if hdr.Size > limit {
 				return skipTooLarge(hdr.Name, tr, limit)
 			}
-			data, err := io.ReadAll(tr)
+			data, err := upload.ReadAll(tr)
 			if err != nil {
 				return engine.Member{}, err
 			}

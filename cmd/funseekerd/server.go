@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"mime"
 	"net/http"
@@ -19,6 +18,7 @@ import (
 	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/engine"
 	"github.com/funseeker/funseeker/internal/obs"
+	"github.com/funseeker/funseeker/internal/upload"
 )
 
 // serverConfig carries the per-request limits of one funseekerd
@@ -335,7 +335,7 @@ func (s *server) readBinary(w http.ResponseWriter, r *http.Request) ([]byte, err
 	if err := refuseMultipart(r, "the ELF image as the raw request body (curl --data-binary @file)"); err != nil {
 		return nil, err
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
+	raw, err := upload.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -477,7 +477,7 @@ func (s *server) handlePutResult(w http.ResponseWriter, r *http.Request) {
 		writeErrorKind(w, r, http.StatusBadRequest, errors.New("missing key parameter"), "bad_request")
 		return
 	}
-	val, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
+	val, err := upload.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -201,7 +201,8 @@ func Open(path string) (*Binary, error) {
 	return elfx.Open(path)
 }
 
-// Load parses an in-memory ELF image for analysis.
+// Load parses an in-memory ELF image for analysis. The Binary's
+// sections alias raw, which must not be mutated while it is in use.
 func Load(raw []byte) (*Binary, error) {
 	return elfx.Load(raw)
 }

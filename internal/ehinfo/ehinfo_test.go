@@ -1,6 +1,7 @@
 package ehinfo
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -103,7 +104,9 @@ func TestCorruptEHFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := elfx.Load(res.Stripped)
+	// The Binary's sections alias the image it was loaded from, so the
+	// corruption below goes into a private copy; bin2 loads the original.
+	bin, err := elfx.Load(bytes.Clone(res.Stripped))
 	if err != nil {
 		t.Fatal(err)
 	}

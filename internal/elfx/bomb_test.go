@@ -6,6 +6,7 @@ import (
 	"debug/elf"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ import (
 const bombZeros = 64 << 20
 
 // synthImage compiles one small x86-64 CET binary.
-func synthImage(t *testing.T) []byte {
+func synthImage(t testing.TB) []byte {
 	t.Helper()
 	specs := corpus.Generate(corpus.Coreutils, corpus.Options{Scale: 0.1, Seed: 7, Programs: 1})
 	res, err := synth.Compile(specs[0], synth.Config{Compiler: synth.GCC, Mode: x86.Mode64, Opt: synth.O2})
@@ -32,7 +33,7 @@ func synthImage(t *testing.T) []byte {
 }
 
 // synthImage32 compiles one small 32-bit x86 CET binary.
-func synthImage32(t *testing.T) []byte {
+func synthImage32(t testing.TB) []byte {
 	t.Helper()
 	specs := corpus.Generate(corpus.Coreutils, corpus.Options{Scale: 0.1, Seed: 7, Programs: 1})
 	res, err := synth.Compile(specs[0], synth.Config{Compiler: synth.GCC, Mode: x86.Mode32, Opt: synth.O2})
@@ -43,7 +44,7 @@ func synthImage32(t *testing.T) []byte {
 }
 
 // shdr64 locates the ELF64 section header of the named section in raw.
-func shdr64(t *testing.T, raw []byte, name string) []byte {
+func shdr64(t testing.TB, raw []byte, name string) []byte {
 	t.Helper()
 	f, err := elf.NewFile(bytes.NewReader(raw))
 	if err != nil {
@@ -76,7 +77,7 @@ var bombStream = sync.OnceValue(func() []byte {
 // withBomb returns a copy of raw whose named section header points at an
 // appended SHF_COMPRESSED bombStream, with SHF_ALLOC cleared as debug/elf
 // requires of compressed sections.
-func withBomb(t *testing.T, raw []byte, name string) []byte {
+func withBomb(t testing.TB, raw []byte, name string) []byte {
 	t.Helper()
 	z := bombStream()
 	le := binary.LittleEndian
@@ -181,5 +182,131 @@ func TestLoadRejectsBadSectionRange(t *testing.T) {
 		if alloc >= 2*uint64(len(bad)) {
 			t.Errorf("%s: Load allocated %d bytes for a %d-byte image", tc.name, alloc, len(bad))
 		}
+	}
+}
+
+// TestLoadSymbolTablesBoundedBySize: symbol tables cost Load at most a
+// small multiple of the image's size, however their headers are set.
+// A compressed symbol-version section is never read (debug/elf's
+// DynamicSymbols inflated it: 269 MB for an 83 KB image); 2,000 symbols
+// that all name one 50 KiB string share it (one string each made it
+// 115 MB for a 117 KB image); and an empty ELF64 .symtab is no symbols
+// (debug/elf's Symbols panicked on it).
+func TestLoadSymbolTablesBoundedBySize(t *testing.T) {
+	raw := synthImage(t)
+	le := binary.LittleEndian
+
+	versym := withBomb(t, raw, ".rodata")
+	le.PutUint32(shdr64(t, versym, ".rodata")[4:], uint32(elf.SHT_GNU_VERSYM))
+	b, err, alloc := loadAlloc(versym)
+	if err != nil {
+		t.Fatalf("compressed version section: %v", err)
+	}
+	if len(b.PLT) == 0 {
+		t.Error("compressed version section: no PLT names")
+	}
+	if alloc >= 2*uint64(len(versym)) {
+		t.Errorf("compressed version section: Load allocated %d bytes for a %d-byte image", alloc, len(versym))
+	}
+
+	const nsym, strLen = 2000, 50 << 10
+	names := bytes.Clone(raw)
+	symOff := len(names)
+	for i := 0; i < nsym; i++ {
+		e := make([]byte, 24) // Elf64_Sym naming string-table offset 0
+		e[4] = byte(elf.STT_FUNC)
+		le.PutUint16(e[6:], 1)
+		names = append(names, e...)
+	}
+	strOff := len(names)
+	names = append(names, bytes.Repeat([]byte{'A'}, strLen)...)
+	names = append(names, 0)
+	symtab := shdr64(t, names, ".symtab")
+	le.PutUint64(symtab[24:], uint64(symOff))
+	le.PutUint64(symtab[32:], nsym*24)
+	strtab := shdr64(t, names, ".strtab")
+	le.PutUint64(strtab[24:], uint64(strOff))
+	le.PutUint64(strtab[32:], strLen+1)
+	b, err, alloc = loadAlloc(names)
+	if err != nil {
+		t.Fatalf("long shared name: %v", err)
+	}
+	if len(b.FuncSymbols) != nsym-1 || len(b.FuncSymbols[0].Name) != strLen {
+		t.Errorf("long shared name: %d function symbols, want %d named by the %d-byte string", len(b.FuncSymbols), nsym-1, strLen)
+	}
+	if alloc >= 4*uint64(len(names)) {
+		t.Errorf("long shared name: Load allocated %d bytes for a %d-byte image", alloc, len(names))
+	}
+
+	empty := bytes.Clone(raw)
+	le.PutUint64(shdr64(t, empty, ".symtab")[32:], 0)
+	if b, err := Load(empty); err != nil {
+		t.Errorf("empty .symtab: %v", err)
+	} else if b.FuncSymbols != nil {
+		t.Errorf("empty .symtab: %d function symbols, want none", len(b.FuncSymbols))
+	}
+}
+
+// TestSymbolsMatchDebugElf: symbols reads what debug/elf's Symbols and
+// DynamicSymbols read from well-formed images of both ELF classes,
+// version information aside.
+func TestSymbolsMatchDebugElf(t *testing.T) {
+	for _, raw := range [][]byte{synthImage(t), synthImage32(t)} {
+		f, err := elf.NewFile(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			typ  elf.SectionType
+			read func() ([]elf.Symbol, error)
+		}{{elf.SHT_SYMTAB, f.Symbols}, {elf.SHT_DYNSYM, f.DynamicSymbols}} {
+			want, err := tc.read()
+			if err != nil {
+				t.Fatalf("%v %v: %v", f.Class, tc.typ, err)
+			}
+			got, err := symbols(f, tc.typ, raw)
+			if err != nil {
+				t.Fatalf("%v %v: %v", f.Class, tc.typ, err)
+			}
+			for i := range want {
+				want[i].HasVersion, want[i].VersionIndex, want[i].Version, want[i].Library = false, 0, "", ""
+			}
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("%v %v: read %d symbols, debug/elf %d, or they differ", f.Class, tc.typ, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestLoadHeaderTablesBoundedBySize: header tables are checked against
+// the image before elf.NewFile reads them. A 52-byte ELF32 header that
+// claims a program header table past its end is not ELF, as NewFile
+// reports it, without NewFile's read of up to 10 MiB of the table; and
+// section headers that all name one 64 KiB string in .shstrtab are
+// ErrMalformed, where NewFile would copy the string once per section.
+func TestLoadHeaderTablesBoundedBySize(t *testing.T) {
+	hdr := []byte("\x7fELF\x01\x01\x010000000000000\x01000000000000000000000000000000 ")
+	if _, err, alloc := loadAlloc(hdr); !errors.Is(err, ErrNotELF) || alloc > 1<<20 {
+		t.Errorf("program header table past the end: err %v after %d bytes allocated; want ErrNotELF, under 1 MiB", err, alloc)
+	}
+
+	raw := synthImage(t)
+	le := binary.LittleEndian
+	const strLen = 64 << 10
+	names := append(bytes.Clone(raw), bytes.Repeat([]byte{'A'}, strLen)...)
+	names = append(names, 0)
+	shstrtab := shdr64(t, names, ".shstrtab")
+	le.PutUint64(shstrtab[24:], uint64(len(raw)))
+	le.PutUint64(shstrtab[32:], strLen+1)
+	shoff, shentsize, shnum := le.Uint64(names[0x28:]), uint64(le.Uint16(names[0x3A:])), uint64(le.Uint16(names[0x3C:]))
+	for i := uint64(0); i < shnum; i++ {
+		le.PutUint32(names[shoff+i*shentsize:], 0)
+	}
+	_, err, alloc := loadAlloc(names)
+	if !errors.Is(err, ErrMalformed) {
+		t.Errorf("%d sections naming one %d-byte string: err %v, want ErrMalformed", shnum, strLen, err)
+	}
+	if alloc >= 2*uint64(len(names)) {
+		t.Errorf("%d sections naming one %d-byte string: Load allocated %d bytes for a %d-byte image", shnum, strLen, alloc, len(names))
 	}
 }

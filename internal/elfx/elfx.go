@@ -9,16 +9,24 @@ package elfx
 
 import (
 	"bytes"
+	"cmp"
 	"debug/elf"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 
 	"github.com/funseeker/funseeker/internal/x86"
 )
 
 // Binary is a loaded ELF executable ready for analysis.
+//
+// Text, EHFrame and ExceptTable are slices of the image Load was given,
+// not copies (their capacity is capped, so an append never writes into
+// the image). The image must not be mutated while the Binary is in use,
+// and a caller that wants to alter a section must load a private copy
+// of the image.
 type Binary struct {
 	// Path is the file path the binary was loaded from, empty for
 	// in-memory images.
@@ -80,8 +88,10 @@ var ErrNotELF = errors.New("elfx: not an ELF image")
 
 // ErrMalformed is returned when a section Load reads cannot be read as
 // plain bytes of the image (it is compressed, has no file bytes, or lies
-// outside the image), or when the image has the ELF magic but an invalid
-// class, data or version byte. Match with errors.Is(err, ErrMalformed).
+// outside the image), when the image has the ELF magic but an invalid
+// class, data or version byte, when its section names together are
+// longer than the image, or when an ELF64 image's PLT relocations are
+// REL rather than RELA. Match with errors.Is(err, ErrMalformed).
 var ErrMalformed = errors.New("elfx: malformed section")
 
 // Open loads the ELF file at path.
@@ -98,14 +108,13 @@ func Open(path string) (*Binary, error) {
 	return b, nil
 }
 
-// Load parses an in-memory ELF image.
+// Load parses an in-memory ELF image. The returned Binary's sections
+// alias raw, which must not be mutated while the Binary is in use.
 func Load(raw []byte) (*Binary, error) {
 	if err := checkIdent(raw); err != nil {
 		return nil, err
 	}
-	// elf.NewFile reads the section-name string table before Load can
-	// check any section, so that one is checked from the raw header.
-	if err := checkShstrtab(raw); err != nil {
+	if err := checkHeaders(raw); err != nil {
 		return nil, err
 	}
 	f, err := elf.NewFile(bytes.NewReader(raw))
@@ -148,26 +157,14 @@ func Load(raw []byte) (*Binary, error) {
 		bin.ExceptTableAddr = s.Addr
 	}
 
-	// debug/elf reads the symbol tables itself; check them, and the
-	// string tables they link, the way sectionData checks the rest.
-	for _, typ := range []elf.SectionType{elf.SHT_SYMTAB, elf.SHT_DYNSYM} {
-		if s := f.SectionByType(typ); s != nil {
-			if err := checkSection(s, raw); err != nil {
-				return nil, err
-			}
-			if int(s.Link) < len(f.Sections) {
-				if err := checkSection(f.Sections[s.Link], raw); err != nil {
-					return nil, err
-				}
-			}
-		}
+	syms, err := symbols(f, elf.SHT_SYMTAB, raw)
+	if err != nil {
+		return nil, err
 	}
-	if syms, err := f.Symbols(); err == nil {
-		for _, s := range syms {
-			if elf.ST_TYPE(s.Info) == elf.STT_FUNC {
-				bin.FuncSymbols = append(bin.FuncSymbols, s)
-			}
-		}
+	bin.FuncSymbols = slices.DeleteFunc(syms, func(s elf.Symbol) bool { return elf.ST_TYPE(s.Info) != elf.STT_FUNC })
+	dynsyms, err := symbols(f, elf.SHT_DYNSYM, raw)
+	if err != nil {
+		return nil, err
 	}
 
 	var note []byte
@@ -182,23 +179,70 @@ func Load(raw []byte) (*Binary, error) {
 		bin.CETEnabled = hasPropertyBit(note, f.Class, prTypeX86Features, 0x1)
 	}
 
-	if err := bin.buildPLTMap(f, raw); err != nil {
+	if err := bin.buildPLTMap(f, raw, dynsyms); err != nil {
 		return nil, err
 	}
 	return bin, nil
 }
 
 // sectionData returns the bytes of sec, a section Load reads, after
-// checkSection accepts it.
+// checkSection accepts it: a slice of raw itself, not a copy, with its
+// capacity capped at its length so that an append copies instead of
+// writing into the image.
 func sectionData(sec *elf.Section, raw []byte) ([]byte, error) {
 	if err := checkSection(sec, raw); err != nil {
 		return nil, err
 	}
-	data, err := sec.Data()
-	if err != nil {
-		return nil, fmt.Errorf("%w: read %s: %v", ErrMalformed, sec.Name, err)
+	end := sec.Offset + sec.FileSize
+	return raw[sec.Offset:end:end], nil
+}
+
+// symbols reads the symbol table of type typ as elf.File.Symbols does,
+// the null entry omitted, but reads the table and its string table
+// through sectionData, and every name is a substring of one copy of the
+// string table. So entries that all name one long string cost it once,
+// not once each, and no symbol-version section is read (debug/elf's
+// DynamicSymbols would inflate a compressed one). A table that is
+// missing, empty, ragged or without a string table is nil, as debug/elf
+// reports it as an error.
+func symbols(f *elf.File, typ elf.SectionType, raw []byte) ([]elf.Symbol, error) {
+	s := f.SectionByType(typ)
+	if s == nil {
+		return nil, nil
 	}
-	return data, nil
+	data, err := sectionData(s, raw)
+	if err != nil || int(s.Link) >= len(f.Sections) {
+		return nil, err
+	}
+	strtab, err := sectionData(f.Sections[s.Link], raw)
+	entSize := 24 // Elf64_Sym
+	if f.Class == elf.ELFCLASS32 {
+		entSize = 16
+	}
+	if err != nil || s.Link == 0 || len(data) == 0 || len(data)%entSize != 0 {
+		return nil, err
+	}
+	bo, ents := f.ByteOrder, data[entSize:]
+	syms := make([]elf.Symbol, len(ents)/entSize)
+	nameOffs := make([]uint32, len(syms))
+	for i := range syms {
+		e := ents[i*entSize:]
+		nameOffs[i] = bo.Uint32(e)
+		if entSize == 16 {
+			syms[i].Value, syms[i].Size = uint64(bo.Uint32(e[4:])), uint64(bo.Uint32(e[8:]))
+			syms[i].Info, syms[i].Other, syms[i].Section = e[12], e[13], elf.SectionIndex(bo.Uint16(e[14:]))
+		} else {
+			syms[i].Info, syms[i].Other, syms[i].Section = e[4], e[5], elf.SectionIndex(bo.Uint16(e[6:]))
+			syms[i].Value, syms[i].Size = bo.Uint64(e[8:]), bo.Uint64(e[16:])
+		}
+	}
+	strs := string(strtab)
+	for i, end := range stringEnds(strtab, nameOffs) {
+		if end >= 0 {
+			syms[i].Name = strs[nameOffs[i]:end]
+		}
+	}
+	return syms, nil
 }
 
 // checkSection rejects, with ErrMalformed, a section whose bytes are not
@@ -245,12 +289,17 @@ func checkIdent(raw []byte) error {
 	return nil
 }
 
-// checkShstrtab applies checkHeader to the section-name string table
-// (e_shstrndx) by reading the ELF and section headers from raw. A header
-// too short or out of range to locate it is left for elf.NewFile to
-// report.
-func checkShstrtab(raw []byte) error {
-	if len(raw) < 0x40 || string(raw[:4]) != elf.ELFMAG {
+// checkHeaders reads the header-table fields from raw and rejects what
+// would make elf.NewFile allocate out of proportion to raw, before it
+// reads anything: a program or section header table that lies outside
+// raw, which NewFile rejects only after reading up to 10 MiB of it
+// (ErrNotELF, as NewFile would report it); a section-name string table
+// (e_shstrndx) that checkHeader rejects; and section names that
+// together are longer than raw, which NewFile would copy out one string
+// per section (ErrMalformed). A header too short or out of range to
+// locate a table is left for elf.NewFile to report.
+func checkHeaders(raw []byte) error {
+	if len(raw) < elf.EI_NIDENT || string(raw[:4]) != elf.ELFMAG {
 		return nil
 	}
 	var bo binary.ByteOrder = binary.LittleEndian
@@ -264,39 +313,96 @@ func checkShstrtab(raw []byte) error {
 		}
 		return uint64(bo.Uint32(b))
 	}
-	// Field offsets of e_shoff and e_shentsize (e_shnum and e_shstrndx
-	// follow it), and of sh_flags, sh_offset, sh_size and sh_link, per
-	// ELF class.
-	shoff, at := word(raw[0x20:]), 0x2E
+	// Field offsets of e_phoff, e_shoff and e_phentsize (e_phnum,
+	// e_shentsize, e_shnum and e_shstrndx follow it), the header sizes
+	// elf.NewFile requires, and the offsets of sh_flags, sh_offset,
+	// sh_size and sh_link, per ELF class.
+	ehsize, phoffAt, shoffAt, at, phentMin, shentMin := 0x34, 0x1C, 0x20, 0x2A, 32, 40
 	flagsAt, offAt, sizeAt, linkAt := 8, 16, 20, 24
 	if is64 {
-		shoff, at = word(raw[0x28:]), 0x3A
+		ehsize, phoffAt, shoffAt, at, phentMin, shentMin = 0x40, 0x20, 0x28, 0x36, 56, 64
 		flagsAt, offAt, sizeAt, linkAt = 8, 24, 32, 40
 	}
-	shentsize := uint64(bo.Uint16(raw[at:]))
-	shnum, shstrndx := uint64(bo.Uint16(raw[at+2:])), uint64(bo.Uint16(raw[at+4:]))
-	hdr := func(i uint64) []byte {
-		if shentsize < uint64(linkAt+4) || shoff > uint64(len(raw)) ||
-			i >= (uint64(len(raw))-shoff)/shentsize {
-			return nil
-		}
-		return raw[shoff+i*shentsize:][:shentsize]
-	}
-	// Extended numbering keeps the real count and index in section 0.
-	if h := hdr(0); h != nil {
-		if shnum == 0 {
-			shnum = word(h[sizeAt:])
-		}
-		if shstrndx == uint64(elf.SHN_XINDEX) {
-			shstrndx = uint64(bo.Uint32(h[linkAt:]))
-		}
-	}
-	h := hdr(shstrndx)
-	if shstrndx == 0 || shstrndx >= shnum || h == nil {
+	if len(raw) < ehsize {
 		return nil
 	}
-	return checkHeader(".shstrtab", elf.SectionType(bo.Uint32(h[4:])), elf.SectionFlag(word(h[flagsAt:])),
-		word(h[offAt:]), word(h[sizeAt:]), raw)
+	n := uint64(len(raw))
+	fits := func(off, num, entsize uint64) bool { return off <= n && num <= (n-off)/entsize }
+	phoff, phentsize, phnum := word(raw[phoffAt:]), uint64(bo.Uint16(raw[at:])), uint64(bo.Uint16(raw[at+2:]))
+	if phnum > 0 && phentsize >= uint64(phentMin) && !fits(phoff, phnum, phentsize) {
+		return fmt.Errorf("%w: program header table [%#x,+%d×%d) lies outside the %d-byte image", ErrNotELF, phoff, phnum, phentsize, n)
+	}
+	shoff, shentsize := word(raw[shoffAt:]), uint64(bo.Uint16(raw[at+4:]))
+	shnum, shstrndx := uint64(bo.Uint16(raw[at+6:])), uint64(bo.Uint16(raw[at+8:]))
+	if shoff == 0 || shentsize < uint64(shentMin) {
+		return nil // no sections, or a header elf.NewFile rejects unread
+	}
+	hdr := func(i uint64) []byte { return raw[shoff+i*shentsize:][:shentsize] }
+	// Extended numbering keeps the real count and index in section 0.
+	if shnum == 0 {
+		if !fits(shoff, 1, shentsize) {
+			return nil
+		}
+		shnum = word(hdr(0)[sizeAt:])
+		if shstrndx == uint64(elf.SHN_XINDEX) {
+			shstrndx = uint64(bo.Uint32(hdr(0)[linkAt:]))
+		}
+	}
+	if !fits(shoff, shnum, shentsize) {
+		return fmt.Errorf("%w: section header table [%#x,+%d×%d) lies outside the %d-byte image", ErrNotELF, shoff, shnum, shentsize, n)
+	}
+	if shstrndx == 0 || shstrndx >= shnum {
+		return nil
+	}
+	h := hdr(shstrndx)
+	typ, off, size := elf.SectionType(bo.Uint32(h[4:])), word(h[offAt:]), word(h[sizeAt:])
+	if err := checkHeader(".shstrtab", typ, elf.SectionFlag(word(h[flagsAt:])), off, size, raw); err != nil || typ != elf.SHT_STRTAB {
+		return err
+	}
+	names := make([]uint32, shnum)
+	for i := range names {
+		names[i] = bo.Uint32(hdr(uint64(i)))
+	}
+	total := 0
+	for i, end := range stringEnds(raw[off:off+size], names) {
+		if end >= 0 {
+			total += end - int(names[i])
+		}
+	}
+	if total > len(raw) {
+		return fmt.Errorf("%w: the %d section names total %d bytes, more than the %d-byte image", ErrMalformed, shnum, total, n)
+	}
+	return nil
+}
+
+// stringEnds returns, for each offset in offs, the index in tab of the
+// NUL ending the string that starts there, or -1 when the offset lies
+// outside tab or no NUL follows it. Taking the offsets in order finds
+// every NUL in one pass over tab, where a scan per offset would take
+// time quadratic in the table's size for offsets that all start one
+// long string.
+func stringEnds(tab []byte, offs []uint32) []int {
+	order := make([]int, len(offs))
+	ends := make([]int, len(offs))
+	for i := range order {
+		order[i], ends[i] = i, -1
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(offs[a], offs[b]) })
+	end := -1 // the NUL ending the last string found
+	for _, i := range order {
+		if uint64(offs[i]) >= uint64(len(tab)) {
+			break
+		}
+		if off := int(offs[i]); end < off {
+			j := bytes.IndexByte(tab[off:], 0)
+			if j < 0 {
+				break // no NUL from off on
+			}
+			end = off + j
+		}
+		ends[i] = end
+	}
+	return ends
 }
 
 // PtrSize returns the pointer width in bytes.
@@ -378,8 +484,8 @@ func hasPropertyBit(data []byte, class elf.Class, prType, bit uint32) bool {
 // PLT relocation table. Both the classic single .plt layout and the
 // split .plt/.plt.sec layout of CET-enabled links are handled: every
 // executable stub section is scanned with the same GOT-slot join.
-func (b *Binary) buildPLTMap(f *elf.File, raw []byte) error {
-	gotToName, err := pltRelocations(f, raw)
+func (b *Binary) buildPLTMap(f *elf.File, raw []byte, dynsyms []elf.Symbol) error {
+	gotToName, err := pltRelocations(f, raw, dynsyms)
 	if err != nil {
 		return err
 	}
@@ -440,8 +546,9 @@ func (b *Binary) buildPLTMap(f *elf.File, raw []byte) error {
 	return scan(f.Section(".plt.sec"))
 }
 
-// pltRelocations parses .rela.plt / .rel.plt into a GOT-slot → name map.
-func pltRelocations(f *elf.File, raw []byte) (map[uint64]string, error) {
+// pltRelocations parses .rela.plt / .rel.plt into a GOT-slot → name map,
+// naming each slot from dynsyms, the dynamic symbol table.
+func pltRelocations(f *elf.File, raw []byte, dynsyms []elf.Symbol) (map[uint64]string, error) {
 	var (
 		data []byte
 		rela bool
@@ -459,8 +566,7 @@ func pltRelocations(f *elf.File, raw []byte) (map[uint64]string, error) {
 	} else {
 		return nil, nil
 	}
-	dynsyms, err := f.DynamicSymbols()
-	if err != nil {
+	if dynsyms == nil {
 		return nil, nil // no dynamic symbols: nothing to resolve
 	}
 	nameOf := func(idx uint32) string {
@@ -475,7 +581,7 @@ func pltRelocations(f *elf.File, raw []byte) (map[uint64]string, error) {
 	le := binary.LittleEndian
 	if f.Class == elf.ELFCLASS64 {
 		if !rela {
-			return nil, errors.New("elfx: ELF64 PLT relocations must be RELA")
+			return nil, fmt.Errorf("%w: ELF64 PLT relocations must be RELA", ErrMalformed)
 		}
 		for off := 0; off+24 <= len(data); off += 24 {
 			r := elf.Rela64{

@@ -286,8 +286,8 @@ func TestELF64RequiresRela(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(raw); err == nil {
-		t.Error("ELF64 with .rel.plt must be rejected")
+	if _, err := Load(raw); !errors.Is(err, ErrMalformed) {
+		t.Errorf("ELF64 with .rel.plt: err = %v, want ErrMalformed", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"io"
 	"mime"
 	"mime/multipart"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -463,6 +464,44 @@ func TestBatchFullDuplexThroughRouter(t *testing.T) {
 	}
 	if want := firstChunk + restChunk; summary.GotBytes != want {
 		t.Fatalf("backend saw %d bytes, want %d — upload corrupted across the router hop", summary.GotBytes, want)
+	}
+}
+
+// TestBatchRelayAnswersExpectContinue: the router's /v1/batch relay
+// answers "Expect: 100-continue" at once, as funseekerd does, so curl's
+// default upload of a body over 1 MiB does not wait out its timeout; the
+// upload then reaches the backend.
+func TestBatchRelayAnswersExpectContinue(t *testing.T) {
+	fb := newFakeBackend(t, "a")
+	ts := newTestRouter(t, []*fakeBackend{fb}, nil)
+	body := bytes.Repeat([]byte{0xAB}, 2<<20)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/batch HTTP/1.1\r\nHost: lb\r\nContent-Type: application/x-tar\r\n"+
+		"Content-Length: %d\r\nExpect: 100-continue\r\nConnection: close\r\n\r\n", len(body))
+	br := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+	if line, err := br.ReadString('\n'); err != nil || line != "HTTP/1.1 100 Continue\r\n" {
+		t.Fatalf("first response line %q (%v), want HTTP/1.1 100 Continue within 500 ms", line, err)
+	}
+	if blank, err := br.ReadString('\n'); err != nil || blank != "\r\n" {
+		t.Fatalf("100 Continue followed by %q (%v)", blank, err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Minute))
+	if _, err := conn.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"backend":"a"`) {
+		t.Fatalf("status %d, body %s: want the backend's summary relayed", resp.StatusCode, raw)
 	}
 }
 

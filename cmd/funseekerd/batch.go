@@ -2,6 +2,7 @@ package main
 
 import (
 	"archive/tar"
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -200,7 +201,14 @@ func (s *server) batchIterator(w http.ResponseWriter, r *http.Request) (func() (
 	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBatchBytes)
 	drain := func() { _, _ = io.Copy(io.Discard, body) }
 	limit := s.cfg.maxBodyBytes
-	tr := tar.NewReader(body)
+	// Read from the body before the handler writes its header: the first
+	// read is what answers a client's "Expect: 100-continue", and once the
+	// 200 is out net/http never sends it, so curl (which asks for any
+	// upload over 1 MiB) would wait a second before uploading. The tar
+	// reader meets a failed peek's error again on its own first read.
+	br := bufio.NewReader(body)
+	_, _ = br.Peek(1)
+	tr := tar.NewReader(br)
 	return func() (engine.Member, error) {
 		for {
 			hdr, err := tr.Next()

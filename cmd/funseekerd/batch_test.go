@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -215,6 +216,46 @@ func TestBatchTarRoundTrip(t *testing.T) {
 	}
 	if st.Engine.Analyzed != 4 {
 		t.Fatalf("analyzed = %d, want one cold run per distinct binary", st.Engine.Analyzed)
+	}
+}
+
+// TestBatchAnswersExpectContinue: a client that sends "Expect:
+// 100-continue" and holds its body back, as curl does for any upload
+// over 1 MiB, hears "100 Continue" at once, not after its own timeout;
+// the upload it then sends streams back as usual.
+func TestBatchAnswersExpectContinue(t *testing.T) {
+	ts, _ := newTestServerEngine(t, engine.Config{Jobs: 2}, serverConfig{})
+	body := tarArchive(t, []tarMember{{"a", testELFs(t, 1)[0]}})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/batch HTTP/1.1\r\nHost: funseekerd\r\nContent-Type: application/x-tar\r\n"+
+		"Content-Length: %d\r\nExpect: 100-continue\r\nConnection: close\r\n\r\n", len(body))
+	br := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+	if line, err := br.ReadString('\n'); err != nil || line != "HTTP/1.1 100 Continue\r\n" {
+		t.Fatalf("first response line %q (%v), want HTTP/1.1 100 Continue within 500 ms", line, err)
+	}
+	if blank, err := br.ReadString('\n'); err != nil || blank != "\r\n" {
+		t.Fatalf("100 Continue followed by %q (%v)", blank, err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Minute))
+	if _, err := conn.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	recs := decodeNDJSON(t, resp.Body)
+	if resp.StatusCode != http.StatusOK || len(recs) != 1 || recs[0].Result == nil {
+		t.Fatalf("status %d, records %+v: want one result", resp.StatusCode, recs)
+	}
+	if sum := batchSummaryOf(t, resp); sum.Items != 1 || sum.OK != 1 || sum.Truncated {
+		t.Fatalf("summary = %+v, want 1 item / 1 ok, clean end", sum)
 	}
 }
 

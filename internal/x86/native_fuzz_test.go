@@ -22,6 +22,9 @@ var decodeSeeds = [][]byte{
 	{0xff, 0x25, 0x00, 0x10, 0x00, 0x00},       // jmp indirect
 	{0x0f, 0x84, 0x10, 0x00, 0x00, 0x00},       // jz rel32
 	{0x48, 0x8b, 0x04, 0xc5, 0, 0, 0, 0},       // mov rax,[rax*8+disp32]
+	{0x48, 0x89, 0xe5},                         // mov rbp,rsp (REX probe)
+	{0x41, 0x50},                               // push r8 (REX answered in place)
+	{0x48, 0xb8, 1, 2, 3, 4, 5, 6, 7, 8},       // mov rax,imm64
 	{0x66, 0x0f, 0x38, 0x00, 0xc0},             // three-byte opcode map
 	{0xc4, 0xe2, 0x79, 0x00, 0xc0},             // vex3
 	{0xc5, 0xf8, 0x77},                         // vex2 vzeroupper
@@ -101,8 +104,9 @@ func FuzzDecodeSuffixStability(f *testing.F) {
 // DecodeInto takes the fast path and its Inst equals the full decoder's,
 // its (Len, Class, Target) equals the core's (n, class, target), and
 // HasTarget holds exactly for the direct-branch classes; where the core
-// declines, DecodeInto answers exactly as the full decoder does. Its
-// corpus starts from FuzzDecode's.
+// declines, DecodeInto answers exactly as the full decoder does. Where
+// the length table answers, the core accepts with the table's length and
+// an unrecorded class. Its corpus starts from FuzzDecode's.
 func FuzzDecodeCore(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add(s, true)
@@ -114,6 +118,11 @@ func FuzzDecodeCore(f *testing.F) {
 			mode = Mode64
 		}
 		const addr = 0x401000
+		if n := tableLen(lenTableFor(mode), data, 0); n != 0 {
+			if m, class, _, ok := scan(data, addr, mode, nil); !ok || m != n || class.recorded() {
+				t.Fatalf("length table %d, core (len %d, %v, accepted %v) (input %x)", n, m, class, ok, data)
+			}
+		}
 		if checkFastPath(t, data, addr, mode) {
 			return
 		}
@@ -126,15 +135,38 @@ func FuzzDecodeCore(f *testing.F) {
 	})
 }
 
+// tableSeed mixes the forms the length table answers (one probe, a REX
+// probe, a REX answered in place) with the ones it must miss (a mod-0
+// SIB, a 0F ModRM behind a REX or not, REX.W MOV r, iv, direct branches).
+var tableSeed = bytes.Repeat([]byte{
+	0x48, 0x89, 0xe5, // mov rbp, rsp
+	0x48, 0x8b, 0x44, 0x24, 0x08, // mov rax, [rsp+8]
+	0x48, 0x8b, 0x04, 0x24, // mov rax, [rsp]
+	0x0f, 0xb6, 0xc0, // movzx eax, al
+	0x48, 0x0f, 0xaf, 0xc1, // imul rax, rcx
+	0x41, 0x50, // push r8
+	0x48, 0xb8, 1, 2, 3, 4, 5, 6, 7, 8, // mov rax, imm64
+	0x66, 0x90, // nop
+	0x8b, 0x04, 0x25, 0, 0x10, 0, 0, // mov eax, [0x1000]
+	0x0f, 0x1f, 0x44, 0x00, 0x00, // nop dword [rax+rax]
+	0xe8, 0x10, 0, 0, 0, // call rel32
+	0xc7, 0x45, 0xf8, 1, 0, 0, 0, // mov dword [rbp-8], 1
+}, 3)
+
 // FuzzSweepRecords: for arbitrary bytes in both modes, the records sweep
 // equals the LinearSweep reference, and the sharded sweep (seams forced
 // at every 64-byte-aligned chunk the input allows) equals the sequential
-// one.
+// one. tableSeed is added at every truncation, so the length table's
+// end-of-text guard is exercised at seams and at the end of the text.
 func FuzzSweepRecords(f *testing.F) {
 	f.Add([]byte{0xe8, 0x00, 0x00, 0x00, 0x00, 0xf3, 0x0f, 0x1e, 0xfa, 0xc3}, true)
 	f.Add([]byte{0x0f, 0x84, 0x10, 0x00, 0x00, 0x00, 0xeb, 0xfe, 0x06, 0xe9, 0, 0, 0, 0}, false)
 	f.Add(bytes.Repeat([]byte{0xe8, 0x01, 0x06, 0xf3, 0x0f, 0x1e, 0xfb}, 40), false)
 	f.Add(bytes.Repeat([]byte{0x48, 0x8b, 0x04, 0xc5, 0xe9, 0x0f, 0x1e, 0xfa}, 50), true)
+	for cut := range len(tableSeed) + 1 {
+		f.Add(tableSeed[:cut], true)
+		f.Add(tableSeed[:cut], false)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, mode64 bool) {
 		mode := Mode32
 		if mode64 {

@@ -3,6 +3,7 @@ package x86
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,33 +25,28 @@ const minShardBytes = 64 << 10
 // decoupled from worker count: workers bounds *concurrency* while the
 // atomic work-stealing counter in runParallel hands out shards, so
 // splitting a large text into more, smaller shards costs nothing and
-// wins twice — per-shard working set (code + length memo) stays
+// wins twice — per-shard working set (code + boundary bitmap) stays
 // cache-sized, and stragglers shrink because a slow core holds at most
 // one small shard, not 1/workers of the text. Low explicit worker
 // counts on big texts otherwise run measurably *slower* than
 // sequential (the workers=2 row on the 1 MiB bench corpus).
 const maxShardBytes = 128 << 10
 
-// shardScratch is one worker's reusable decode buffers: the per-chunk
-// instruction-length memo, the skip offsets, the shard-local boundary
-// bitmap, and the shard's speculative sparse records. Instances are
-// pooled — a corpus run sweeps thousands of binaries and the buffers are
-// pure scratch, so recycling them removes the dominant per-sweep
-// allocations.
+// shardScratch is one worker's reusable decode buffers: the skip
+// offsets, the shard-local boundary bitmap, and the shard's speculative
+// sparse records. Instances are pooled — a corpus run sweeps thousands
+// of binaries and the buffers are pure scratch, so recycling them
+// removes the dominant per-sweep allocations.
 //
-// lens is the length memo at the heart of the speculative sweep: one
-// byte per chunk byte, 0 = never visited, 0xFF = visited but
-// undecodable (skip), otherwise the encoded instruction length (1..15).
-// It makes the seam resolver's "has this shard's stream visited offset
-// X?" test O(1) instead of a binary search, and it is what lets phase 0
-// avoid materializing instructions at all: a chunk's speculative decode
-// is fully described by ~1.2 bytes/byte of scratch instead of the ~35
-// bytes/byte an Inst stream costs (112-byte Inst per ~3-byte encoding).
-// That footprint was the workers=8 collapse: eight full-size
-// speculative Inst buffers live at once put the build allocation-bound
-// (174-208 MB/op) instead of decode-bound.
+// The bitmap and the ascending skip offsets together answer the seam
+// resolver's one question, "has this shard's stream visited offset X?"
+// (shard.visited), so phase 0 never materializes an instruction: a
+// chunk's speculative decode is described by about 0.2 bytes of scratch
+// per byte instead of the ~35 bytes/byte an Inst stream costs (112-byte
+// Inst per ~3-byte encoding). That footprint was the workers=8 collapse:
+// eight full-size speculative Inst buffers live at once put the build
+// allocation-bound (174-208 MB/op) instead of decode-bound.
 type shardScratch struct {
-	lens   []uint8
 	skips  []int32
 	bits   []uint64
 	endbrs []uint64
@@ -143,8 +139,8 @@ func planShards(n, workers int) shardPlan {
 // sweepSharded is the records sweep, and its loop (shard.decode) is the
 // only sweep loop in the package: a sequential sweep is one shard of the
 // whole text, decoded inline. Phase 0 decodes the chunks
-// speculatively in parallel, each shard recording lengths into its memo,
-// boundary bits into a chunk-local bitmap, and its sparse records into
+// speculatively in parallel, each shard recording boundary bits into a
+// chunk-local bitmap, skipped offsets, and its sparse records into
 // pooled scratch. Phase A (stitch) walks the seams sequentially and
 // assembles the final records directly: seam instructions re-decoded
 // until each speculative stream agrees with the authoritative cursor,
@@ -207,21 +203,13 @@ func runParallel(n, conc int, fn func(i int)) {
 
 // decode runs the speculative sweep of one chunk: from start until the
 // cursor reaches the chunk end (the final instruction may overrun it),
-// recording each decode step in the length memo, the chunk-local
-// boundary bitmap and the shard's sparse records. A canceled ctx stops
+// recording each decode step in the chunk-local boundary bitmap or the
+// skip offsets, and the shard's sparse records. A canceled ctx stops
 // the shard at the next cancelStride boundary; the caller discards
 // every shard after noticing the cancellation.
 func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode) {
 	sc := sh.sc
-	n := sh.end - sh.start
-	lens := sc.lens
-	if cap(lens) < n {
-		lens = make([]uint8, n)
-	} else {
-		lens = lens[:n]
-		clear(lens)
-	}
-	words := (n + 63) / 64
+	words := (sh.end - sh.start + 63) / 64
 	bm := sc.bits
 	if cap(bm) < words {
 		bm = make([]uint64, words)
@@ -230,9 +218,10 @@ func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode
 		clear(bm)
 	}
 	sc.skips, sc.endbrs, sc.calls, sc.jumps = sc.skips[:0], sc.endbrs[:0], sc.calls[:0], sc.jumps[:0]
-	sc.lens, sc.bits = lens, bm
+	sc.bits = bm
 
 	done := ctx.Done()
+	tab := lenTableFor(mode)
 	var inst Inst // the full decoder's scratch, for encodings the core declines
 	start, end := sh.start, sh.end
 	off, next := start, start
@@ -244,17 +233,21 @@ func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode
 			next = off + cancelStride
 		}
 		rel := off - start
+		// Most steps are one table load (lentab.go).
+		if n := tableLen(tab, code, off); n != 0 {
+			bm[rel>>6] |= 1 << (rel & 63)
+			off += n
+			continue
+		}
 		n, class, target, ok := scan(code[off:], base+uint64(off), mode, nil)
 		if !ok {
 			n, class, target, ok = decodeFull(code[off:], base+uint64(off), mode, &inst)
 		}
 		if !ok {
-			lens[rel] = 0xFF
 			sc.skips = append(sc.skips, int32(off))
 			off++
 			continue
 		}
-		lens[rel] = uint8(n)
 		bm[rel>>6] |= 1 << (rel & 63)
 		if class.recorded() {
 			sc.endbrs, sc.calls, sc.jumps = appendRecord(sc.endbrs, sc.calls, sc.jumps, base+uint64(off), class, target)
@@ -266,7 +259,7 @@ func (sh *shard) decode(ctx context.Context, code []byte, base uint64, mode Mode
 
 // stitch walks the shards in cursor order and assembles the final
 // records. At each seam the cursor either lands on an offset the shard
-// visited — an O(1) length-memo probe, after which the shard's remaining
+// visited (shard.visited), after which the shard's remaining
 // stream is authoritative and is spliced in wholesale (records at or
 // above the splice point, skips counted, bitmap OR-ed from the splice
 // bit on) — or instructions are re-decoded one at a time from the true
@@ -287,6 +280,7 @@ func stitch(ctx context.Context, shards []shard, code []byte, base uint64, mode 
 	r.Jumps = make([]Ref, 0, nj)
 
 	done := ctx.Done()
+	tab := lenTableFor(mode)
 	cur, next := 0, 0
 	var inst Inst
 	for i := range shards {
@@ -298,7 +292,7 @@ func stitch(ctx context.Context, shards []shard, code []byte, base uint64, mode 
 				}
 				next = cur + cancelStride
 			}
-			if rel := cur - sh.start; rel >= 0 && sh.sc.lens[rel] != 0 {
+			if sh.visited(cur) {
 				// The speculative stream visited this offset (instruction
 				// or skip): everything from here on is authoritative.
 				r.splice(sh, cur)
@@ -308,6 +302,11 @@ func stitch(ctx context.Context, shards []shard, code []byte, base uint64, mode 
 			// The seam split an instruction: decode from the true
 			// boundary until the speculative stream agrees.
 			r.StitchRetries++
+			if n := tableLen(tab, code, cur); n != 0 {
+				r.bits[cur>>6] |= 1 << (cur & 63)
+				cur += n
+				continue
+			}
 			n, class, target, ok := scan(code[cur:], base+uint64(cur), mode, nil)
 			if !ok {
 				n, class, target, ok = decodeFull(code[cur:], base+uint64(cur), mode, &inst)
@@ -325,6 +324,22 @@ func stitch(ctx context.Context, shards []shard, code []byte, base uint64, mode 
 	// instruction, so the stream is complete once it is spliced or its
 	// seam walk reaches the end; nothing is left to decode here.
 	return r, nil
+}
+
+// visited reports whether the shard's speculative stream stepped on
+// offset cur: an instruction starts there (its boundary bit) or the byte
+// was skipped (its skip offset). From such an offset on, the shard's
+// stream is the sequential one.
+func (sh *shard) visited(cur int) bool {
+	rel := cur - sh.start
+	if rel < 0 {
+		return false
+	}
+	if sh.sc.bits[rel>>6]&(1<<(rel&63)) != 0 {
+		return true
+	}
+	_, skipped := slices.BinarySearch(sh.sc.skips, int32(cur))
+	return skipped
 }
 
 // splice appends the authoritative suffix [from, sh.final) of a shard's

@@ -43,6 +43,7 @@ import (
 
 	"github.com/funseeker/funseeker"
 	"github.com/funseeker/funseeker/internal/arm64"
+	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/engine"
 	"github.com/funseeker/funseeker/internal/obs"
 	"github.com/funseeker/funseeker/internal/ring"
@@ -481,6 +482,17 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 		}},
 	)
 	bms = append(bms,
+		// elfx/Load is one load of one corpus image: the header parse,
+		// the symbol tables and the PLT map, which every cold analysis
+		// pays before its sweep.
+		benchmark{name: "elfx/Load", fn: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := elfx.Load(set[i%len(set)].raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		benchmark{name: "identify/Config4", fn: func(b *testing.B) {
 			b.SetBytes(perBin)
 			b.ReportAllocs()

@@ -1,10 +1,6 @@
 package elfx
 
-import (
-	"bytes"
-	"debug/elf"
-	"encoding/binary"
-)
+import "debug/elf"
 
 // Arch identifies the instruction-set architecture of a binary, which
 // selects the analysis backend (linear sweep, landmark extraction, index
@@ -82,24 +78,11 @@ func archFrom(machine elf.Machine, class elf.Class) Arch {
 // in-memory image without parsing section headers. It returns exactly
 // the Arch that Load would assign, which is what lets callers key caches
 // by architecture before paying for a full parse. Bytes that do not
-// start with an ELF header yield ArchUnknown.
+// start with a valid ELF identification yield ArchUnknown.
 func DetectArch(raw []byte) Arch {
-	if len(raw) < 0x14 || !bytes.Equal(raw[:4], []byte("\x7fELF")) {
+	var f file
+	if f.ident(raw) != nil {
 		return ArchUnknown
 	}
-	class := elf.Class(raw[elf.EI_CLASS])
-	if class != elf.ELFCLASS32 && class != elf.ELFCLASS64 {
-		return ArchUnknown
-	}
-	var order binary.ByteOrder
-	switch elf.Data(raw[elf.EI_DATA]) {
-	case elf.ELFDATA2LSB:
-		order = binary.LittleEndian
-	case elf.ELFDATA2MSB:
-		order = binary.BigEndian
-	default:
-		return ArchUnknown
-	}
-	machine := elf.Machine(order.Uint16(raw[0x12:]))
-	return archFrom(machine, class)
+	return archFrom(f.machine, f.class)
 }

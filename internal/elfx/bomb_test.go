@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/funseeker/funseeker/internal/corpus"
 	"github.com/funseeker/funseeker/internal/synth"
@@ -256,6 +257,10 @@ func TestSymbolsMatchDebugElf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p, err := parse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range []struct {
 			typ  elf.SectionType
 			read func() ([]elf.Symbol, error)
@@ -264,7 +269,7 @@ func TestSymbolsMatchDebugElf(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %v: %v", f.Class, tc.typ, err)
 			}
-			got, err := symbols(f, tc.typ, raw)
+			got, err := symbols(p, tc.typ)
 			if err != nil {
 				t.Fatalf("%v %v: %v", f.Class, tc.typ, err)
 			}
@@ -308,5 +313,111 @@ func TestLoadHeaderTablesBoundedBySize(t *testing.T) {
 	}
 	if alloc >= 2*uint64(len(names)) {
 		t.Errorf("%d sections naming one %d-byte string: Load allocated %d bytes for a %d-byte image", shnum, strLen, alloc, len(names))
+	}
+}
+
+// wrappingNoteImage is synthImage with its 16-byte property descriptor
+// rewritten as two properties: one with pr_datasz 0, then one with
+// pr_datasz 0xFFFFFFF0, whose padded size brings a 32-bit scan offset
+// back to 0.
+func wrappingNoteImage(t testing.TB) []byte {
+	t.Helper()
+	raw := synthImage(t)
+	le := binary.LittleEndian
+	h := shdr64(t, raw, ".note.gnu.property")
+	note := raw[le.Uint64(h[24:]):][:le.Uint64(h[32:])]
+	if len(note) != 32 || le.Uint32(note[4:]) != 16 {
+		t.Fatalf("the test image's property note is %d bytes, descriptor %d; want 32, 16", len(note), le.Uint32(note[4:]))
+	}
+	desc := note[16:]
+	clear(desc)
+	le.PutUint32(desc[12:], 0xFFFFFFF0)
+	return raw
+}
+
+// TestLoadPropertyNoteTerminates: Load returns on a property note whose
+// pr_datasz runs past the end of the descriptor, where the scan offset
+// used to wrap and Load spun forever. The image is also a FuzzLoad seed.
+func TestLoadPropertyNoteTerminates(t *testing.T) {
+	raw := wrappingNoteImage(t)
+	type result struct {
+		b   *Binary
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		b, err := Load(raw)
+		done <- result{b, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.b.CETEnabled {
+			t.Error("a note without the IBT property reports CET")
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Load did not return within 3 s")
+	}
+}
+
+// TestLoadIgnoresFieldsItNeverReads pins the one way Load accepts more
+// than elf.NewFile: a program header offset of 2^63 or more, and a
+// section Load does not read whose size is that large or whose
+// compression header lies outside it. NewFile rejects each image; Load
+// reads none of those fields and returns what it returns for the
+// unpatched image.
+func TestLoadIgnoresFieldsItNeverReads(t *testing.T) {
+	raw := synthImage(t)
+	want, err := Load(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	for _, tc := range []struct {
+		name  string
+		patch func(img []byte)
+	}{
+		{"program header offset 2^63", func(img []byte) { le.PutUint64(img[le.Uint64(img[0x20:])+8:], 1<<63) }},
+		{".rodata size 2^63", func(img []byte) { le.PutUint64(shdr64(t, img, ".rodata")[32:], 1<<63) }},
+		{".rodata compressed in 4 bytes", func(img []byte) {
+			h := shdr64(t, img, ".rodata")
+			le.PutUint64(h[8:], le.Uint64(h[8:])|uint64(elf.SHF_COMPRESSED))
+			le.PutUint64(h[32:], 4)
+		}},
+	} {
+		img := bytes.Clone(raw)
+		tc.patch(img)
+		if _, err := elf.NewFile(bytes.NewReader(img)); err == nil {
+			t.Fatalf("%s: elf.NewFile accepts the image", tc.name)
+		}
+		got, err := Load(img)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Load returned a different Binary", tc.name)
+		}
+	}
+}
+
+// TestLoadRejectsShstrndxPastExtendedCount: with extended section
+// numbering (e_shnum 0, the count in section 0's sh_size), an
+// e_shstrndx at or past that count is ErrNotELF. elf.NewFile checks the
+// index only against e_shnum, and panicked indexing its sections with it.
+func TestLoadRejectsShstrndxPastExtendedCount(t *testing.T) {
+	const shnum = 0xff00
+	le := binary.LittleEndian
+	raw := make([]byte, 0x40+shnum*64)
+	copy(raw, "\x7fELF\x02\x01\x01")
+	le.PutUint16(raw[0x10:], uint16(elf.ET_EXEC))
+	le.PutUint16(raw[0x12:], uint16(elf.EM_X86_64))
+	le.PutUint32(raw[0x14:], uint32(elf.EV_CURRENT))
+	le.PutUint64(raw[0x28:], 0x40)   // e_shoff
+	le.PutUint16(raw[0x3A:], 64)     // e_shentsize
+	le.PutUint16(raw[0x3E:], 0xff10) // e_shstrndx
+	le.PutUint64(raw[0x40+32:], shnum)
+	if _, err := Load(raw); !errors.Is(err, ErrNotELF) {
+		t.Errorf("e_shstrndx %#x of %#x sections: err = %v, want ErrNotELF", 0xff10, shnum, err)
 	}
 }

@@ -1,10 +1,12 @@
 // Package elfx loads ELF binaries for function-identification analysis.
 //
-// It layers on debug/elf and extracts exactly what the identification
+// It reads the ELF header and the section header table itself, in one
+// pass over the image, and extracts exactly what the identification
 // tools need: the executable sections with their load addresses, the
 // exception-handling metadata (.eh_frame, .gcc_except_table), the PLT
 // entry → imported-symbol-name map recovered from the PLT relocations,
-// and the CET feature bits from the GNU property note.
+// and the CET feature bits from the GNU property note. debug/elf
+// supplies the constants and types.
 package elfx
 
 import (
@@ -82,8 +84,9 @@ type Binary struct {
 var ErrNoText = errors.New("elfx: no .text section")
 
 // ErrNotELF is returned when the input bytes do not parse as an ELF
-// image at all. The underlying debug/elf diagnostic is attached as text;
-// match with errors.Is(err, ErrNotELF).
+// image at all: no ELF magic, or an ELF header or section header table
+// that debug/elf would reject too. The message names the field at
+// fault; match with errors.Is(err, ErrNotELF).
 var ErrNotELF = errors.New("elfx: not an ELF image")
 
 // ErrMalformed is returned when a section Load reads cannot be read as
@@ -111,118 +114,290 @@ func Open(path string) (*Binary, error) {
 // Load parses an in-memory ELF image. The returned Binary's sections
 // alias raw, which must not be mutated while the Binary is in use.
 func Load(raw []byte) (*Binary, error) {
-	if err := checkIdent(raw); err != nil {
-		return nil, err
-	}
-	if err := checkHeaders(raw); err != nil {
-		return nil, err
-	}
-	f, err := elf.NewFile(bytes.NewReader(raw))
+	f, err := parse(raw)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotELF, err)
+		return nil, err
 	}
-	defer f.Close()
 
 	mode := x86.Mode64
-	if f.Class == elf.ELFCLASS32 {
+	if f.class == elf.ELFCLASS32 {
 		mode = x86.Mode32
 	}
 	bin := &Binary{
-		Arch:  archFrom(f.Machine, f.Class),
+		Arch:  archFrom(f.machine, f.class),
 		Mode:  mode,
-		PIE:   f.Type == elf.ET_DYN,
-		Entry: f.Entry,
+		PIE:   f.typ == elf.ET_DYN,
+		Entry: f.entry,
 		PLT:   make(map[uint64]string),
 	}
 
-	text := f.Section(".text")
-	if text == nil {
+	if f.section(".text") == nil {
 		return nil, ErrNoText
 	}
-	if bin.Text, err = sectionData(text, raw); err != nil {
+	if bin.Text, bin.TextAddr, err = f.read(".text"); err != nil {
 		return nil, err
 	}
-	bin.TextAddr = text.Addr
-
-	if s := f.Section(".eh_frame"); s != nil {
-		if bin.EHFrame, err = sectionData(s, raw); err != nil {
-			return nil, err
-		}
-		bin.EHFrameAddr = s.Addr
+	if bin.EHFrame, bin.EHFrameAddr, err = f.read(".eh_frame"); err != nil {
+		return nil, err
 	}
-	if s := f.Section(".gcc_except_table"); s != nil {
-		if bin.ExceptTable, err = sectionData(s, raw); err != nil {
-			return nil, err
-		}
-		bin.ExceptTableAddr = s.Addr
+	if bin.ExceptTable, bin.ExceptTableAddr, err = f.read(".gcc_except_table"); err != nil {
+		return nil, err
 	}
 
-	syms, err := symbols(f, elf.SHT_SYMTAB, raw)
+	syms, err := symbols(f, elf.SHT_SYMTAB)
 	if err != nil {
 		return nil, err
 	}
 	bin.FuncSymbols = slices.DeleteFunc(syms, func(s elf.Symbol) bool { return elf.ST_TYPE(s.Info) != elf.STT_FUNC })
-	dynsyms, err := symbols(f, elf.SHT_DYNSYM, raw)
+	dynsyms, err := symbols(f, elf.SHT_DYNSYM)
 	if err != nil {
 		return nil, err
 	}
 
-	var note []byte
-	if s := f.Section(".note.gnu.property"); s != nil {
-		if note, err = sectionData(s, raw); err != nil {
-			return nil, err
-		}
+	note, _, err := f.read(".note.gnu.property")
+	if err != nil {
+		return nil, err
 	}
 	if bin.Arch == ArchAArch64 {
-		bin.BTIEnabled = hasPropertyBit(note, f.Class, prTypeAArch64Features, 0x1)
+		bin.BTIEnabled = hasPropertyBit(note, f.class, prTypeAArch64Features, 0x1)
 	} else {
-		bin.CETEnabled = hasPropertyBit(note, f.Class, prTypeX86Features, 0x1)
+		bin.CETEnabled = hasPropertyBit(note, f.class, prTypeX86Features, 0x1)
 	}
 
-	if err := bin.buildPLTMap(f, raw, dynsyms); err != nil {
+	if err := bin.buildPLTMap(f, dynsyms); err != nil {
 		return nil, err
 	}
 	return bin, nil
 }
 
-// sectionData returns the bytes of sec, a section Load reads, after
-// checkSection accepts it: a slice of raw itself, not a copy, with its
-// capacity capped at its length so that an append copies instead of
-// writing into the image.
-func sectionData(sec *elf.Section, raw []byte) ([]byte, error) {
-	if err := checkSection(sec, raw); err != nil {
-		return nil, err
-	}
-	end := sec.Offset + sec.FileSize
-	return raw[sec.Offset:end:end], nil
+// file is an ELF image's header and section header table as parse reads
+// them from the image: only the fields Load uses.
+type file struct {
+	raw      []byte
+	class    elf.Class
+	bo       binary.ByteOrder
+	machine  elf.Machine
+	typ      elf.Type
+	entry    uint64
+	sections []section
 }
 
-// symbols reads the symbol table of type typ as elf.File.Symbols does,
-// the null entry omitted, but reads the table and its string table
-// through sectionData, and every name is a substring of one copy of the
-// string table. So entries that all name one long string cost it once,
-// not once each, and no symbol-version section is read (debug/elf's
+// section is one section header. Its name is a slice of .shstrtab in
+// the image itself.
+type section struct {
+	name            []byte
+	typ             elf.SectionType
+	flags           elf.SectionFlag
+	addr, off, size uint64
+	link            uint32
+}
+
+// ident reads e_ident and e_machine, the header fields DetectArch and
+// Load share. Input too short for them or without the ELF magic is
+// ErrNotELF; an invalid class, data or version byte is ErrMalformed,
+// and the message names the byte.
+func (f *file) ident(raw []byte) error {
+	if len(raw) < 0x14 || string(raw[:4]) != elf.ELFMAG {
+		return fmt.Errorf("%w: no ELF identification and e_machine", ErrNotELF)
+	}
+	class, data, version := raw[elf.EI_CLASS], raw[elf.EI_DATA], raw[elf.EI_VERSION]
+	switch {
+	case class != byte(elf.ELFCLASS32) && class != byte(elf.ELFCLASS64):
+		return fmt.Errorf("%w: invalid ELF class byte %#02x", ErrMalformed, class)
+	case data != byte(elf.ELFDATA2LSB) && data != byte(elf.ELFDATA2MSB):
+		return fmt.Errorf("%w: invalid ELF data byte %#02x", ErrMalformed, data)
+	case version != byte(elf.EV_CURRENT):
+		return fmt.Errorf("%w: invalid ELF version byte %#02x", ErrMalformed, version)
+	}
+	f.bo = binary.LittleEndian
+	if data == byte(elf.ELFDATA2MSB) {
+		f.bo = binary.BigEndian
+	}
+	f.class, f.machine = elf.Class(class), elf.Machine(f.bo.Uint16(raw[0x12:]))
+	return nil
+}
+
+// word reads an address-sized field: 8 bytes in ELF64, 4 in ELF32.
+func (f *file) word(b []byte) uint64 {
+	if f.class == elf.ELFCLASS64 {
+		return f.bo.Uint64(b)
+	}
+	return uint64(f.bo.Uint32(b))
+}
+
+// parse reads the ELF header and the section header table of raw in one
+// pass, bounds-checking each field where it reads it, and names each
+// section by a slice of .shstrtab. What elf.NewFile rejects among the
+// fields Load uses is ErrNotELF; a .shstrtab that data rejects, and
+// section names longer in total than raw, are ErrMalformed. Program
+// headers are never read, only located.
+func parse(raw []byte) (*file, error) {
+	f := &file{raw: raw}
+	if err := f.ident(raw); err != nil {
+		return nil, err
+	}
+	// Per class: the header size, where e_phoff, e_shoff and e_phentsize
+	// lie (the other counts and sizes follow it), the entry sizes NewFile
+	// requires, and where sh_addr, sh_offset, sh_size and sh_link lie.
+	ehsize, phoffAt, shoffAt, at, phentMin, shentMin := 0x34, 0x1C, 0x20, 0x2A, 32, 40
+	addrAt, offAt, sizeAt, linkAt := 12, 16, 20, 24
+	if f.class == elf.ELFCLASS64 {
+		ehsize, phoffAt, shoffAt, at, phentMin, shentMin = 0x40, 0x20, 0x28, 0x36, 56, 64
+		addrAt, offAt, sizeAt, linkAt = 16, 24, 32, 40
+	}
+	n := uint64(len(raw))
+	if n < uint64(ehsize) {
+		return nil, fmt.Errorf("%w: the %d-byte image ends inside its ELF header", ErrNotELF, n)
+	}
+	// e_version is a word, but elf.NewFile compares only its low byte.
+	if v := elf.Version(f.bo.Uint32(raw[0x14:])); v != elf.EV_CURRENT {
+		return nil, fmt.Errorf("%w: e_version %d", ErrNotELF, v)
+	}
+	f.typ, f.entry = elf.Type(f.bo.Uint16(raw[0x10:])), f.word(raw[0x18:])
+	fits := func(off, num, entsize uint64) bool { return off <= n && num <= (n-off)/entsize }
+	phoff, phentsize, phnum := f.word(raw[phoffAt:]), uint64(f.bo.Uint16(raw[at:])), uint64(f.bo.Uint16(raw[at+2:]))
+	shoff, shentsize := f.word(raw[shoffAt:]), uint64(f.bo.Uint16(raw[at+4:]))
+	shnum, shstrndx := uint64(f.bo.Uint16(raw[at+6:])), uint64(f.bo.Uint16(raw[at+8:]))
+	if int64(phoff) < 0 || phnum > 0 && (phentsize < uint64(phentMin) || !fits(phoff, phnum, phentsize)) {
+		return nil, fmt.Errorf("%w: program header table [%#x,+%d×%d) has short entries or lies outside the %d-byte image", ErrNotELF, phoff, phnum, phentsize, n)
+	}
+	// Extended numbering keeps the real count, and an e_shstrndx that
+	// does not fit, in section 0.
+	if shoff > 0 && shnum == 0 {
+		if !fits(shoff, 1, uint64(shentMin)) {
+			return nil, fmt.Errorf("%w: section header 0 at %#x lies outside the %d-byte image", ErrNotELF, shoff, n)
+		}
+		h := raw[shoff:]
+		if shnum = f.word(h[sizeAt:]); elf.SectionType(f.bo.Uint32(h[4:])) != elf.SHT_NULL || shnum < uint64(elf.SHN_LORESERVE) {
+			return nil, fmt.Errorf("%w: section 0 holds no extended section count", ErrNotELF)
+		}
+		if shstrndx == uint64(elf.SHN_XINDEX) {
+			if shstrndx = uint64(f.bo.Uint32(h[linkAt:])); shstrndx < uint64(elf.SHN_LORESERVE) {
+				return nil, fmt.Errorf("%w: extended e_shstrndx %d", ErrNotELF, shstrndx)
+			}
+		}
+	}
+	switch {
+	case shnum == 0:
+		return f, nil
+	case shoff == 0 || shentsize < uint64(shentMin) || !fits(shoff, shnum, shentsize):
+		return nil, fmt.Errorf("%w: section header table [%#x,+%d×%d) has short entries or lies outside the %d-byte image", ErrNotELF, shoff, shnum, shentsize, n)
+	case shstrndx >= shnum:
+		return nil, fmt.Errorf("%w: e_shstrndx %d of %d sections", ErrNotELF, shstrndx, shnum)
+	}
+
+	f.sections = make([]section, shnum)
+	names := make([]uint32, shnum)
+	for i := range f.sections {
+		h := raw[shoff+uint64(i)*shentsize:]
+		names[i] = f.bo.Uint32(h)
+		f.sections[i] = section{
+			typ:   elf.SectionType(f.bo.Uint32(h[4:])),
+			flags: elf.SectionFlag(f.word(h[8:])),
+			addr:  f.word(h[addrAt:]),
+			off:   f.word(h[offAt:]),
+			size:  f.word(h[sizeAt:]),
+			link:  f.bo.Uint32(h[linkAt:]),
+		}
+	}
+	if shstrndx == 0 {
+		return f, nil // no section names
+	}
+	strtab := &f.sections[shstrndx]
+	strtab.name = []byte(".shstrtab") // for data's messages, until the table names it
+	tab, err := f.data(strtab)
+	if err != nil {
+		return nil, err
+	}
+	if strtab.typ != elf.SHT_STRTAB {
+		return nil, fmt.Errorf("%w: .shstrtab is %v, not SHT_STRTAB", ErrNotELF, strtab.typ)
+	}
+	total := 0
+	for i, end := range stringEnds(tab, names) {
+		if end < 0 {
+			return nil, fmt.Errorf("%w: section %d's name offset %d is not a string of .shstrtab", ErrNotELF, i, names[i])
+		}
+		f.sections[i].name = tab[names[i]:end]
+		total += len(f.sections[i].name)
+	}
+	if total > len(raw) {
+		return nil, fmt.Errorf("%w: the %d section names total %d bytes, more than the %d-byte image", ErrMalformed, shnum, total, n)
+	}
+	return f, nil
+}
+
+// section returns the first section named name, as elf.File.Section
+// does, or nil.
+func (f *file) section(name string) *section {
+	for i := range f.sections {
+		if string(f.sections[i].name) == name {
+			return &f.sections[i]
+		}
+	}
+	return nil
+}
+
+// read returns the bytes (through data) and the address of the first
+// section named name, or nothing when there is none.
+func (f *file) read(name string) ([]byte, uint64, error) {
+	s := f.section(name)
+	if s == nil {
+		return nil, 0, nil
+	}
+	data, err := f.data(s)
+	return data, s.addr, err
+}
+
+// data returns the bytes of s, a section Load reads: a slice of the
+// image itself, not a copy, with its capacity capped at its length so
+// that an append copies instead of writing into the image. A section
+// whose bytes are not a plain range of the image is ErrMalformed:
+// SHF_COMPRESSED, which no toolchain emits on the sections Load reads
+// and which lets a small image inflate to any size; SHT_NOBITS, whose
+// zero fill is sized by the header alone; and a file range outside the
+// image. Sections Load never reads (compressed debug sections among
+// them) are not checked.
+func (f *file) data(s *section) ([]byte, error) {
+	n := uint64(len(f.raw))
+	switch {
+	case s.flags&elf.SHF_COMPRESSED != 0:
+		return nil, fmt.Errorf("%w: %s is compressed", ErrMalformed, s.name)
+	case s.typ == elf.SHT_NOBITS:
+		return nil, fmt.Errorf("%w: %s has no file bytes", ErrMalformed, s.name)
+	case s.off > n || s.size > n-s.off:
+		return nil, fmt.Errorf("%w: %s [%#x,+%#x) lies outside the %d-byte image", ErrMalformed, s.name, s.off, s.size, n)
+	}
+	end := s.off + s.size
+	return f.raw[s.off:end:end], nil
+}
+
+// symbols reads the first symbol table of type typ as elf.File.Symbols
+// does, the null entry omitted, but reads the table and its string table
+// through data, and every name is a substring of one copy of the string
+// table. So entries that all name one long string cost it once, not
+// once each, and no symbol-version section is read (debug/elf's
 // DynamicSymbols would inflate a compressed one). A table that is
 // missing, empty, ragged or without a string table is nil, as debug/elf
 // reports it as an error.
-func symbols(f *elf.File, typ elf.SectionType, raw []byte) ([]elf.Symbol, error) {
-	s := f.SectionByType(typ)
-	if s == nil {
+func symbols(f *file, typ elf.SectionType) ([]elf.Symbol, error) {
+	i := slices.IndexFunc(f.sections, func(s section) bool { return s.typ == typ })
+	if i < 0 {
 		return nil, nil
 	}
-	data, err := sectionData(s, raw)
-	if err != nil || int(s.Link) >= len(f.Sections) {
+	s := &f.sections[i]
+	data, err := f.data(s)
+	if err != nil || int(s.link) >= len(f.sections) {
 		return nil, err
 	}
-	strtab, err := sectionData(f.Sections[s.Link], raw)
+	strtab, err := f.data(&f.sections[s.link])
 	entSize := 24 // Elf64_Sym
-	if f.Class == elf.ELFCLASS32 {
+	if f.class == elf.ELFCLASS32 {
 		entSize = 16
 	}
-	if err != nil || s.Link == 0 || len(data) == 0 || len(data)%entSize != 0 {
+	if err != nil || s.link == 0 || len(data) == 0 || len(data)%entSize != 0 {
 		return nil, err
 	}
-	bo, ents := f.ByteOrder, data[entSize:]
+	bo, ents := f.bo, data[entSize:]
 	syms := make([]elf.Symbol, len(ents)/entSize)
 	nameOffs := make([]uint32, len(syms))
 	for i := range syms {
@@ -243,136 +418,6 @@ func symbols(f *elf.File, typ elf.SectionType, raw []byte) ([]elf.Symbol, error)
 		}
 	}
 	return syms, nil
-}
-
-// checkSection rejects, with ErrMalformed, a section whose bytes are not
-// a plain range of raw: SHF_COMPRESSED, which no toolchain emits on the
-// sections Load reads and which lets a small image inflate to any size;
-// SHT_NOBITS, whose zero fill is sized by the header alone; and a file
-// range outside raw. Sections Load never reads (compressed debug
-// sections among them) are not checked.
-func checkSection(sec *elf.Section, raw []byte) error {
-	return checkHeader(sec.Name, sec.Type, sec.Flags, sec.Offset, sec.FileSize, raw)
-}
-
-// checkHeader is checkSection over the raw section-header fields.
-func checkHeader(name string, typ elf.SectionType, flags elf.SectionFlag, off, size uint64, raw []byte) error {
-	switch {
-	case flags&elf.SHF_COMPRESSED != 0:
-		return fmt.Errorf("%w: %s is compressed", ErrMalformed, name)
-	case typ == elf.SHT_NOBITS:
-		return fmt.Errorf("%w: %s has no file bytes", ErrMalformed, name)
-	case off > uint64(len(raw)) || size > uint64(len(raw))-off:
-		return fmt.Errorf("%w: %s [%#x,+%#x) lies outside the %d-byte image",
-			ErrMalformed, name, off, size, len(raw))
-	}
-	return nil
-}
-
-// checkIdent names an invalid class, data or version byte in e_ident,
-// which elf.NewFile would report as an out-of-range enum value (class
-// 0x20 as "ELFCLASS64+30"). Input without the ELF magic is left for
-// elf.NewFile to report as not ELF.
-func checkIdent(raw []byte) error {
-	if len(raw) < elf.EI_NIDENT || string(raw[:4]) != elf.ELFMAG {
-		return nil
-	}
-	class, data, version := raw[elf.EI_CLASS], raw[elf.EI_DATA], raw[elf.EI_VERSION]
-	switch {
-	case class != byte(elf.ELFCLASS32) && class != byte(elf.ELFCLASS64):
-		return fmt.Errorf("%w: invalid ELF class byte %#02x", ErrMalformed, class)
-	case data != byte(elf.ELFDATA2LSB) && data != byte(elf.ELFDATA2MSB):
-		return fmt.Errorf("%w: invalid ELF data byte %#02x", ErrMalformed, data)
-	case version != byte(elf.EV_CURRENT):
-		return fmt.Errorf("%w: invalid ELF version byte %#02x", ErrMalformed, version)
-	}
-	return nil
-}
-
-// checkHeaders reads the header-table fields from raw and rejects what
-// would make elf.NewFile allocate out of proportion to raw, before it
-// reads anything: a program or section header table that lies outside
-// raw, which NewFile rejects only after reading up to 10 MiB of it
-// (ErrNotELF, as NewFile would report it); a section-name string table
-// (e_shstrndx) that checkHeader rejects; and section names that
-// together are longer than raw, which NewFile would copy out one string
-// per section (ErrMalformed). A header too short or out of range to
-// locate a table is left for elf.NewFile to report.
-func checkHeaders(raw []byte) error {
-	if len(raw) < elf.EI_NIDENT || string(raw[:4]) != elf.ELFMAG {
-		return nil
-	}
-	var bo binary.ByteOrder = binary.LittleEndian
-	if elf.Data(raw[elf.EI_DATA]) == elf.ELFDATA2MSB {
-		bo = binary.BigEndian
-	}
-	is64 := elf.Class(raw[elf.EI_CLASS]) == elf.ELFCLASS64
-	word := func(b []byte) uint64 {
-		if is64 {
-			return bo.Uint64(b)
-		}
-		return uint64(bo.Uint32(b))
-	}
-	// Field offsets of e_phoff, e_shoff and e_phentsize (e_phnum,
-	// e_shentsize, e_shnum and e_shstrndx follow it), the header sizes
-	// elf.NewFile requires, and the offsets of sh_flags, sh_offset,
-	// sh_size and sh_link, per ELF class.
-	ehsize, phoffAt, shoffAt, at, phentMin, shentMin := 0x34, 0x1C, 0x20, 0x2A, 32, 40
-	flagsAt, offAt, sizeAt, linkAt := 8, 16, 20, 24
-	if is64 {
-		ehsize, phoffAt, shoffAt, at, phentMin, shentMin = 0x40, 0x20, 0x28, 0x36, 56, 64
-		flagsAt, offAt, sizeAt, linkAt = 8, 24, 32, 40
-	}
-	if len(raw) < ehsize {
-		return nil
-	}
-	n := uint64(len(raw))
-	fits := func(off, num, entsize uint64) bool { return off <= n && num <= (n-off)/entsize }
-	phoff, phentsize, phnum := word(raw[phoffAt:]), uint64(bo.Uint16(raw[at:])), uint64(bo.Uint16(raw[at+2:]))
-	if phnum > 0 && phentsize >= uint64(phentMin) && !fits(phoff, phnum, phentsize) {
-		return fmt.Errorf("%w: program header table [%#x,+%d×%d) lies outside the %d-byte image", ErrNotELF, phoff, phnum, phentsize, n)
-	}
-	shoff, shentsize := word(raw[shoffAt:]), uint64(bo.Uint16(raw[at+4:]))
-	shnum, shstrndx := uint64(bo.Uint16(raw[at+6:])), uint64(bo.Uint16(raw[at+8:]))
-	if shoff == 0 || shentsize < uint64(shentMin) {
-		return nil // no sections, or a header elf.NewFile rejects unread
-	}
-	hdr := func(i uint64) []byte { return raw[shoff+i*shentsize:][:shentsize] }
-	// Extended numbering keeps the real count and index in section 0.
-	if shnum == 0 {
-		if !fits(shoff, 1, shentsize) {
-			return nil
-		}
-		shnum = word(hdr(0)[sizeAt:])
-		if shstrndx == uint64(elf.SHN_XINDEX) {
-			shstrndx = uint64(bo.Uint32(hdr(0)[linkAt:]))
-		}
-	}
-	if !fits(shoff, shnum, shentsize) {
-		return fmt.Errorf("%w: section header table [%#x,+%d×%d) lies outside the %d-byte image", ErrNotELF, shoff, shnum, shentsize, n)
-	}
-	if shstrndx == 0 || shstrndx >= shnum {
-		return nil
-	}
-	h := hdr(shstrndx)
-	typ, off, size := elf.SectionType(bo.Uint32(h[4:])), word(h[offAt:]), word(h[sizeAt:])
-	if err := checkHeader(".shstrtab", typ, elf.SectionFlag(word(h[flagsAt:])), off, size, raw); err != nil || typ != elf.SHT_STRTAB {
-		return err
-	}
-	names := make([]uint32, shnum)
-	for i := range names {
-		names[i] = bo.Uint32(hdr(uint64(i)))
-	}
-	total := 0
-	for i, end := range stringEnds(raw[off:off+size], names) {
-		if end >= 0 {
-			total += end - int(names[i])
-		}
-	}
-	if total > len(raw) {
-		return fmt.Errorf("%w: the %d section names total %d bytes, more than the %d-byte image", ErrMalformed, shnum, total, n)
-	}
-	return nil
 }
 
 // stringEnds returns, for each offset in offs, the index in tab of the
@@ -463,14 +508,16 @@ func hasPropertyBit(data []byte, class elf.Class, prType, bit uint32) bool {
 	if uint32(len(desc)) < descsz {
 		return false
 	}
-	for off := uint32(0); off+8 <= descsz; {
+	// off is a uint64, so a pr_datasz past the descriptor ends the scan:
+	// near 2^32 it would wrap a uint32 off back to the first property.
+	for off := uint64(0); off+8 <= uint64(descsz); {
 		gotType := le.Uint32(desc[off:])
-		prSize := le.Uint32(desc[off+4:])
-		if gotType == prType && prSize >= 4 && off+8+4 <= uint32(len(desc)) {
+		prSize := uint64(le.Uint32(desc[off+4:]))
+		if gotType == prType && prSize >= 4 && off+8+4 <= uint64(len(desc)) {
 			return le.Uint32(desc[off+8:])&bit != 0
 		}
 		// Properties are padded to the class alignment.
-		align := uint32(8)
+		align := uint64(8)
 		if class == elf.ELFCLASS32 {
 			align = 4
 		}
@@ -484,27 +531,17 @@ func hasPropertyBit(data []byte, class elf.Class, prType, bit uint32) bool {
 // PLT relocation table. Both the classic single .plt layout and the
 // split .plt/.plt.sec layout of CET-enabled links are handled: every
 // executable stub section is scanned with the same GOT-slot join.
-func (b *Binary) buildPLTMap(f *elf.File, raw []byte, dynsyms []elf.Symbol) error {
-	gotToName, err := pltRelocations(f, raw, dynsyms)
+func (b *Binary) buildPLTMap(f *file, dynsyms []elf.Symbol) error {
+	gotToName, err := pltRelocations(f, dynsyms)
 	if err != nil {
 		return err
 	}
-	scan := func(sec *elf.Section) error {
-		if sec == nil {
-			return nil
-		}
-		data, err := sectionData(sec, raw)
+	scan := func(name string, start, end *uint64) error {
+		data, addr, err := f.read(name)
 		if err != nil {
 			return err
 		}
-		switch sec.Name {
-		case ".plt":
-			b.PLTStart = sec.Addr
-			b.PLTEnd = sec.Addr + uint64(len(data))
-		case ".plt.sec":
-			b.PLTSecStart = sec.Addr
-			b.PLTSecEnd = sec.Addr + uint64(len(data))
-		}
+		*start, *end = addr, addr+uint64(len(data))
 		if len(gotToName) == 0 || b.Arch == ArchAArch64 {
 			// The stub scan below decodes x86; AArch64 PLT stubs would
 			// be decoded as garbage, and the map only feeds the x86-only
@@ -514,7 +551,7 @@ func (b *Binary) buildPLTMap(f *elf.File, raw []byte, dynsyms []elf.Symbol) erro
 		}
 		// Walk the stubs: each one contains an indirect jmp through its
 		// GOT slot. Attribute the jump to the 16-byte-aligned stub start.
-		x86.LinearSweep(data, sec.Addr, b.Mode, func(inst *x86.Inst) bool {
+		x86.LinearSweep(data, addr, b.Mode, func(inst *x86.Inst) bool {
 			if inst.Class != x86.ClassJmpInd {
 				return true
 			}
@@ -532,39 +569,33 @@ func (b *Binary) buildPLTMap(f *elf.File, raw []byte, dynsyms []elf.Symbol) erro
 				return true
 			}
 			entry := inst.Addr &^ 0xF // stubs are 16-byte aligned
-			if entry < sec.Addr {
-				entry = sec.Addr
+			if entry < addr {
+				entry = addr
 			}
 			b.PLT[entry] = name
 			return true
 		})
 		return nil
 	}
-	if err := scan(f.Section(".plt")); err != nil {
+	if err := scan(".plt", &b.PLTStart, &b.PLTEnd); err != nil {
 		return err
 	}
-	return scan(f.Section(".plt.sec"))
+	return scan(".plt.sec", &b.PLTSecStart, &b.PLTSecEnd)
 }
 
 // pltRelocations parses .rela.plt / .rel.plt into a GOT-slot → name map,
 // naming each slot from dynsyms, the dynamic symbol table.
-func pltRelocations(f *elf.File, raw []byte, dynsyms []elf.Symbol) (map[uint64]string, error) {
-	var (
-		data []byte
-		rela bool
-		err  error
-	)
-	if s := f.Section(".rela.plt"); s != nil {
-		if data, err = sectionData(s, raw); err != nil {
-			return nil, err
-		}
-		rela = true
-	} else if s := f.Section(".rel.plt"); s != nil {
-		if data, err = sectionData(s, raw); err != nil {
-			return nil, err
-		}
-	} else {
+func pltRelocations(f *file, dynsyms []elf.Symbol) (map[uint64]string, error) {
+	s, rela := f.section(".rela.plt"), true
+	if s == nil {
+		s, rela = f.section(".rel.plt"), false
+	}
+	if s == nil {
 		return nil, nil
+	}
+	data, err := f.data(s)
+	if err != nil {
+		return nil, err
 	}
 	if dynsyms == nil {
 		return nil, nil // no dynamic symbols: nothing to resolve
@@ -577,42 +608,28 @@ func pltRelocations(f *elf.File, raw []byte, dynsyms []elf.Symbol) (map[uint64]s
 		return dynsyms[idx-1].Name
 	}
 
-	out := make(map[uint64]string)
+	if f.class == elf.ELFCLASS64 && !rela {
+		return nil, fmt.Errorf("%w: ELF64 PLT relocations must be RELA", ErrMalformed)
+	}
+
+	// An entry is r_offset, r_info and, in RELA, r_addend, each a word of
+	// the class; r_info's symbol index is its high 32 bits in ELF64 and
+	// its high 24 in ELF32.
 	le := binary.LittleEndian
-	if f.Class == elf.ELFCLASS64 {
-		if !rela {
-			return nil, fmt.Errorf("%w: ELF64 PLT relocations must be RELA", ErrMalformed)
-		}
-		for off := 0; off+24 <= len(data); off += 24 {
-			r := elf.Rela64{
-				Off:  le.Uint64(data[off:]),
-				Info: le.Uint64(data[off+8:]),
-			}
-			if name := nameOf(elf.R_SYM64(r.Info)); name != "" {
-				out[r.Off] = name
-			}
-		}
-		return out, nil
+	entSize, symShift := 8, 8 // Elf32_Rel
+	fields := func(e []byte) (uint64, uint64) { return uint64(le.Uint32(e)), uint64(le.Uint32(e[4:])) }
+	switch {
+	case f.class == elf.ELFCLASS64:
+		entSize, symShift = 24, 32
+		fields = func(e []byte) (uint64, uint64) { return le.Uint64(e), le.Uint64(e[8:]) }
+	case rela:
+		entSize = 12
 	}
-	if rela {
-		for off := 0; off+12 <= len(data); off += 12 {
-			r := elf.Rela32{
-				Off:  le.Uint32(data[off:]),
-				Info: le.Uint32(data[off+4:]),
-			}
-			if name := nameOf(elf.R_SYM32(r.Info)); name != "" {
-				out[uint64(r.Off)] = name
-			}
-		}
-		return out, nil
-	}
-	for off := 0; off+8 <= len(data); off += 8 {
-		r := elf.Rel32{
-			Off:  le.Uint32(data[off:]),
-			Info: le.Uint32(data[off+4:]),
-		}
-		if name := nameOf(elf.R_SYM32(r.Info)); name != "" {
-			out[uint64(r.Off)] = name
+	out := make(map[uint64]string)
+	for off := 0; off+entSize <= len(data); off += entSize {
+		slot, info := fields(data[off:])
+		if name := nameOf(uint32(info >> symShift)); name != "" {
+			out[slot] = name
 		}
 	}
 	return out, nil

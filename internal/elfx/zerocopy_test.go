@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"debug/elf"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -97,7 +98,8 @@ func TestLoadAllocatesLessThanImage(t *testing.T) {
 // of the decompression-bomb images. For every input Load must not
 // panic, must give the same answer twice, and must allocate at most a
 // small multiple of the input's size: sections are slices of the input,
-// so any range checkSection lets through would panic here.
+// so any range data lets through would panic here. parse must also
+// agree with elf.NewFile (agreeWithDebugElf).
 func FuzzLoad(f *testing.F) {
 	raw := synthImage(f)
 	f.Add(raw)
@@ -134,5 +136,81 @@ func FuzzLoad(f *testing.F) {
 		if err1 != nil && !errors.Is(err1, ErrNotELF) && !errors.Is(err1, ErrMalformed) && !errors.Is(err1, ErrNoText) {
 			t.Fatalf("Load failed outside the error taxonomy: %v", err1)
 		}
+		agreeWithDebugElf(t, in)
 	})
+}
+
+// agreeWithDebugElf holds parse to elf.NewFile, the reference parser.
+// Where both accept, every header and section-header field Load uses is
+// equal. Where only NewFile accepts, parse's error is ErrMalformed: one
+// of the rejections Load made before it called NewFile (an invalid
+// identification byte, a .shstrtab that is not plain bytes of the
+// image, section names longer than the image). Where only parse
+// accepts, NewFile rejected the image for a field parse never reads
+// (unreadFieldFault).
+func agreeWithDebugElf(t *testing.T, in []byte) {
+	p, perr := parse(in)
+	if errors.Is(perr, ErrMalformed) {
+		return // NewFile would inflate a compressed .shstrtab
+	}
+	ref, rerr := newFile(in)
+	switch {
+	case perr != nil && rerr == nil:
+		t.Fatalf("parse rejects an image elf.NewFile accepts: %v", perr)
+	case perr == nil && rerr != nil:
+		if !unreadFieldFault(in, p) {
+			t.Fatalf("parse accepts an image elf.NewFile rejects: %v", rerr)
+		}
+	case perr == nil:
+		if p.class != ref.Class || p.bo != ref.ByteOrder || p.machine != ref.Machine || p.typ != ref.Type ||
+			p.entry != ref.Entry || len(p.sections) != len(ref.Sections) {
+			t.Fatalf("ELF header: parse %v %v %v %v %#x with %d sections; elf.NewFile %v %v %v %v %#x with %d",
+				p.class, p.bo, p.machine, p.typ, p.entry, len(p.sections),
+				ref.Class, ref.ByteOrder, ref.Machine, ref.Type, ref.Entry, len(ref.Sections))
+		}
+		for i, want := range ref.Sections {
+			s := p.sections[i]
+			if string(s.name) != want.Name || s.typ != want.Type || s.flags != want.Flags || s.addr != want.Addr ||
+				s.off != want.Offset || s.size != want.FileSize || s.link != want.Link {
+				t.Fatalf("section %d: parse %+v, elf.NewFile %+v", i, s, want.SectionHeader)
+			}
+		}
+	}
+}
+
+// newFile is elf.NewFile with a panic reported as an error: NewFile
+// indexes its sections with an extended e_shstrndx it never checked.
+func newFile(in []byte) (f *elf.File, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("elf.NewFile panicked: %v", r)
+		}
+	}()
+	return elf.NewFile(bytes.NewReader(in))
+}
+
+// unreadFieldFault reports whether elf.NewFile rejects in, which parse
+// accepted, for a field parse never reads: an ELF64 program header
+// whose offset or file size is 2^63 or more, or a section whose offset
+// or size is, or whose compression header does not fit in the section
+// or the image.
+func unreadFieldFault(in []byte, p *file) bool {
+	chdrSize := uint64(12) // Elf32_Chdr
+	if p.class == elf.ELFCLASS64 {
+		chdrSize = 24
+		phoff, phentsize, phnum := p.bo.Uint64(in[0x20:]), uint64(p.bo.Uint16(in[0x36:])), uint64(p.bo.Uint16(in[0x38:]))
+		for i := uint64(0); i < phnum; i++ {
+			ph := in[phoff+i*phentsize:]
+			if int64(p.bo.Uint64(ph[8:])) < 0 || int64(p.bo.Uint64(ph[32:])) < 0 {
+				return true
+			}
+		}
+	}
+	for _, s := range p.sections {
+		if int64(s.off) < 0 || int64(s.size) < 0 ||
+			s.flags&elf.SHF_COMPRESSED != 0 && (s.size < chdrSize || s.off+chdrSize > uint64(len(in))) {
+			return true
+		}
+	}
+	return false
 }

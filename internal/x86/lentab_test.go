@@ -130,7 +130,13 @@ func proveLenTable(t *testing.T, tab *lenTable, mode Mode, lead []byte) (answere
 // its REX probe behind each of lenREXes, against the full decoder by
 // enumeration rather than sampling: every key, every third byte, several
 // fills after it (TestLenTableExhaustive/x86-64/rex=48 covers REX.W).
+// Each enumeration runs on one goroutine, so it is skipped under the
+// race detector, which has nothing to check in it and makes it about a
+// minute long; CI runs it in a plain step.
 func TestLenTableExhaustive(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine enumeration; run without -race")
+	}
 	for _, mode := range []Mode{Mode32, Mode64} {
 		leads := [][]byte{nil}
 		if mode == Mode64 {

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/funseeker/funseeker/internal/core"
 	"github.com/funseeker/funseeker/internal/engine"
 	"github.com/funseeker/funseeker/internal/store"
 )
@@ -24,6 +27,24 @@ func openTestStore(t *testing.T, opts store.Options) *store.Store {
 	return st
 }
 
+// analyzeQueryCases is the query table TestAnalyzeOptionsStrict drives
+// through both endpoints and FuzzParseAnalyzeOptions starts from.
+var analyzeQueryCases = []struct {
+	name       string
+	query      string
+	wantStatus int
+}{
+	{"defaults", "", http.StatusOK},
+	{"all valid", "?config=2&superset=1&require_cet=0", http.StatusOK},
+	{"bool spellings", "?superset=yes&require_cet=false", http.StatusOK},
+	{"unknown key", "?supserset=1", http.StatusBadRequest},
+	{"config out of range", "?config=9", http.StatusBadRequest},
+	{"config not a number", "?config=four", http.StatusBadRequest},
+	{"bad bool", "?superset=maybe", http.StatusBadRequest},
+	// The ELF header alone picks the backend: arch is not a key.
+	{"bad arch", "?arch=x86-64", http.StatusBadRequest},
+}
+
 // TestAnalyzeOptionsStrict drives the shared query parser through both
 // endpoints that use it: a typo'd or malformed option must be a
 // structured 400 on /v1/analyze AND /v1/batch, never a silent analysis
@@ -33,20 +54,6 @@ func TestAnalyzeOptionsStrict(t *testing.T) {
 	raw := testELFs(t, 1)[0]
 	archive := tarArchive(t, []tarMember{{"a", raw}})
 
-	cases := []struct {
-		name       string
-		query      string
-		wantStatus int
-	}{
-		{"defaults", "", http.StatusOK},
-		{"all valid", "?config=2&superset=1&require_cet=0&arch=x86-64", http.StatusOK},
-		{"bool spellings", "?superset=yes&require_cet=false", http.StatusOK},
-		{"unknown key", "?supserset=1", http.StatusBadRequest},
-		{"config out of range", "?config=9", http.StatusBadRequest},
-		{"config not a number", "?config=four", http.StatusBadRequest},
-		{"bad bool", "?superset=maybe", http.StatusBadRequest},
-		{"bad arch", "?arch=mips", http.StatusBadRequest},
-	}
 	endpoints := []struct {
 		name, path, contentType string
 		body                    []byte
@@ -55,7 +62,7 @@ func TestAnalyzeOptionsStrict(t *testing.T) {
 		{"batch", "/v1/batch", "application/x-tar", archive},
 	}
 	for _, ep := range endpoints {
-		for _, tc := range cases {
+		for _, tc := range analyzeQueryCases {
 			t.Run(ep.name+"/"+tc.name, func(t *testing.T) {
 				resp, err := http.Post(ts.URL+ep.path+tc.query, ep.contentType, bytes.NewReader(ep.body))
 				if err != nil {
@@ -75,6 +82,68 @@ func TestAnalyzeOptionsStrict(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzParseAnalyzeOptions checks the query parser against its contract
+// on arbitrary query strings: it never panics, any key other than
+// config, superset and require_cet is an error, and an accepted query
+// yields exactly the configuration preset it names (4 by default) plus
+// exactly the superset and require_cet bits it asks for. A query whose
+// keys and values are all well formed must be accepted.
+func FuzzParseAnalyzeOptions(f *testing.F) {
+	for _, tc := range analyzeQueryCases {
+		f.Add(strings.TrimPrefix(tc.query, "?"))
+	}
+	presets := []core.Options{core.Config1, core.Config2, core.Config3, core.Config4, core.Config5}
+	boolean := func(v string) (val, ok bool) {
+		switch v {
+		case "", "0", "false", "no":
+			return false, true
+		case "1", "true", "yes":
+			return true, true
+		}
+		return false, false
+	}
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		q, _ := url.ParseQuery(rawQuery) // what r.URL.Query() hands the handlers
+		opts, configN, err := parseAnalyzeOptions(q)
+
+		valid := true
+		for key := range q {
+			if key != "config" && key != "superset" && key != "require_cet" {
+				if err == nil {
+					t.Fatalf("%q: unknown key %q accepted", rawQuery, key)
+				}
+				valid = false
+			}
+		}
+		wantN := 4
+		if v := q.Get("config"); v != "" {
+			n, convErr := strconv.Atoi(v)
+			if convErr != nil || n < 1 || n > 5 {
+				valid = false
+			}
+			wantN = n
+		}
+		superset, supersetOK := boolean(q.Get("superset"))
+		requireCET, requireOK := boolean(q.Get("require_cet"))
+		valid = valid && supersetOK && requireOK
+		if !valid {
+			if err == nil {
+				t.Fatalf("%q: malformed query accepted as %+v", rawQuery, opts)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%q: well-formed query rejected: %v", rawQuery, err)
+		}
+		want := presets[wantN-1]
+		want.SupersetEndbrScan = superset
+		want.RequireCET = requireCET
+		if configN != wantN || opts != want {
+			t.Fatalf("%q: got config %d %+v, want config %d %+v", rawQuery, configN, opts, wantN, want)
+		}
+	})
 }
 
 // TestResultTransferRoundTrip is the replica-transfer path end to end,

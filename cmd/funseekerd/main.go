@@ -18,8 +18,9 @@
 //	                   configuration, default 4; 5 fuses .eh_frame
 //	                   FDE starts), superset=1 (byte-level end-branch
 //	                   scan), require_cet=1 (fail on endbr-free
-//	                   binaries), arch= (pin a backend). Returns the
-//	                   report as JSON.
+//	                   binaries); any other key is a 400. The ELF
+//	                   header picks the backend (x86, x86-64 or
+//	                   aarch64). Returns the report as JSON.
 //	POST /v1/batch     analyze a tar stream of ELF images; results
 //	                   stream back as NDJSON, one record per member in
 //	                   archive order, errors isolated per member, then

@@ -114,8 +114,7 @@ func newServer(eng *engine.Engine, cfg serverConfig) *server {
 //	                    ?config=1..5 selects the algorithm
 //	                    configuration, ?superset=1 adds the byte-level
 //	                    landmark scan, ?require_cet=1 rejects
-//	                    landmark-free binaries, ?arch=x86-64|aarch64
-//	                    pins a backend instead of trusting the header
+//	                    landmark-free binaries; any other key is a 400
 //	POST /v1/batch    — analyze a tar stream of ELF images; per-member
 //	                    results stream back as NDJSON in archive order,
 //	                    with per-member error isolation and a final
@@ -165,8 +164,7 @@ func (s *server) debugHandler() http.Handler {
 type analyzeResponse struct {
 	SHA256 string `json:"sha256"`
 	// Arch is the backend that analyzed the image ("x86-64",
-	// "aarch64", ...), detected from the ELF header unless ?arch=
-	// pinned it.
+	// "aarch64", ...), detected from the ELF header.
 	Arch   string `json:"arch"`
 	Config int    `json:"config"`
 	// Cached is false for a fresh analysis, or the string "lru" /
@@ -258,18 +256,17 @@ var analyzeQueryKeys = map[string]bool{
 	"config":      true,
 	"superset":    true,
 	"require_cet": true,
-	"arch":        true,
 }
 
 // parseAnalyzeOptions maps the analyze query surface (?config=1..5,
-// ?superset, ?require_cet, ?arch=) to engine options. One parser for
+// ?superset, ?require_cet) to engine options. One parser for
 // both /v1/analyze and /v1/batch, so the two endpoints can never
 // drift; unknown keys and malformed values are errors the handlers
 // turn into 400 kind "bad_request".
 func parseAnalyzeOptions(q url.Values) (core.Options, int, error) {
 	for key := range q {
 		if !analyzeQueryKeys[key] {
-			return core.Options{}, 0, fmt.Errorf("unknown query parameter %q (want config, superset, require_cet, arch)", key)
+			return core.Options{}, 0, fmt.Errorf("unknown query parameter %q (want config, superset, require_cet)", key)
 		}
 	}
 	configN := 4
@@ -303,13 +300,6 @@ func parseAnalyzeOptions(q url.Values) (core.Options, int, error) {
 		return core.Options{}, 0, err
 	}
 	opts.RequireCET = opts.RequireCET || requireCET
-	if v := q.Get("arch"); v != "" {
-		arch, ok := elfx.ParseArch(v)
-		if !ok {
-			return core.Options{}, 0, fmt.Errorf("unknown arch %q (want x86, x86-64, or aarch64)", v)
-		}
-		opts.Arch = arch
-	}
 	return opts, configN, nil
 }
 

@@ -82,23 +82,3 @@ func TestAnalyzeAArch64(t *testing.T) {
 		}
 	}
 }
-
-// TestAnalyzeArchParam: ?arch= pins the backend (spelling-insensitive)
-// and rejects unknown names with a 400 before any work runs.
-func TestAnalyzeArchParam(t *testing.T) {
-	ts, _ := newTestServer(t, serverConfig{})
-
-	// arm64 is the accepted alternate spelling of aarch64.
-	resp, body := postBinary(t, ts.URL+"/v1/analyze?arch=arm64", testBTIELF(t))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
-	}
-	if ar := decodeAnalyze(t, body); ar.Arch != "aarch64" {
-		t.Fatalf("arch = %q, want aarch64", ar.Arch)
-	}
-
-	resp, body = postBinary(t, ts.URL+"/v1/analyze?arch=mips", testELF(t))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown arch status = %d: %s", resp.StatusCode, body)
-	}
-}

@@ -102,14 +102,12 @@ type Report = core.Report
 // Binary is a loaded ELF executable ready for analysis.
 type Binary = elfx.Binary
 
-// Arch names an analysis backend. The zero value (ArchAuto) means
-// "dispatch on the ELF header", which is right for every normal caller.
+// Arch names an analysis backend. Load takes it from the ELF header,
+// and the analysis dispatches on it.
 type Arch = elfx.Arch
 
 // Architecture constants, re-exported from the loader.
 const (
-	// ArchAuto dispatches on the binary's ELF header.
-	ArchAuto = elfx.ArchAuto
 	// ArchX86 is 32-bit x86 (CET/ENDBR32).
 	ArchX86 = elfx.ArchX86
 	// ArchX86_64 is x86-64 (CET/ENDBR64).
@@ -125,12 +123,6 @@ const (
 // ArchUnknown.
 func DetectArch(raw []byte) Arch {
 	return elfx.DetectArch(raw)
-}
-
-// ParseArch maps a human-facing architecture name ("x86-64", "amd64",
-// "aarch64", "arm64", "auto", ...) to its Arch value.
-func ParseArch(s string) (Arch, bool) {
-	return elfx.ParseArch(s)
 }
 
 // AnalysisContext is the shared per-binary analysis state: the linear

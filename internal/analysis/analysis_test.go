@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -140,5 +142,52 @@ func TestScanEndbrEncodings(t *testing.T) {
 	want := []uint64{0x2000, 0x2005}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("SupersetEndbrs = %#x, want %#x", got, want)
+	}
+}
+
+// TestEHParseErrorMemoized: a corrupt .eh_frame fails the parse the
+// same way every time, so the failure is memoized with the value — one
+// parse, and the landing-pad and FDE-index builds carry its error.
+func TestEHParseErrorMemoized(t *testing.T) {
+	bin := testBinary()
+	bin.EHFrame = bytes.Repeat([]byte{0xFF}, 64)
+	bin.EHFrameAddr = 0x3000
+	ctx := NewContext(bin)
+	for i := 0; i < 3; i++ {
+		if _, err := ctx.FDEs(); err == nil {
+			t.Fatal("FDEs over a corrupt .eh_frame succeeded")
+		}
+		if _, err := ctx.LandingPads(); err == nil {
+			t.Fatal("LandingPads over a corrupt .eh_frame succeeded")
+		}
+		if _, err := ctx.FDEIndex(); err == nil {
+			t.Fatal("FDEIndex over a corrupt .eh_frame succeeded")
+		}
+	}
+	st := ctx.Stats()
+	for name, stage := range map[string]StageStat{
+		"eh-parse": st.EHParse, "landing-pad": st.LandingPad, "fde-index": st.FDEIndex,
+	} {
+		if stage.Computes != 1 {
+			t.Errorf("%s computed %d times, want 1", name, stage.Computes)
+		}
+	}
+}
+
+// TestMemoPanicNotMemoized: a build that panics leaves the slot empty
+// instead of stranding it in flight, so the next get builds again.
+func TestMemoPanicNotMemoized(t *testing.T) {
+	var m memo[int]
+	var st stageCounter
+	func() {
+		defer func() { _ = recover() }()
+		_, _ = m.get(context.Background(), &st, nil, func() (int, error) { panic("build failed") })
+	}()
+	v, err := m.get(context.Background(), &st, nil, func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("get after a panicking build = %d, %v; want 7, nil", v, err)
+	}
+	if got := st.snapshot(); got.Computes != 1 || got.Hits != 0 {
+		t.Fatalf("stage %+v, want one compute and no hits", got)
 	}
 }

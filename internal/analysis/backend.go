@@ -33,7 +33,7 @@ type Backend interface {
 }
 
 // BackendFor returns the backend implementing arch. ArchAuto is not a
-// backend — resolve it against a Binary first (Context does this).
+// backend — Context resolves it against the Binary first.
 func BackendFor(arch elfx.Arch) (Backend, error) {
 	switch arch {
 	case elfx.ArchX86:
@@ -46,20 +46,17 @@ func BackendFor(arch elfx.Arch) (Backend, error) {
 	return nil, fmt.Errorf("analysis: no backend for architecture %q", arch)
 }
 
-// resolveArch maps the ArchAuto wildcard to bin's own architecture.
+// resolveArch returns the architecture whose backend analyzes bin.
 // Hand-built Binary values (tests, synthesizers) may carry no Arch at
 // all; those fall back to the historical x86 rule via Mode.
-func resolveArch(bin *elfx.Binary, arch elfx.Arch) elfx.Arch {
-	if arch == elfx.ArchAuto {
-		arch = bin.Arch
+func resolveArch(bin *elfx.Binary) elfx.Arch {
+	if bin.Arch != elfx.ArchAuto {
+		return bin.Arch
 	}
-	if arch == elfx.ArchAuto {
-		if bin.Mode == x86.Mode32 {
-			return elfx.ArchX86
-		}
-		return elfx.ArchX86_64
+	if bin.Mode == x86.Mode32 {
+		return elfx.ArchX86
 	}
-	return arch
+	return elfx.ArchX86_64
 }
 
 // x86Backend is the CET/endbr backend, at the decode mode matching its

@@ -40,7 +40,7 @@ func arm64TestBinary() *elfx.Binary {
 // TestBackendForUnknownArch: the non-backend Arch values must fail with
 // an error, not fall through to a default backend.
 func TestBackendForUnknownArch(t *testing.T) {
-	for _, arch := range []elfx.Arch{elfx.ArchAuto, elfx.ArchUnknown, elfx.NArch} {
+	for _, arch := range []elfx.Arch{elfx.ArchAuto, elfx.ArchUnknown, elfx.ArchUnknown + 1} {
 		if be, err := BackendFor(arch); err == nil {
 			t.Errorf("BackendFor(%v) = %v, want error", arch, be.Arch())
 		}
@@ -76,48 +76,26 @@ func TestArm64SweepArtifacts(t *testing.T) {
 	}
 }
 
-// TestPerArchMemoization: sweeps are memoized per architecture — forcing
-// a second backend over the same binary computes once more, and neither
-// arch ever recomputes.
-func TestPerArchMemoization(t *testing.T) {
-	c := NewContext(testBinary())
-	bg := context.Background()
-
-	native := c.Sweep()
-	forced, err := c.SweepArchCtx(bg, elfx.ArchAArch64)
-	if err != nil {
-		t.Fatalf("forced arm64 sweep: %v", err)
-	}
-	if native.Arch != elfx.ArchX86_64 || forced.Arch != elfx.ArchAArch64 {
-		t.Fatalf("arches = %v / %v", native.Arch, forced.Arch)
-	}
-	if again, _ := c.SweepArchCtx(bg, elfx.ArchAArch64); again != forced {
-		t.Error("forced-arch sweep not memoized")
-	}
-	if c.Sweep() != native {
-		t.Error("native sweep evicted by forced-arch sweep")
-	}
-	st := c.Stats()
-	if st.Sweep.Computes != 2 {
-		t.Errorf("sweep computes = %d, want 2 (one per arch)", st.Sweep.Computes)
-	}
-}
-
-// TestWrongArchBytesNoPanic: feeding either backend the other ISA's
-// bytes must degrade to a meaningless-but-well-formed sweep, never
-// panic — the server runs arch-forced requests on untrusted uploads.
+// TestWrongArchBytesNoPanic: a binary's header, not its bytes, picks
+// the backend, so a crafted upload can hand either backend the other
+// ISA's bytes. That must degrade to a meaningless-but-well-formed sweep,
+// never a panic.
 func TestWrongArchBytesNoPanic(t *testing.T) {
-	bg := context.Background()
-
-	// x86 code through the arm64 backend (length not a multiple of 4).
-	if sw, err := NewContext(testBinary()).SweepArchCtx(bg, elfx.ArchAArch64); err != nil || sw.Arch != elfx.ArchAArch64 {
-		t.Fatalf("arm64 over x86 bytes: sweep %v err %v", sw, err)
+	// x86 code under an AArch64 header (length not a multiple of 4).
+	x86Bytes := testBinary()
+	x86Bytes.Arch = elfx.ArchAArch64
+	if len(x86Bytes.Text)%4 == 0 {
+		t.Fatalf("text is %d bytes, want a length that is not a multiple of 4", len(x86Bytes.Text))
 	}
-	// arm64 code through both x86 backends.
-	for _, arch := range []elfx.Arch{elfx.ArchX86, elfx.ArchX86_64} {
-		if sw, err := NewContext(arm64TestBinary()).SweepArchCtx(bg, arch); err != nil || sw.Arch != arch {
-			t.Fatalf("%v over arm64 bytes: sweep %v err %v", arch, sw, err)
+	// AArch64 code under both x86 headers.
+	armBytes32, armBytes64 := arm64TestBinary(), arm64TestBinary()
+	armBytes32.Arch, armBytes64.Arch = elfx.ArchX86, elfx.ArchX86_64
+	for _, bin := range []*elfx.Binary{x86Bytes, armBytes32, armBytes64} {
+		c := NewContext(bin)
+		if sw, err := c.SweepCtx(context.Background()); err != nil || sw.Arch != bin.Arch {
+			t.Fatalf("%v header over foreign bytes: sweep %v err %v", bin.Arch, sw, err)
 		}
+		_ = c.SupersetEndbrs()
 	}
 }
 
@@ -127,16 +105,15 @@ func TestWrongArchBytesNoPanic(t *testing.T) {
 func TestResolveArchFallback(t *testing.T) {
 	cases := []struct {
 		bin  *elfx.Binary
-		arch elfx.Arch
 		want elfx.Arch
 	}{
-		{&elfx.Binary{Mode: x86.Mode32}, elfx.ArchAuto, elfx.ArchX86},
-		{&elfx.Binary{Mode: x86.Mode64}, elfx.ArchAuto, elfx.ArchX86_64},
-		{&elfx.Binary{Arch: elfx.ArchAArch64}, elfx.ArchAuto, elfx.ArchAArch64},
-		{&elfx.Binary{Arch: elfx.ArchAArch64}, elfx.ArchX86_64, elfx.ArchX86_64},
+		{&elfx.Binary{Mode: x86.Mode32}, elfx.ArchX86},
+		{&elfx.Binary{Mode: x86.Mode64}, elfx.ArchX86_64},
+		{&elfx.Binary{Arch: elfx.ArchAArch64}, elfx.ArchAArch64},
+		{&elfx.Binary{Arch: elfx.ArchX86_64, Mode: x86.Mode32}, elfx.ArchX86_64},
 	}
 	for i, tc := range cases {
-		if got := resolveArch(tc.bin, tc.arch); got != tc.want {
+		if got := resolveArch(tc.bin); got != tc.want {
 			t.Errorf("case %d: resolveArch = %v, want %v", i, got, tc.want)
 		}
 	}

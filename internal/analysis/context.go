@@ -9,20 +9,19 @@
 // this package existed each tool recomputed them independently, so one
 // evaluation cell did ~7× redundant work per binary.
 //
-// Context memoizes each artifact: it is computed exactly once per binary,
-// on first demand, and every later consumer — including consumers on
-// other goroutines — gets the cached value. The sweep is cancel-aware: a
-// sweep canceled through its context.Context is not cached. All artifacts
-// are immutable after construction, so a single Context is safe to share
-// across the evaluation runner's worker pool. Per-stage wall-clock costs
-// and hit/miss counts are recorded in Stats (see stats.go) so the runtime
+// Context memoizes each artifact in one slot of one memo type: it is
+// computed exactly once per binary, on first demand, and every later
+// consumer — including consumers on other goroutines — gets the cached
+// value. The memo is cancel-aware: a sweep canceled through its
+// context.Context is not cached. All artifacts are immutable after
+// construction, so a single Context is safe to share across the
+// evaluation runner's worker pool. Per-stage wall-clock costs and
+// hit/miss counts are recorded in Stats (see stats.go) so the runtime
 // tables can report where time actually goes.
 //
-// The sweep itself is produced by an architecture Backend (see
-// backend.go): x86/CET and AArch64/BTI today, dispatched from the ELF
-// header. The memo is per-arch — forcing a foreign backend onto a binary
-// (a test, or a caller second-guessing a corrupt header) computes and
-// caches its own sweep without disturbing the native one.
+// The sweep and the landmark scan are produced by the architecture
+// Backend (see backend.go) the binary itself names: x86/CET and
+// AArch64/BTI today, dispatched from the ELF header.
 package analysis
 
 import (
@@ -101,66 +100,99 @@ type Sweep struct {
 // It is not a sync.Once: a canceled computation must leave the cache
 // empty so the next caller recomputes under its own context, and a
 // caller waiting behind an in-flight computation must still be able to
-// honor its own cancellation. mu guards both fields; inflight is
-// non-nil (and closed on completion) while some goroutine is computing.
+// honor its own cancellation. mu guards every field; building is set
+// while some goroutine is computing, and the first goroutine to wait
+// behind it makes wait, which the build closes when it ends (so an
+// uncontended build allocates nothing).
 type memo[T any] struct {
 	mu       sync.Mutex
-	inflight chan struct{}
-	val      *T
+	building bool
+	wait     chan struct{}
+	done     bool
+	val      T
 }
 
 // get returns the memoized value, computing it with build on first
-// demand and charging the computation (or the hit) to st. A failed
-// build is not memoized. A caller waiting behind another goroutine's
+// demand and charging the computation (or the hit) to st. before, when
+// non-nil, runs on the computing goroutine ahead of build and outside
+// its clock: an artifact built from another memoized artifact fetches
+// it there, so stage clocks never nest. A failed or panicking build is
+// not memoized, so an artifact whose failure is deterministic carries
+// it inside its value. A caller waiting behind another goroutine's
 // in-flight build returns ctx.Err() as soon as its own ctx is done, and
 // takes the build over itself when the other goroutine fails.
-func (m *memo[T]) get(ctx context.Context, st *stageCounter, build func() (*T, error)) (*T, error) {
+func (m *memo[T]) get(ctx context.Context, st *stageCounter, before func(), build func() (T, error)) (T, error) {
 	for {
 		m.mu.Lock()
-		if m.val != nil {
+		if m.done {
 			m.mu.Unlock()
 			st.hits.Add(1)
 			return m.val, nil
 		}
-		if m.inflight == nil {
+		if !m.building {
 			// We are the computing goroutine.
-			wait := make(chan struct{})
-			m.inflight = wait
+			m.building = true
 			m.mu.Unlock()
-
-			start := time.Now()
-			v, err := build()
-
-			m.mu.Lock()
-			m.inflight = nil
-			if err == nil {
-				m.val = v
-				st.observe(time.Since(start))
-			}
-			close(wait)
-			m.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
+			return m.compute(st, before, build)
 		}
-		wait := m.inflight
+		if m.wait == nil {
+			m.wait = make(chan struct{})
+		}
+		wait := m.wait
 		m.mu.Unlock()
 		select {
 		case <-wait:
 			// Loop: either the value is memoized now, or the computing
 			// goroutine failed and we take over with our own ctx.
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			var zero T
+			return zero, ctx.Err()
 		}
 	}
 }
 
-// supersetMemo is one architecture's slot of the byte-level marker-scan
-// cache.
-type supersetMemo struct {
-	once onceStage
-	vas  []uint64
+// compute runs one build for get and publishes its outcome; the
+// deferred publish releases the waiters even when build panics.
+func (m *memo[T]) compute(st *stageCounter, before func(), build func() (T, error)) (v T, err error) {
+	built := false
+	defer func() {
+		m.mu.Lock()
+		m.building = false
+		if built && err == nil {
+			m.val, m.done = v, true
+		}
+		if m.wait != nil {
+			close(m.wait)
+			m.wait = nil
+		}
+		m.mu.Unlock()
+	}()
+	if before != nil {
+		before()
+	}
+	start := time.Now()
+	v, err = build()
+	built = true
+	if err == nil {
+		st.observe(time.Since(start))
+	}
+	return v, err
+}
+
+// ehParse is the memoized .eh_frame parse. A parse error is a property
+// of the bytes, so it is memoized with the value and every artifact
+// built from the parse carries it too.
+type ehParse struct {
+	fdes  []ehframe.FDE
+	warns []string
+	err   error
+}
+
+// ehDerived is an artifact built from the .eh_frame parse, with the
+// parse's error.
+type ehDerived[T any] struct {
+	val T
+	err error
 }
 
 // Context is the shared per-binary analysis state. Create one per binary
@@ -170,25 +202,11 @@ type supersetMemo struct {
 type Context struct {
 	bin *elfx.Binary
 
-	// sweeps and supersets are indexed by elfx.Arch: one memo slot per
-	// backend, so sweeps of different architectures over the same bytes
-	// never collide. In the overwhelmingly common case only the binary's
-	// native slot is ever touched.
-	sweeps    [elfx.NArch]memo[Sweep]
-	supersets [elfx.NArch]supersetMemo
-
-	ehOnce  onceStage
-	fdes    []ehframe.FDE
-	ehWarns []string
-	ehErr   error
-
-	padsOnce onceStage
-	pads     []uint64
-	padsErr  error
-
-	fdeIxOnce onceStage
-	fdeIx     *FDEIndex
-	fdeIxErr  error
+	sweep    memo[*Sweep]
+	superset memo[[]uint64]
+	eh       memo[ehParse]
+	pads     memo[ehDerived[[]uint64]]
+	fdeIx    memo[ehDerived[*FDEIndex]]
 
 	stats statCounters
 }
@@ -202,33 +220,27 @@ func NewContext(bin *elfx.Binary) *Context {
 // Binary returns the underlying loaded binary.
 func (c *Context) Binary() *elfx.Binary { return c.bin }
 
-// Sweep returns the memoized linear-sweep artifacts of the binary's
-// native architecture, computing them on first call.
+// Sweep returns the memoized linear-sweep artifacts, computing them on
+// first call.
 func (c *Context) Sweep() *Sweep {
 	sw, _ := c.SweepCtx(context.Background()) // background never cancels
 	return sw
 }
 
 // SweepCtx returns the memoized linear-sweep artifacts of the binary's
-// native architecture, computing them under ctx on first call.
+// backend, computing them under ctx on first call. Cancellation is
+// cooperative: the sweep checks ctx at parallel-shard and stride
+// boundaries, so an aborted request stops burning CPU within tens of
+// microseconds. A canceled computation is not memoized — the next
+// caller recomputes under its own context — and a caller waiting behind
+// another goroutine's in-flight computation returns ctx.Err() as soon as
+// its own context is done.
 func (c *Context) SweepCtx(ctx context.Context) (*Sweep, error) {
-	return c.SweepArchCtx(ctx, elfx.ArchAuto)
-}
-
-// SweepArchCtx returns the memoized linear-sweep artifacts for arch
-// (ArchAuto selects the binary's native architecture), computing them
-// under ctx on first call. Cancellation is cooperative: the sweep checks
-// ctx at parallel-shard and stride boundaries, so an aborted request
-// stops burning CPU within tens of microseconds. A canceled computation
-// is not memoized — the next caller recomputes under its own context —
-// and a caller waiting behind another goroutine's in-flight computation
-// returns ctx.Err() as soon as its own context is done.
-func (c *Context) SweepArchCtx(ctx context.Context, arch elfx.Arch) (*Sweep, error) {
-	be, err := BackendFor(resolveArch(c.bin, arch))
+	be, err := BackendFor(resolveArch(c.bin))
 	if err != nil {
 		return nil, err
 	}
-	return c.sweeps[be.Arch()].get(ctx, &c.stats.sweep, func() (*Sweep, error) {
+	return c.sweep.get(ctx, &c.stats.sweep, nil, func() (*Sweep, error) {
 		sw, err := be.BuildSweep(ctx, c.bin)
 		if err == nil {
 			c.stats.sweepShards.Add(uint64(sw.Shards))
@@ -242,7 +254,7 @@ func (c *Context) SweepArchCtx(ctx context.Context, arch elfx.Arch) (*Sweep, err
 // it is x86 or x86-64. The baseline tool models decode x86 instructions
 // on demand and call it before their first pass.
 func (c *Context) RequireX86() error {
-	switch arch := resolveArch(c.bin, elfx.ArchAuto); arch {
+	switch arch := resolveArch(c.bin); arch {
 	case elfx.ArchX86, elfx.ArchX86_64:
 		return nil
 	default:
@@ -253,21 +265,28 @@ func (c *Context) RequireX86() error {
 // FDEs returns the memoized .eh_frame FDE records. Binaries without an
 // .eh_frame section yield an empty slice without a parse.
 func (c *Context) FDEs() ([]ehframe.FDE, error) {
+	eh := c.ehParse()
+	return eh.fdes, eh.err
+}
+
+// ehParse returns the memoized .eh_frame parse (the zero parse, without
+// touching the stage counters, when there is no .eh_frame).
+func (c *Context) ehParse() ehParse {
 	if len(c.bin.EHFrame) == 0 {
-		return nil, nil
+		return ehParse{}
 	}
-	c.ehOnce.do(&c.stats.ehParse, func() {
-		c.fdes, c.ehWarns, c.ehErr = ehframe.ParseWithWarnings(c.bin.EHFrame, c.bin.EHFrameAddr, c.bin.PtrSize())
+	eh, _ := c.eh.get(context.Background(), &c.stats.ehParse, nil, func() (eh ehParse, _ error) {
+		eh.fdes, eh.warns, eh.err = ehframe.ParseWithWarnings(c.bin.EHFrame, c.bin.EHFrameAddr, c.bin.PtrSize())
+		return eh, nil
 	})
-	return c.fdes, c.ehErr
+	return eh
 }
 
 // EHWarnings returns the non-fatal degradations the .eh_frame parse
 // applied (unknown CIE augmentations, skipped FDEs). It shares the
 // memoized parse with FDEs; a well-formed section yields none.
 func (c *Context) EHWarnings() []string {
-	_, _ = c.FDEs()
-	return c.ehWarns
+	return c.ehParse().warns
 }
 
 // FDEIndex is the interval view of a binary's FDE records: the set of
@@ -305,12 +324,14 @@ func (ix *FDEIndex) Interior(addr uint64) bool {
 // performs at most one .eh_frame parse). Binaries without .eh_frame
 // yield an empty index.
 func (c *Context) FDEIndex() (*FDEIndex, error) {
-	c.fdeIxOnce.doAfter(&c.stats.fdeIndex, func() { _, c.fdeIxErr = c.FDEs() }, func() {
-		if c.fdeIxErr == nil {
-			c.fdeIx = buildFDEIndex(c.bin, c.fdes)
+	var eh ehParse
+	ix, _ := c.fdeIx.get(context.Background(), &c.stats.fdeIndex, func() { eh = c.ehParse() }, func() (ehDerived[*FDEIndex], error) {
+		if eh.err != nil {
+			return ehDerived[*FDEIndex]{err: eh.err}, nil
 		}
+		return ehDerived[*FDEIndex]{val: buildFDEIndex(c.bin, eh.fdes)}, nil
 	})
-	return c.fdeIx, c.fdeIxErr
+	return ix.val, ix.err
 }
 
 // buildFDEIndex materializes the start set and merged coverage intervals
@@ -360,37 +381,31 @@ func buildFDEIndex(bin *elfx.Binary, fdes []ehframe.FDE) *FDEIndex {
 // derived from the memoized FDE records, so the whole context performs
 // at most one .eh_frame parse. The returned slice is read-only.
 func (c *Context) LandingPads() ([]uint64, error) {
-	c.padsOnce.doAfter(&c.stats.landingPad, func() { _, c.padsErr = c.FDEs() }, func() {
-		if c.padsErr == nil {
-			c.pads = sortCompact(ehinfo.LandingPadsFromFDEs(c.bin, c.fdes))
+	var eh ehParse
+	pads, _ := c.pads.get(context.Background(), &c.stats.landingPad, func() { eh = c.ehParse() }, func() (ehDerived[[]uint64], error) {
+		if eh.err != nil {
+			return ehDerived[[]uint64]{err: eh.err}, nil
 		}
+		return ehDerived[[]uint64]{val: sortCompact(ehinfo.LandingPadsFromFDEs(c.bin, eh.fdes))}, nil
 	})
-	return c.pads, c.padsErr
+	return pads.val, pads.err
 }
 
 // SupersetEndbrs returns the memoized byte-level landmark scan of the
-// binary's native architecture (see SupersetMarkers).
+// binary's backend: every address at which a call-accepting landmark
+// encoding occurs, at any byte offset of .text, ascending. This is the
+// superset-disassembly pairing the paper's §VI proposes; it is kept
+// separate from Sweep because only the SupersetEndbrScan option
+// consumes it. Architectures without a backend yield nil.
 func (c *Context) SupersetEndbrs() []uint64 {
-	return c.SupersetMarkers(elfx.ArchAuto)
-}
-
-// SupersetMarkers returns the memoized byte-level landmark scan for arch
-// (ArchAuto selects the binary's native architecture): every address at
-// which a call-accepting landmark encoding occurs, at any byte offset of
-// .text, ascending. This is the superset-disassembly pairing the paper's
-// §VI proposes; it is kept separate from Sweep because only the
-// SupersetEndbrScan option consumes it. Architectures without a backend
-// yield nil.
-func (c *Context) SupersetMarkers(arch elfx.Arch) []uint64 {
-	be, err := BackendFor(resolveArch(c.bin, arch))
+	be, err := BackendFor(resolveArch(c.bin))
 	if err != nil {
 		return nil
 	}
-	m := &c.supersets[be.Arch()]
-	m.once.do(&c.stats.superset, func() {
-		m.vas = be.ScanMarkers(c.bin.Text, c.bin.TextAddr)
+	vas, _ := c.superset.get(context.Background(), &c.stats.superset, nil, func() ([]uint64, error) {
+		return be.ScanMarkers(c.bin.Text, c.bin.TextAddr), nil
 	})
-	return m.vas
+	return vas
 }
 
 // ObserveFilter records one FILTERENDBR stage execution of duration d.

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -159,36 +158,5 @@ func (c *Context) Stats() Stats {
 		TailCall:      c.stats.tailCall.snapshot(),
 		SweepShards:   c.stats.sweepShards.Load(),
 		StitchRetries: c.stats.stitchRetries.Load(),
-	}
-}
-
-// onceStage is sync.Once plus hit/miss/time accounting: the first do
-// executes fn and charges its duration as a compute; later calls count as
-// cache hits.
-type onceStage struct {
-	once sync.Once
-}
-
-func (o *onceStage) do(c *stageCounter, fn func()) {
-	o.doAfter(c, nil, fn)
-}
-
-// doAfter is do for a stage built from another stage's artifact: on the
-// first call deps (when non-nil) fetches that artifact before the clock
-// starts, so the nested stage is charged to its own counter only and the
-// stage times of one request add up to no more than its wall time.
-func (o *onceStage) doAfter(c *stageCounter, deps, fn func()) {
-	ran := false
-	o.once.Do(func() {
-		if deps != nil {
-			deps()
-		}
-		start := time.Now()
-		fn()
-		c.observe(time.Since(start))
-		ran = true
-	})
-	if !ran {
-		c.hits.Add(1)
 	}
 }

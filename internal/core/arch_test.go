@@ -73,10 +73,10 @@ func TestRequireCETAArch64(t *testing.T) {
 	}
 }
 
-// TestForcedArchDispatch: Options.Arch overrides the binary's native
-// backend, the report names the backend that actually ran, and the
-// non-backend Arch values surface as errors (never panics).
-func TestForcedArchDispatch(t *testing.T) {
+// TestNativeArchDispatch: the binary's own Arch picks the backend, the
+// report names the backend that actually ran, and a binary whose Arch
+// has no backend fails with an error (never a panic).
+func TestNativeArchDispatch(t *testing.T) {
 	bin := compileBTI(t)
 
 	rep, err := IdentifyCtx(context.Background(), analysis.NewContext(bin), Config4)
@@ -84,21 +84,21 @@ func TestForcedArchDispatch(t *testing.T) {
 		t.Fatalf("native dispatch: arch %q err %v", rep.Arch, err)
 	}
 
-	// Force the x86 backend over the AArch64 bytes: meaningless output,
-	// but well-formed and non-panicking.
-	forced := Config4
-	forced.Arch = elfx.ArchX86_64
-	rep, err = IdentifyCtx(context.Background(), analysis.NewContext(bin), forced)
+	// The same AArch64 bytes under an x86-64 header: meaningless
+	// output, but well-formed and non-panicking.
+	x86Header := *bin
+	x86Header.Arch = elfx.ArchX86_64
+	rep, err = IdentifyCtx(context.Background(), analysis.NewContext(&x86Header), Config4)
 	if err != nil {
-		t.Fatalf("forced x86 over aarch64 bytes: %v", err)
+		t.Fatalf("x86-64 header over aarch64 bytes: %v", err)
 	}
 	if rep.Arch != "x86-64" {
-		t.Fatalf("forced report arch = %q, want x86-64", rep.Arch)
+		t.Fatalf("x86-64 header report arch = %q, want x86-64", rep.Arch)
 	}
 
-	bad := Config4
-	bad.Arch = elfx.ArchUnknown
-	if _, err := IdentifyCtx(context.Background(), analysis.NewContext(bin), bad); err == nil {
+	unknown := *bin
+	unknown.Arch = elfx.ArchUnknown
+	if _, err := IdentifyCtx(context.Background(), analysis.NewContext(&unknown), Config4); err == nil {
 		t.Fatal("ArchUnknown dispatch succeeded, want backend error")
 	}
 }

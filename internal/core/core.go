@@ -81,11 +81,6 @@ type Options struct {
 	// encodings are long and never alias compiler-generated code, so the
 	// superset adds no false candidates on clean binaries.
 	SupersetEndbrScan bool
-	// Arch forces a specific analysis backend. The zero value
-	// (elfx.ArchAuto) dispatches on the binary's ELF header, which is
-	// right for every normal caller; tests and header-distrusting tools
-	// can pin a backend instead.
-	Arch elfx.Arch
 }
 
 // Configuration presets from Table II.
@@ -164,7 +159,7 @@ func Identify(bin *elfx.Binary, opts Options) (*Report, error) {
 // *analysis.Context.)
 func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Report, error) {
 	bin := actx.Binary()
-	sw, err := actx.SweepArchCtx(ctx, opts.Arch)
+	sw, err := actx.SweepCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +171,7 @@ func IdentifyCtx(ctx context.Context, actx *analysis.Context, opts Options) (*Re
 		return nil, ErrNotCET
 	}
 	if opts.SupersetEndbrScan {
-		endbrs = union(actx.SupersetMarkers(opts.Arch), endbrs)
+		endbrs = union(actx.SupersetEndbrs(), endbrs)
 	}
 
 	report := &Report{

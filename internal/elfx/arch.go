@@ -4,14 +4,14 @@ import "debug/elf"
 
 // Arch identifies the instruction-set architecture of a binary, which
 // selects the analysis backend (linear sweep, landmark extraction, index
-// construction) everywhere downstream. The zero value means "decide from
-// the ELF header" so option structs embedding an Arch default to
-// auto-detection.
+// construction) everywhere downstream. The values are part of the result
+// store's key layout, so they never change.
 type Arch uint8
 
 const (
-	// ArchAuto means "detect from the ELF header". Load never stores it
-	// on a Binary; it appears only in option structs.
+	// ArchAuto is the zero value: no architecture recorded. Load never
+	// stores it; a hand-built Binary carrying it is analyzed by the x86
+	// backend its Mode selects.
 	ArchAuto Arch = iota
 	// ArchX86 is 32-bit x86 (ELFCLASS32), decoded with x86.Mode32.
 	ArchX86
@@ -22,14 +22,10 @@ const (
 	// ArchUnknown marks bytes that do not carry a recognizable ELF
 	// header. Analyses dispatched on it fail with a backend error.
 	ArchUnknown
-
-	// NArch bounds the Arch value space; per-arch memo arrays use it.
-	NArch
 )
 
-// String returns the canonical lowercase name, matching the spellings
-// ParseArch accepts and the values exported in API responses and metric
-// labels.
+// String returns the canonical lowercase name, the value exported in
+// API responses and metric labels.
 func (a Arch) String() string {
 	switch a {
 	case ArchAuto:
@@ -42,22 +38,6 @@ func (a Arch) String() string {
 		return "aarch64"
 	}
 	return "unknown"
-}
-
-// ParseArch maps a user-supplied architecture name to an Arch. Common
-// alternate spellings (x86_64, amd64, arm64) are accepted.
-func ParseArch(s string) (Arch, bool) {
-	switch s {
-	case "", "auto":
-		return ArchAuto, true
-	case "x86", "i386", "386":
-		return ArchX86, true
-	case "x86-64", "x86_64", "amd64":
-		return ArchX86_64, true
-	case "aarch64", "arm64":
-		return ArchAArch64, true
-	}
-	return ArchUnknown, false
 }
 
 // archFrom is the single arch-assignment rule shared by Load and

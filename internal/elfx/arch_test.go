@@ -126,37 +126,3 @@ func TestLoadAArch64Properties(t *testing.T) {
 		t.Errorf("Arch = %v, want aarch64", plain.Arch)
 	}
 }
-
-// TestParseArchSpellings: every accepted spelling maps to its Arch, the
-// canonical String round-trips, and junk is rejected.
-func TestParseArchSpellings(t *testing.T) {
-	cases := map[string]Arch{
-		"":        ArchAuto,
-		"auto":    ArchAuto,
-		"x86":     ArchX86,
-		"i386":    ArchX86,
-		"386":     ArchX86,
-		"x86-64":  ArchX86_64,
-		"x86_64":  ArchX86_64,
-		"amd64":   ArchX86_64,
-		"aarch64": ArchAArch64,
-		"arm64":   ArchAArch64,
-	}
-	for s, want := range cases {
-		got, ok := ParseArch(s)
-		if !ok || got != want {
-			t.Errorf("ParseArch(%q) = %v, %v; want %v, true", s, got, ok, want)
-		}
-	}
-	for _, a := range []Arch{ArchX86, ArchX86_64, ArchAArch64} {
-		got, ok := ParseArch(a.String())
-		if !ok || got != a {
-			t.Errorf("ParseArch(%q) = %v, %v; want %v (String round trip)", a.String(), got, ok, a)
-		}
-	}
-	for _, s := range []string{"mips", "riscv64", "x86-32", "ARM64"} {
-		if got, ok := ParseArch(s); ok {
-			t.Errorf("ParseArch(%q) accepted as %v, want rejection", s, got)
-		}
-	}
-}

@@ -123,10 +123,9 @@ type call struct {
 }
 
 // cacheKey is the identity of one analysis: content hash × option bits ×
-// backend architecture. The arch component means byte-identical images
-// analyzed under different backends (an option-forced backend, or two
-// files whose headers differ only in e_machine — impossible for one hash,
-// but the forced case is real) can never serve each other's results.
+// backend architecture. The backend follows from the image's own header,
+// so the arch component adds no identity to the hash; it stays because
+// it is part of the persistent store's key layout (see storeKey).
 type cacheKey struct {
 	sum  [sha256.Size]byte
 	opts uint8
@@ -241,11 +240,7 @@ func (e *Engine) Analyze(ctx context.Context, raw []byte, opts core.Options) (*R
 	// The key must be known before the (cached-away) ELF parse, so the
 	// arch comes from the cheap header peek; DetectArch returns exactly
 	// what elfx.Load would assign.
-	arch := opts.Arch
-	if arch == elfx.ArchAuto {
-		arch = elfx.DetectArch(raw)
-	}
-	k := cacheKey{sum: sha256.Sum256(raw), opts: optsBits(opts), arch: arch}
+	k := cacheKey{sum: sha256.Sum256(raw), opts: optsBits(opts), arch: elfx.DetectArch(raw)}
 	keyHex := hex.EncodeToString(storeKey(k))
 
 	for {

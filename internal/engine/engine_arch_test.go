@@ -12,7 +12,6 @@ import (
 	"github.com/funseeker/funseeker/internal/armsynth"
 	"github.com/funseeker/funseeker/internal/bticore"
 	"github.com/funseeker/funseeker/internal/core"
-	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/synth"
 )
 
@@ -79,50 +78,6 @@ func TestAnalyzeAArch64RoundTrip(t *testing.T) {
 	}
 }
 
-// TestCacheKeyArchSeparation: byte-identical input analyzed under two
-// forced backends must occupy two cache slots — two misses, then one
-// hit per arch — so an option-forced backend can never serve the other
-// backend's result.
-func TestCacheKeyArchSeparation(t *testing.T) {
-	raw := testBinaries(t, 1)[0]
-	e := New(Config{Jobs: 2})
-
-	optsX86 := core.Config4
-	optsX86.Arch = elfx.ArchX86_64
-	optsARM := core.Config4
-	optsARM.Arch = elfx.ArchAArch64
-
-	rx, err := e.Analyze(context.Background(), raw, optsX86)
-	if err != nil {
-		t.Fatalf("x86 analyze: %v", err)
-	}
-	ra, err := e.Analyze(context.Background(), raw, optsARM)
-	if err != nil {
-		t.Fatalf("forced-arm analyze: %v", err)
-	}
-	if ra.Cached {
-		t.Fatal("forced-arm analysis served from the x86 cache entry")
-	}
-	if rx.Report.Arch != "x86-64" || ra.Report.Arch != "aarch64" {
-		t.Fatalf("report arches = %q / %q", rx.Report.Arch, ra.Report.Arch)
-	}
-	if s := e.Stats(); s.Cache.Misses != 2 || s.Cache.Hits != 0 {
-		t.Fatalf("misses/hits = %d/%d, want 2/0", s.Cache.Misses, s.Cache.Hits)
-	}
-	for _, opts := range []core.Options{optsX86, optsARM} {
-		res, err := e.Analyze(context.Background(), raw, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Cached {
-			t.Fatalf("arch %v warm request missed", opts.Arch)
-		}
-	}
-	if s := e.Stats(); s.Cache.Hits != 2 {
-		t.Fatalf("hits = %d, want 2", s.Cache.Hits)
-	}
-}
-
 // TestFilesMixedArchCorpus: one directory holding x86-64 and AArch64
 // binaries side by side; the batch path dispatches each file to its own
 // backend with no per-file configuration.
@@ -159,6 +114,37 @@ func TestFilesMixedArchCorpus(t *testing.T) {
 	for name, arch := range want {
 		if got[name] != arch {
 			t.Errorf("%s analyzed as %q, want %q", name, got[name], arch)
+		}
+	}
+}
+
+// TestStoreKeyPinned: the persistent store key (SHA-256 ‖ option bits ‖
+// arch byte) of one x86-64 and one AArch64 synthetic image is pinned to
+// its recorded hex, so existing stores and replicas keep addressing
+// their records. A change here orphans every stored result.
+func TestStoreKeyPinned(t *testing.T) {
+	e := New(Config{Jobs: 1})
+	config5Superset := core.Config5
+	config5Superset.SupersetEndbrScan = true
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		opts core.Options
+		want string
+	}{
+		{"x86-64", testBinaries(t, 1)[0], core.Config4,
+			"8565f6e6001c5c5b3f51f255a115874a58ce5a57cc4ebf46c5801801b221d5dd0702"},
+		{"x86-64 config5+superset", testBinaries(t, 1)[0], config5Superset,
+			"8565f6e6001c5c5b3f51f255a115874a58ce5a57cc4ebf46c5801801b221d5dd5702"},
+		{"aarch64", testBTIBinary(t), core.Config4,
+			"6a1209ffa06ee1545da6b4cbd09e27c02add5c1aeb283a1998a5b967c1c2574d0703"},
+	} {
+		res, err := e.Analyze(context.Background(), tc.raw, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.StoreKey != tc.want {
+			t.Errorf("%s: StoreKey = %s, want %s", tc.name, res.StoreKey, tc.want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -65,9 +64,6 @@ func identifyBTI(image []byte) (*core.Report, error) {
 
 // RunBTI compiles the suites for ARM and scores the BTI algorithm.
 func RunBTI(suites []corpus.Suite, opts corpus.Options, workers int) (*BTIResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	type job struct {
 		spec *synth.ProgSpec
 		cfg  armsynth.Config
@@ -82,50 +78,31 @@ func RunBTI(suites []corpus.Suite, opts corpus.Options, workers int) (*BTIResult
 	}
 
 	res := &BTIResult{PerConfig: make(map[string]*Metrics)}
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	work := make(chan job)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range work {
-				compiled, err := armsynth.Compile(j.spec, j.cfg)
-				var report *core.Report
-				if err == nil {
-					report, err = identifyBTI(compiled.Image)
-				}
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("eval: bti %s/%s: %w", j.spec.Name, j.cfg, err)
-					})
-					continue
-				}
-				m := Score(report.Entries, compiled.GT)
-				mu.Lock()
-				agg := res.PerConfig[j.cfg.String()]
-				if agg == nil {
-					agg = &Metrics{}
-					res.PerConfig[j.cfg.String()] = agg
-				}
-				agg.Add(m)
-				res.Total.Add(m)
-				res.Binaries++
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		work <- j
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	var mu sync.Mutex
+	err := pool(jobs, workers, func(j job) error {
+		compiled, err := armsynth.Compile(j.spec, j.cfg)
+		var report *core.Report
+		if err == nil {
+			report, err = identifyBTI(compiled.Image)
+		}
+		if err != nil {
+			return fmt.Errorf("eval: bti %s/%s: %w", j.spec.Name, j.cfg, err)
+		}
+		m := Score(report.Entries, compiled.GT)
+		mu.Lock()
+		defer mu.Unlock()
+		agg := res.PerConfig[j.cfg.String()]
+		if agg == nil {
+			agg = &Metrics{}
+			res.PerConfig[j.cfg.String()] = agg
+		}
+		agg.Add(m)
+		res.Total.Add(m)
+		res.Binaries++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -158,6 +158,31 @@ type Observation struct {
 // synchronize its own aggregation. Binaries are discarded after fn
 // returns, so arbitrary matrix sizes run in bounded memory.
 func ForEach(cases []Case, workers int, fn func(Observation) error) error {
+	return pool(cases, workers, func(c Case) error {
+		res, err := synth.Compile(c.Spec, c.Config)
+		if err == nil {
+			var bin *elfx.Binary
+			bin, err = elfx.Load(res.Stripped)
+			if err == nil {
+				err = fn(Observation{
+					Case:   c,
+					Result: res,
+					Bin:    bin,
+					Ctx:    analysis.NewContext(bin),
+				})
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("eval: %s/%s: %w", c.Spec.Name, c.Config, err)
+		}
+		return nil
+	})
+}
+
+// pool is the evaluation worker pool: it runs fn over every item on
+// workers goroutines (0 = GOMAXPROCS) and returns the first error
+// reported. An error does not stop the remaining items.
+func pool[T any](items []T, workers int, fn func(T) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -166,35 +191,20 @@ func ForEach(cases []Case, workers int, fn func(Observation) error) error {
 		errOnce  sync.Once
 		firstErr error
 	)
-	work := make(chan Case)
+	work := make(chan T)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range work {
-				res, err := synth.Compile(c.Spec, c.Config)
-				if err == nil {
-					var bin *elfx.Binary
-					bin, err = elfx.Load(res.Stripped)
-					if err == nil {
-						err = fn(Observation{
-							Case:   c,
-							Result: res,
-							Bin:    bin,
-							Ctx:    analysis.NewContext(bin),
-						})
-					}
-				}
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = fmt.Errorf("eval: %s/%s: %w", c.Spec.Name, c.Config, err)
-					})
+			for item := range work {
+				if err := fn(item); err != nil {
+					errOnce.Do(func() { firstErr = err })
 				}
 			}
 		}()
 	}
-	for _, c := range cases {
-		work <- c
+	for _, item := range items {
+		work <- item
 	}
 	close(work)
 	wg.Wait()

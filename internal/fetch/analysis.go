@@ -67,15 +67,13 @@ func profileWindow(bin *elfx.Binary, va uint64, maxInsts int) funcProfile {
 		return funcProfile{decodeError: true}
 	}
 	lo := va - bin.TextAddr
-	return profile(bin.Text[lo:], va, bin.Mode, maxInsts, true)
+	return profile(bin.Text[lo:], va, bin.Mode, maxInsts)
 }
 
-// profile is the core walk: linear disassembly with stack-height and
-// argument-liveness modeling. With stopAtFlowEnd set it stops at the
-// first return or unconditional control-flow diversion (candidate
-// verification); otherwise it walks the whole region, resetting the
-// height model at each return (full-function profiling).
-func profile(code []byte, base uint64, mode x86.Mode, maxInsts int, stopAtFlowEnd bool) funcProfile {
+// profile is the candidate-verification walk: linear disassembly with
+// stack-height and argument-liveness modeling, stopping at the first
+// return or unconditional control-flow diversion.
+func profile(code []byte, base uint64, mode x86.Mode, maxInsts int) funcProfile {
 	src := csrc{code: code, base: base, mode: mode}
 	var p funcProfile
 	ptr := int64(8)
@@ -154,15 +152,9 @@ func profile(code []byte, base uint64, mode x86.Mode, maxInsts int, stopAtFlowEn
 		case x86.ClassRet:
 			p.sawRet = true
 			p.balanced = height == 0
-			if stopAtFlowEnd {
-				return p
-			}
-			height = 0
+			return p
 		case x86.ClassJmpRel, x86.ClassJmpInd, x86.ClassHlt, x86.ClassUD:
-			if stopAtFlowEnd {
-				return p
-			}
-			height = 0
+			return p
 		}
 	}
 	return p

@@ -113,12 +113,12 @@ func TestProfileStackBalance(t *testing.T) {
 		0xC9,
 		0xC3,
 	}
-	p := profile(code, 0x1000, x86.Mode64, 100, true)
+	p := profile(code, 0x1000, x86.Mode64, 100)
 	if !p.sawRet || !p.balanced {
 		t.Errorf("balanced function profiled as %+v", p)
 	}
 	// Unbalanced: push rbp; ret (height -8 at ret).
-	p = profile([]byte{0x55, 0xC3}, 0x1000, x86.Mode64, 100, true)
+	p = profile([]byte{0x55, 0xC3}, 0x1000, x86.Mode64, 100)
 	if !p.sawRet || p.balanced {
 		t.Errorf("unbalanced function profiled as %+v", p)
 	}
@@ -126,17 +126,17 @@ func TestProfileStackBalance(t *testing.T) {
 		t.Error("unbalanced profile accepted")
 	}
 	// Pops below entry: pop rax; ret.
-	p = profile([]byte{0x58, 0xC3}, 0x1000, x86.Mode64, 100, true)
+	p = profile([]byte{0x58, 0xC3}, 0x1000, x86.Mode64, 100)
 	if !p.popsBelowEntry {
 		t.Errorf("pop at entry not flagged: %+v", p)
 	}
 	// Padding start.
-	p = profile([]byte{0x90, 0xC3}, 0x1000, x86.Mode64, 100, true)
+	p = profile([]byte{0x90, 0xC3}, 0x1000, x86.Mode64, 100)
 	if !p.startsWithPadding || p.looksLikeFunction() {
 		t.Errorf("padding start not rejected: %+v", p)
 	}
 	// Decode error.
-	p = profile([]byte{0x06}, 0x1000, x86.Mode64, 100, true)
+	p = profile([]byte{0x06}, 0x1000, x86.Mode64, 100)
 	if !p.decodeError || p.looksLikeFunction() {
 		t.Errorf("decode error not rejected: %+v", p)
 	}
@@ -144,13 +144,13 @@ func TestProfileStackBalance(t *testing.T) {
 
 func TestProfileArgRegRead(t *testing.T) {
 	// mov rax, rdi reads the first argument register before writing it.
-	p := profile([]byte{0x48, 0x89, 0xF8, 0xC3}, 0, x86.Mode64, 100, true)
+	p := profile([]byte{0x48, 0x89, 0xF8, 0xC3}, 0, x86.Mode64, 100)
 	if !p.argRegRead {
 		t.Errorf("rdi read not detected: %+v", p)
 	}
 	// mov rdi, rax writes rdi first; xor edi, edi then read would not
 	// count either.
-	p = profile([]byte{0x48, 0x89, 0xC7, 0x48, 0x89, 0xF8, 0xC3}, 0, x86.Mode64, 100, true)
+	p = profile([]byte{0x48, 0x89, 0xC7, 0x48, 0x89, 0xF8, 0xC3}, 0, x86.Mode64, 100)
 	if p.argRegRead {
 		t.Errorf("write-then-read misdetected: %+v", p)
 	}

@@ -200,10 +200,10 @@ func (s *Store) Compact() (CompactResult, error) {
 // store is big enough and garbage-heavy enough.
 func (s *Store) maybeCompact() {
 	st := s.Stats()
-	if st.SegmentBytes < s.opts.CompactMinBytes {
+	if st.SegmentBytes < compactMinBytes {
 		return
 	}
-	if st.Compaction.GarbageRatio < s.opts.CompactGarbageRatio {
+	if st.Compaction.GarbageRatio < compactGarbageRatio {
 		return
 	}
 	s.Compact() // errors (e.g. racing Close) are dropped; next tick retries

@@ -323,15 +323,15 @@ func TestCompactConcurrent(t *testing.T) {
 }
 
 // TestBackgroundCompactor checks that the goroutine started by
-// CompactEvery fires on its own once the garbage ratio passes the
-// threshold, and that Close tears it down cleanly.
+// CompactEvery fires on its own once the store passes both thresholds
+// (1 MiB on disk, half of it garbage), and that Close tears it down
+// cleanly. 48 generations of 8 keys × 4 KiB write ~1.5 MiB, 47/48 of it
+// superseded.
 func TestBackgroundCompactor(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{
-		SegmentBytes:        512,
-		CompactEvery:        5 * time.Millisecond,
-		CompactGarbageRatio: 0.3,
-		CompactMinBytes:     1,
+		SegmentBytes: 64 << 10,
+		CompactEvery: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -339,10 +339,10 @@ func TestBackgroundCompactor(t *testing.T) {
 	defer st.Close()
 
 	want := make(map[string]string)
-	for gen := 0; gen < 5; gen++ {
+	for gen := 0; gen < 48; gen++ {
 		for i := 0; i < 8; i++ {
 			k := fmt.Sprintf("key-%d", i)
-			v := fmt.Sprintf("gen-%d-%d-%s", gen, i, string(bytes.Repeat([]byte{'y'}, 40)))
+			v := fmt.Sprintf("gen-%d-%d-%s", gen, i, string(bytes.Repeat([]byte{'y'}, 4<<10)))
 			if err := st.Put([]byte(k), []byte(v)); err != nil {
 				t.Fatalf("Put: %v", err)
 			}

@@ -26,7 +26,7 @@
 // segment, fsync, atomically rename, then delete the old files — see
 // compact.go for the replay-order argument). A background compactor
 // goroutine (Options.CompactEvery) triggers it automatically once the
-// garbage ratio passes Options.CompactGarbageRatio.
+// garbage ratio passes compactGarbageRatio.
 package store
 
 import (
@@ -61,16 +61,15 @@ const (
 	// Options.SegmentBytes is zero.
 	DefaultSegmentBytes = 64 << 20
 
-	// DefaultCompactGarbageRatio is the store-wide garbage fraction
+	// compactGarbageRatio is the store-wide garbage fraction
 	// (superseded bytes / on-disk bytes) past which the background
-	// compactor rewrites cold segments, when Options.CompactGarbageRatio
-	// is zero.
-	DefaultCompactGarbageRatio = 0.5
+	// compactor rewrites cold segments.
+	compactGarbageRatio = 0.5
 
-	// DefaultCompactMinBytes is the on-disk floor below which the
-	// background compactor never runs (rewriting a few kilobytes is not
-	// worth the churn), when Options.CompactMinBytes is zero.
-	DefaultCompactMinBytes = 1 << 20
+	// compactMinBytes is the on-disk floor below which the background
+	// compactor never runs (rewriting a few kilobytes is not worth the
+	// churn).
+	compactMinBytes = 1 << 20
 )
 
 // ErrTooLarge reports a key or value beyond the record bounds.
@@ -88,17 +87,11 @@ type Options struct {
 	Sync bool
 
 	// CompactEvery runs a background compactor goroutine that checks the
-	// garbage ratio at this interval and rewrites cold segments when it
-	// passes CompactGarbageRatio. Zero disables background compaction
-	// (explicit Compact calls always work).
+	// garbage ratio at this interval and rewrites cold segments once the
+	// store holds at least 1 MiB and half of it is superseded records.
+	// Zero disables background compaction (explicit Compact calls always
+	// work).
 	CompactEvery time.Duration
-	// CompactGarbageRatio is the garbage fraction (superseded bytes over
-	// total on-disk bytes) that triggers a background compaction. Zero
-	// selects DefaultCompactGarbageRatio; must be within (0, 1].
-	CompactGarbageRatio float64
-	// CompactMinBytes is the minimum on-disk size before the background
-	// compactor considers running. Zero selects DefaultCompactMinBytes.
-	CompactMinBytes int64
 }
 
 // Store is an append-only key-value store over segment files in one
@@ -155,12 +148,6 @@ func segmentName(id int) string { return fmt.Sprintf("seg-%06d.log", id) }
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.CompactGarbageRatio <= 0 || opts.CompactGarbageRatio > 1 {
-		opts.CompactGarbageRatio = DefaultCompactGarbageRatio
-	}
-	if opts.CompactMinBytes <= 0 {
-		opts.CompactMinBytes = DefaultCompactMinBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -478,7 +465,7 @@ type CompactionStats struct {
 	GarbageBytes int64 `json:"garbage_bytes"`
 	// GarbageRatio is GarbageBytes over total segment bytes (0 when the
 	// store is empty). The background compactor fires when this passes
-	// Options.CompactGarbageRatio.
+	// one half.
 	GarbageRatio float64 `json:"garbage_ratio"`
 }
 

@@ -94,7 +94,7 @@ func run() error {
 	var (
 		outDir       = flag.String("out", ".", "directory for BENCH_<date>.json")
 		date         = flag.String("date", time.Now().Format("2006-01-02"), "date stamp for the output file")
-		smoke        = flag.Bool("smoke", false, "single-iteration run (harness correctness, not timing)")
+		smoke        = flag.Bool("smoke", false, "single-iteration run (harness correctness, not timing); writes no report")
 		check        = flag.Bool("check", false, "exit non-zero on ns/op, MB/s, or parallel-scaling regressions vs the previous BENCH_*.json")
 		threshold    = flag.Float64("threshold", 1.25, "regression threshold as a ratio (new/old ns_op)")
 		mbsThreshold = flag.Float64("mbs-threshold", 0.85, "throughput floor as a ratio (new/old mb_s); rows below it regress")
@@ -236,14 +236,20 @@ func run() error {
 		return err
 	}
 
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
+	// A smoke run's single iterations are no baseline: it writes
+	// nothing, so it cannot overwrite a recorded BENCH_<date>.json.
+	if *smoke {
+		fmt.Fprintln(os.Stderr, "bench: -smoke writes no report")
+	} else {
+		data, err := json.MarshalIndent(&rep, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "bench: wrote %s\n", outPath)
 	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "bench: wrote %s\n", outPath)
 
 	var cmpErr error
 	if prev == nil {

@@ -1,9 +1,52 @@
 package main
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain runs the bench command itself when the test binary is
+// started with benchMainEnv set, so a test can drive it end to end.
+func TestMain(m *testing.M) {
+	if os.Getenv(benchMainEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+const benchMainEnv = "FUNSEEKER_BENCH_MAIN"
+
+// TestSmokeWritesNothing: a -smoke run measures one iteration per row,
+// which is no baseline, so it leaves its -out directory as it found it
+// — including a recorded report of the same date.
+func TestSmokeWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	recorded := filepath.Join(dir, "BENCH_2000-01-01.json")
+	if err := os.WriteFile(recorded, []byte(`{"date":"2000-01-01","results":[]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(recorded)
+	cmd := exec.Command(os.Args[0], "-smoke", "-scale", "0.01", "-programs", "1",
+		"-series", "^core/Refine$", "-date", "2000-01-01", "-out", dir)
+	cmd.Env = append(os.Environ(), benchMainEnv+"=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("bench -smoke: %v\n%s", err, out)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("-out holds %d files after a smoke run, want the 1 recorded report", len(entries))
+	}
+	if after, _ := os.ReadFile(recorded); string(after) != string(before) {
+		t.Fatalf("smoke run rewrote the recorded report:\n%s", after)
+	}
+}
 
 // TestCheckScalingPinnedBaseline: a row pinned at gomaxprocs=P is held
 // against the sequential row pinned at P, and falls back to the unpinned

@@ -47,11 +47,11 @@ func TestSweepArtifacts(t *testing.T) {
 	if len(sw.JumpRefs) != 1 || sw.JumpRefs[0].Src != 0x100A || sw.JumpRefs[0].Target != 0x1000 || sw.JumpRefs[0].Cond {
 		t.Fatalf("JumpRefs = %+v", sw.JumpRefs)
 	}
-	if !Has(sw.JumpTargets, 0x1000) || !Has(sw.UncondJumpTargets, 0x1000) {
-		t.Error("jump target sets missing 0x1000")
+	if !Has(sw.JumpTargets, 0x1000) || len(sw.JumpTargetIndex) != 1 || sw.JumpTargetIndex[0] != 0 {
+		t.Errorf("JumpTargets = %#x, JumpTargetIndex = %d", sw.JumpTargets, sw.JumpTargetIndex)
 	}
-	if !Has(sw.AllCallTargets, 0x100C) || len(sw.AfterIRCall) != 0 {
-		t.Errorf("AllCallTargets = %#x, AfterIRCall = %#x", sw.AllCallTargets, sw.AfterIRCall)
+	if len(sw.Calls) != 1 || sw.Calls[0].Target != 0x100C || len(sw.AfterIRCall) != 0 {
+		t.Errorf("Calls = %+v, AfterIRCall = %#x", sw.Calls, sw.AfterIRCall)
 	}
 }
 

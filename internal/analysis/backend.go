@@ -3,7 +3,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"github.com/funseeker/funseeker/internal/arm64"
 	"github.com/funseeker/funseeker/internal/cet"
@@ -92,6 +91,7 @@ func (b x86Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 		Shards:        r.Shards,
 		StitchRetries: r.StitchRetries,
 		Endbrs:        r.Endbrs,
+		Calls:         r.Calls,
 		JumpRefs:      r.Jumps,
 	}
 	r.AfterCalls(func(e, target uint64) {
@@ -99,11 +99,7 @@ func (b x86Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 			sw.AfterIRCall = append(sw.AfterIRCall, e)
 		}
 	})
-	calls := make([]uint64, len(r.Calls))
-	for i, c := range r.Calls {
-		calls[i] = c.Target
-	}
-	sw.finishSets(bin, calls)
+	sw.DeriveSets(bin)
 	return sw, nil
 }
 
@@ -145,7 +141,6 @@ func (arm64Backend) Arch() elfx.Arch { return elfx.ArchAArch64 }
 // speculation has nothing to buy.
 func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, error) {
 	sw := &Sweep{Arch: elfx.ArchAArch64, Shards: 1}
-	var calls []uint64
 	err := arm64.LinearSweep(ctx, bin.Text, bin.TextAddr, func(inst arm64.Inst) bool {
 		switch inst.Class {
 		case arm64.ClassBTI:
@@ -158,7 +153,7 @@ func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 			sw.Endbrs = append(sw.Endbrs, inst.Addr)
 		case arm64.ClassBL:
 			if inst.HasTarget {
-				calls = append(calls, inst.Target)
+				sw.Calls = append(sw.Calls, JumpRef{Src: inst.Addr, Target: inst.Target})
 			}
 		case arm64.ClassB:
 			if inst.HasTarget {
@@ -170,49 +165,11 @@ func (arm64Backend) BuildSweep(ctx context.Context, bin *elfx.Binary) (*Sweep, e
 	if err != nil {
 		return nil, err
 	}
-	sw.finishSets(bin, calls)
+	sw.DeriveSets(bin)
 	return sw, nil
 }
 
 // ScanMarkers implements Backend via the word-aligned call-pad scan.
 func (arm64Backend) ScanMarkers(text []byte, base uint64) []uint64 {
 	return arm64.ScanCallPads(text, base)
-}
-
-// finishSets derives the sets every backend shares from the sweep's raw
-// call targets (consumed in place) and its JumpRefs, ordering each once:
-// AllCallTargets is the sorted, deduplicated calls and C its .text
-// range; JumpOrder is the one stable sort of the jumps by target, and J
-// (every recorded jump, conditional or not, restricted to .text) and
-// UncondJumpTargets are dedupe walks over it.
-func (sw *Sweep) finishSets(bin *elfx.Binary, calls []uint64) {
-	sw.AllCallTargets = sortCompact(calls)
-	sw.CallTargets = textRange(bin, sw.AllCallTargets)
-
-	targets := make([]uint64, len(sw.JumpRefs))
-	sw.JumpOrder = make([]int32, len(sw.JumpRefs))
-	for i, j := range sw.JumpRefs {
-		targets[i] = j.Target
-		sw.JumpOrder[i] = int32(i)
-	}
-	sortKeys(targets, sw.JumpOrder)
-	for _, i := range sw.JumpOrder {
-		if j := sw.JumpRefs[i]; !j.Cond {
-			if n := len(sw.UncondJumpTargets); n == 0 || sw.UncondJumpTargets[n-1] != j.Target {
-				sw.UncondJumpTargets = append(sw.UncondJumpTargets, j.Target)
-			}
-		}
-	}
-	sw.JumpTargets = textRange(bin, slices.Compact(targets))
-}
-
-// textRange returns the sub-slice of the ascending set that lies inside
-// .text — a contiguous run, since .text is one address interval.
-func textRange(bin *elfx.Binary, set []uint64) []uint64 {
-	lo, _ := slices.BinarySearch(set, bin.TextAddr)
-	hi := lo
-	for hi < len(set) && bin.InText(set[hi]) {
-		hi++
-	}
-	return set[lo:hi:hi]
 }

@@ -68,8 +68,8 @@ func TestArm64SweepArtifacts(t *testing.T) {
 	if len(sw.JumpRefs) != 1 || sw.JumpRefs[0].Src != 0x100C || sw.JumpRefs[0].Target != 0x1000 || sw.JumpRefs[0].Cond {
 		t.Fatalf("JumpRefs = %+v", sw.JumpRefs)
 	}
-	if !Has(sw.UncondJumpTargets, 0x1000) {
-		t.Error("UncondJumpTargets missing 0x1000")
+	if !Has(sw.JumpTargets, 0x1000) {
+		t.Error("JumpTargets missing 0x1000")
 	}
 	if err := ctx.RequireX86(); err == nil || !strings.Contains(err.Error(), "aarch64") {
 		t.Errorf("RequireX86 on an arm64 binary: %v, want an error naming aarch64", err)

@@ -27,6 +27,8 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,7 +49,7 @@ type JumpRef = x86.Ref
 
 // Sweep carries what one linear-sweep disassembly pass collects — the
 // reference sets E, C and J the identification algorithms consume, as
-// sorted, deduplicated address slices (query them with Has). The
+// ascending, deduplicated address slices (query them with Has). The
 // vocabulary is backend-neutral — "end branch" means whatever landmark
 // the ISA places at indirect-call targets (ENDBR on x86, call-accepting
 // BTI/PACIASP pads on AArch64). All fields are populated once and must be
@@ -75,24 +77,75 @@ type Sweep struct {
 
 	// CallTargets is C: every direct-call target inside .text, ascending.
 	CallTargets []uint64
-	// AllCallTargets additionally includes direct-call targets outside
-	// .text (PLT stubs and the like), ascending.
-	AllCallTargets []uint64
+	// Calls is every direct call with its target, ascending by Src (Cond
+	// is always false). Only the Figure 3 study reads the calls whose
+	// targets lie outside .text.
+	Calls []JumpRef
 
 	// JumpRefs is every direct jump with its source retained for
 	// SELECTTAILCALL, ascending by Src: conditional and unconditional on
 	// x86, unconditional only on AArch64 (matching the BTI algorithm's J).
 	JumpRefs []JumpRef
-	// JumpOrder is the JumpRefs indexes ordered by Target, stably: within
-	// one target the indexes — and so the sources — ascend. It is the
-	// sweep's one ordering of its jumps; JumpTargets, UncondJumpTargets
-	// and both SELECTTAILCALL passes walk it instead of sorting again.
-	JumpOrder []int32
 	// JumpTargets is J restricted to .text, ascending.
 	JumpTargets []uint64
-	// UncondJumpTargets is the unconditional-only targets (any address),
-	// ascending — the DirJmpTarget property of the Figure 3 study.
-	UncondJumpTargets []uint64
+	// JumpTargetIndex holds, for each JumpRefs[i], the index of its
+	// target in JumpTargets, or -1 when the target lies outside .text:
+	// SELECTTAILCALL keys its per-target state by it.
+	JumpTargetIndex []int32
+}
+
+// DeriveSets derives C and J from the sweep's Calls and JumpRefs
+// without a sort: each target inside .text sets a bit in a .text bitmap,
+// and a walk over the set bits yields the set ascending and
+// deduplicated. One bitmap serves both sets. For J, a per-word popcount
+// directory then turns each jump's target bit into its rank in J,
+// JumpTargetIndex. Backends call it once, after the sweep; a hand-built
+// Sweep (tests) calls it to become usable.
+func (sw *Sweep) DeriveSets(bin *elfx.Binary) {
+	bm := make([]uint64, (len(bin.Text)+63)/64)
+	mark := func(refs []JumpRef) {
+		for _, r := range refs {
+			if bin.InText(r.Target) {
+				off := r.Target - bin.TextAddr
+				bm[off>>6] |= 1 << (off & 63)
+			}
+		}
+	}
+	mark(sw.Calls)
+	sw.CallTargets = setBits(bm, bin.TextAddr, nil)
+	clear(bm)
+	mark(sw.JumpRefs)
+	rank := make([]int32, len(bm))
+	sw.JumpTargets = setBits(bm, bin.TextAddr, rank)
+	sw.JumpTargetIndex = make([]int32, len(sw.JumpRefs))
+	for i, r := range sw.JumpRefs {
+		t := int32(-1)
+		if bin.InText(r.Target) {
+			off := r.Target - bin.TextAddr
+			t = rank[off>>6] + int32(bits.OnesCount64(bm[off>>6]&(1<<(off&63)-1)))
+		}
+		sw.JumpTargetIndex[i] = t
+	}
+}
+
+// setBits returns the addresses base+i of the set bits i of bm,
+// ascending, in a slice of exactly their count. When rank is non-nil,
+// rank[w] receives the number of set bits below word w.
+func setBits(bm []uint64, base uint64, rank []int32) []uint64 {
+	n := 0
+	for w, word := range bm {
+		if rank != nil {
+			rank[w] = int32(n)
+		}
+		n += bits.OnesCount64(word)
+	}
+	out := make([]uint64, 0, n)
+	for w, word := range bm {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, base+uint64(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return out
 }
 
 // memo is one lazily computed, cancel-aware artifact slot.
@@ -335,15 +388,20 @@ func (c *Context) FDEIndex() (*FDEIndex, error) {
 }
 
 // buildFDEIndex materializes the start set and merged coverage intervals
-// for the FDEs that land in .text. Starts and interval begins go through
-// sortKeys, so the index costs a few linear passes over the FDEs.
+// for the FDEs that land in .text. FDEs often come in address order,
+// and then the index is one pass; only out-of-order starts (a function's
+// split-off cold part, say) go through sortKeys.
 func buildFDEIndex(bin *elfx.Binary, fdes []ehframe.FDE) *FDEIndex {
 	textEnd := bin.TextEnd()
 	ix := &FDEIndex{Starts: make([]uint64, 0, len(fdes))}
 	begins, ends := make([]uint64, 0, len(fdes)), make([]uint64, 0, len(fdes))
+	ascending := true
 	for _, fde := range fdes {
 		if fde.PCBegin < bin.TextAddr || fde.PCBegin >= textEnd {
 			continue
+		}
+		if n := len(ix.Starts); n > 0 && fde.PCBegin < ix.Starts[n-1] {
+			ascending = false
 		}
 		ix.Starts = append(ix.Starts, fde.PCBegin)
 		end := fde.PCBegin + fde.PCRange
@@ -355,14 +413,23 @@ func buildFDEIndex(bin *elfx.Binary, fdes []ehframe.FDE) *FDEIndex {
 			ends = append(ends, end)
 		}
 	}
-	ix.Starts = sortCompact(ix.Starts)
-	order := make([]int32, len(begins))
-	for i := range order {
-		order[i] = int32(i)
+	ix.begins, ix.ends = make([]uint64, 0, len(begins)), make([]uint64, 0, len(begins))
+	var order []int32 // ends[order[i]] belongs to begins[i]; nil is the identity
+	if ascending {
+		ix.Starts = slices.Compact(ix.Starts)
+	} else {
+		ix.Starts = sortCompact(ix.Starts)
+		order = make([]int32, len(begins))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		sortKeys(begins, order)
 	}
-	sortKeys(begins, order)
 	for i, begin := range begins {
-		end := ends[order[i]]
+		end := ends[i]
+		if order != nil {
+			end = ends[order[i]]
+		}
 		n := len(ix.begins)
 		if n > 0 && begin <= ix.ends[n-1] {
 			if end > ix.ends[n-1] {

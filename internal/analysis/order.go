@@ -33,11 +33,9 @@ func (c *Cursor) Has(addr uint64) bool {
 // with keys[i]. It is one LSD byte radix sort that skips every byte
 // position on which all keys agree — for addresses inside one text
 // section that is all but the low two or three bytes — so it runs in a
-// few linear passes instead of n log n comparisons. This is the one
-// sort every Sweep set, the landing-pad set and the FDE index go
-// through, at every size: a comparison-sort path for short inputs
-// measured no faster, on small binaries or end to end (EXPERIMENTS.md,
-// "Linear-time refinement").
+// few linear passes instead of n log n comparisons. The landing-pad set
+// and an FDE index over out-of-order FDEs go through it; the sweep's
+// sets C and J need no sort at all (Sweep.DeriveSets).
 func sortKeys(keys []uint64, vals []int32) {
 	n := len(keys)
 	if n < 2 {

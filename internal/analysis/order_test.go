@@ -1,13 +1,14 @@
 package analysis
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
+	"github.com/funseeker/funseeker/internal/ehframe"
 	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/synth"
 	"github.com/funseeker/funseeker/internal/x86"
@@ -102,92 +103,6 @@ func TestCursorMatchesHas(t *testing.T) {
 	}
 }
 
-// checkJumpOrder verifies a sweep's JumpOrder contract and the sets
-// derived from it against a comparison-sort reference.
-func checkJumpOrder(t *testing.T, bin *elfx.Binary, sw *Sweep) {
-	t.Helper()
-	if len(sw.JumpOrder) != len(sw.JumpRefs) {
-		t.Fatalf("JumpOrder has %d entries for %d jumps", len(sw.JumpOrder), len(sw.JumpRefs))
-	}
-	seen := make([]bool, len(sw.JumpRefs))
-	for i, x := range sw.JumpOrder {
-		if x < 0 || int(x) >= len(seen) || seen[x] {
-			t.Fatalf("JumpOrder is not a permutation: entry %d = %d", i, x)
-		}
-		seen[x] = true
-		if i == 0 {
-			continue
-		}
-		a, b := sw.JumpRefs[sw.JumpOrder[i-1]], sw.JumpRefs[x]
-		if b.Target < a.Target || b.Target == a.Target && sw.JumpOrder[i-1] > x {
-			t.Fatalf("JumpOrder[%d..%d] out of order: %+v then %+v", i-1, i, a, b)
-		}
-		if b.Target == a.Target && b.Src < a.Src {
-			t.Fatalf("sources of target %#x descend: %#x then %#x", a.Target, a.Src, b.Src)
-		}
-	}
-	var all, uncond []uint64
-	for _, j := range sw.JumpRefs {
-		if bin.InText(j.Target) {
-			all = append(all, j.Target)
-		}
-		if !j.Cond {
-			uncond = append(uncond, j.Target)
-		}
-	}
-	slices.Sort(all)
-	slices.Sort(uncond)
-	if !slices.Equal(sw.JumpTargets, slices.Compact(all)) {
-		t.Fatalf("JumpTargets %#x, want %#x", sw.JumpTargets, all)
-	}
-	if !slices.Equal(sw.UncondJumpTargets, slices.Compact(uncond)) {
-		t.Fatalf("UncondJumpTargets %#x, want %#x", sw.UncondJumpTargets, uncond)
-	}
-}
-
-// TestJumpOrderStable: on real sweeps of generated text in both modes,
-// JumpOrder is a stable permutation of JumpRefs by target — each
-// target's sources ascend — and J and the unconditional targets are
-// exactly the deduplicated targets.
-func TestJumpOrderStable(t *testing.T) {
-	for _, mode := range []x86.Mode{x86.Mode32, x86.Mode64} {
-		text := x86.GenText(1<<16, mode, rand.New(rand.NewSource(int64(mode))), 0.05)
-		bin := &elfx.Binary{Mode: mode, Text: text, TextAddr: 0x401000}
-		sw := NewContext(bin).Sweep()
-		if len(sw.JumpRefs) < 256 {
-			t.Fatalf("mode %v: only %d jumps, too few to fill the radix buckets", mode, len(sw.JumpRefs))
-		}
-		checkJumpOrder(t, bin, sw)
-	}
-}
-
-// FuzzJumpOrder feeds arbitrary jump lists (ascending by source, as
-// every backend records them) through finishSets and checks the
-// JumpOrder contract and the derived target sets.
-func FuzzJumpOrder(f *testing.F) {
-	f.Add([]byte{}, uint16(0x100))
-	f.Add([]byte{1, 0x10, 0, 0, 0, 0, 0, 0, 0, 2, 0x10, 0, 0, 0, 0, 0, 0, 0}, uint16(0x40))
-	seed := make([]byte, 9*300)
-	rand.New(rand.NewSource(3)).Read(seed)
-	f.Add(seed, uint16(0x1000))
-	text := make([]byte, 1<<16) // shared: the sets only read its length
-	f.Fuzz(func(t *testing.T, data []byte, textLen uint16) {
-		bin := &elfx.Binary{Mode: x86.Mode64, Text: text[:textLen], TextAddr: 0x1000}
-		sw := &Sweep{}
-		src := uint64(0x1000)
-		for ; len(data) >= 9; data = data[9:] {
-			src += uint64(data[0] & 0x0F) // equal sources allowed
-			target := binary.LittleEndian.Uint64(data[1:])
-			if data[0]&0x80 != 0 {
-				target = 0x1000 + target%0x2000 // mostly near the text, with duplicates
-			}
-			sw.JumpRefs = append(sw.JumpRefs, JumpRef{Src: src, Target: target, Cond: data[0]&0x40 != 0})
-		}
-		sw.finishSets(bin, nil)
-		checkJumpOrder(t, bin, sw)
-	})
-}
-
 // ehBinary compiles a C++ program with many exception-handling
 // functions, so the .eh_frame parse and the landing-pad join both take
 // measurable time.
@@ -236,6 +151,34 @@ func TestStageClocksDoNotNest(t *testing.T) {
 		}
 		if sum := st.EHParse.Time + call.stage(st).Time; sum > wall {
 			t.Errorf("%s: stage times sum to %v, more than the call's wall time %v", call.name, sum, wall)
+		}
+	}
+}
+
+// TestFDEIndexOrderIndependent: the FDE index is a property of the set
+// of FDEs, so the one-pass build over ascending starts and the sorting
+// build over shuffled ones agree — on the starts and on Covers and
+// Interior at every address around the FDEs.
+func TestFDEIndexOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	bin := &elfx.Binary{Mode: x86.Mode64, Text: make([]byte, 0x2000), TextAddr: 0x1000}
+	for trial := 0; trial < 200; trial++ {
+		var fdes []ehframe.FDE
+		for n := rng.Intn(40); n > 0; n-- {
+			fdes = append(fdes, ehframe.FDE{PCBegin: 0xF00 + uint64(rng.Intn(0x2200)), PCRange: uint64(rng.Intn(0x80))})
+		}
+		slices.SortStableFunc(fdes, func(a, b ehframe.FDE) int { return cmp.Compare(a.PCBegin, b.PCBegin) })
+		sorted := buildFDEIndex(bin, fdes)
+		rng.Shuffle(len(fdes), func(i, j int) { fdes[i], fdes[j] = fdes[j], fdes[i] })
+		shuffled := buildFDEIndex(bin, fdes)
+		if !slices.Equal(sorted.Starts, shuffled.Starts) || !slices.IsSorted(sorted.Starts) {
+			t.Fatalf("trial %d: starts %#x (ascending input) vs %#x (shuffled)", trial, sorted.Starts, shuffled.Starts)
+		}
+		for a := uint64(0xF00); a < 0x3200; a++ {
+			if sorted.Covers(a) != shuffled.Covers(a) || sorted.Interior(a) != shuffled.Interior(a) {
+				t.Fatalf("trial %d: %#x: Covers %v/%v, Interior %v/%v", trial, a,
+					sorted.Covers(a), shuffled.Covers(a), sorted.Interior(a), shuffled.Interior(a))
+			}
 		}
 	}
 }

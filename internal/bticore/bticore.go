@@ -12,21 +12,20 @@
 //
 // Production code does not call this package: AArch64 identification
 // runs through elfx, analysis and core like every other architecture.
-// bticore is a standalone codepath (debug/elf plus the arm64 decoder)
-// that diffcheck's core-vs-bticore check and the engine's arch tests
-// compare the generic core against, set by set.
+// bticore is a standalone codepath (the arm64 decoder, and elfx.Load
+// for the image alone) that diffcheck's core-vs-bticore check and the
+// engine's arch tests compare the generic core against, set by set.
 package bticore
 
 import (
-	"bytes"
 	"context"
-	"debug/elf"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 
 	"github.com/funseeker/funseeker/internal/arm64"
+	"github.com/funseeker/funseeker/internal/elfx"
 )
 
 // Report is the identification result.
@@ -51,23 +50,17 @@ var ErrNoText = errors.New("bticore: no .text section")
 // IdentifyBytes parses an AArch64 ELF image and identifies function
 // entries.
 func IdentifyBytes(raw []byte) (*Report, error) {
-	f, err := elf.NewFile(bytes.NewReader(raw))
+	bin, err := elfx.Load(raw)
+	if errors.Is(err, elfx.ErrNoText) {
+		return nil, ErrNoText
+	}
 	if err != nil {
 		return nil, fmt.Errorf("bticore: %w", err)
 	}
-	defer f.Close()
-	if f.Machine != elf.EM_AARCH64 {
-		return nil, fmt.Errorf("bticore: not an AArch64 binary (machine %v)", f.Machine)
+	if bin.Arch != elfx.ArchAArch64 {
+		return nil, fmt.Errorf("bticore: not an AArch64 binary (%s)", bin.Arch)
 	}
-	sec := f.Section(".text")
-	if sec == nil {
-		return nil, ErrNoText
-	}
-	text, err := sec.Data()
-	if err != nil {
-		return nil, fmt.Errorf("bticore: read .text: %w", err)
-	}
-	return Identify(text, sec.Addr), nil
+	return Identify(bin.Text, bin.TextAddr), nil
 }
 
 // jumpRef is one direct unconditional branch.

@@ -1,9 +1,13 @@
 package bticore
 
 import (
+	"debug/elf"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/funseeker/funseeker/internal/armsynth"
+	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/groundtruth"
 	"github.com/funseeker/funseeker/internal/synth"
 )
@@ -148,6 +152,27 @@ func TestBTIPACEntries(t *testing.T) {
 func TestIdentifyBytesErrors(t *testing.T) {
 	if _, err := IdentifyBytes([]byte("junk")); err == nil {
 		t.Error("want error for junk input")
+	}
+}
+
+// TestIdentifyBytesExtendedNumberingNoPanic: an image with extended
+// section numbering (e_shnum 0, the count in section 0's sh_size) and an
+// e_shstrndx past that count is an error, not a panic. debug/elf checks
+// the index only against e_shnum and panics indexing its sections.
+func TestIdentifyBytesExtendedNumberingNoPanic(t *testing.T) {
+	const shnum = 0xff00
+	le := binary.LittleEndian
+	raw := make([]byte, 0x40+shnum*64)
+	copy(raw, "\x7fELF\x02\x01\x01")
+	le.PutUint16(raw[0x10:], uint16(elf.ET_EXEC))
+	le.PutUint16(raw[0x12:], uint16(elf.EM_AARCH64))
+	le.PutUint32(raw[0x14:], uint32(elf.EV_CURRENT))
+	le.PutUint64(raw[0x28:], 0x40)   // e_shoff
+	le.PutUint16(raw[0x3A:], 64)     // e_shentsize
+	le.PutUint16(raw[0x3E:], 0xff10) // e_shstrndx
+	le.PutUint64(raw[0x40+32:], shnum)
+	if _, err := IdentifyBytes(raw); !errors.Is(err, elfx.ErrNotELF) {
+		t.Errorf("e_shstrndx %#x of %#x sections: err = %v, want ErrNotELF", 0xff10, shnum, err)
 	}
 }
 

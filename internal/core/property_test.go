@@ -122,18 +122,14 @@ func genTailCallCase(rng *rand.Rand) tailCallCase {
 }
 
 // jumpSweep wraps jumps (ascending by Src) in the Sweep form the
-// selector reads, with JumpOrder built by a stable comparison sort —
-// independent of the radix sort the analysis package uses.
-func jumpSweep(jumps []analysis.JumpRef) *analysis.Sweep {
-	order := make([]int32, len(jumps))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(jumps[a].Target, jumps[b].Target) })
-	return &analysis.Sweep{JumpRefs: jumps, JumpOrder: order}
+// selector reads, with J derived by DeriveSets.
+func jumpSweep(bin *elfx.Binary, jumps []analysis.JumpRef) *analysis.Sweep {
+	sw := &analysis.Sweep{JumpRefs: jumps}
+	sw.DeriveSets(bin)
+	return sw
 }
 
-// refSelectTailCalls is the map-based SELECTTAILCALL the sort-based
+// refSelectTailCalls is the map-based SELECTTAILCALL the linear
 // selector replaced, kept as the test reference: per target, the set of
 // distinct source functions and whether any jump escapes, with function
 // boundaries found by binary search. It accepts jumps in any order.
@@ -196,8 +192,8 @@ func TestSelectTailCallsProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := genTailCallCase(rng)
 
-		full := selectTailCalls(c.bin, jumpSweep(c.jumps), c.known, false)
-		boundary := selectTailCalls(c.bin, jumpSweep(c.jumps), c.known, true)
+		full := selectTailCalls(c.bin, jumpSweep(c.bin, c.jumps), c.known, false)
+		boundary := selectTailCalls(c.bin, jumpSweep(c.bin, c.jumps), c.known, true)
 
 		if !strictlyAscending(full) || !strictlyAscending(boundary) {
 			t.Logf("seed %d: result not strictly ascending", seed)
@@ -262,12 +258,12 @@ func TestSelectTailCallsDuplicateEvidence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := genTailCallCase(rng)
-		full := selectTailCalls(c.bin, jumpSweep(c.jumps), c.known, false)
+		full := selectTailCalls(c.bin, jumpSweep(c.bin, c.jumps), c.known, false)
 		var doubled []analysis.JumpRef
 		for _, j := range c.jumps {
 			doubled = append(doubled, j, j)
 		}
-		return slices.Equal(full, selectTailCalls(c.bin, jumpSweep(doubled), c.known, false))
+		return slices.Equal(full, selectTailCalls(c.bin, jumpSweep(c.bin, doubled), c.known, false))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -280,10 +276,10 @@ func TestSelectTailCallsNoJumpsNoTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		c := genTailCallCase(rng)
-		if got := selectTailCalls(c.bin, jumpSweep(nil), c.known, false); len(got) != 0 {
+		if got := selectTailCalls(c.bin, jumpSweep(c.bin, nil), c.known, false); len(got) != 0 {
 			t.Fatalf("trial %d: %d targets from no evidence", trial, len(got))
 		}
-		if got := selectTailCalls(c.bin, jumpSweep(nil), c.known, true); len(got) != 0 {
+		if got := selectTailCalls(c.bin, jumpSweep(c.bin, nil), c.known, true); len(got) != 0 {
 			t.Fatalf("trial %d: boundary-only: %d targets from no evidence", trial, len(got))
 		}
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "github.com/funseeker/funseeker/internal/analysis"
+import (
+	"slices"
+
+	"github.com/funseeker/funseeker/internal/analysis"
+)
 
 // EndbrDistribution counts end-branch instructions per location class,
 // reproducing the measurement behind Table I.
@@ -106,20 +110,41 @@ func (v VennCounts) PctWith(mask int) float64 {
 // over the shared sweep artifacts memoized in actx.
 func AnalyzeProperties(actx *analysis.Context, entries []uint64) VennCounts {
 	sw := actx.Sweep()
+	calls, uncondJumps := studySets(sw)
 	var v VennCounts
 	for _, e := range entries {
 		mask := 0
 		if analysis.Has(sw.Endbrs, e) {
 			mask |= PropEndbr
 		}
-		if analysis.Has(sw.AllCallTargets, e) {
+		if analysis.Has(calls, e) {
 			mask |= PropDirCall
 		}
-		if analysis.Has(sw.UncondJumpTargets, e) {
+		if analysis.Has(uncondJumps, e) {
 			mask |= PropDirJmp
 		}
 		v.Region[mask]++
 		v.Total++
 	}
 	return v
+}
+
+// studySets returns the two target sets of the Figure 3 study, at any
+// address (not only inside .text), ascending and deduplicated: every
+// direct-call target, and every unconditional direct-jump target. Only
+// the study reads them, so they are sorted here, off the
+// identification path.
+func studySets(sw *analysis.Sweep) (calls, uncondJumps []uint64) {
+	calls = make([]uint64, len(sw.Calls))
+	for i, c := range sw.Calls {
+		calls[i] = c.Target
+	}
+	for _, j := range sw.JumpRefs {
+		if !j.Cond {
+			uncondJumps = append(uncondJumps, j.Target)
+		}
+	}
+	slices.Sort(calls)
+	slices.Sort(uncondJumps)
+	return slices.Compact(calls), slices.Compact(uncondJumps)
 }

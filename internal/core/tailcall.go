@@ -22,24 +22,35 @@ import (
 // that happens to cross an approximated boundary becomes a function.
 //
 // known must be ascending and deduplicated; the result is ascending.
-// The work is two linear walks over the sweep's jumps and no sort: one
-// cursor walk over known in Src order finds each jump's containing
-// function and whether the jump leaves it, then a walk over
-// sw.JumpOrder visits each target's jumps as one run. A run's sources
-// ascend and the containing function is monotone in the source, so
-// distinct source functions are adjacent in the run and are counted
-// without a set.
+// The work is one walk over the sweep's jumps in Src order and one over
+// J, with no sort: the first finds each jump's containing function with
+// a cursor over known and folds the jump into its target's state —
+// indexed by the target's rank in J, sw.JumpTargetIndex — and the
+// second reads the states in target order. A target's sources come in ascending order and the
+// containing function is monotone in the source, so a change of
+// function from the target's last source is a new distinct source, and
+// counting stops at two.
 func selectTailCalls(bin *elfx.Binary, sw *analysis.Sweep, known []uint64, boundaryOnly bool) []uint64 {
-	jumps := sw.JumpRefs
+	type targetState struct {
+		fn      int32 // index in known of the last source's function start (-1 if none)
+		sources uint8 // distinct source functions, saturating at 2
+		escapes bool  // some jump leaves its function's extent
+	}
+	states := make([]targetState, len(sw.JumpTargets))
 	textEnd := bin.TextEnd()
-	// fn[i]>>1 is the index in known of the start of the function
-	// containing jumps[i] (-1 if none); bit 0 is set when the jump
-	// escapes that function's extent [known[k-1], known[k]).
-	fn := make([]int32, len(jumps))
 	k := 0 // known[:k] are the starts <= the current jump's Src
-	for i, j := range jumps {
+	for i, j := range sw.JumpRefs {
 		for k < len(known) && known[k] <= j.Src {
 			k++
+		}
+		t := sw.JumpTargetIndex[i]
+		if t < 0 {
+			continue // outside .text
+		}
+		st := &states[t]
+		if f := int32(k - 1); st.sources == 0 || st.fn != f {
+			st.fn = f
+			st.sources = min(st.sources+1, 2)
 		}
 		lo, hi := uint64(0), textEnd
 		if k > 0 {
@@ -48,38 +59,18 @@ func selectTailCalls(bin *elfx.Binary, sw *analysis.Sweep, known []uint64, bound
 		if k < len(known) {
 			hi = known[k]
 		}
-		fn[i] = int32(k-1) << 1
 		if j.Target < lo || j.Target >= hi {
-			fn[i] |= 1
+			st.escapes = true
 		}
 	}
 
-	order := sw.JumpOrder
-	isKnown := analysis.NewCursor(known) // runs come in ascending target order
+	isKnown := analysis.NewCursor(known) // J ascends
 	var out []uint64
-	for i := 0; i < len(order); {
-		target := jumps[order[i]].Target
-		end := i + 1
-		for end < len(order) && jumps[order[end]].Target == target {
-			end++
-		}
-		run := order[i:end]
-		i = end
-		if !bin.InText(target) {
-			continue
-		}
-		escapes, sources, prev := false, 0, int32(-2)
-		for _, x := range run {
-			if f := fn[x] >> 1; f != prev {
-				sources++
-				prev = f
-			}
-			escapes = escapes || fn[x]&1 != 0
-		}
-		switch {
-		case !escapes:
+	for t, target := range sw.JumpTargets {
+		switch st := states[t]; {
+		case !st.escapes:
 		case isKnown.Has(target): // already identified via E′ ∪ C
-		case !boundaryOnly && sources < 2:
+		case !boundaryOnly && st.sources < 2:
 			// "Referenced by multiple functions": more than one distinct
 			// source function must jump here.
 		default:

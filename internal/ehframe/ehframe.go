@@ -122,7 +122,7 @@ func ParseWithWarnings(data []byte, sectionVA uint64, ptrSize int) ([]FDE, []str
 	if ptrSize != 4 && ptrSize != 8 {
 		return nil, nil, fmt.Errorf("ehframe: bad pointer size %d", ptrSize)
 	}
-	var fdes []FDE
+	fdes := make([]FDE, 0, countFDEs(data))
 	var warns []string
 	cies := make(map[uint64]cieInfo)
 	skipped := make(map[uint64]int) // CIE offset -> FDEs dropped
@@ -181,6 +181,25 @@ func ParseWithWarnings(data []byte, sectionVA uint64, ptrSize int) ([]FDE, []str
 		warns = append(warns, fmt.Sprintf("skipped %d FDE(s) of CIE at %#x: FDE pointer encoding unknown", skipped[cieOff], cieOff))
 	}
 	return fdes, warns, nil
+}
+
+// countFDEs counts the well-framed FDE entries at the front of data by
+// their length and ID fields alone, stopping where ParseWithWarnings
+// would stop or fail: the capacity of its FDE slice.
+func countFDEs(data []byte) int {
+	n := 0
+	for off := uint64(0); off+8 <= uint64(len(data)); {
+		length := uint64(binary.LittleEndian.Uint32(data[off:]))
+		end := off + 4 + length
+		if length < 4 || length == 0xFFFFFFFF || end > uint64(len(data)) {
+			break
+		}
+		if binary.LittleEndian.Uint32(data[off+4:]) != 0 {
+			n++
+		}
+		off = end
+	}
+	return n
 }
 
 // parseCIE extracts the pointer encodings from a CIE body (after the ID).

@@ -15,7 +15,8 @@ import (
 // landing pad from parsed FDE records (the analysis context memoizes the
 // .eh_frame parse): for each FDE carrying an LSDA pointer, the LSDA
 // call-site table is decoded with the FDE's pc-begin as the landing-pad
-// base (LPStart is omitted in compiler-emitted tables). A single
+// base (LPStart is omitted in compiler-emitted tables), and its pads are
+// appended straight to the result, with no per-LSDA table. A single
 // undecodable LSDA is skipped. The pads are appended in FDE order,
 // unsorted and possibly repeated; ordering them is the caller's one
 // sort.
@@ -32,11 +33,8 @@ func LandingPadsFromFDEs(bin *elfx.Binary, fdes []ehframe.FDE) []uint64 {
 		if off >= uint64(len(bin.ExceptTable)) {
 			continue
 		}
-		table, err := lsda.Parse(bin.ExceptTable[off:], fde.PCBegin)
-		if err != nil {
-			continue
-		}
-		pads = table.AppendLandingPads(pads)
+		// An undecodable LSDA leaves pads as it was.
+		pads, _ = lsda.AppendLandingPads(pads, bin.ExceptTable[off:], fde.PCBegin)
 	}
 	return pads
 }

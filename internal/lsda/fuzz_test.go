@@ -1,6 +1,9 @@
 package lsda
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // buildSeed encodes a small valid LSDA via the package builder so the
 // corpus starts on the valid-input region.
@@ -16,7 +19,10 @@ func buildSeed() []byte {
 // FuzzParse feeds arbitrary bytes to the LSDA parser: it must return
 // ErrMalformed-class errors on garbage, never panic, and any table it
 // does return must be internally consistent (RawLen within bounds,
-// landing pads derived from the supplied base).
+// landing pads derived from the supplied base). The table-free
+// AppendLandingPads must accept and reject the same inputs, append what
+// Parse + Table.AppendLandingPads appends, and leave dst as it was on
+// an error.
 func FuzzParse(f *testing.F) {
 	f.Add(buildSeed(), uint64(0x401000))
 	f.Add([]byte{}, uint64(0))
@@ -25,8 +31,19 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte{0x00, 0x80, 0x80, 0x80}, uint64(4)) // truncated uleb
 	f.Fuzz(func(t *testing.T, data []byte, funcStart uint64) {
 		table, err := Parse(data, funcStart)
+		prefix := []uint64{1, 2, 3}
+		pads, padsErr := AppendLandingPads(slices.Clip(prefix), data, funcStart)
+		if (err == nil) != (padsErr == nil) {
+			t.Fatalf("Parse error %v, AppendLandingPads error %v (input %x)", err, padsErr, data)
+		}
 		if err != nil {
+			if !slices.Equal(pads, prefix) {
+				t.Fatalf("AppendLandingPads changed dst on an error: %#x (input %x)", pads, data)
+			}
 			return
+		}
+		if want := table.AppendLandingPads(slices.Clone(prefix)); !slices.Equal(pads, want) {
+			t.Fatalf("AppendLandingPads %#x, Parse + Table.AppendLandingPads %#x (input %x)", pads, want, data)
 		}
 		if table.RawLen < 0 || table.RawLen > len(data) {
 			t.Fatalf("RawLen %d outside [0,%d] (input %x)", table.RawLen, len(data), data)

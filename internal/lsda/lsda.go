@@ -70,26 +70,62 @@ var ErrMalformed = errors.New("lsda: malformed table")
 // returns the decoded table; Table.RawLen reports how many bytes the LSDA
 // occupied, allowing densely packed section walks.
 func Parse(data []byte, funcStart uint64) (*Table, error) {
+	t := &Table{}
+	var err error
+	t.FuncStart, t.RawLen, err = walk(data, funcStart, func(_ uint64, cs CallSite) {
+		t.CallSites = append(t.CallSites, cs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// AppendLandingPads decodes one LSDA from the front of data, as Parse
+// does, and appends the absolute addresses of its non-zero landing pads
+// to dst in call-site order — Parse followed by Table.AppendLandingPads,
+// without building the Table. It rejects exactly the LSDAs Parse
+// rejects, and on an error returns dst unchanged.
+func AppendLandingPads(dst []uint64, data []byte, funcStart uint64) ([]uint64, error) {
+	out := dst
+	_, _, err := walk(data, funcStart, func(lpBase uint64, cs CallSite) {
+		if cs.LandingPad != 0 {
+			out = append(out, lpBase+cs.LandingPad)
+		}
+	})
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// walk is the one LSDA decoder. It decodes the LSDA at the front of
+// data, calling site with the landing-pad base and each call-site
+// record in table order, and returns the landing-pad base and the
+// LSDA's encoded length. On an error site may already have been called
+// for the records before it.
+func walk(data []byte, funcStart uint64, site func(lpBase uint64, cs CallSite)) (lpBase uint64, rawLen int, err error) {
+	malformed := func(err error) (uint64, int, error) {
+		return 0, 0, fmt.Errorf("%w: %v", ErrMalformed, err)
+	}
 	r := leb128.NewReader(data)
 	lpStartEnc, err := r.Byte()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return malformed(err)
 	}
-	lpBase := funcStart
+	lpBase = funcStart
 	if lpStartEnc != encOmit {
 		// GCC emits uleb128 LPStart when present.
 		if lpStartEnc&0x0F != encULEB128 {
-			return nil, fmt.Errorf("%w: LPStart encoding %#x", ErrMalformed, lpStartEnc)
+			return 0, 0, fmt.Errorf("%w: LPStart encoding %#x", ErrMalformed, lpStartEnc)
 		}
-		v, err := r.Uleb()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		if lpBase, err = r.Uleb(); err != nil {
+			return malformed(err)
 		}
-		lpBase = v
 	}
 	tTypeEnc, err := r.Byte()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return malformed(err)
 	}
 	// tTypeEnd is the offset (from the current position) of the end of
 	// the type table; it bounds the whole LSDA.
@@ -97,52 +133,49 @@ func Parse(data []byte, funcStart uint64) (*Table, error) {
 	if tTypeEnc != encOmit {
 		v, err := r.Uleb()
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return malformed(err)
 		}
 		tTypeEnd = r.Offset() + int(v)
 	}
 	csEnc, err := r.Byte()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return malformed(err)
 	}
 	if csEnc&0x0F != encULEB128 {
-		return nil, fmt.Errorf("%w: call-site encoding %#x", ErrMalformed, csEnc)
+		return 0, 0, fmt.Errorf("%w: call-site encoding %#x", ErrMalformed, csEnc)
 	}
 	csLen, err := r.Uleb()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return malformed(err)
 	}
 	csEnd := r.Offset() + int(csLen)
 	if csEnd > len(data) {
-		return nil, fmt.Errorf("%w: call-site table overruns data", ErrMalformed)
+		return 0, 0, fmt.Errorf("%w: call-site table overruns data", ErrMalformed)
 	}
-	// Each call site takes at least four bytes (four ULEB128 fields), and
-	// the table lies inside data (an overflowed csEnd reads as empty).
-	sites := make([]CallSite, 0, max(0, csEnd-r.Offset())/4)
 	maxAction := uint64(0)
 	for r.Offset() < csEnd {
 		var cs CallSite
 		if cs.Start, err = r.Uleb(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return malformed(err)
 		}
 		if cs.Length, err = r.Uleb(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return malformed(err)
 		}
 		if cs.LandingPad, err = r.Uleb(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return malformed(err)
 		}
 		if cs.Action, err = r.Uleb(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return malformed(err)
 		}
 		if cs.Action > maxAction {
 			maxAction = cs.Action
 		}
-		sites = append(sites, cs)
+		site(lpBase, cs)
 	}
-	rawLen := csEnd
+	rawLen = csEnd
 	if tTypeEnd >= 0 {
 		if tTypeEnd < csEnd || tTypeEnd > len(data) {
-			return nil, fmt.Errorf("%w: type table bound %d out of range", ErrMalformed, tTypeEnd)
+			return 0, 0, fmt.Errorf("%w: type table bound %d out of range", ErrMalformed, tTypeEnd)
 		}
 		rawLen = tTypeEnd
 	} else if maxAction > 0 {
@@ -150,15 +183,15 @@ func Parse(data []byte, funcStart uint64) (*Table, error) {
 		// record, so the walker can find the next LSDA.
 		for i := uint64(0); i < maxAction; i++ {
 			if _, err := r.Sleb(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+				return malformed(err)
 			}
 			if _, err := r.Sleb(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+				return malformed(err)
 			}
 		}
 		rawLen = r.Offset()
 	}
-	return &Table{FuncStart: lpBase, CallSites: sites, RawLen: rawLen}, nil
+	return lpBase, rawLen, nil
 }
 
 // Builder assembles the .gcc_except_table section from per-function

@@ -8,9 +8,10 @@ import "fmt"
 // int3, the FF indirect-branch group, and, through a second 256-entry
 // table dispatched after the 0F escape, the two-byte families (Jcc rel32,
 // setcc, cmovcc, movzx/movsx, imul, the 0F 1E/0F 1F hint-NOP rows). An
-// optional REX prefix in 64-bit mode, or a single 66/F3/F2 prefix ahead
-// of a 0F opcode (endbr64/endbr32 and the scalar SSE mov forms) or of 90,
-// is handled too. Profiling the linear sweep shows >95% of decoded
+// optional REX prefix in 64-bit mode, a single 66/F3/F2 prefix ahead of
+// a 0F opcode (endbr64/endbr32 and the scalar SSE mov forms) or of 90,
+// and the 3E NOTRACK prefix ahead of FF (the CET switch dispatch) are
+// handled too. Profiling the linear sweep shows >95% of decoded
 // instructions take one of these shapes.
 //
 //   - The core layer sizes and classifies an encoding from two tables: a
@@ -217,6 +218,13 @@ func scan(code []byte, addr uint64, mode Mode, inst *Inst) (n int, class Class, 
 			return 0, ClassOther, 0, false
 		}
 		pos, b, cur = 1, nb, curPfx
+	case b == 0x3E:
+		// NOTRACK (a DS override, which sizes nothing) ahead of group 5:
+		// the CET-compiled switch dispatch's indirect jmp/call.
+		if len(code) < 2 || code[1] != 0xFF {
+			return 0, ClassOther, 0, false
+		}
+		pos, b, cur = 1, 0xFF, curPfx
 	}
 	d := fastOps[b]
 	if b == 0x0F {
@@ -328,6 +336,9 @@ func scan(code []byte, addr uint64, mode Mode, inst *Inst) (n int, class Class, 
 	if cur&curModRM != 0 {
 		inst.ModRM = code[op+1]
 		inst.HasModRM = true
+	}
+	if code[0] == 0x3E && (class == ClassCallInd || class == ClassJmpInd) {
+		inst.Notrack = true
 	}
 	if cur&curRel != 0 {
 		inst.Target = target

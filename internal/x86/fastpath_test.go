@@ -117,17 +117,20 @@ func TestFastPathDeclineSet(t *testing.T) {
 	for _, b := range []byte{0xC4, 0xC5, 0x62} {
 		declined = append(declined, append([]byte{b}, tail...))
 	}
-	// Prefix forms other than one 66/F3/F2 ahead of 0F, or 66 90: prefix
-	// runs, other prefixed one-byte opcodes (F3 90 is PAUSE), the
-	// address-size and segment prefixes, and the 3E NOTRACK prefix on an
-	// indirect branch.
+	// Prefix forms other than one 66/F3/F2 ahead of 0F, 66 90, or 3E FF:
+	// prefix runs, other prefixed one-byte opcodes (F3 90 is PAUSE), the
+	// address-size and other segment prefixes, 3E ahead of anything but
+	// FF, and 3E ahead of a REX.
 	declined = append(declined,
 		[]byte{0x66, 0x66, 0x90},
 		[]byte{0xF3, 0x90},
 		[]byte{0x66, 0x05, 0x01, 0x02},
 		[]byte{0x67, 0x8B, 0x00},
 		[]byte{0x2E, 0x8B, 0x00},
-		[]byte{0x3E, 0xFF, 0xE0},
+		[]byte{0x3E, 0x8B, 0x00},
+		[]byte{0x3E, 0x3E, 0xFF, 0xE0},
+		[]byte{0x3E, 0x41, 0xFF, 0xE2},
+		[]byte{0x3E},
 		[]byte{0xF3, 0x48, 0x0F, 0x1E, 0xFA},
 	)
 	for _, mode := range []Mode{Mode32, Mode64} {
@@ -202,6 +205,14 @@ func TestFastPathAcceptSet(t *testing.T) {
 		{[]byte{0xFF, 0x24, 0xC5, 0, 0, 0, 0}, Mode64, 7, ClassJmpInd},
 		{[]byte{0xFF, 0x15, 0, 0, 0, 0}, Mode32, 6, ClassCallInd},
 		{[]byte{0xFF, 0xF0}, Mode64, 2, ClassOther}, // push r/m
+		// NOTRACK indirect branches, the CET switch dispatch: length and
+		// class of the FF form, one byte longer.
+		{[]byte{0x3E, 0xFF, 0xE0}, Mode64, 3, ClassJmpInd},
+		{[]byte{0x3E, 0xFF, 0xE0}, Mode32, 3, ClassJmpInd},
+		{[]byte{0x3E, 0xFF, 0xD1}, Mode64, 3, ClassCallInd},
+		{[]byte{0x3E, 0xFF, 0x24, 0x85, 0, 0x10, 0x40, 0}, Mode32, 8, ClassJmpInd}, // absolute table
+		{[]byte{0x3E, 0xFF, 0x25, 0, 0, 0, 0}, Mode64, 7, ClassJmpInd},             // RIP-relative
+		{[]byte{0x3E, 0xFF, 0x30}, Mode64, 3, ClassOther},                          // push r/m
 		{[]byte{0x90}, Mode64, 1, ClassNop},
 		{[]byte{0x66, 0x90}, Mode64, 2, ClassNop},
 		{[]byte{0x41, 0x90}, Mode64, 2, ClassOther}, // xchg r8d, eax

@@ -4,19 +4,20 @@
 // Usage:
 //
 //	funseeker-lb -backends http://h1:8745,http://h2:8745 [-addr :8744]
-//	             [-vnodes 512] [-replicas 2] [-failover 2] [-max-body B]
-//	             [-health-interval 2s] [-health-timeout 2s]
+//	             [-replicas 2] [-max-body B] [-health-interval 2s]
 //	             [-log text|json]
 //
 // Routing:
 //
 //	POST /v1/analyze  — routed by the binary's SHA-256 on a consistent-
-//	                    hash ring, so each binary's cached/stored result
-//	                    lives on one owner replica. Connection-level
-//	                    failures fail over to the next replicas in ring
-//	                    order; HTTP errors are the backend's answer and
-//	                    are relayed as-is (including 429 + Retry-After
-//	                    from a shedding replica).
+//	                    hash ring of 512 virtual nodes per backend, so
+//	                    each binary's cached/stored result lives on one
+//	                    owner replica. Connection-level failures fail
+//	                    over to the next replicas in ring order, and to
+//	                    2 successors past the replica set; HTTP errors
+//	                    are the backend's answer and are relayed as-is
+//	                    (including 429 + Retry-After from a shedding
+//	                    replica).
 //	POST /v1/batch    — streamed round-robin to one healthy replica
 //	                    (an archive has no single content hash).
 //	GET  /v1/healthz  — router liveness + current ring size.
@@ -34,9 +35,10 @@
 // rejoins, a repair pass diffs /v1/keys against a healthy donor and
 // copies back everything it missed. -replicas 1 disables all of this.
 //
-// A background loop probes every backend's /v1/healthz; a replica that
-// fails its probe (or a forward) leaves the ring — remapping only its
-// ~1/N share of the key space — and rejoins on the next passing probe.
+// A background loop probes every backend's /v1/healthz (each probe
+// times out after 2 s); a replica that fails its probe (or a forward)
+// leaves the ring — remapping only its ~1/N share of the key space —
+// and rejoins on the next passing probe.
 package main
 
 import (
@@ -64,12 +66,9 @@ func run() error {
 	var (
 		addr        = flag.String("addr", ":8744", "listen address")
 		backends    = flag.String("backends", "", "comma-separated funseekerd base URLs (required)")
-		vnodes      = flag.Int("vnodes", 0, "virtual nodes per backend (0 = ring default)")
 		replicas    = flag.Int("replicas", 2, "nodes holding each result (1 disables replication)")
-		failover    = flag.Int("failover", 2, "extra ring-order successors to try after a connection failure")
 		maxBody     = flag.Int64("max-body", 64<<20, "max /v1/analyze body bytes (buffered to hash)")
 		healthEvery = flag.Duration("health-interval", 2*time.Second, "backend health-probe cadence")
-		healthTO    = flag.Duration("health-timeout", 2*time.Second, "single health-probe timeout")
 		logFormat   = flag.String("log", "text", "log format: text or json")
 	)
 	flag.Parse()
@@ -92,14 +91,11 @@ func run() error {
 		}
 	}
 	rt, err := newRouter(routerConfig{
-		backends:      list,
-		vnodes:        *vnodes,
-		replicas:      *replicas,
-		failover:      *failover,
-		maxBodyBytes:  *maxBody,
-		healthEvery:   *healthEvery,
-		healthTimeout: *healthTO,
-		logger:        logger,
+		backends:     list,
+		replicas:     *replicas,
+		maxBodyBytes: *maxBody,
+		healthEvery:  *healthEvery,
+		logger:       logger,
 	})
 	if err != nil {
 		return err

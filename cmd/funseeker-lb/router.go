@@ -20,14 +20,22 @@ import (
 	"github.com/funseeker/funseeker/internal/upload"
 )
 
+// Fixed routing parameters. The ring runs with ring.DefaultVirtualNodes
+// (512) virtual nodes per backend.
+const (
+	// failoverSpares is how many extra ring-order successors (beyond
+	// the replica set) an analyze tries after connection-level failures.
+	failoverSpares = 2
+	// healthTimeout bounds one health probe and one /lb/nodes stats
+	// fetch.
+	healthTimeout = 2 * time.Second
+)
+
 // routerConfig carries one funseeker-lb instance's knobs.
 type routerConfig struct {
 	// backends are the funseekerd base URLs ("http://host:port") the
 	// router shards over.
 	backends []string
-	// vnodes is the per-backend virtual-node count (0 selects the ring
-	// default).
-	vnodes int
 	// maxBodyBytes caps a single-shot analyze body — the router must
 	// buffer it to hash it.
 	maxBodyBytes int64
@@ -36,14 +44,9 @@ type routerConfig struct {
 	// its binary, so losing any one node leaves a warm sibling.
 	// 1 disables replication; 0 selects the default of 2.
 	replicas int
-	// failover is how many extra ring-order successors (beyond the
-	// replica set) to try after a connection-level failure.
-	failover int
 	// healthEvery is the health-probe cadence; zero disables the
 	// background loop (tests drive checkHealth directly).
 	healthEvery time.Duration
-	// healthTimeout bounds one probe.
-	healthTimeout time.Duration
 	// client is the forwarding HTTP client; nil selects a default whose
 	// transport bounds the wait for response headers, so a backend that
 	// accepts connections but never answers fails over instead of
@@ -103,12 +106,6 @@ func newRouter(cfg routerConfig) (*router, error) {
 	if cfg.replicas < 1 {
 		return nil, fmt.Errorf("replicas must be >= 1, got %d", cfg.replicas)
 	}
-	if cfg.failover <= 0 {
-		cfg.failover = 2
-	}
-	if cfg.healthTimeout <= 0 {
-		cfg.healthTimeout = 2 * time.Second
-	}
 	if cfg.client == nil {
 		// No Client.Timeout: it would cap the whole exchange and kill
 		// long batch streams. ResponseHeaderTimeout bounds only the
@@ -123,7 +120,7 @@ func newRouter(cfg routerConfig) (*router, error) {
 	}
 	rt := &router{
 		cfg:     cfg,
-		ring:    ring.New(cfg.vnodes),
+		ring:    ring.New(0),
 		healthy: make(map[string]bool),
 		seen:    make(map[string]bool),
 	}
@@ -197,7 +194,7 @@ func (rt *router) checkHealth() {
 }
 
 func (rt *router) probe(backend string) bool {
-	client := &http.Client{Timeout: rt.cfg.healthTimeout}
+	client := &http.Client{Timeout: healthTimeout}
 	resp, err := client.Get(backend + "/v1/healthz")
 	if err != nil {
 		return false
@@ -248,21 +245,20 @@ func (rt *router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf(`{"error":"body exceeds the %d-byte limit"}`, tooLarge.Limit),
-				http.StatusRequestEntityTooLarge)
+			writeErrorLB(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds the %d-byte limit", tooLarge.Limit))
 			return
 		}
-		http.Error(w, `{"error":"reading body"}`, http.StatusBadRequest)
+		writeErrorLB(w, http.StatusBadRequest, "reading body")
 		return
 	}
 	sum := sha256.Sum256(raw)
 	// Candidates in ring order: the replica set first (any of them can
 	// serve the result warm), then failover spares for when a whole
 	// replica set is unreachable at once.
-	candidates := rt.ring.LookupN(sum[:], rt.cfg.replicas+rt.cfg.failover)
+	candidates := rt.ring.LookupN(sum[:], rt.cfg.replicas+failoverSpares)
 	if len(candidates) == 0 {
 		rt.unrouted.Inc()
-		http.Error(w, `{"error":"no healthy backend"}`, http.StatusServiceUnavailable)
+		writeErrorLB(w, http.StatusServiceUnavailable, "no healthy backend")
 		return
 	}
 	for i, backend := range candidates {
@@ -312,7 +308,7 @@ func (rt *router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.unrouted.Inc()
-	http.Error(w, `{"error":"every candidate backend failed"}`, http.StatusBadGateway)
+	writeErrorLB(w, http.StatusBadGateway, "every candidate backend failed")
 }
 
 // handleBatch streams a whole archive to one healthy replica, chosen
@@ -323,7 +319,7 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	backend, ok := rt.nextBackend()
 	if !ok {
 		rt.unrouted.Inc()
-		http.Error(w, `{"error":"no healthy backend"}`, http.StatusServiceUnavailable)
+		writeErrorLB(w, http.StatusServiceUnavailable, "no healthy backend")
 		return
 	}
 	// The batch hop is full duplex: the transport is still forwarding
@@ -334,14 +330,14 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// sees for any batch not fully uploaded by then. funseekerd's own
 	// batch handler does the same; the proxy hop needs it too.
 	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
-		http.Error(w, `{"error":"full-duplex streaming unsupported"}`, http.StatusInternalServerError)
+		writeErrorLB(w, http.StatusInternalServerError, "full-duplex streaming unsupported")
 		return
 	}
 	body := &bodyErrReader{r: r.Body}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		backend+"/v1/batch?"+r.URL.RawQuery, body)
 	if err != nil {
-		http.Error(w, `{"error":"building forward request"}`, http.StatusInternalServerError)
+		writeErrorLB(w, http.StatusInternalServerError, "building forward request")
 		return
 	}
 	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
@@ -352,12 +348,12 @@ func (rt *router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// The uploader's stream failed, not the backend: demoting the
 			// backend here would eject a healthy replica from the ring and
 			// remap ~1/N of the key space on every flaky client.
-			http.Error(w, `{"error":"reading request body"}`, http.StatusBadRequest)
+			writeErrorLB(w, http.StatusBadRequest, "reading request body")
 			return
 		}
 		rt.setHealth(backend, false)
 		rt.unrouted.Inc()
-		http.Error(w, `{"error":"backend unreachable"}`, http.StatusBadGateway)
+		writeErrorLB(w, http.StatusBadGateway, "backend unreachable")
 		return
 	}
 	rt.routedTo.With(backend).Inc()
@@ -497,7 +493,7 @@ func (rt *router) handleNodes(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(n *node) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.healthTimeout)
+			ctx, cancel := context.WithTimeout(r.Context(), healthTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.Backend+"/v1/stats", nil)
 			if err != nil {
@@ -576,6 +572,17 @@ func copyResponseHeaders(w http.ResponseWriter, resp *http.Response) {
 			w.Header().Set(h, v)
 		}
 	}
+}
+
+// writeErrorLB answers one of the router's own errors: status and a
+// {"error": msg} body, labelled as JSON.
+func writeErrorLB(w http.ResponseWriter, status int, msg string) {
+	body, _ := json.Marshal(struct { // a lone string field cannot fail to encode
+		Error string `json:"error"`
+	}{msg})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(append(body, '\n'))
 }
 
 func writeJSONLB(w http.ResponseWriter, v any) {

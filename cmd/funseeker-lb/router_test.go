@@ -326,6 +326,44 @@ func TestNoHealthyBackends(t *testing.T) {
 	}
 }
 
+// TestRouterErrorsAreJSON: the router's own error answers — no healthy
+// backend (503) and a body over the limit (413) — carry their
+// {"error": ...} body as application/json, not as text/plain.
+func TestRouterErrorsAreJSON(t *testing.T) {
+	fb := newFakeBackend(t, "a")
+	ts := newTestRouter(t, []*fakeBackend{fb}, func(c *routerConfig) { c.maxBodyBytes = 1024 })
+	check := func(what string, resp *http.Response, status int, want string) {
+		t.Helper()
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != status {
+			t.Errorf("%s: status = %d, want %d", what, resp.StatusCode, status)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type = %q, want application/json", what, ct)
+		}
+		if string(raw) != want {
+			t.Errorf("%s: body = %q, want %q", what, raw, want)
+		}
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/octet-stream", bytes.NewReader(make([]byte, 1025)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("oversized analyze", resp, http.StatusRequestEntityTooLarge, `{"error":"body exceeds the 1024-byte limit"}`+"\n")
+
+	fb.setDown(true)
+	testRouters[ts].checkHealth()
+	for _, path := range []string{"/v1/analyze", "/v1/batch"} {
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", strings.NewReader("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("no healthy backend "+path, resp, http.StatusServiceUnavailable, `{"error":"no healthy backend"}`+"\n")
+	}
+}
+
 // TestBatchFullDuplexThroughRouter: a batch whose upload is still in
 // flight when the first NDJSON record streams back must reach the
 // backend intact. The upload is larger than the HTTP/1 server's

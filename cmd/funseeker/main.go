@@ -21,8 +21,10 @@
 // emitted in input order, as JSON lines with -json. Per-binary
 // failures are reported on stderr without stopping the batch. In corpus
 // mode -stats additionally prints a per-stage latency summary table
-// (count, p50, p90, p99, total for sweep, eh-parse, filter, tail-call,
-// queue wait, and end-to-end analyze) on stderr at exit.
+// (count, p50, p90, p99, total for queue wait, each analysis stage the
+// run exercised — sweep, eh-parse, landing-pad, fde-index under
+// configuration ⑤, superset, filter, tail-call — and end-to-end
+// analyze) on stderr at exit.
 package main
 
 import (

@@ -7,9 +7,9 @@
 //
 //	funseekerd [-addr :8745] [-jobs N] [-cache-bytes B]
 //	           [-max-body B] [-max-batch B] [-timeout 30s]
-//	           [-shutdown-grace 10s] [-require-cet] [-store-dir DIR]
-//	           [-shed-queue-p99 D] [-shed-window 10s]
-//	           [-log text|json] [-slow 1s] [-debug-addr addr]
+//	           [-shutdown-grace 10s] [-store-dir DIR]
+//	           [-shed-queue-p99 D] [-log text|json] [-slow 1s]
+//	           [-debug-addr addr]
 //
 // Endpoints:
 //
@@ -45,8 +45,8 @@
 // crash-safe append-only store in that directory and served from it
 // after a restart (Cached: "store"); a background compactor checks the
 // store's garbage once a minute. With -shed-queue-p99 set, the server
-// refuses new analysis work with 429 + Retry-After while the windowed
-// queue-wait p99 is over the bound.
+// refuses new analysis work with 429 + Retry-After while the queue-wait
+// p99 of the last 10 s window is over the bound.
 //
 // Every response carries an X-Funseeker-Request-Id header (generated at
 // the edge, or adopted from a well-formed client-supplied value); the
@@ -95,11 +95,9 @@ func run() error {
 		maxBody    = flag.Int64("max-body", 64<<20, "max request body bytes")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-request analysis timeout (0 disables)")
 		grace      = flag.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown window")
-		requireCET = flag.Bool("require-cet", false, "reject binaries without any end-branch instruction")
 		storeDir   = flag.String("store-dir", "", "persistent result-store directory (empty disables persistence)")
 		maxBatch   = flag.Int64("max-batch", 0, "max /v1/batch upload bytes (0 = 16x max-body)")
 		shedP99    = flag.Duration("shed-queue-p99", 0, "shed with 429 when queue-wait p99 exceeds this (0 disables)")
-		shedWin    = flag.Duration("shed-window", 0, "sampling window for the shed signal (0 = default, negative = cumulative)")
 		logFormat  = flag.String("log", "text", "log format: text or json")
 		slow       = flag.Duration("slow", time.Second, "WARN-log requests slower than this (0 disables)")
 		debugAddr  = flag.String("debug-addr", "", "optional debug listen address for pprof (e.g. 127.0.0.1:8746)")
@@ -150,7 +148,6 @@ func run() error {
 	eng := engine.New(engine.Config{
 		Jobs:       *jobs,
 		CacheBytes: *cacheBytes,
-		RequireCET: *requireCET,
 		Store:      st,
 		Registry:   reg,
 	})
@@ -162,7 +159,6 @@ func run() error {
 		logger:        logger,
 		registry:      reg,
 		shedQueueP99:  *shedP99,
-		shedWindow:    *shedWin,
 	})
 
 	// The debug listener is opt-in and meant for localhost/management

@@ -46,8 +46,9 @@ type serverConfig struct {
 	// work is refused with 429; zero disables shedding.
 	shedQueueP99 time.Duration
 	// shedWindow is the observation window of the shedding signal. Zero
-	// selects defaultShedWindow; negative reads the cumulative
-	// distribution (tests use it for determinism).
+	// selects defaultShedWindow, the window funseekerd runs with;
+	// negative reads the cumulative distribution (tests use it for
+	// determinism).
 	shedWindow time.Duration
 }
 

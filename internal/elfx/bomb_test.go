@@ -112,7 +112,7 @@ func loadAlloc(raw []byte) (*Binary, error, uint64) {
 // Load never reads may stay compressed.
 func TestLoadRejectsDecompressionBomb(t *testing.T) {
 	raw := synthImage(t)
-	for _, name := range []string{".text", ".eh_frame", ".plt", ".plt.sec", ".rela.plt", ".note.gnu.property", ".symtab", ".dynstr", ".shstrtab"} {
+	for _, name := range []string{".text", ".eh_frame", ".plt", ".plt.sec", ".rela.plt", ".note.gnu.property", ".dynsym", ".dynstr", ".shstrtab"} {
 		bomb := withBomb(t, raw, name)
 		_, err, alloc := loadAlloc(bomb)
 		if !errors.Is(err, ErrMalformed) {
@@ -186,13 +186,14 @@ func TestLoadRejectsBadSectionRange(t *testing.T) {
 	}
 }
 
-// TestLoadSymbolTablesBoundedBySize: symbol tables cost Load at most a
-// small multiple of the image's size, however their headers are set.
-// A compressed symbol-version section is never read (debug/elf's
-// DynamicSymbols inflated it: 269 MB for an 83 KB image); 2,000 symbols
-// that all name one 50 KiB string share it (one string each made it
-// 115 MB for a 117 KB image); and an empty ELF64 .symtab is no symbols
-// (debug/elf's Symbols panicked on it).
+// TestLoadSymbolTablesBoundedBySize: the dynamic symbol table, which
+// names the PLT entries, costs Load at most a small multiple of the
+// image's size, however its headers are set. A compressed symbol-version
+// section is never read (debug/elf's DynamicSymbols inflated it: 269 MB
+// for an 83 KB image); 2,000 symbols that all name one 50 KiB string
+// share it (one string each made it 115 MB for a 117 KB image); and an
+// empty ELF64 .dynsym is no symbols, so no PLT names (debug/elf's symbol
+// reader panicked on an empty ELF64 table).
 func TestLoadSymbolTablesBoundedBySize(t *testing.T) {
 	raw := synthImage(t)
 	le := binary.LittleEndian
@@ -210,47 +211,54 @@ func TestLoadSymbolTablesBoundedBySize(t *testing.T) {
 		t.Errorf("compressed version section: Load allocated %d bytes for a %d-byte image", alloc, len(versym))
 	}
 
+	want, err := Load(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const nsym, strLen = 2000, 50 << 10
 	names := bytes.Clone(raw)
 	symOff := len(names)
 	for i := 0; i < nsym; i++ {
 		e := make([]byte, 24) // Elf64_Sym naming string-table offset 0
 		e[4] = byte(elf.STT_FUNC)
-		le.PutUint16(e[6:], 1)
 		names = append(names, e...)
 	}
 	strOff := len(names)
 	names = append(names, bytes.Repeat([]byte{'A'}, strLen)...)
 	names = append(names, 0)
-	symtab := shdr64(t, names, ".symtab")
-	le.PutUint64(symtab[24:], uint64(symOff))
-	le.PutUint64(symtab[32:], nsym*24)
-	strtab := shdr64(t, names, ".strtab")
-	le.PutUint64(strtab[24:], uint64(strOff))
-	le.PutUint64(strtab[32:], strLen+1)
+	dynsym := shdr64(t, names, ".dynsym")
+	le.PutUint64(dynsym[24:], uint64(symOff))
+	le.PutUint64(dynsym[32:], nsym*24)
+	dynstr := shdr64(t, names, ".dynstr")
+	le.PutUint64(dynstr[24:], uint64(strOff))
+	le.PutUint64(dynstr[32:], strLen+1)
 	b, err, alloc = loadAlloc(names)
 	if err != nil {
 		t.Fatalf("long shared name: %v", err)
 	}
-	if len(b.FuncSymbols) != nsym-1 || len(b.FuncSymbols[0].Name) != strLen {
-		t.Errorf("long shared name: %d function symbols, want %d named by the %d-byte string", len(b.FuncSymbols), nsym-1, strLen)
+	if len(want.PLT) == 0 || len(b.PLT) != len(want.PLT) {
+		t.Errorf("long shared name: %d PLT names, want %d", len(b.PLT), len(want.PLT))
+	}
+	for va := range want.PLT {
+		if len(b.PLT[va]) != strLen {
+			t.Errorf("long shared name: PLT entry %#x is named by %d bytes, want the %d-byte string", va, len(b.PLT[va]), strLen)
+		}
 	}
 	if alloc >= 4*uint64(len(names)) {
 		t.Errorf("long shared name: Load allocated %d bytes for a %d-byte image", alloc, len(names))
 	}
 
 	empty := bytes.Clone(raw)
-	le.PutUint64(shdr64(t, empty, ".symtab")[32:], 0)
+	le.PutUint64(shdr64(t, empty, ".dynsym")[32:], 0)
 	if b, err := Load(empty); err != nil {
-		t.Errorf("empty .symtab: %v", err)
-	} else if b.FuncSymbols != nil {
-		t.Errorf("empty .symtab: %d function symbols, want none", len(b.FuncSymbols))
+		t.Errorf("empty .dynsym: %v", err)
+	} else if len(b.PLT) != 0 {
+		t.Errorf("empty .dynsym: %d PLT names, want none", len(b.PLT))
 	}
 }
 
-// TestSymbolsMatchDebugElf: symbols reads what debug/elf's Symbols and
-// DynamicSymbols read from well-formed images of both ELF classes,
-// version information aside.
+// TestSymbolsMatchDebugElf: dynamicSymbolNames reads the names debug/elf's
+// DynamicSymbols reads from well-formed images of both ELF classes.
 func TestSymbolsMatchDebugElf(t *testing.T) {
 	for _, raw := range [][]byte{synthImage(t), synthImage32(t)} {
 		f, err := elf.NewFile(bytes.NewReader(raw))
@@ -261,24 +269,20 @@ func TestSymbolsMatchDebugElf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range []struct {
-			typ  elf.SectionType
-			read func() ([]elf.Symbol, error)
-		}{{elf.SHT_SYMTAB, f.Symbols}, {elf.SHT_DYNSYM, f.DynamicSymbols}} {
-			want, err := tc.read()
-			if err != nil {
-				t.Fatalf("%v %v: %v", f.Class, tc.typ, err)
-			}
-			got, err := symbols(p, tc.typ)
-			if err != nil {
-				t.Fatalf("%v %v: %v", f.Class, tc.typ, err)
-			}
-			for i := range want {
-				want[i].HasVersion, want[i].VersionIndex, want[i].Version, want[i].Library = false, 0, "", ""
-			}
-			if len(want) == 0 || !reflect.DeepEqual(got, want) {
-				t.Errorf("%v %v: read %d symbols, debug/elf %d, or they differ", f.Class, tc.typ, len(got), len(want))
-			}
+		syms, err := f.DynamicSymbols()
+		if err != nil {
+			t.Fatalf("%v: %v", f.Class, err)
+		}
+		want := make([]string, len(syms))
+		for i, s := range syms {
+			want[i] = s.Name
+		}
+		got, err := dynamicSymbolNames(p)
+		if err != nil {
+			t.Fatalf("%v: %v", f.Class, err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: read %d dynamic symbol names, debug/elf %d, or they differ", f.Class, len(got), len(want))
 		}
 	}
 }
@@ -364,7 +368,8 @@ func TestLoadPropertyNoteTerminates(t *testing.T) {
 
 // TestLoadIgnoresFieldsItNeverReads pins the one way Load accepts more
 // than elf.NewFile: a program header offset of 2^63 or more, and a
-// section Load does not read whose size is that large or whose
+// section Load does not read (.rodata, and .symtab: only the dynamic
+// symbols name PLT entries) whose size is that large or whose
 // compression header lies outside it. NewFile rejects each image; Load
 // reads none of those fields and returns what it returns for the
 // unpatched image.
@@ -383,6 +388,12 @@ func TestLoadIgnoresFieldsItNeverReads(t *testing.T) {
 		{".rodata size 2^63", func(img []byte) { le.PutUint64(shdr64(t, img, ".rodata")[32:], 1<<63) }},
 		{".rodata compressed in 4 bytes", func(img []byte) {
 			h := shdr64(t, img, ".rodata")
+			le.PutUint64(h[8:], le.Uint64(h[8:])|uint64(elf.SHF_COMPRESSED))
+			le.PutUint64(h[32:], 4)
+		}},
+		{".symtab size 2^63", func(img []byte) { le.PutUint64(shdr64(t, img, ".symtab")[32:], 1<<63) }},
+		{".symtab compressed in 4 bytes", func(img []byte) {
+			h := shdr64(t, img, ".symtab")
 			le.PutUint64(h[8:], le.Uint64(h[8:])|uint64(elf.SHF_COMPRESSED))
 			le.PutUint64(h[32:], 4)
 		}},

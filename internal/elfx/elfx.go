@@ -22,7 +22,9 @@ import (
 	"github.com/funseeker/funseeker/internal/x86"
 )
 
-// Binary is a loaded ELF executable ready for analysis.
+// Binary is a loaded ELF executable ready for analysis. It holds what
+// the identification algorithms and the baseline tools read, and
+// nothing else.
 //
 // Text, EHFrame and ExceptTable are slices of the image Load was given,
 // not copies (their capacity is capped, so an append never writes into
@@ -39,8 +41,6 @@ type Binary struct {
 	// Mode is the x86 decode mode implied by the ELF class (meaningful
 	// for the x86 arches only).
 	Mode x86.Mode
-	// PIE reports whether the file is position independent (ET_DYN).
-	PIE bool
 	// Entry is the program entry point.
 	Entry uint64
 
@@ -61,16 +61,6 @@ type Binary struct {
 	// emit (-z ibtplt), the map covers both .plt and .plt.sec entries;
 	// calls from program code target the .plt.sec stubs.
 	PLT map[uint64]string
-
-	// PLTStart / PLTEnd bound the .plt section (zero when absent).
-	PLTStart, PLTEnd uint64
-	// PLTSecStart / PLTSecEnd bound .plt.sec when present.
-	PLTSecStart, PLTSecEnd uint64
-
-	// FuncSymbols holds STT_FUNC symbols from .symtab when the binary is
-	// not stripped; used for ground-truth extraction, never by the
-	// identification algorithms.
-	FuncSymbols []elf.Symbol
 
 	// CETEnabled reports whether the GNU property note declares IBT
 	// support (x86 arches).
@@ -126,7 +116,6 @@ func Load(raw []byte) (*Binary, error) {
 	bin := &Binary{
 		Arch:  archFrom(f.machine, f.class),
 		Mode:  mode,
-		PIE:   f.typ == elf.ET_DYN,
 		Entry: f.entry,
 		PLT:   make(map[uint64]string),
 	}
@@ -144,12 +133,7 @@ func Load(raw []byte) (*Binary, error) {
 		return nil, err
 	}
 
-	syms, err := symbols(f, elf.SHT_SYMTAB)
-	if err != nil {
-		return nil, err
-	}
-	bin.FuncSymbols = slices.DeleteFunc(syms, func(s elf.Symbol) bool { return elf.ST_TYPE(s.Info) != elf.STT_FUNC })
-	dynsyms, err := symbols(f, elf.SHT_DYNSYM)
+	dynsyms, err := dynamicSymbolNames(f)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +161,6 @@ type file struct {
 	class    elf.Class
 	bo       binary.ByteOrder
 	machine  elf.Machine
-	typ      elf.Type
 	entry    uint64
 	sections []section
 }
@@ -253,7 +236,7 @@ func parse(raw []byte) (*file, error) {
 	if v := elf.Version(f.bo.Uint32(raw[0x14:])); v != elf.EV_CURRENT {
 		return nil, fmt.Errorf("%w: e_version %d", ErrNotELF, v)
 	}
-	f.typ, f.entry = elf.Type(f.bo.Uint16(raw[0x10:])), f.word(raw[0x18:])
+	f.entry = f.word(raw[0x18:])
 	fits := func(off, num, entsize uint64) bool { return off <= n && num <= (n-off)/entsize }
 	phoff, phentsize, phnum := f.word(raw[phoffAt:]), uint64(f.bo.Uint16(raw[at:])), uint64(f.bo.Uint16(raw[at+2:]))
 	shoff, shentsize := f.word(raw[shoffAt:]), uint64(f.bo.Uint16(raw[at+4:]))
@@ -371,16 +354,16 @@ func (f *file) data(s *section) ([]byte, error) {
 	return f.raw[s.off:end:end], nil
 }
 
-// symbols reads the first symbol table of type typ as elf.File.Symbols
-// does, the null entry omitted, but reads the table and its string table
+// dynamicSymbolNames reads the names of the first .dynsym-typed table
+// as elf.File.DynamicSymbols does, the null entry omitted (so the name
+// of symbol i is element i-1), but reads the table and its string table
 // through data, and every name is a substring of one copy of the string
 // table. So entries that all name one long string cost it once, not
-// once each, and no symbol-version section is read (debug/elf's
-// DynamicSymbols would inflate a compressed one). A table that is
-// missing, empty, ragged or without a string table is nil, as debug/elf
-// reports it as an error.
-func symbols(f *file, typ elf.SectionType) ([]elf.Symbol, error) {
-	i := slices.IndexFunc(f.sections, func(s section) bool { return s.typ == typ })
+// once each, and no symbol-version section is read (debug/elf would
+// inflate a compressed one). A table that is missing, empty, ragged or
+// without a string table is nil, as debug/elf reports it as an error.
+func dynamicSymbolNames(f *file) ([]string, error) {
+	i := slices.IndexFunc(f.sections, func(s section) bool { return s.typ == elf.SHT_DYNSYM })
 	if i < 0 {
 		return nil, nil
 	}
@@ -397,27 +380,20 @@ func symbols(f *file, typ elf.SectionType) ([]elf.Symbol, error) {
 	if err != nil || s.link == 0 || len(data) == 0 || len(data)%entSize != 0 {
 		return nil, err
 	}
-	bo, ents := f.bo, data[entSize:]
-	syms := make([]elf.Symbol, len(ents)/entSize)
-	nameOffs := make([]uint32, len(syms))
-	for i := range syms {
-		e := ents[i*entSize:]
-		nameOffs[i] = bo.Uint32(e)
-		if entSize == 16 {
-			syms[i].Value, syms[i].Size = uint64(bo.Uint32(e[4:])), uint64(bo.Uint32(e[8:]))
-			syms[i].Info, syms[i].Other, syms[i].Section = e[12], e[13], elf.SectionIndex(bo.Uint16(e[14:]))
-		} else {
-			syms[i].Info, syms[i].Other, syms[i].Section = e[4], e[5], elf.SectionIndex(bo.Uint16(e[6:]))
-			syms[i].Value, syms[i].Size = bo.Uint64(e[8:]), bo.Uint64(e[16:])
-		}
+	// st_name is the first word of an entry in both classes.
+	ents := data[entSize:]
+	nameOffs := make([]uint32, len(ents)/entSize)
+	for i := range nameOffs {
+		nameOffs[i] = f.bo.Uint32(ents[i*entSize:])
 	}
+	names := make([]string, len(nameOffs))
 	strs := string(strtab)
 	for i, end := range stringEnds(strtab, nameOffs) {
 		if end >= 0 {
-			syms[i].Name = strs[nameOffs[i]:end]
+			names[i] = strs[nameOffs[i]:end]
 		}
 	}
-	return syms, nil
+	return names, nil
 }
 
 // stringEnds returns, for each offset in offs, the index in tab of the
@@ -469,14 +445,6 @@ func (b *Binary) TextEnd() uint64 { return b.TextAddr + uint64(len(b.Text)) }
 // InText reports whether va falls inside .text.
 func (b *Binary) InText(va uint64) bool {
 	return va >= b.TextAddr && va < b.TextEnd()
-}
-
-// InPLT reports whether va falls inside .plt or .plt.sec.
-func (b *Binary) InPLT(va uint64) bool {
-	if b.PLTEnd > 0 && va >= b.PLTStart && va < b.PLTEnd {
-		return true
-	}
-	return b.PLTSecEnd > 0 && va >= b.PLTSecStart && va < b.PLTSecEnd
 }
 
 // PLTName returns the imported symbol a PLT-entry address trampolines to.
@@ -531,23 +499,18 @@ func hasPropertyBit(data []byte, class elf.Class, prType, bit uint32) bool {
 // PLT relocation table. Both the classic single .plt layout and the
 // split .plt/.plt.sec layout of CET-enabled links are handled: every
 // executable stub section is scanned with the same GOT-slot join.
-func (b *Binary) buildPLTMap(f *file, dynsyms []elf.Symbol) error {
+func (b *Binary) buildPLTMap(f *file, dynsyms []string) error {
 	gotToName, err := pltRelocations(f, dynsyms)
 	if err != nil {
 		return err
 	}
-	scan := func(name string, start, end *uint64) error {
+	scan := func(name string) error {
 		data, addr, err := f.read(name)
-		if err != nil {
-			return err
-		}
-		*start, *end = addr, addr+uint64(len(data))
-		if len(gotToName) == 0 || b.Arch == ArchAArch64 {
+		if err != nil || len(gotToName) == 0 || b.Arch == ArchAArch64 {
 			// The stub scan below decodes x86; AArch64 PLT stubs would
 			// be decoded as garbage, and the map only feeds the x86-only
-			// indirect-return endbr filter. Section bounds are still
-			// recorded above.
-			return nil
+			// indirect-return endbr filter.
+			return err
 		}
 		// Walk the stubs: each one contains an indirect jmp through its
 		// GOT slot. Attribute the jump to the 16-byte-aligned stub start.
@@ -577,15 +540,15 @@ func (b *Binary) buildPLTMap(f *file, dynsyms []elf.Symbol) error {
 		})
 		return nil
 	}
-	if err := scan(".plt", &b.PLTStart, &b.PLTEnd); err != nil {
+	if err := scan(".plt"); err != nil {
 		return err
 	}
-	return scan(".plt.sec", &b.PLTSecStart, &b.PLTSecEnd)
+	return scan(".plt.sec")
 }
 
 // pltRelocations parses .rela.plt / .rel.plt into a GOT-slot → name map,
-// naming each slot from dynsyms, the dynamic symbol table.
-func pltRelocations(f *file, dynsyms []elf.Symbol) (map[uint64]string, error) {
+// naming each slot from dynsyms, the dynamic symbol table's names.
+func pltRelocations(f *file, dynsyms []string) (map[uint64]string, error) {
 	s, rela := f.section(".rela.plt"), true
 	if s == nil {
 		s, rela = f.section(".rel.plt"), false
@@ -601,11 +564,11 @@ func pltRelocations(f *file, dynsyms []elf.Symbol) (map[uint64]string, error) {
 		return nil, nil // no dynamic symbols: nothing to resolve
 	}
 	nameOf := func(idx uint32) string {
-		// DynamicSymbols omits the null symbol: index 1 is element 0.
+		// The null symbol is omitted: index 1 is element 0.
 		if idx == 0 || int(idx) > len(dynsyms) {
 			return ""
 		}
-		return dynsyms[idx-1].Name
+		return dynsyms[idx-1]
 	}
 
 	if f.class == elf.ELFCLASS64 && !rela {

@@ -100,9 +100,6 @@ func TestLoad64(t *testing.T) {
 	if bin.Mode != x86.Mode64 {
 		t.Errorf("Mode = %v", bin.Mode)
 	}
-	if bin.PIE {
-		t.Error("ET_EXEC must not be PIE")
-	}
 	if bin.TextAddr != 0x402000 || len(bin.Text) != 5 {
 		t.Errorf("text = %#x + %d", bin.TextAddr, len(bin.Text))
 	}
@@ -128,12 +125,6 @@ func TestPLTMap64(t *testing.T) {
 	name, ok := bin.PLTName(0x401000)
 	if !ok || name != "setjmp" {
 		t.Fatalf("PLTName(0x401000) = (%q, %v), want setjmp", name, ok)
-	}
-	if !bin.InPLT(0x401000) || !bin.InPLT(0x40100F) {
-		t.Error("InPLT bounds wrong")
-	}
-	if bin.InPLT(0x401010) {
-		t.Error("InPLT past end")
 	}
 	if _, ok := bin.PLTName(0x999); ok {
 		t.Error("bogus address resolved")
@@ -235,12 +226,6 @@ func TestNoCETNote(t *testing.T) {
 	if bin.CETEnabled {
 		t.Error("CETEnabled without a property note")
 	}
-	if !bin.PIE {
-		t.Error("ET_DYN should be PIE")
-	}
-	if bin.InPLT(0x1000) {
-		t.Error("InPLT without a .plt section")
-	}
 }
 
 func TestSHSTKOnlyNoteIsNotIBT(t *testing.T) {
@@ -313,33 +298,5 @@ func TestPLTWithoutDynsym(t *testing.T) {
 	}
 	if len(bin.PLT) != 0 {
 		t.Errorf("PLT map has %d entries without dynsym", len(bin.PLT))
-	}
-	if !bin.InPLT(0x401000) {
-		t.Error(".plt bounds not recorded")
-	}
-}
-
-func TestFuncSymbolsFromUnstripped(t *testing.T) {
-	f := elfw.New(elf.ELFCLASS64, elf.ET_EXEC)
-	f.AddSection(&elfw.Section{Name: ".text", Type: elf.SHT_PROGBITS,
-		Flags: elf.SHF_ALLOC | elf.SHF_EXECINSTR, Addr: 0x401000,
-		Data: []byte{0xC3}, Addralign: 16})
-	sb := elfw.NewSymtab(elf.ELFCLASS64)
-	sb.Add(elfw.Symbol{Name: "f", Value: 0x401000, Size: 1, Bind: elf.STB_GLOBAL, Type: elf.STT_FUNC, Shndx: 1})
-	sb.Add(elfw.Symbol{Name: "obj", Value: 0x402000, Size: 4, Bind: elf.STB_GLOBAL, Type: elf.STT_OBJECT, Shndx: 1})
-	symData, strData, fg, _ := sb.Emit()
-	f.AddSection(&elfw.Section{Name: ".symtab", Type: elf.SHT_SYMTAB,
-		Data: symData, Link: 3, Info: fg, Addralign: 8, Entsize: 24})
-	f.AddSection(&elfw.Section{Name: ".strtab", Type: elf.SHT_STRTAB, Data: strData, Addralign: 1})
-	raw, err := f.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, err := Load(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bin.FuncSymbols) != 1 || bin.FuncSymbols[0].Name != "f" {
-		t.Errorf("FuncSymbols = %+v, want just the STT_FUNC symbol", bin.FuncSymbols)
 	}
 }

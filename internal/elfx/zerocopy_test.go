@@ -162,11 +162,11 @@ func agreeWithDebugElf(t *testing.T, in []byte) {
 			t.Fatalf("parse accepts an image elf.NewFile rejects: %v", rerr)
 		}
 	case perr == nil:
-		if p.class != ref.Class || p.bo != ref.ByteOrder || p.machine != ref.Machine || p.typ != ref.Type ||
+		if p.class != ref.Class || p.bo != ref.ByteOrder || p.machine != ref.Machine ||
 			p.entry != ref.Entry || len(p.sections) != len(ref.Sections) {
-			t.Fatalf("ELF header: parse %v %v %v %v %#x with %d sections; elf.NewFile %v %v %v %v %#x with %d",
-				p.class, p.bo, p.machine, p.typ, p.entry, len(p.sections),
-				ref.Class, ref.ByteOrder, ref.Machine, ref.Type, ref.Entry, len(ref.Sections))
+			t.Fatalf("ELF header: parse %v %v %v %#x with %d sections; elf.NewFile %v %v %v %#x with %d",
+				p.class, p.bo, p.machine, p.entry, len(p.sections),
+				ref.Class, ref.ByteOrder, ref.Machine, ref.Entry, len(ref.Sections))
 		}
 		for i, want := range ref.Sections {
 			s := p.sections[i]

@@ -55,10 +55,6 @@ type Config struct {
 	// CacheBytes is the LRU result-cache budget in bytes. Zero selects
 	// DefaultCacheBytes; negative disables caching entirely.
 	CacheBytes int64
-	// RequireCET makes every analysis fail with core.ErrNotCET when the
-	// binary carries no end-branch instruction, regardless of the
-	// per-request options.
-	RequireCET bool
 	// Store is a caller-owned persistent result tier layered *under*
 	// the LRU: an LRU miss consults it before paying for a cold
 	// analysis, and every completed cold analysis is written through to
@@ -78,24 +74,22 @@ type Config struct {
 // content-hash result cache. It is safe for concurrent use; create one
 // per process and share it.
 type Engine struct {
-	jobs       int
-	sem        chan struct{}
-	requireCET bool
-	cache      *lru
-	store      *store.Store
+	jobs  int
+	sem   chan struct{}
+	cache *lru
+	store *store.Store
 
 	flightMu sync.Mutex
 	flight   map[cacheKey]*call
 
 	inFlight      atomic.Int64
 	requests      atomic.Uint64
-	analyzed      atomic.Uint64
 	hits          atomic.Uint64
 	storeHits     atomic.Uint64
 	storePuts     atomic.Uint64
 	storeErrors   atomic.Uint64
 	storeInjected atomic.Uint64
-	misses        atomic.Uint64
+	misses        atomic.Uint64 // completed cold analyses: both cache.misses and engine.analyzed
 	coalesced     atomic.Uint64
 	canceled      atomic.Uint64
 	failures      atomic.Uint64
@@ -202,12 +196,11 @@ func New(cfg Config) *Engine {
 		cache = newLRU(cfg.CacheBytes)
 	}
 	e := &Engine{
-		jobs:       cfg.Jobs,
-		sem:        make(chan struct{}, cfg.Jobs),
-		requireCET: cfg.RequireCET,
-		cache:      cache,
-		store:      cfg.Store,
-		flight:     make(map[cacheKey]*call),
+		jobs:   cfg.Jobs,
+		sem:    make(chan struct{}, cfg.Jobs),
+		cache:  cache,
+		store:  cfg.Store,
+		flight: make(map[cacheKey]*call),
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -231,9 +224,6 @@ func (e *Engine) Jobs() int { return e.jobs }
 // waiters that share an in-flight failure, and callers whose analysis
 // panicked.
 func (e *Engine) Analyze(ctx context.Context, raw []byte, opts core.Options) (*Result, error) {
-	if e.requireCET {
-		opts.RequireCET = true
-	}
 	e.requests.Add(1)
 	start := time.Now()
 	defer func() { e.met.analyze.ObserveDuration(time.Since(start)) }()
@@ -394,7 +384,6 @@ func (e *Engine) analyzeCold(ctx context.Context, raw []byte, opts core.Options,
 		BinaryBytes: len(raw),
 	}
 	e.misses.Add(1)
-	e.analyzed.Add(1)
 	e.bytesIn.Add(uint64(len(raw)))
 	if e.cache != nil {
 		e.cache.add(k, res)

@@ -585,6 +585,30 @@ func TestStageLatencyHistograms(t *testing.T) {
 			t.Fatalf("registry exposition missing %q:\n%s", want, out)
 		}
 	}
+
+	// Configuration ⑤ builds the FDE index: its stage gets a histogram
+	// sample and a table row like every other stage EachStage names.
+	if _, err := e.Analyze(context.Background(), raw, core.Config5); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.StageLatencies()["fde-index"].Count; n != 1 {
+		t.Fatalf("fde-index histogram count = %d, want 1", n)
+	}
+	if table := e.StageLatencyTable(); !strings.Contains(table, "\n  fde-index ") {
+		t.Fatalf("latency table has no fde-index row:\n%s", table)
+	}
+	b.Reset()
+	reg.WriteTo(&b)
+	out = b.String()
+	for _, want := range []string{
+		`funseeker_engine_stage_seconds_bucket{stage="fde-index"`,
+		"funseeker_engine_analyzed_total 2",
+		"funseeker_engine_cache_misses_total 2",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("registry exposition missing %q:\n%s", want, out)
+		}
+	}
 }
 
 // storeHits reads Store.Hits, which a storeless engine leaves out

@@ -27,8 +27,9 @@ type engineMetrics struct {
 	// saturation of the bounded pool shows up here first.
 	queue *obs.Histogram
 	// stages is the per-binary cost of each analysis stage, labeled
-	// stage="sweep" | "eh-parse" | "landing-pad" | "superset" |
-	// "filter" | "tail-call" (the analysis.Stats canonical names).
+	// stage="sweep" | "eh-parse" | "landing-pad" | "fde-index" |
+	// "superset" | "filter" | "tail-call" (the names
+	// analysis.Stats.EachStage gives).
 	stages *obs.HistogramVec
 }
 
@@ -46,7 +47,7 @@ func registerEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	reg.NewCounterFunc("funseeker_engine_requests_total",
 		"Analyze requests accepted.", e.requests.Load)
 	reg.NewCounterFunc("funseeker_engine_analyzed_total",
-		"Completed cold analyses.", e.analyzed.Load)
+		"Completed cold analyses.", e.misses.Load)
 	reg.NewCounterFunc("funseeker_engine_cache_hits_total",
 		"Requests served from the in-memory LRU result cache.", e.hits.Load)
 	reg.NewCounterFunc("funseeker_engine_store_hits_total",
@@ -160,30 +161,25 @@ func (e *Engine) StageLatencies() map[string]obs.HistSnapshot {
 	return out
 }
 
-// stageTableOrder fixes the row order of StageLatencyTable: pipeline
-// position first, service-level rows last.
-var stageTableOrder = []string{
-	"queue-wait", "sweep", "eh-parse", "landing-pad", "superset",
-	"filter", "tail-call", "analyze",
-}
-
 // StageLatencyTable renders the per-stage latency distribution summary
-// (count, p50/p90/p99, total) the corpus CLI prints at exit. Stages
-// with no samples are omitted.
+// (count, p50/p90/p99, total) the corpus CLI prints at exit, in
+// pipeline order: queue-wait, then the analysis stages as EachStage
+// names them, then analyze. Stages with no samples are omitted.
 func (e *Engine) StageLatencyTable() string {
 	snaps := e.StageLatencies()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Per-stage latency distribution (cold analyses)\n")
 	fmt.Fprintf(&b, "  %-12s %9s %12s %12s %12s %12s\n", "stage", "count", "p50", "p90", "p99", "total")
-	for _, name := range stageTableOrder {
-		s, ok := snaps[name]
-		if !ok || s.Count == 0 {
-			continue
+	row := func(name string) {
+		if s := snaps[name]; s.Count > 0 {
+			fmt.Fprintf(&b, "  %-12s %9d %12s %12s %12s %12s\n", name, s.Count,
+				secsDur(s.Quantile(0.50)), secsDur(s.Quantile(0.90)),
+				secsDur(s.Quantile(0.99)), secsDur(s.Sum))
 		}
-		fmt.Fprintf(&b, "  %-12s %9d %12s %12s %12s %12s\n", name, s.Count,
-			secsDur(s.Quantile(0.50)), secsDur(s.Quantile(0.90)),
-			secsDur(s.Quantile(0.99)), secsDur(s.Sum))
 	}
+	row("queue-wait")
+	analysis.Stats{}.EachStage(func(name string, _ analysis.StageStat) { row(name) })
+	row("analyze")
 	return b.String()
 }
 

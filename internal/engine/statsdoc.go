@@ -75,7 +75,7 @@ type ServerStatsBlock struct {
 // Stats snapshots the engine's counters as the v2 stats document. By
 // Analyze's counter contract, Cache.Hits, Store.Hits, Cache.Misses and
 // Engine.Coalesced, Canceled and Failures sum to Engine.Requests, and
-// Engine.Analyzed equals Cache.Misses.
+// Engine.Analyzed and Cache.Misses read one counter.
 func (e *Engine) Stats() StatsDoc {
 	doc := StatsDoc{
 		V: 2,
@@ -83,7 +83,7 @@ func (e *Engine) Stats() StatsDoc {
 			Jobs:          e.jobs,
 			InFlight:      e.inFlight.Load(),
 			Requests:      e.requests.Load(),
-			Analyzed:      e.analyzed.Load(),
+			Analyzed:      e.misses.Load(),
 			Coalesced:     e.coalesced.Load(),
 			Canceled:      e.canceled.Load(),
 			Failures:      e.failures.Load(),

@@ -68,8 +68,12 @@ func TestCompileAllConfigs(t *testing.T) {
 				if bin.Mode != cfg.Mode {
 					t.Errorf("mode = %v, want %v", bin.Mode, cfg.Mode)
 				}
-				if bin.PIE != cfg.PIE {
-					t.Errorf("PIE = %v, want %v", bin.PIE, cfg.PIE)
+				ef, err := elf.NewFile(bytes.NewReader(res.Stripped))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pie := ef.Type == elf.ET_DYN; pie != cfg.PIE {
+					t.Errorf("PIE = %v, want %v", pie, cfg.PIE)
 				}
 				if !bin.CETEnabled {
 					t.Error("binary not marked CET-enabled")
@@ -82,7 +86,7 @@ func TestCompileAllConfigs(t *testing.T) {
 				}
 
 				verifyEndbrs(t, res, bin)
-				verifyPLT(t, res, bin)
+				verifyPLT(t, ef, bin)
 				verifyEHFrame(t, res, bin, cfg, spec)
 			})
 		}
@@ -127,7 +131,7 @@ func verifyEndbrs(t *testing.T, res *Result, bin *elfx.Binary) {
 }
 
 // verifyPLT checks the PLT map resolves the imports used by the program.
-func verifyPLT(t *testing.T, res *Result, bin *elfx.Binary) {
+func verifyPLT(t *testing.T, ef *elf.File, bin *elfx.Binary) {
 	t.Helper()
 	names := make(map[string]bool)
 	for _, n := range bin.PLT {
@@ -139,10 +143,16 @@ func verifyPLT(t *testing.T, res *Result, bin *elfx.Binary) {
 		}
 	}
 	for va := range bin.PLT {
-		if !bin.InPLT(va) {
+		if !inSection(ef, ".plt", va) && !inSection(ef, ".plt.sec", va) {
 			t.Errorf("PLT entry %#x outside .plt bounds", va)
 		}
 	}
+}
+
+// inSection reports whether va falls inside the named section of ef.
+func inSection(ef *elf.File, name string, va uint64) bool {
+	s := ef.Section(name)
+	return s != nil && va >= s.Addr && va < s.Addr+s.Size
 }
 
 // verifyEHFrame checks FDE emission policy and LSDA wiring.
@@ -384,12 +394,9 @@ func TestSplitPLTLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bin.PLTSecEnd == 0 {
-		t.Fatal("loader did not record .plt.sec bounds")
-	}
 	foundSec := false
 	for va, name := range bin.PLT {
-		if va >= bin.PLTSecStart && va < bin.PLTSecEnd && name == "printf" {
+		if inSection(ef, ".plt.sec", va) && name == "printf" {
 			foundSec = true
 		}
 	}
@@ -398,8 +405,8 @@ func TestSplitPLTLayout(t *testing.T) {
 	}
 	callsIntoSec := 0
 	x86.LinearSweep(bin.Text, bin.TextAddr, bin.Mode, func(inst *x86.Inst) bool {
-		if inst.Class == x86.ClassCallRel && inst.HasTarget && bin.InPLT(inst.Target) {
-			if inst.Target < bin.PLTSecStart || inst.Target >= bin.PLTSecEnd {
+		if inst.Class == x86.ClassCallRel && inst.HasTarget && (inSection(ef, ".plt", inst.Target) || inSection(ef, ".plt.sec", inst.Target)) {
+			if !inSection(ef, ".plt.sec", inst.Target) {
 				t.Errorf("call at %#x targets lazy .plt stub %#x instead of .plt.sec", inst.Addr, inst.Target)
 			}
 			callsIntoSec++

@@ -609,7 +609,7 @@ func series(set []benchCase, corpusBytes int, large benchCase) []benchmark {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if !res.Cached {
+					if res.CacheSource == "" {
 						b.Fatal("cache miss on a pre-warmed binary")
 					}
 				}

@@ -29,6 +29,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -137,24 +139,10 @@ func run() error {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
-			Binary  string   `json:"binary"`
-			Arch    string   `json:"arch"`
-			Config  int      `json:"config"`
-			Entries []uint64 `json:"entries"`
-			Endbrs  int      `json:"endbrs"`
-			Calls   int      `json:"call_targets"`
-			Jumps   int      `json:"jump_targets"`
-			Tails   int      `json:"tail_call_targets"`
-		}{
-			Binary:  flag.Arg(0),
-			Arch:    report.Arch,
-			Config:  *configN,
-			Entries: report.Entries,
-			Endbrs:  len(report.Endbrs),
-			Calls:   len(report.CallTargets),
-			Jumps:   len(report.JumpTargets),
-			Tails:   len(report.TailCallTargets),
+		sum := sha256.Sum256(raw)
+		return enc.Encode(corpusLine{
+			Binary: flag.Arg(0), Answer: *engine.NewAnswer(report),
+			Config: *configN, SHA256: hex.EncodeToString(sum[:]),
 		})
 	}
 	if !*quiet {
@@ -189,20 +177,16 @@ func isDir(path string) bool {
 	return err == nil && info.IsDir()
 }
 
-// corpusLine is one JSONL record of corpus mode, mirroring the
-// single-binary -json shape plus engine metadata.
+// corpusLine is the JSON record of one binary, in both modes: the
+// engine's answer beside the binary's path, configuration, content hash
+// and cache flag, or, in corpus mode, the binary's error.
 type corpusLine struct {
-	Binary  string   `json:"binary"`
-	Arch    string   `json:"arch,omitempty"`
-	Config  int      `json:"config"`
-	SHA256  string   `json:"sha256"`
-	Cached  bool     `json:"cached"`
-	Entries []uint64 `json:"entries"`
-	Endbrs  int      `json:"endbrs"`
-	Calls   int      `json:"call_targets"`
-	Jumps   int      `json:"jump_targets"`
-	Tails   int      `json:"tail_call_targets"`
-	Error   string   `json:"error,omitempty"`
+	Binary string `json:"binary"`
+	engine.Answer
+	Config int    `json:"config"`
+	SHA256 string `json:"sha256"`
+	Cached bool   `json:"cached"`
+	Error  string `json:"error,omitempty"`
 }
 
 // runCorpus analyzes every named binary (directories are walked for ELF
@@ -234,28 +218,20 @@ func runCorpus(args []string, opts funseeker.Options, configN, jobs int, jsonOut
 			}
 			return nil
 		}
-		rep := fr.Result.Report
+		ans := fr.Result.Answer
 		if verbose {
-			for _, w := range rep.Warnings {
+			for _, w := range ans.Warnings {
 				fmt.Fprintf(os.Stderr, "funseeker: %s: warning: %s\n", fr.Path, w)
 			}
 		}
 		if jsonOut {
 			return enc.Encode(corpusLine{
-				Binary:  fr.Path,
-				Arch:    rep.Arch,
-				Config:  configN,
-				SHA256:  fr.Result.SHA256,
-				Cached:  fr.Result.Cached,
-				Entries: rep.Entries,
-				Endbrs:  len(rep.Endbrs),
-				Calls:   len(rep.CallTargets),
-				Jumps:   len(rep.JumpTargets),
-				Tails:   len(rep.TailCallTargets),
+				Binary: fr.Path, Answer: *ans, Config: configN,
+				SHA256: fr.Result.SHA256, Cached: fr.Result.CacheSource != "",
 			})
 		}
 		if !quiet {
-			for _, e := range rep.Entries {
+			for _, e := range ans.Entries {
 				fmt.Printf("%s %#x\n", fr.Path, e)
 			}
 		}

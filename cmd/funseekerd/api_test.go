@@ -2,15 +2,19 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/funseeker/funseeker/internal/core"
+	"github.com/funseeker/funseeker/internal/elfx"
 	"github.com/funseeker/funseeker/internal/engine"
 	"github.com/funseeker/funseeker/internal/store"
 )
@@ -344,4 +348,102 @@ func TestReplicaEndpointsWithoutStore(t *testing.T) {
 	check(http.MethodPut, "/v1/result?key="+key, strings.NewReader("{}"))
 	check(http.MethodGet, "/v1/keys", nil)
 	check(http.MethodPost, "/v1/admin/compact", nil)
+}
+
+// TestPutResultRefusesV1Record: a value in the version-1 store format,
+// which kept the sets E, C, J and J′ in full, is a 400 naming the
+// version; nothing is stored.
+func TestPutResultRefusesV1Record(t *testing.T) {
+	raw := testELFs(t, 1)[0]
+	ts, eng := newTestServerEngine(t, engine.Config{Jobs: 2, Store: openTestStore(t, store.Options{})}, serverConfig{})
+	bin, err := elfx.Load(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.Identify(bin, core.Config4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	v1, err := json.Marshal(map[string]any{
+		"v": 1, "arch": rep.Arch, "entries": rep.Entries,
+		"endbrs": rep.Endbrs, "call_targets": rep.CallTargets, "jump_targets": rep.JumpTargets,
+		"sha256": hex.EncodeToString(sum[:]), "binary_bytes": len(raw),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := resultKey(t, raw)
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/result?key="+key, bytes.NewReader(v1))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "version 1") {
+		t.Fatalf("PUT of a version-1 value = %d %s, want 400 naming the version", resp.StatusCode, body)
+	}
+	if st := eng.Stats(); st.Store.Injected != 0 {
+		t.Fatalf("injected = %d, want 0", st.Store.Injected)
+	}
+}
+
+// resultKey returns the store key raw's configuration-④ result lives
+// under, read off a storeless server's analyze header.
+func resultKey(t *testing.T, raw []byte) string {
+	t.Helper()
+	ts, _ := newTestServer(t, serverConfig{})
+	resp, body := postBinary(t, ts.URL+"/v1/analyze", raw)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze = %d: %s", resp.StatusCode, body)
+	}
+	return resp.Header.Get(storeKeyHeader)
+}
+
+// TestStatsAnalysisKeys: the engine.analysis block of /v1/stats speaks
+// the document's language — snake_case stage keys and nanosecond times —
+// like every other block.
+func TestStatsAnalysisKeys(t *testing.T) {
+	ts, _ := newTestServer(t, serverConfig{})
+	if resp, body := postBinary(t, ts.URL+"/v1/analyze", testELF(t)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze = %d: %s", resp.StatusCode, body)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Engine struct {
+			Analysis map[string]any `json:"analysis"`
+		} `json:"engine"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := doc.Engine.Analysis
+	want := []string{"sweep", "eh_parse", "landing_pad", "fde_index", "superset", "filter", "tail_call", "sweep_shards", "stitch_retries"}
+	if len(a) != len(want) {
+		t.Fatalf("engine.analysis keys = %v, want %v", mapKeys(a), want)
+	}
+	for _, k := range want {
+		if _, ok := a[k]; !ok {
+			t.Fatalf("engine.analysis has no %q: keys %v", k, mapKeys(a))
+		}
+	}
+	sweep, _ := a["sweep"].(map[string]any)
+	if len(sweep) != 3 || sweep["computes"] != float64(1) || sweep["hits"] == nil || sweep["time_ns"] == nil {
+		t.Fatalf("engine.analysis.sweep = %v, want computes 1, hits, time_ns", sweep)
+	}
+}
+
+func mapKeys(m map[string]any) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

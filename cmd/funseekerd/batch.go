@@ -31,7 +31,7 @@ type batchRecord struct {
 	// StoreKey is the hex persistent-store key of this member's result
 	// — the batch-stream equivalent of the X-Funseeker-Store-Key
 	// header, so a proxy can replicate every member without recomputing
-	// content hashes. Empty on error records and storeless replicas.
+	// content hashes. Empty on error records.
 	StoreKey string `json:"store_key,omitempty"`
 }
 
@@ -182,7 +182,7 @@ func (s *server) batchRecordFor(name string, res *engine.Result, err error, conf
 		}
 		return batchRecord{Name: name, Error: err.Error(), Kind: kind}
 	}
-	s.analyzeByArch.With(res.Report.Arch).Inc()
+	s.analyzeByArch.With(res.Answer.Arch).Inc()
 	resp := buildAnalyzeResponse(res, configN)
 	return batchRecord{Name: name, Result: &resp, StoreKey: res.StoreKey}
 }
@@ -255,24 +255,14 @@ func skipTooLarge(name string, rest io.Reader, limit int64) (engine.Member, erro
 // shared by /v1/analyze and /v1/batch records.
 func buildAnalyzeResponse(res *engine.Result, configN int) analyzeResponse {
 	var cached any = false
-	if res.Cached {
+	if res.CacheSource != "" {
 		cached = res.CacheSource
 	}
-	rep := res.Report
 	return analyzeResponse{
-		SHA256:                 res.SHA256,
-		Arch:                   rep.Arch,
-		Config:                 configN,
-		Cached:                 cached,
-		ElapsedMS:              float64(res.Elapsed) / float64(time.Millisecond),
-		Entries:                rep.Entries,
-		Endbrs:                 len(rep.Endbrs),
-		CallTargets:            len(rep.CallTargets),
-		JumpTargets:            len(rep.JumpTargets),
-		TailCallTargets:        len(rep.TailCallTargets),
-		FilteredIndirectReturn: rep.FilteredIndirectReturn,
-		FilteredLandingPads:    rep.FilteredLandingPads,
-		FusedFDEEntries:        rep.FusedFDEEntries,
-		Warnings:               rep.Warnings,
+		SHA256:    res.SHA256,
+		Answer:    *res.Answer,
+		Config:    configN,
+		Cached:    cached,
+		ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond),
 	}
 }

@@ -161,31 +161,16 @@ func (s *server) debugHandler() http.Handler {
 }
 
 // analyzeResponse is the JSON shape of one successful analysis: the
-// Report plus service metadata.
+// engine's answer beside the service metadata.
 type analyzeResponse struct {
 	SHA256 string `json:"sha256"`
-	// Arch is the backend that analyzed the image ("x86-64",
-	// "aarch64", ...), detected from the ELF header.
-	Arch   string `json:"arch"`
-	Config int    `json:"config"`
+	engine.Answer
+	Config int `json:"config"`
 	// Cached is false for a fresh analysis, or the string "lru" /
 	// "store" / "coalesced" naming the fast path that served the
 	// result.
 	Cached    any     `json:"cached"`
 	ElapsedMS float64 `json:"elapsed_ms"`
-
-	Entries         []uint64 `json:"entries"`
-	Endbrs          int      `json:"endbrs"`
-	CallTargets     int      `json:"call_targets"`
-	JumpTargets     int      `json:"jump_targets"`
-	TailCallTargets int      `json:"tail_call_targets"`
-
-	FilteredIndirectReturn int `json:"filtered_indirect_return"`
-	FilteredLandingPads    int `json:"filtered_landing_pads"`
-	// FusedFDEEntries counts the entries configuration ⑤ added from
-	// .eh_frame FDE starts; always 0 for configs 1-4.
-	FusedFDEEntries int      `json:"fused_fde_entries,omitempty"`
-	Warnings        []string `json:"warnings,omitempty"`
 }
 
 // errorResponse is the JSON error envelope; kind is the stable sentinel
@@ -237,7 +222,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.analyzeByArch.With(res.Report.Arch).Inc()
+	s.analyzeByArch.With(res.Answer.Arch).Inc()
 	// The store key identifies this result across replicas; the router's
 	// replication path copies it to the ring successor by this handle.
 	w.Header().Set(storeKeyHeader, res.StoreKey)

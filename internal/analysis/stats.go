@@ -11,11 +11,11 @@ import (
 type StageStat struct {
 	// Computes counts cold executions (cache misses for memoized stages,
 	// plain executions for per-run stages).
-	Computes uint64
+	Computes uint64 `json:"computes"`
 	// Hits counts memoized lookups served from cache.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Time is the total wall-clock time spent computing.
-	Time time.Duration
+	Time time.Duration `json:"time_ns"`
 }
 
 // Add accumulates another stage's numbers.
@@ -35,32 +35,34 @@ func (s StageStat) Mean() time.Duration {
 
 // Stats is a point-in-time snapshot of a Context's per-stage accounting —
 // or, via Add, the aggregate over many contexts (one evaluation run).
+// Its JSON form (the engine.analysis block of funseekerd's /v1/stats)
+// uses snake_case keys and nanosecond times.
 // The memoized stages (Sweep, EHParse, LandingPad, FDEIndex,
 // Superset) count cache hits and misses; the per-run refinement stages
 // (Filter, TailCall) count executions only.
 type Stats struct {
 	// Sweep is the linear-sweep disassembly (reference sets E, C, J).
-	Sweep StageStat
+	Sweep StageStat `json:"sweep"`
 	// EHParse is the .eh_frame FDE parse.
-	EHParse StageStat
+	EHParse StageStat `json:"eh_parse"`
 	// LandingPad is the FDE×LSDA landing-pad join.
-	LandingPad StageStat
+	LandingPad StageStat `json:"landing_pad"`
 	// FDEIndex is the FDE start-set + coverage-interval index build.
-	FDEIndex StageStat
+	FDEIndex StageStat `json:"fde_index"`
 	// Superset is the byte-level end-branch scan.
-	Superset StageStat
+	Superset StageStat `json:"superset"`
 	// Filter is the FILTERENDBR refinement (per identification run).
-	Filter StageStat
+	Filter StageStat `json:"filter"`
 	// TailCall is the SELECTTAILCALL refinement (per identification run).
-	TailCall StageStat
+	TailCall StageStat `json:"tail_call"`
 
 	// SweepShards is the total shard count across sweeps (1 per
 	// sequentially-swept binary, the worker count per parallel sweep).
-	SweepShards uint64
+	SweepShards uint64 `json:"sweep_shards"`
 	// StitchRetries is the total number of seam instructions the
 	// parallel sweeps had to re-decode before shard streams
 	// re-synchronized.
-	StitchRetries uint64
+	StitchRetries uint64 `json:"stitch_retries"`
 }
 
 // Add accumulates another snapshot.

@@ -3,15 +3,13 @@ package engine
 import (
 	"container/list"
 	"sync"
-
-	"github.com/funseeker/funseeker/internal/core"
 )
 
-// lru is the byte-accounted result cache. Capacity is a budget over the
-// *estimated retained size* of each cached report (address slices plus a
-// fixed per-entry overhead), not an entry count, so a corpus of huge
-// binaries and a corpus of tiny ones both stay inside the same memory
-// envelope.
+// lru is the byte-accounted answer cache. Capacity is a budget over the
+// *estimated retained size* of each cached answer (its entry list and
+// warnings plus a fixed per-entry overhead), not an entry count, so a
+// corpus of huge binaries and a corpus of tiny ones both stay inside the
+// same memory envelope.
 type lru struct {
 	mu        sync.Mutex
 	capacity  int64
@@ -21,10 +19,10 @@ type lru struct {
 	evictions uint64
 }
 
-// lruEntry is one cached result with its accounted size.
+// lruEntry is one cached answer with its accounted size.
 type lruEntry struct {
 	key  cacheKey
-	res  *Result
+	ans  *Answer
 	size int64
 }
 
@@ -36,8 +34,8 @@ func newLRU(capacity int64) *lru {
 	}
 }
 
-// get returns the cached result for k, refreshing its recency.
-func (c *lru) get(k cacheKey) (*Result, bool) {
+// get returns the cached answer for k, refreshing its recency.
+func (c *lru) get(k cacheKey) (*Answer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[k]
@@ -45,14 +43,14 @@ func (c *lru) get(k cacheKey) (*Result, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).res, true
+	return el.Value.(*lruEntry).ans, true
 }
 
-// add inserts (or refreshes) a result and evicts from the cold end until
+// add inserts (or refreshes) an answer and evicts from the cold end until
 // the byte budget holds. An entry larger than the whole budget is not
 // cached at all rather than evicting everything for a single tenant.
-func (c *lru) add(k cacheKey, res *Result) {
-	sz := entrySize(res.Report)
+func (c *lru) add(k cacheKey, a *Answer) {
+	sz := entrySize(a)
 	if sz > c.capacity {
 		return
 	}
@@ -61,10 +59,10 @@ func (c *lru) add(k cacheKey, res *Result) {
 	if el, ok := c.items[k]; ok {
 		ent := el.Value.(*lruEntry)
 		c.size += sz - ent.size
-		ent.res, ent.size = res, sz
+		ent.ans, ent.size = a, sz
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[k] = c.ll.PushFront(&lruEntry{key: k, res: res, size: sz})
+		c.items[k] = c.ll.PushFront(&lruEntry{key: k, ans: a, size: sz})
 		c.size += sz
 	}
 	for c.size > c.capacity {
@@ -88,14 +86,14 @@ func (c *lru) stats() (int, int64, int64, uint64) {
 }
 
 // entryOverhead approximates the fixed cost of one cache entry: the
-// Report struct, the Result, the map and list bookkeeping.
+// Answer struct, the map and list bookkeeping.
 const entryOverhead = 512
 
-// entrySize estimates the retained bytes of one cached report.
-func entrySize(r *core.Report) int64 {
-	n := int64(len(r.Entries)+len(r.Endbrs)+len(r.CallTargets)+
-		len(r.JumpTargets)+len(r.TailCallTargets)) * 8
-	for _, w := range r.Warnings {
+// entrySize estimates the retained bytes of one cached answer: its
+// entry list and its warnings.
+func entrySize(a *Answer) int64 {
+	n := int64(len(a.Entries)) * 8
+	for _, w := range a.Warnings {
 		n += int64(len(w)) + 16
 	}
 	return n + entryOverhead

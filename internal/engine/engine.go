@@ -153,11 +153,58 @@ func optsBits(o core.Options) uint8 {
 	return b
 }
 
+// Answer is what the engine answers with: FunSeeker's entry set
+// E′ ∪ C ∪ J′ (paper Algorithm 1), the sizes of E, C, J and J′, the
+// filter counts and the warnings. It is the one shape the LRU keeps,
+// the store persists, replicas exchange, and funseekerd and the CLI
+// print; its JSON tags are the wire's.
+type Answer struct {
+	// Arch is the backend that produced the answer ("x86-64",
+	// "aarch64", ...), detected from the ELF header.
+	Arch string `json:"arch"`
+	// Entries is the sorted set of identified function entries.
+	Entries []uint64 `json:"entries"`
+
+	// Endbrs, CallTargets, JumpTargets and TailCallTargets are the sizes
+	// of the sets E, C, J and J′ (core.Report holds the sets).
+	Endbrs          int `json:"endbrs"`
+	CallTargets     int `json:"call_targets"`
+	JumpTargets     int `json:"jump_targets"`
+	TailCallTargets int `json:"tail_call_targets"`
+
+	// FilteredIndirectReturn and FilteredLandingPads count the end
+	// branches FILTERENDBR removed, by reason.
+	FilteredIndirectReturn int `json:"filtered_indirect_return"`
+	FilteredLandingPads    int `json:"filtered_landing_pads"`
+	// FusedFDEEntries counts the entries configuration ⑤ added from
+	// .eh_frame FDE starts; always 0 for configs 1-4.
+	FusedFDEEntries int `json:"fused_fde_entries,omitempty"`
+	// Warnings records the run's non-fatal degradations.
+	Warnings []string `json:"warnings,omitempty"`
+}
+
+// NewAnswer reduces a report to its answer. The answer shares the
+// report's Entries and Warnings.
+func NewAnswer(r *core.Report) *Answer {
+	return &Answer{
+		Arch:                   r.Arch,
+		Entries:                r.Entries,
+		Endbrs:                 len(r.Endbrs),
+		CallTargets:            len(r.CallTargets),
+		JumpTargets:            len(r.JumpTargets),
+		TailCallTargets:        len(r.TailCallTargets),
+		FilteredIndirectReturn: r.FilteredIndirectReturn,
+		FilteredLandingPads:    r.FilteredLandingPads,
+		FusedFDEEntries:        r.FusedFDEEntries,
+		Warnings:               r.Warnings,
+	}
+}
+
 // Result is one completed identification with its service metadata.
 type Result struct {
-	// Report is the identification result. Cached results share one
-	// Report value across callers; treat it as read-only.
-	Report *core.Report
+	// Answer is the identification answer. Cached results share one
+	// Answer value across callers; treat it as read-only.
+	Answer *Answer
 	// SHA256 is the lowercase hex content hash of the analyzed image.
 	SHA256 string
 	// StoreKey is the lowercase hex persistent-store key of this result
@@ -165,22 +212,16 @@ type Result struct {
 	// across replicas: the router's replication path copies stored
 	// results between funseekerd instances by this key.
 	StoreKey string
-	// Cached reports whether the result came from the LRU (or from
-	// coalescing onto another request's in-flight analysis) rather than
-	// a fresh analysis.
-	Cached bool
-	// CacheSource names the fast path that served a cached result:
-	// "lru" for an LRU hit, "coalesced" for a wait on an identical
-	// in-flight analysis, "store" for a persistent-store hit after an
-	// LRU miss, "" for a fresh analysis.
+	// CacheSource names the fast path that served the result: "lru"
+	// for an LRU hit, "coalesced" for a wait on an identical in-flight
+	// analysis, "store" for a persistent-store hit after an LRU miss,
+	// "" for a fresh analysis.
 	CacheSource string
 	// Elapsed is this caller's wall-clock wait for the result: the
 	// analysis time on the cold path, the lookup time on an LRU hit,
 	// and the full blocking wait for a coalesced request (which can be
 	// as long as the underlying analysis).
 	Elapsed time.Duration
-	// BinaryBytes is the size of the analyzed ELF image.
-	BinaryBytes int
 }
 
 // New builds an engine from cfg, filling its defaulted fields.
@@ -231,7 +272,8 @@ func (e *Engine) Analyze(ctx context.Context, raw []byte, opts core.Options) (*R
 	// arch comes from the cheap header peek; DetectArch returns exactly
 	// what elfx.Load would assign.
 	k := cacheKey{sum: sha256.Sum256(raw), opts: optsBits(opts), arch: elfx.DetectArch(raw)}
-	keyHex := hex.EncodeToString(storeKey(k))
+	key := storeKey(k)
+	keyHex := hex.EncodeToString(key)
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -239,12 +281,9 @@ func (e *Engine) Analyze(ctx context.Context, raw []byte, opts core.Options) (*R
 			return nil, err
 		}
 		if e.cache != nil {
-			if res, ok := e.cache.get(k); ok {
+			if a, ok := e.cache.get(k); ok {
 				e.hits.Add(1)
-				return &Result{
-					Report: res.Report, SHA256: res.SHA256, StoreKey: keyHex, BinaryBytes: res.BinaryBytes,
-					Cached: true, CacheSource: "lru", Elapsed: time.Since(start),
-				}, nil
+				return newResult(a, keyHex, "lru", start), nil
 			}
 		}
 
@@ -257,10 +296,7 @@ func (e *Engine) Analyze(ctx context.Context, raw []byte, opts core.Options) (*R
 					e.coalesced.Add(1)
 					// Elapsed is this caller's real wait, which spans the
 					// underlying analysis — not the ~zero of a map lookup.
-					return &Result{
-						Report: c.res.Report, SHA256: c.res.SHA256, StoreKey: keyHex, BinaryBytes: c.res.BinaryBytes,
-						Cached: true, CacheSource: "coalesced", Elapsed: time.Since(start),
-					}, nil
+					return newResult(c.res.Answer, keyHex, "coalesced", start), nil
 				}
 				if isContextErr(c.err) {
 					continue // the computing request died; retry under our ctx
@@ -289,18 +325,29 @@ func (e *Engine) Analyze(ctx context.Context, raw []byte, opts core.Options) (*R
 				e.flightMu.Unlock()
 				close(c.done)
 			}()
-			c.res, c.err = e.analyzeCold(ctx, raw, opts, k)
+			c.res, c.err = e.analyzeCold(ctx, raw, opts, k, key, keyHex)
 		}()
 		return c.res, c.err
 	}
 }
 
-// analyzeCold runs one uncached analysis: consult the persistent
-// store, then acquire a worker slot, load, identify, account, cache. A
+// newResult stamps a for one caller: the hashes come from the hex store
+// key (its first 64 digits are the content hash), Elapsed runs from
+// start.
+func newResult(a *Answer, keyHex, source string, start time.Time) *Result {
+	return &Result{
+		Answer: a, SHA256: keyHex[:2*sha256.Size], StoreKey: keyHex,
+		CacheSource: source, Elapsed: time.Since(start),
+	}
+}
+
+// analyzeCold runs one uncached analysis under k, whose store key is
+// key (keyHex in hex): consult the persistent store, then acquire a
+// worker slot, load, identify, account, cache. A
 // panic anywhere inside — worker-slot code, ELF loading, the sweep —
 // is recovered into an error and counted under failures, so one
 // malformed input cannot take the process down.
-func (e *Engine) analyzeCold(ctx context.Context, raw []byte, opts core.Options, k cacheKey) (res *Result, err error) {
+func (e *Engine) analyzeCold(ctx context.Context, raw []byte, opts core.Options, k cacheKey, key []byte, keyHex string) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.failures.Add(1)
@@ -317,20 +364,17 @@ func (e *Engine) analyzeCold(ctx context.Context, raw []byte, opts core.Options,
 	// a cold analysis — persistence must never turn a computable
 	// request into a failure.
 	if e.store != nil {
-		if val, ok, serr := e.store.Get(storeKey(k)); serr != nil {
+		if val, ok, serr := e.store.Get(key); serr != nil {
 			e.storeErrors.Add(1)
 		} else if ok {
-			if stored, derr := decodeStoredResult(val); derr != nil {
+			if a, _, derr := decodeStoredResult(val); derr != nil {
 				e.storeErrors.Add(1)
 			} else {
 				e.storeHits.Add(1)
 				if e.cache != nil {
-					e.cache.add(k, stored)
+					e.cache.add(k, a)
 				}
-				return &Result{
-					Report: stored.Report, SHA256: stored.SHA256, StoreKey: hex.EncodeToString(storeKey(k)), BinaryBytes: stored.BinaryBytes,
-					Cached: true, CacheSource: "store", Elapsed: time.Since(start),
-				}, nil
+				return newResult(a, keyHex, "store", start), nil
 			}
 		}
 	}
@@ -376,17 +420,11 @@ func (e *Engine) analyzeCold(ctx context.Context, raw []byte, opts core.Options,
 		return nil, err
 	}
 
-	res = &Result{
-		Report:      report,
-		SHA256:      hex.EncodeToString(k.sum[:]),
-		StoreKey:    hex.EncodeToString(storeKey(k)),
-		Elapsed:     time.Since(start),
-		BinaryBytes: len(raw),
-	}
+	res = newResult(NewAnswer(report), keyHex, "", start)
 	e.misses.Add(1)
 	e.bytesIn.Add(uint64(len(raw)))
 	if e.cache != nil {
-		e.cache.add(k, res)
+		e.cache.add(k, res.Answer)
 	}
 	// Write-through to the persistent tier. Synchronous on purpose: the
 	// encode+append is microseconds next to the analysis that just ran,
@@ -394,9 +432,9 @@ func (e *Engine) analyzeCold(ctx context.Context, raw []byte, opts core.Options,
 	// on restart. Failures are counted and swallowed — the result is
 	// already computed and the caller deserves it.
 	if e.store != nil {
-		if val, serr := encodeStoredResult(res); serr != nil {
+		if val, serr := encodeStoredResult(res.Answer, res.SHA256); serr != nil {
 			e.storeErrors.Add(1)
-		} else if serr := e.store.Put(storeKey(k), val); serr != nil {
+		} else if serr := e.store.Put(key, val); serr != nil {
 			e.storeErrors.Add(1)
 		} else {
 			e.storePuts.Add(1)

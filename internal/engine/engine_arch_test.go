@@ -55,17 +55,17 @@ func TestAnalyzeAArch64RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	if res.Report.Arch != "aarch64" {
-		t.Fatalf("report arch = %q, want aarch64", res.Report.Arch)
+	if res.Answer.Arch != "aarch64" {
+		t.Fatalf("answer arch = %q, want aarch64", res.Answer.Arch)
 	}
 	ref, err := bticore.IdentifyBytes(raw)
 	if err != nil {
 		t.Fatalf("bticore: %v", err)
 	}
-	if !slices.Equal(res.Report.Entries, ref.Entries) {
-		t.Fatalf("engine entries %#x != bticore entries %#x", res.Report.Entries, ref.Entries)
+	if !slices.Equal(res.Answer.Entries, ref.Entries) {
+		t.Fatalf("engine entries %#x != bticore entries %#x", res.Answer.Entries, ref.Entries)
 	}
-	if len(res.Report.Entries) == 0 {
+	if len(res.Answer.Entries) == 0 {
 		t.Fatal("empty entry set from a multi-function binary")
 	}
 
@@ -73,7 +73,7 @@ func TestAnalyzeAArch64RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm analyze: %v", err)
 	}
-	if !warm.Cached || warm.CacheSource != "lru" {
+	if warm.CacheSource != "lru" {
 		t.Fatalf("second analyze not an LRU hit: %+v", warm)
 	}
 }
@@ -104,7 +104,7 @@ func TestFilesMixedArchCorpus(t *testing.T) {
 		if fr.Err != nil {
 			return fr.Err
 		}
-		got[filepath.Base(fr.Path)] = fr.Result.Report.Arch
+		got[filepath.Base(fr.Path)] = fr.Result.Answer.Arch
 		return nil
 	})
 	if err != nil {

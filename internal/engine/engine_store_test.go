@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -52,17 +54,17 @@ func TestStoreTierWarmRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Cached || res.CacheSource != "store" {
-			t.Fatalf("bin %d: cached=%v source=%q, want a store hit", i, res.Cached, res.CacheSource)
+		if res.CacheSource != "store" {
+			t.Fatalf("bin %d: source=%q, want a store hit", i, res.CacheSource)
 		}
 		if res.Elapsed <= 0 {
 			t.Fatalf("bin %d: store-hit Elapsed = %v, want the (nonzero) lookup cost", i, res.Elapsed)
 		}
-		if res.SHA256 != want[i].SHA256 || res.BinaryBytes != want[i].BinaryBytes {
+		if res.SHA256 != want[i].SHA256 || res.StoreKey != want[i].StoreKey {
 			t.Fatalf("bin %d: identity mismatch across the store", i)
 		}
-		if !reflect.DeepEqual(res.Report.Entries, want[i].Report.Entries) ||
-			res.Report.Arch != want[i].Report.Arch {
+		if !reflect.DeepEqual(res.Answer.Entries, want[i].Answer.Entries) ||
+			res.Answer.Arch != want[i].Answer.Arch {
 			t.Fatalf("bin %d: report round-tripped wrong through the store", i)
 		}
 	}
@@ -99,7 +101,7 @@ func TestStoreTierKeysRespectOptionsAndArch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cached {
+	if res.CacheSource != "" {
 		t.Fatalf("Config1 request served from Config4's stored result (source %q)", res.CacheSource)
 	}
 	if s := e2.Stats(); s.Store.Hits != 0 || s.Cache.Misses != 1 {
@@ -148,8 +150,8 @@ func TestStoreDecodeErrorDegradesToCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cached || len(res.Report.Entries) == 0 {
-		t.Fatalf("poisoned store served cached=%v, want a fresh full analysis", res.Cached)
+	if res.CacheSource != "" || len(res.Answer.Entries) == 0 {
+		t.Fatalf("poisoned store served source=%q, want a fresh full analysis", res.CacheSource)
 	}
 	s := e.Stats()
 	if s.Store.Errors == 0 {
@@ -169,46 +171,136 @@ func TestStoreDecodeErrorDegradesToCold(t *testing.T) {
 	}
 }
 
+// v1Record is raw's configuration-④ result as the version-1 codec
+// wrote it: the sets E, C, J and J′ in full beside the entries.
+func v1Record(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	bin, err := elfx.Load(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.Identify(bin, core.Config4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	val, err := json.Marshal(map[string]any{
+		"v":                     1,
+		"arch":                  rep.Arch,
+		"entries":               rep.Entries,
+		"endbrs":                rep.Endbrs,
+		"call_targets":          rep.CallTargets,
+		"jump_targets":          rep.JumpTargets,
+		"tail_call_targets":     rep.TailCallTargets,
+		"filtered_landing_pads": rep.FilteredLandingPads,
+		"sha256":                hex.EncodeToString(sum[:]),
+		"binary_bytes":          len(raw),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return val
+}
+
+// TestStoreV1RecordIsMiss: a version-1 record is a miss. The engine
+// recomputes it, counts one store error and rewrites it as version 2,
+// holding no address list but the entries; a fresh engine then serves
+// it from the store. The replication path refuses a version-1 value.
+func TestStoreV1RecordIsMiss(t *testing.T) {
+	raw := testBinaries(t, 1)[0]
+	st := newTestStore(t)
+	k := cacheKey{sum: sha256.Sum256(raw), opts: optsBits(core.Config4), arch: elfx.DetectArch(raw)}
+	key := storeKey(k)
+	old := v1Record(t, raw)
+	if err := st.Put(key, old); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(Config{Jobs: 1, Store: st})
+	res, err := e.Analyze(context.Background(), raw, core.Config4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheSource != "" {
+		t.Fatalf("a version-1 record served source %q, want a fresh analysis", res.CacheSource)
+	}
+	if s := e.Stats(); s.Store.Errors != 1 || s.Store.Hits != 0 || s.Store.Puts != 1 || s.Engine.Analyzed != 1 {
+		t.Fatalf("store errors/hits/puts = %d/%d/%d, analyzed %d; want 1/0/1, 1",
+			s.Store.Errors, s.Store.Hits, s.Store.Puts, s.Engine.Analyzed)
+	}
+	val, ok, err := st.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("rewritten record: ok=%v err=%v", ok, err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(val, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec["v"] != float64(2) || rec["sha256"] != res.SHA256 {
+		t.Fatalf("rewritten record v=%v sha256=%v, want 2 and %s", rec["v"], rec["sha256"], res.SHA256)
+	}
+	for field, v := range rec {
+		if _, isList := v.([]any); isList && field != "entries" && field != "warnings" {
+			t.Fatalf("rewritten record keeps the list %q", field)
+		}
+	}
+	if _, isCount := rec["endbrs"].(float64); !isCount {
+		t.Fatalf("rewritten record endbrs = %v, want a count", rec["endbrs"])
+	}
+
+	e2 := New(Config{Jobs: 1, Store: st})
+	res2, err := e2.Analyze(context.Background(), raw, core.Config4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.CacheSource != "store" || !reflect.DeepEqual(*res2.Answer, *res.Answer) {
+		t.Fatalf("fresh engine source %q answer %+v, want the rewritten answer from the store", res2.CacheSource, res2.Answer)
+	}
+	if err := e2.InjectResult(res.StoreKey, old); err == nil {
+		t.Fatal("InjectResult accepted a version-1 value")
+	}
+}
+
 // TestStoredResultCodecQuick: the value codec round-trips arbitrary
-// report shapes bit-exactly.
+// answer shapes bit-exactly.
 func TestStoredResultCodecQuick(t *testing.T) {
-	prop := func(entries, endbrs []uint64, fir, flp int, warnings []string, nbytes uint16) bool {
-		res := &Result{
-			Report: &core.Report{
-				Arch:                   "x86-64",
-				Entries:                entries,
-				Endbrs:                 endbrs,
-				FilteredIndirectReturn: fir,
-				FilteredLandingPads:    flp,
-				Warnings:               warnings,
-			},
-			SHA256:      "8d14a573cdbdb212e38b8d83e20b0cd0bbbabd872f1a4445b0f2d72e2a307d12",
-			BinaryBytes: int(nbytes),
+	const sha = "8d14a573cdbdb212e38b8d83e20b0cd0bbbabd872f1a4445b0f2d72e2a307d12"
+	prop := func(entries []uint64, endbrs, calls, jumps, tails uint16, fir, flp, fused int, warnings []string) bool {
+		a := &Answer{
+			Arch:                   "x86-64",
+			Entries:                entries,
+			Endbrs:                 int(endbrs),
+			CallTargets:            int(calls),
+			JumpTargets:            int(jumps),
+			TailCallTargets:        int(tails),
+			FilteredIndirectReturn: fir,
+			FilteredLandingPads:    flp,
+			FusedFDEEntries:        fused,
+			Warnings:               warnings,
 		}
-		val, err := encodeStoredResult(res)
+		val, err := encodeStoredResult(a, sha)
 		if err != nil {
 			return false
 		}
-		got, err := decodeStoredResult(val)
+		got, gotSHA, err := decodeStoredResult(val)
 		if err != nil {
 			return false
 		}
-		return got.SHA256 == res.SHA256 &&
-			got.BinaryBytes == res.BinaryBytes &&
-			got.Report.Arch == res.Report.Arch &&
-			len(got.Report.Entries) == len(res.Report.Entries) &&
-			reflect.DeepEqual(nonNil(got.Report.Entries), nonNil(res.Report.Entries)) &&
-			reflect.DeepEqual(nonNil(got.Report.Endbrs), nonNil(res.Report.Endbrs)) &&
-			got.Report.FilteredIndirectReturn == res.Report.FilteredIndirectReturn &&
-			got.Report.FilteredLandingPads == res.Report.FilteredLandingPads
+		want := *a
+		want.Entries = nonNil(a.Entries)
+		if len(want.Warnings) == 0 {
+			want.Warnings = nil
+		}
+		got.Entries = nonNil(got.Entries)
+		return gotSHA == sha && reflect.DeepEqual(*got, want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Version and shape guards reject foreign records.
-	for _, bad := range []string{`{"v":0}`, `{"v":2,"sha256":""}`, `not json`, ``} {
-		if _, err := decodeStoredResult([]byte(bad)); err == nil {
+	for _, bad := range []string{`{"v":0}`, `{"v":1,"sha256":"` + sha + `"}`, `{"v":2,"sha256":""}`, `not json`, ``} {
+		if _, _, err := decodeStoredResult([]byte(bad)); err == nil {
 			t.Fatalf("decode accepted %q", bad)
 		}
 	}
@@ -242,7 +334,7 @@ func TestCounterConsistencyWithStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Jobs: 3, CacheBytes: entrySize(r.Report) + entrySize(r.Report)/2, Store: st})
+	e := New(Config{Jobs: 3, CacheBytes: entrySize(r.Answer) + entrySize(r.Answer)/2, Store: st})
 
 	junk := [][]byte{[]byte("not an elf"), {}, []byte("\x7fELF torn")}
 	const goroutines = 10

@@ -58,10 +58,10 @@ func TestAnalyzeCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Cached {
+	if first.CacheSource != "" {
 		t.Fatal("first analysis claims to be cached")
 	}
-	if len(first.Report.Entries) == 0 {
+	if len(first.Answer.Entries) == 0 {
 		t.Fatal("no entries identified")
 	}
 
@@ -69,11 +69,11 @@ func TestAnalyzeCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Cached {
+	if second.CacheSource == "" {
 		t.Fatal("identical bytes were re-analyzed instead of served from cache")
 	}
-	if second.Report != first.Report {
-		t.Fatal("cache returned a different report value")
+	if second.Answer != first.Answer {
+		t.Fatal("cache returned a different answer value")
 	}
 	if second.SHA256 != first.SHA256 || len(second.SHA256) != 64 {
 		t.Fatalf("hash mismatch: %q vs %q", second.SHA256, first.SHA256)
@@ -100,7 +100,7 @@ func TestAnalyzeOptionsKeyedSeparately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r4.Cached {
+	if r4.CacheSource != "" {
 		t.Fatal("different options must not share a cache entry")
 	}
 	if st := e.Stats(); st.Cache.Misses != 2 {
@@ -148,7 +148,7 @@ func TestConcurrentCacheHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Jobs: 4, CacheBytes: 2 * entrySize(r.Report)})
+	e := New(Config{Jobs: 4, CacheBytes: 2 * entrySize(r.Answer)})
 
 	const goroutines = 16
 	const iters = 25
@@ -166,7 +166,7 @@ func TestConcurrentCacheHammer(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d iter %d: %w", g, i, err)
 					return
 				}
-				if len(res.Report.Entries) == 0 {
+				if len(res.Answer.Entries) == 0 {
 					errs <- fmt.Errorf("goroutine %d iter %d: empty report", g, i)
 					return
 				}
@@ -239,7 +239,7 @@ func TestFilesBatch(t *testing.T) {
 		if fr.Err != nil {
 			return fr.Err
 		}
-		if len(fr.Result.Report.Entries) == 0 {
+		if len(fr.Result.Answer.Entries) == 0 {
 			return fmt.Errorf("%s: empty report", fr.Path)
 		}
 		got = append(got, fr.Path)
@@ -384,8 +384,8 @@ func TestAnalyzePanicUnblocksWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-analysis after panic: %v", err)
 	}
-	if res.Cached || len(res.Report.Entries) == 0 {
-		t.Fatalf("re-analysis res = cached %v, %d entries; want a fresh full report", res.Cached, len(res.Report.Entries))
+	if res.CacheSource != "" || len(res.Answer.Entries) == 0 {
+		t.Fatalf("re-analysis res = source %q, %d entries; want a fresh full answer", res.CacheSource, len(res.Answer.Entries))
 	}
 
 	st := e.Stats()
@@ -444,7 +444,7 @@ func TestCoalescedAndHitElapsed(t *testing.T) {
 	if w.err != nil {
 		t.Fatal(w.err)
 	}
-	if !w.res.Cached {
+	if w.res.CacheSource == "" {
 		t.Fatal("second identical request was not served from cache/coalescing")
 	}
 	if w.res.CacheSource != "coalesced" && w.res.CacheSource != "lru" {
@@ -463,8 +463,8 @@ func TestCoalescedAndHitElapsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit.CacheSource != "lru" || !hit.Cached {
-		t.Fatalf("cache hit source = %q cached %v, want lru/true", hit.CacheSource, hit.Cached)
+	if hit.CacheSource != "lru" {
+		t.Fatalf("cache hit source = %q, want lru", hit.CacheSource)
 	}
 	if hit.Elapsed <= 0 {
 		t.Fatalf("cache-hit Elapsed = %v, want the (nonzero) lookup cost", hit.Elapsed)

@@ -49,19 +49,19 @@ func (e *Engine) InjectResult(keyHex string, val []byte) error {
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	res, err := decodeStoredResult(val)
+	a, sha, err := decodeStoredResult(val)
 	if err != nil {
 		return fmt.Errorf("engine: rejecting injected result: %w", err)
 	}
-	if res.SHA256 != hex.EncodeToString(k.sum[:]) {
-		return fmt.Errorf("engine: injected result sha256 %s does not match key", res.SHA256)
+	if sha != hex.EncodeToString(k.sum[:]) {
+		return fmt.Errorf("engine: injected result sha256 %s does not match key", sha)
 	}
 	if err := e.store.Put(key, val); err != nil {
 		e.storeErrors.Add(1)
 		return err
 	}
 	if e.cache != nil {
-		e.cache.add(k, res)
+		e.cache.add(k, a)
 	}
 	e.storeInjected.Add(1)
 	return nil

@@ -3,9 +3,9 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 
-	"github.com/funseeker/funseeker/internal/core"
 	"github.com/funseeker/funseeker/internal/elfx"
 )
 
@@ -36,82 +36,45 @@ func parseStoreKey(b []byte) (cacheKey, error) {
 	return k, nil
 }
 
-// storedResultVersion gates the value codec; bump it when storedResult
+// storedResultVersion gates the value codec; bump it when storedValue
 // changes incompatibly, and old records decode as misses instead of as
-// garbage.
-const storedResultVersion = 1
+// garbage. Version 1 kept the sets E, C, J and J′ in full; version 2
+// keeps only the answer.
+const storedResultVersion = 2
 
-// storedResult is the persistent form of one analysis result: the full
-// Report plus the service metadata worth keeping across restarts. JSON
-// keeps it dependency-free, debuggable with jq against a segment file,
-// and tolerant of field additions.
-type storedResult struct {
-	Version int    `json:"v"`
-	Arch    string `json:"arch"`
-
-	Entries         []uint64 `json:"entries"`
-	Endbrs          []uint64 `json:"endbrs,omitempty"`
-	CallTargets     []uint64 `json:"call_targets,omitempty"`
-	JumpTargets     []uint64 `json:"jump_targets,omitempty"`
-	TailCallTargets []uint64 `json:"tail_call_targets,omitempty"`
-
-	FilteredIndirectReturn int      `json:"filtered_indirect_return,omitempty"`
-	FilteredLandingPads    int      `json:"filtered_landing_pads,omitempty"`
-	FusedFDEEntries        int      `json:"fused_fde_entries,omitempty"`
-	Warnings               []string `json:"warnings,omitempty"`
-
-	SHA256      string `json:"sha256"`
-	BinaryBytes int    `json:"binary_bytes"`
+// storedValue is the persistent form of one result: the answer between
+// the codec version and the content hash the replication path checks
+// against the key. JSON keeps it dependency-free, debuggable with jq
+// against a segment file, and tolerant of field additions.
+type storedValue struct {
+	Version int `json:"v"`
+	*Answer
+	SHA256 string `json:"sha256"`
 }
 
-// encodeStoredResult serializes a completed result for the store.
-func encodeStoredResult(res *Result) ([]byte, error) {
-	r := res.Report
-	return json.Marshal(storedResult{
-		Version:                storedResultVersion,
-		Arch:                   r.Arch,
-		Entries:                r.Entries,
-		Endbrs:                 r.Endbrs,
-		CallTargets:            r.CallTargets,
-		JumpTargets:            r.JumpTargets,
-		TailCallTargets:        r.TailCallTargets,
-		FilteredIndirectReturn: r.FilteredIndirectReturn,
-		FilteredLandingPads:    r.FilteredLandingPads,
-		FusedFDEEntries:        r.FusedFDEEntries,
-		Warnings:               r.Warnings,
-		SHA256:                 res.SHA256,
-		BinaryBytes:            res.BinaryBytes,
-	})
+// encodeStoredResult serializes an answer and its image's hex content
+// hash for the store.
+func encodeStoredResult(a *Answer, sha string) ([]byte, error) {
+	return json.Marshal(storedValue{Version: storedResultVersion, Answer: a, SHA256: sha})
 }
 
-// decodeStoredResult parses a stored value back into a Result. The
-// returned Result carries no cache/source metadata — the caller stamps
-// Cached/CacheSource/Elapsed for its own request.
-func decodeStoredResult(val []byte) (*Result, error) {
-	var sr storedResult
-	if err := json.Unmarshal(val, &sr); err != nil {
-		return nil, err
+// decodeStoredResult parses a stored value back into its answer and hex
+// content hash.
+func decodeStoredResult(val []byte) (*Answer, string, error) {
+	sv := storedValue{Answer: &Answer{}}
+	err := json.Unmarshal(val, &sv)
+	// A record of another version may not fit this one's fields (a
+	// version-1 record's sets do not fit the counts): name the version,
+	// not the misfit.
+	var misfit *json.UnmarshalTypeError
+	if (err == nil || errors.As(err, &misfit)) && sv.Version != storedResultVersion {
+		return nil, "", fmt.Errorf("stored result version %d, want %d", sv.Version, storedResultVersion)
 	}
-	if sr.Version != storedResultVersion {
-		return nil, fmt.Errorf("stored result version %d, want %d", sr.Version, storedResultVersion)
+	if err != nil {
+		return nil, "", err
 	}
-	if len(sr.SHA256) != 64 {
-		return nil, fmt.Errorf("stored result with malformed sha256 %q", sr.SHA256)
+	if len(sv.SHA256) != 2*sha256.Size {
+		return nil, "", fmt.Errorf("stored result with malformed sha256 %q", sv.SHA256)
 	}
-	return &Result{
-		Report: &core.Report{
-			Arch:                   sr.Arch,
-			Entries:                sr.Entries,
-			Endbrs:                 sr.Endbrs,
-			CallTargets:            sr.CallTargets,
-			JumpTargets:            sr.JumpTargets,
-			TailCallTargets:        sr.TailCallTargets,
-			FilteredIndirectReturn: sr.FilteredIndirectReturn,
-			FilteredLandingPads:    sr.FilteredLandingPads,
-			FusedFDEEntries:        sr.FusedFDEEntries,
-			Warnings:               sr.Warnings,
-		},
-		SHA256:      sr.SHA256,
-		BinaryBytes: sr.BinaryBytes,
-	}, nil
+	return sv.Answer, sv.SHA256, nil
 }
